@@ -480,6 +480,13 @@ def cmd_simulate(args) -> int:
     pool = sorted(k for k in labels_map if k in gold)
     if not pool:
         raise CliError("no labelled mention exists in the gold standard")
+    log.info("simulation pool: %d mentions; %d labelled mentions are outside the gold standard",
+             len(pool), len(labels_map) - len(pool))
+    if predictions is not None:
+        unpredicted = sum(1 for k in pool if k not in predictions)
+        log.log(logging.WARNING if unpredicted else logging.INFO,
+                "%d pool mentions have no prediction; pred_difficult treats them as not HARD",
+                unpredicted)
     budgets = []
     for token in args.budgets.split(","):
         token = token.strip()

@@ -9,9 +9,11 @@ annotation alignment.
 
 from __future__ import annotations
 
+import bisect
 import calendar
 import datetime as dt
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -22,6 +24,8 @@ from .errors import DuplicateIdError, MalformedRecordError
 
 #: Sentence boundary characters. Spans lie strictly between two marks.
 SENTENCE_MARKS = frozenset(".!?;")
+#: A sentence span is a maximal run of characters that are not marks.
+_SENTENCE = re.compile("[^" + re.escape("".join(sorted(SENTENCE_MARKS))) + "]+")
 
 
 @dataclass(frozen=True)
@@ -156,24 +160,23 @@ def segment_sentences(doc: Document) -> list[SentenceSpan]:
     document start and end act as virtual boundaries. Boundary characters
     belong to no span, and empty spans between adjacent marks are dropped.
     """
-    spans = []
-    start = 0
-    for i, ch in enumerate(doc.text):
-        if ch in SENTENCE_MARKS:
-            if i > start:
-                spans.append(SentenceSpan(start, i))
-            start = i + 1
-    if len(doc.text) > start:
-        spans.append(SentenceSpan(start, len(doc.text)))
-    return spans
+    return [SentenceSpan(m.start(), m.end()) for m in _SENTENCE.finditer(doc.text)]
 
 
-def sentence_containing(doc: Document, offset: int) -> SentenceSpan | None:
+def sentence_containing(
+    doc: Document, offset: int, spans: Sequence[SentenceSpan] | None = None
+) -> SentenceSpan | None:
     """The sentence span covering ``offset``, or None if the offset falls on
-    a boundary mark (no span contains it)."""
-    for span in segment_sentences(doc):
-        if span.start <= offset < span.end:
-            return span
+    a boundary mark (no span contains it).
+
+    ``spans`` is ``segment_sentences(doc)`` computed once by the caller; the
+    span is then found by bisection instead of segmenting the document again.
+    """
+    if spans is None:
+        spans = segment_sentences(doc)
+    i = bisect.bisect_right(spans, offset, key=lambda span: span.start) - 1
+    if i >= 0 and offset < spans[i].end:
+        return spans[i]
     return None
 
 

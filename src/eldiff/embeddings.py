@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .corpus import Corpus, Document, segment_sentences
-from .errors import CorruptModelError, EmptyVocabularyError
+from .errors import CorruptModelError, DivergedTrainingError, EmptyVocabularyError
 from .rand import derive_seed
 
 
@@ -164,7 +164,7 @@ def train_skipgram(docs: Iterable[Document], params: EmbeddingParams,
                     np.subtract.at(context_vecs, negatives, lr * g_neg)
 
     if not np.all(np.isfinite(center_vecs)):
-        raise ArithmeticError("training produced non-finite vectors; lower the learning rate")
+        raise DivergedTrainingError("training produced non-finite vectors; lower the learning rate")
     return EmbeddingModel(vocab, center_vecs, slice_label)
 
 

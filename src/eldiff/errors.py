@@ -28,6 +28,10 @@ class EmptyVocabularyError(EldiffError):
     """No word survived the min_count filter during embedding training."""
 
 
+class DivergedTrainingError(EldiffError, ArithmeticError):
+    """Skip-gram training produced non-finite vectors."""
+
+
 class AllMissingError(EldiffError):
     """Mean imputation requested for a column with no observed values."""
 

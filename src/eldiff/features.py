@@ -16,8 +16,11 @@ from typing import Iterable, Mapping, Sequence
 from .consensus import AlignedMention, Label, LabelledMention, SystemAnnotation
 from .corpus import (
     Corpus,
+    Document,
+    SentenceSpan,
     count_occurrences,
     document_frequency,
+    segment_sentences,
     sentence_containing,
     temporal_document_frequency,
 )
@@ -244,7 +247,9 @@ class FeatureExtractor:
 
     Per-corpus quantities (m_df, t_df, stability) are memoized, so batch
     extraction shares one index pass while staying identical to per-mention
-    extraction. Safe for concurrent reads once constructed.
+    extraction. Each document is segmented and split into words once, on
+    its first mention: m_sent is then a bisection over the stored sentence
+    spans and d_words a lookup. Safe for concurrent reads once constructed.
     """
 
     def __init__(
@@ -263,6 +268,13 @@ class FeatureExtractor:
         self._df_cache: dict[str, int] = {}
         self._tdf_cache: dict[tuple[str, str], int] = {}
         self._stability_cache: dict[str, StabilityResult] = {}
+        self._doc_cache: dict[str, tuple[list[SentenceSpan], int]] = {}
+
+    def _document(self, doc: Document) -> tuple[list[SentenceSpan], int]:
+        """The document's sentence spans and whitespace word count."""
+        if doc.id not in self._doc_cache:
+            self._doc_cache[doc.id] = (segment_sentences(doc), len(doc.text.split()))
+        return self._doc_cache[doc.id]
 
     def _df(self, surface: str) -> int:
         if surface not in self._df_cache:
@@ -294,7 +306,8 @@ class FeatureExtractor:
             raise ValueError(
                 f"mention {surface!r} at {doc_id}:{offset} lies outside the document text"
             )
-        span = sentence_containing(doc, offset)
+        spans, d_words = self._document(doc)
+        span = sentence_containing(doc, offset, spans)
         stability = self._stability(surface)
         return FeatureVector(
             m_len=len(surface),
@@ -304,7 +317,7 @@ class FeatureExtractor:
             m_cand=self.candidates.count(surface),
             m_pos=offset / len(doc.text),
             m_sent=len(span) if span is not None else 0,
-            d_words=len(doc.text.split()),
+            d_words=d_words,
             d_topic=doc.topic,
             d_ents=self.doc_mention_counts.get(doc_id, 0),
             t_age=self.config.kb_year - doc.publication_date.year,

@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..consensus import CLASS_INDEX, CLASS_ORDER, Label
+from ..consensus import CLASS_INDEX, CLASS_ORDER
 from ..features import CATEGORICAL_COLUMNS, FeatureSchema, FeatureTable
 
 N_CLASSES = len(CLASS_ORDER)
@@ -97,7 +97,3 @@ def dataset_from_table(
     categories = build_categories(table, schema.columns)
     x = encode_table(table, schema.columns, categories)
     return Dataset(tuple(schema.columns), x, y, categories)
-
-
-def labels_from_codes(codes: Sequence[int]) -> list[Label]:
-    return [CLASS_ORDER[int(c)] for c in codes]

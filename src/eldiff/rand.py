@@ -18,7 +18,3 @@ def derive_seed(master: int, *path: int | str) -> int:
     for part in path:
         parts.append(zlib.crc32(part.encode("utf-8")) if isinstance(part, str) else int(part))
     return int(np.random.SeedSequence(parts).generate_state(1, np.uint64)[0])
-
-
-def derived_rng(master: int, *path: int | str) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(master, *path))

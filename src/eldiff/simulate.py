@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -76,11 +76,55 @@ def accuracy(choices: Mapping[MentionKey, str], gold: GoldStandard) -> float:
     return correct / len(choices)
 
 
-def _draw(rng: np.random.Generator, items: Sequence[MentionKey], size: int) -> list[MentionKey]:
+def _draw(rng: np.random.Generator, items: np.ndarray, size: int) -> np.ndarray:
     if size >= len(items):
-        return list(items)
-    picked = rng.choice(len(items), size=size, replace=False)
-    return [items[i] for i in picked]
+        return items
+    return items[rng.choice(len(items), size=size, replace=False)]
+
+
+def _selector(
+    strategy: Strategy,
+    pool: Sequence[MentionKey],
+    labels: Mapping[MentionKey, Label] | None,
+    cand_counts: Mapping[MentionKey, int] | None,
+) -> Callable[[int, int], np.ndarray]:
+    """The selection rule of ``strategy`` over ``pool``, with the pool indexed
+    once: returns ``select(n, seed)``, the picked pool indices.
+
+    Each call makes its own generator from ``seed`` and draws from it exactly
+    as the rule in ``select_mentions`` describes, so one selector serves any
+    number of budgets and repetitions.
+    """
+    if strategy in (Strategy.DIFFICULT, Strategy.PRED_DIFFICULT):
+        if labels is None:
+            raise ValueError(f"{strategy.value} selection needs labels")
+        hard = np.array([i for i, k in enumerate(pool) if labels.get(k) is Label.HARD],
+                        dtype=np.intp)
+        medium = np.array([i for i, k in enumerate(pool) if labels.get(k) is Label.MEDIUM],
+                          dtype=np.intp)
+
+        def pick(n: int, rng: np.random.Generator) -> np.ndarray:
+            selected = _draw(rng, hard, min(n, len(hard)))
+            if len(selected) < n:
+                topup = _draw(rng, medium, min(n - len(selected), len(medium)))
+                selected = np.concatenate((selected, topup))
+            return selected
+    elif strategy is Strategy.RANDOM:
+        everything = np.arange(len(pool), dtype=np.intp)
+
+        def pick(n: int, rng: np.random.Generator) -> np.ndarray:
+            return _draw(rng, everything, min(n, len(pool)))
+    elif strategy is Strategy.CANDIDATES:
+        if cand_counts is None:
+            raise ValueError("candidates selection needs candidate counts")
+        negated_counts = -np.array([cand_counts.get(k, 0) for k in pool])
+
+        def pick(n: int, rng: np.random.Generator) -> np.ndarray:
+            tie = rng.permutation(len(pool))
+            return np.lexsort((tie, negated_counts))[:n]
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    return lambda n, seed: pick(n, np.random.default_rng(seed))
 
 
 def select_mentions(
@@ -101,27 +145,8 @@ def select_mentions(
     """
     if n < 0:
         raise ValueError("selection budget must be >= 0")
-    rng = np.random.default_rng(seed)
     pool = list(pool)
-    if strategy in (Strategy.DIFFICULT, Strategy.PRED_DIFFICULT):
-        if labels is None:
-            raise ValueError(f"{strategy.value} selection needs labels")
-        hard = [k for k in pool if labels.get(k) is Label.HARD]
-        medium = [k for k in pool if labels.get(k) is Label.MEDIUM]
-        selected = _draw(rng, hard, min(n, len(hard)))
-        if len(selected) < n:
-            selected += _draw(rng, medium, min(n - len(selected), len(medium)))
-        return set(selected)
-    if strategy is Strategy.RANDOM:
-        return set(_draw(rng, pool, min(n, len(pool))))
-    if strategy is Strategy.CANDIDATES:
-        if cand_counts is None:
-            raise ValueError("candidates selection needs candidate counts")
-        tie = rng.permutation(len(pool))
-        ranked = sorted(range(len(pool)),
-                        key=lambda i: (-cand_counts.get(pool[i], 0), tie[i]))
-        return {pool[i] for i in ranked[:n]}
-    raise ValueError(f"unknown strategy {strategy!r}")
+    return {pool[i] for i in _selector(strategy, pool, labels, cand_counts)(n, seed)}
 
 
 def apply_feedback(
@@ -186,9 +211,19 @@ def run_simulation(
     independent seed derived from the master seed, the strategy name, the
     budget index and the repetition index, so repetitions can run in any
     order (or in parallel) with identical results.
+
+    The evaluated set is indexed once: each system becomes one boolean
+    vector marking its wrong links, and each strategy indexes its HARD and
+    MEDIUM pools or candidate counts once. Oracle feedback corrects exactly
+    the wrong links it selects, so a repetition's accuracy is
+    ``(n - wrong.sum() + wrong[selected].sum()) / n``, the same integer
+    ratio that ``accuracy(apply_feedback(...))`` gives, and a repetition
+    costs one seeded draw plus a sum over the selected mentions.
     """
     if repetitions < 1:
         raise ValueError("need at least one repetition")
+    if any(budget < 0 for budget in budgets):
+        raise ValueError("selection budget must be >= 0")
     systems = tuple(system_choices)
     if not systems:
         raise ValueError("no systems to simulate")
@@ -204,25 +239,25 @@ def run_simulation(
             strategies.append(Strategy.CANDIDATES)
     strategies = tuple(strategies)
 
-    evaluated = {
-        system: {k: system_choices[system][k] for k in pool} for system in systems
+    n = len(pool)
+    wrong = {
+        system: np.array([system_choices[system][k] != gold.entity(k) for k in pool], dtype=bool)
+        for system in systems
     }
-    before = {system: accuracy(evaluated[system], gold) for system in systems}
+    n_wrong = {system: int(wrong[system].sum()) for system in systems}
+    before = {system: (n - n_wrong[system]) / n for system in systems}
 
     after: dict[tuple[str, str, int], StrategyOutcome] = {}
     for strategy in strategies:
         strategy_labels = predictions if strategy is Strategy.PRED_DIFFICULT else labels
+        select = _selector(strategy, pool, strategy_labels, cand_counts)
         for budget_index, budget in enumerate(budgets):
             per_system: dict[str, list[float]] = {system: [] for system in systems}
             for rep in range(repetitions):
-                rep_seed = derive_seed(seed, strategy.value, budget_index, rep)
-                selected = select_mentions(
-                    strategy, budget, pool,
-                    labels=strategy_labels, cand_counts=cand_counts, seed=rep_seed,
-                )
+                selected = select(budget, derive_seed(seed, strategy.value, budget_index, rep))
                 for system in systems:
-                    corrected = apply_feedback(evaluated[system], selected, gold)
-                    per_system[system].append(accuracy(corrected, gold))
+                    fixed = int(wrong[system][selected].sum())
+                    per_system[system].append((n - n_wrong[system] + fixed) / n)
             for system in systems:
                 values = np.array(per_system[system])
                 after[(system, strategy.value, budget)] = StrategyOutcome(

@@ -1,13 +1,17 @@
 """Command-line pipeline wiring, exit statuses and configuration."""
 
+import functools
 import json
+import logging
 
 import numpy as np
 import pytest
 
+from eldiff import embeddings
 from eldiff.cli import EXIT_DEGENERATE, EXIT_ERROR, EXIT_OK, main
-from eldiff.consensus import Label
+from eldiff.consensus import Label, read_labels
 from eldiff.features import FeatureTable, FeatureVector
+from eldiff.simulate import GoldStandard
 
 
 def run(*argv):
@@ -251,6 +255,51 @@ class TestSimulate:
             assert float(fields[4]) >= float(fields[3])  # after >= before
         panels = (tmp_path / "simulation_panels.tsv").read_text(encoding="utf-8")
         assert panels.count("# budget") == 2
+
+    def test_pool_counts_logged_and_missing_predictions_warned(
+            self, fixture_dir, labelled_dir, tmp_path, caplog):
+        labels_path = labelled_dir / "labels.tsv"
+        gold = GoldStandard.read(fixture_dir / "gold.tsv")
+        keys = sorted({lm.key for lm in read_labels(labels_path)})
+        pool = [k for k in keys if k in gold]
+        predicted = pool[::3]
+        predictions = tmp_path / "predictions.tsv"
+        predictions.write_text(
+            "".join(f"{d}\t{o}\t{s}\tHARD\t1\t0\t0\n" for d, o, s in predicted),
+            encoding="utf-8",
+        )
+        with caplog.at_level(logging.INFO, logger="eldiff"):
+            status = run(
+                "simulate", "--labels", labels_path, "--gold", fixture_dir / "gold.tsv",
+                "--predictions", predictions, "--budgets", "0.1", "--repetitions", 2,
+                "--out", tmp_path / "out",
+            )
+        assert status == EXIT_OK
+        assert (f"simulation pool: {len(pool)} mentions; {len(keys) - len(pool)} "
+                "labelled mentions are outside the gold standard") in caplog.text
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == [f"{len(pool) - len(predicted)} pool mentions have no prediction; "
+                            "pred_difficult treats them as not HARD"]
+
+
+class TestEmbeddingFailure:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_training_is_error_exit(
+            self, fixture_dir, labelled_dir, tmp_path, monkeypatch, caplog):
+        # a huge learning rate drives the skip-gram vectors to inf/nan
+        monkeypatch.setattr(embeddings, "EmbeddingParams",
+                            functools.partial(embeddings.EmbeddingParams,
+                                              initial_learning_rate=1e30))
+        status = run(
+            "features", "--corpus", fixture_dir / "corpus.jsonl",
+            "--mentions", labelled_dir / "labels.tsv",
+            "--candidates", fixture_dir / "candidates.tsv",
+            "--train-embeddings", "--embed-dim", 8, "--embed-epochs", 1,
+            "--embed-min-count", 1, "--slice-years", 3, "--out", tmp_path,
+        )
+        assert status == EXIT_ERROR
+        assert "training produced non-finite vectors" in caplog.text
+        assert not (tmp_path / "features.csv").exists()
 
 
 class TestSchemaAndRedirects:

@@ -2,12 +2,14 @@
 
 import datetime as dt
 
+import numpy as np
 import pytest
 
 from eldiff.corpus import (
     Corpus,
     Document,
     GeneratorConfig,
+    SentenceSpan,
     count_occurrences,
     document_frequency,
     generate_synthetic_corpus,
@@ -114,6 +116,61 @@ class TestSegmentSentences:
         doc = _doc("A b. C d!")
         assert sentence_containing(doc, 5) == segment_sentences(doc)[1]
         assert sentence_containing(doc, 3) is None  # offset on the mark itself
+
+
+def _segment_by_loop(text):
+    """Reference segmentation: one pass over the characters, a span closed
+    at every mark, empty spans dropped."""
+    spans = []
+    start = 0
+    for i, ch in enumerate(text):
+        if ch in ".!?;":
+            if i > start:
+                spans.append(SentenceSpan(start, i))
+            start = i + 1
+    if len(text) > start:
+        spans.append(SentenceSpan(start, len(text)))
+    return spans
+
+
+def _containing_by_scan(spans, offset):
+    for span in spans:
+        if span.start <= offset < span.end:
+            return span
+    return None
+
+
+_HOSTILE_TEXTS = [
+    "A b. C d!", "no marks at all", "x;;y", ". abc?", ".", "?!;.", "..a..", "a",
+    ";lead", "trail;", "a.b!c?d;e", "\U0001d518\U0001f600.\U0001f600 x;\n\ty",
+    "\U0001f600", " . ", "line one.\nline two!\r\nthree",
+]
+
+
+def _random_texts(seed, count=200):
+    rng = np.random.default_rng(seed)
+    alphabet = list("ab .!?;\n") + ["\U0001f600", "\U0001d518", "\u00e9", "\t"]
+    return ["".join(alphabet[i] for i in rng.integers(len(alphabet), size=int(rng.integers(1, 40))))
+            for _ in range(count)]
+
+
+class TestSentenceIndex:
+    """The regular-expression segmentation and the bisected lookup equal the
+    per-character loop and the linear scan they replace."""
+
+    def test_segmentation_matches_character_loop(self):
+        for text in _HOSTILE_TEXTS + _random_texts(3):
+            assert segment_sentences(_doc(text)) == _segment_by_loop(text), text
+
+    def test_indexed_lookup_matches_linear_scan_at_every_offset(self):
+        for text in _HOSTILE_TEXTS + _random_texts(4, count=50):
+            doc = _doc(text)
+            spans = segment_sentences(doc)
+            reference = _segment_by_loop(text)
+            for offset in range(-1, len(text) + 2):
+                expected = _containing_by_scan(reference, offset)
+                assert sentence_containing(doc, offset, spans) == expected, (text, offset)
+                assert sentence_containing(doc, offset) == expected, (text, offset)
 
 
 class TestCountOccurrences:

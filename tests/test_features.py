@@ -166,6 +166,34 @@ class TestExtract:
         assert row.d_topic == ""
         assert row.d_ents == 2
 
+    def test_memoised_sentence_and_word_counts_match_linear_scan(self, corpus):
+        # every offset of documents with adjacent, leading and trailing marks
+        # and astral code points, visited in interleaved document order
+        marks = ".!?;"
+
+        def sentence_length(text, offset):
+            if text[offset] in marks:
+                return 0
+            lo = hi = offset
+            while lo > 0 and text[lo - 1] not in marks:
+                lo -= 1
+            while hi < len(text) and text[hi] not in marks:
+                hi += 1
+            return hi - lo
+
+        docs = list(corpus) + [
+            Document("doc4", dt.date(2001, 1, 1), "", ";;\U0001f600 a.b!! c\U0001d518 d?"),
+            Document("doc5", dt.date(2001, 2, 1), "", ".x\ty;\nz w."),
+        ]
+        extractor = FeatureExtractor(Corpus(docs), None, [], FeatureConfig())
+        longest = max(len(doc.text) for doc in docs)
+        for offset in range(longest):
+            for doc in docs:
+                if offset < len(doc.text):
+                    row = extractor.extract((doc.id, doc.text[offset], offset))
+                    assert row.m_sent == sentence_length(doc.text, offset), (doc.id, offset)
+                    assert row.d_words == len(doc.text.split())
+
     def test_stability_missing_without_models(self, extractor):
         row = extractor.extract(("doc1", "Paris", 250))
         assert row.t_j_min is None and row.missing("t_j_avg")

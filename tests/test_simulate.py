@@ -13,6 +13,7 @@ from eldiff.simulate import (
     run_simulation,
     select_mentions,
 )
+from eldiff.rand import derive_seed
 
 
 def key(i):
@@ -207,6 +208,119 @@ class TestBudgetMonotonicity:
             mean_large = np.mean(gains[large])
             stderr = np.std(gains[large]) / np.sqrt(len(gains[large]))
             assert mean_large >= mean_small - stderr
+
+
+def _reference_select(strategy, n, pool, labels=None, cand_counts=None, seed=0):
+    """Selection over Python lists, one pass over the pool per call: the
+    reference for the draws the indexed selection must reproduce."""
+    rng = np.random.default_rng(seed)
+    pool = list(pool)
+
+    def draw(items, size):
+        if size >= len(items):
+            return list(items)
+        return [items[i] for i in rng.choice(len(items), size=size, replace=False)]
+
+    if strategy in (Strategy.DIFFICULT, Strategy.PRED_DIFFICULT):
+        hard = [k for k in pool if labels.get(k) is Label.HARD]
+        medium = [k for k in pool if labels.get(k) is Label.MEDIUM]
+        selected = draw(hard, min(n, len(hard)))
+        if len(selected) < n:
+            selected += draw(medium, min(n - len(selected), len(medium)))
+        return set(selected)
+    if strategy is Strategy.RANDOM:
+        return set(draw(pool, min(n, len(pool))))
+    tie = rng.permutation(len(pool))
+    ranked = sorted(range(len(pool)), key=lambda i: (-cand_counts.get(pool[i], 0), tie[i]))
+    return {pool[i] for i in ranked[:n]}
+
+
+def _reference_run(system_choices, gold, labels, budgets, predictions, cand_counts,
+                   strategies, repetitions, seed):
+    """run_simulation as a loop over select_mentions, apply_feedback and
+    accuracy, copying every system's links for every repetition."""
+    common = set.intersection(*(set(c) for c in system_choices.values()))
+    pool = sorted(k for k in common if k in gold)
+    evaluated = {s: {k: c[k] for k in pool} for s, c in system_choices.items()}
+    before = {s: accuracy(evaluated[s], gold) for s in system_choices}
+    after = {}
+    for strategy in strategies:
+        strategy_labels = predictions if strategy is Strategy.PRED_DIFFICULT else labels
+        for budget_index, budget in enumerate(budgets):
+            per_system = {s: [] for s in system_choices}
+            for rep in range(repetitions):
+                selected = select_mentions(
+                    strategy, budget, pool, labels=strategy_labels, cand_counts=cand_counts,
+                    seed=derive_seed(seed, strategy.value, budget_index, rep),
+                )
+                for s in system_choices:
+                    per_system[s].append(accuracy(apply_feedback(evaluated[s], selected, gold), gold))
+            for s, values in per_system.items():
+                after[(s, strategy.value, budget)] = (
+                    float(np.mean(values)), float(np.std(values)), tuple(values))
+    return len(pool), before, after
+
+
+def _equivalence_world(seed):
+    """Three systems over 60 gold mentions plus 5 outside gold; few HARD
+    labels (so larger budgets top up from MEDIUM), candidate counts with
+    many ties, and predictions missing for a fifth of the pool."""
+    rng = np.random.default_rng(seed)
+    keys = [key(i) for i in range(60)]
+    gold = GoldStandard({k: "G" for k in keys})
+    outside = [("d2", i, f"x{i}") for i in range(5)]
+    systems = {
+        name: {k: ("G" if rng.random() < p else "W") for k in keys + outside}
+        for name, p in (("sysA", 0.5), ("sysB", 0.8), ("sysC", 0.95))
+    }
+    classes = (Label.HARD, Label.MEDIUM, Label.EASY)
+    labels = {k: classes[i] for k, i in zip(keys + outside, rng.choice(3, 65, p=[0.1, 0.3, 0.6]))}
+    predictions = {k: classes[int(rng.integers(3))] for k in keys if rng.random() < 0.8}
+    cand_counts = {k: int(rng.integers(0, 4)) for k in keys if rng.random() < 0.9}
+    return systems, gold, labels, predictions, cand_counts
+
+
+class TestIndexedSimulationEquivalence:
+    """The indexed selection and the count-based accuracy reproduce the
+    list-based selection and the copy-and-rescan loop exactly."""
+
+    STRATEGIES = (Strategy.DIFFICULT, Strategy.PRED_DIFFICULT, Strategy.RANDOM,
+                  Strategy.CANDIDATES)
+
+    def test_select_mentions_matches_list_reference(self):
+        systems, gold, labels, predictions, cand_counts = _equivalence_world(0)
+        pool = sorted(gold.keys())
+        for strategy in self.STRATEGIES:
+            strategy_labels = predictions if strategy is Strategy.PRED_DIFFICULT else labels
+            for n in (0, 1, 3, 6, 20, 59, 60, 61, 200):
+                for seed in range(15):
+                    args = (strategy, n, pool, strategy_labels, cand_counts, seed)
+                    assert select_mentions(*args) == _reference_select(*args), (strategy, n, seed)
+
+    @pytest.mark.parametrize("world_seed", [0, 1, 2])
+    def test_run_simulation_matches_reference_loop(self, world_seed):
+        systems, gold, labels, predictions, cand_counts = _equivalence_world(world_seed)
+        budgets = [0, 2, 7, 15, 30, 60, 100]
+        result = run_simulation(systems, gold, labels, budgets, predictions=predictions,
+                                cand_counts=cand_counts, strategies=self.STRATEGIES,
+                                repetitions=6, seed=world_seed)
+        n, before, after = _reference_run(systems, gold, labels, budgets, predictions,
+                                          cand_counts, self.STRATEGIES, 6, world_seed)
+        assert result.n_evaluated == n == 60
+        assert result.before == before
+        assert {key: (o.mean_after, o.std_after, o.per_repetition)
+                for key, o in result.after.items()} == after
+
+    def test_default_strategies_match_reference_loop(self):
+        systems, gold, labels, predictions, cand_counts = _equivalence_world(5)
+        result = run_simulation(systems, gold, labels, [4, 12], predictions=predictions,
+                                cand_counts=cand_counts, repetitions=3, seed=11)
+        assert result.strategies == self.STRATEGIES
+        _, before, after = _reference_run(systems, gold, labels, [4, 12], predictions,
+                                          cand_counts, self.STRATEGIES, 3, 11)
+        assert result.before == before
+        assert {key: (o.mean_after, o.std_after, o.per_repetition)
+                for key, o in result.after.items()} == after
 
 
 class TestGoldStandard:
