@@ -251,9 +251,7 @@ def cmd_features(args) -> int:
                 min_count=args.embed_min_count,
                 seed=embed_seed,
             )
-            models = embeddings.train_slice_models(
-                corpus, params, years=args.slice_years, threads=args.threads
-            )
+            models = embeddings.train_slice_models(corpus, params, years=args.slice_years)
             model_dir = out / "embeddings"
             model_dir.mkdir(exist_ok=True)
             for i, model in enumerate(models):
@@ -484,6 +482,11 @@ def cmd_simulate(args) -> int:
              len(pool), len(labels_map) - len(pool))
     if predictions is not None:
         unpredicted = sum(1 for k in pool if k not in predictions)
+        if unpredicted == len(pool):
+            raise CliError(
+                f"no prediction in {args.predictions} matches a pool mention; "
+                "write predictions with `predict --mentions` so they carry mention keys"
+            )
         log.log(logging.WARNING if unpredicted else logging.INFO,
                 "%d pool mentions have no prediction; pred_difficult treats them as not HARD",
                 unpredicted)
@@ -526,7 +529,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat JSON config file; flags win over it")
     common.add_argument("--seed", type=int, help="master seed (default 0)")
-    common.add_argument("--threads", type=int, help="worker threads for parallel stages")
+    common.add_argument("--threads", type=int, help="worker threads for forest fitting")
     common.add_argument("--out", help="output directory (default .)")
 
     parser = argparse.ArgumentParser(

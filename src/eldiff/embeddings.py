@@ -43,17 +43,27 @@ class EmbeddingParams:
 
 
 class EmbeddingModel:
-    """Immutable trained embedding space for one time slice."""
+    """Immutable trained embedding space for one time slice.
+
+    The float32 vectors are taken over, not copied, and marked read-only, so
+    the row norms and the lexicographic word ranks that neighbour queries
+    use can be computed once here and never go stale.
+    """
 
     def __init__(self, vocab: Mapping[str, int], vectors: np.ndarray, slice_label: str):
         if len(vocab) != vectors.shape[0]:
             raise ValueError("vocab size and vector rows disagree")
         self.vocab = dict(vocab)
         self.vectors = np.asarray(vectors, dtype=np.float32)
+        self.vectors.flags.writeable = False
         self.slice_label = slice_label
         self.words = [""] * len(self.vocab)
         for word, idx in self.vocab.items():
             self.words[idx] = word
+        self.norms = np.linalg.norm(self.vectors.astype(np.float64), axis=1)
+        order = sorted(range(len(self.words)), key=self.words.__getitem__)
+        self.ranks = np.empty(len(order), dtype=np.intp)
+        self.ranks[order] = np.arange(len(order))
 
     def __contains__(self, word: str) -> bool:
         return word in self.vocab
@@ -66,11 +76,26 @@ class EmbeddingModel:
 
 
 def _sigmoid(x):
-    # branch on sign so exp never overflows
+    # branch on sign so exp never overflows; a scalar skips the array selects
+    if np.ndim(x) == 0:
+        if x >= 0:
+            return 1.0 / (1.0 + np.exp(-x))
+        exp = np.exp(x)
+        return exp / (1.0 + exp)
     x = np.asarray(x)
     positive = x >= 0
     exp = np.exp(np.where(positive, -x, x))
-    return np.where(positive, 1.0 / (1.0 + exp), exp / (1.0 + exp))
+    return np.where(positive, 1.0, exp) / (1.0 + exp)
+
+
+def _sgns_gradients(center_vec, context_vec, negative_vecs):
+    """(grad_center, grad_context, grad_negatives) of the SGNS loss for one
+    pair, without the loss itself; shared by the trainer and
+    sgns_pair_gradients."""
+    pos_grad = _sigmoid(context_vec @ center_vec) - 1.0
+    neg_grads = _sigmoid(negative_vecs @ center_vec)
+    grad_center = pos_grad * context_vec + neg_grads @ negative_vecs
+    return grad_center, pos_grad * center_vec, neg_grads[:, None] * center_vec
 
 
 def sgns_pair_gradients(center_vec, context_vec, negative_vecs):
@@ -80,15 +105,9 @@ def sgns_pair_gradients(center_vec, context_vec, negative_vecs):
     (loss, grad_center, grad_context, grad_negatives); dtype follows the
     inputs, so the same code drives float32 training and float64 checks.
     """
-    pos_score = context_vec @ center_vec
-    neg_scores = negative_vecs @ center_vec
-    loss = np.logaddexp(0.0, -pos_score) + np.sum(np.logaddexp(0.0, neg_scores))
-    pos_grad = _sigmoid(pos_score) - 1.0
-    neg_grads = _sigmoid(neg_scores)
-    grad_center = pos_grad * context_vec + neg_grads @ negative_vecs
-    grad_context = pos_grad * center_vec
-    grad_negatives = np.outer(neg_grads, center_vec)
-    return loss, grad_center, grad_context, grad_negatives
+    loss = (np.logaddexp(0.0, -(context_vec @ center_vec))
+            + np.sum(np.logaddexp(0.0, negative_vecs @ center_vec)))
+    return (loss, *_sgns_gradients(center_vec, context_vec, negative_vecs))
 
 
 def _tokenize(doc: Document) -> list[list[str]]:
@@ -108,6 +127,11 @@ def train_skipgram(docs: Iterable[Document], params: EmbeddingParams,
     Words below min_count are dropped (from the vocabulary and from the
     token stream, so contexts span the gaps). Deterministic for a fixed
     seed; raises EmptyVocabularyError when nothing survives the filter.
+
+    Each sentence draws the negatives of all its (centre, context) pairs at
+    once, in pair order, from the same generator stream that one draw per
+    pair would read, so the vectors do not depend on the batching. A draw
+    equal to the pair's context is dropped from that pair's negatives.
     """
     docs = list(docs)
     if not docs:
@@ -141,26 +165,31 @@ def train_skipgram(docs: Iterable[Document], params: EmbeddingParams,
     total_steps = max(1, params.epochs * sum(len(s) for s in encoded))
     lr0 = params.initial_learning_rate
     lr_floor = params.min_learning_rate
+    window = params.window
     step = 0
     for _ in range(params.epochs):
         for sent in encoded:
             length = len(sent)
-            for i, center in enumerate(sent):
+            bounds = [(max(0, i - window), min(length, i + window + 1)) for i in range(length)]
+            n_pairs = sum(hi - lo - 1 for lo, hi in bounds)
+            draws = iter(np.searchsorted(noise_cdf, rng.random(n_pairs * params.negatives))
+                         .reshape(n_pairs, params.negatives))
+            for i, (center, (lo, hi)) in enumerate(zip(sent, bounds)):
                 lr = max(lr_floor, lr0 * (1.0 - step / total_steps))
                 step += 1
-                lo = max(0, i - params.window)
-                hi = min(length, i + params.window + 1)
+                center_vec = center_vecs[center]
                 for j in range(lo, hi):
                     if j == i:
                         continue
                     context = sent[j]
-                    draws = np.searchsorted(noise_cdf, rng.random(params.negatives))
-                    negatives = draws[draws != context]
-                    _, g_center, g_context, g_neg = sgns_pair_gradients(
-                        center_vecs[center], context_vecs[context], context_vecs[negatives]
+                    pair_draws = next(draws)
+                    negatives = pair_draws[pair_draws != context]
+                    context_vec = context_vecs[context]
+                    g_center, g_context, g_neg = _sgns_gradients(
+                        center_vec, context_vec, context_vecs[negatives]
                     )
-                    center_vecs[center] -= lr * g_center
-                    context_vecs[context] -= lr * g_context
+                    center_vec -= lr * g_center
+                    context_vec -= lr * g_context
                     np.subtract.at(context_vecs, negatives, lr * g_neg)
 
     if not np.all(np.isfinite(center_vecs)):
@@ -188,47 +217,45 @@ def slice_corpus(corpus: Corpus, years: int = 1) -> list[tuple[str, list[Documen
 
 
 def train_slice_models(corpus: Corpus, params: EmbeddingParams,
-                       years: int = 1, threads: int = 1) -> list[EmbeddingModel]:
+                       years: int = 1) -> list[EmbeddingModel]:
     """One skip-gram model per chronological slice, each with a seed derived
-    from params.seed and the slice index. Slices are independent, so they
-    may train in parallel threads with identical results."""
-    slices = slice_corpus(corpus, years)
-
-    def build(item):
-        index, (slice_label, docs) = item
-        slice_params = replace(params, seed=derive_seed(params.seed, "embed", index))
-        return train_skipgram(docs, slice_params, slice_label)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(build, enumerate(slices)))
-    return [build(item) for item in enumerate(slices)]
+    from params.seed and the slice index."""
+    return [
+        train_skipgram(docs, replace(params, seed=derive_seed(params.seed, "embed", index)),
+                       slice_label)
+        for index, (slice_label, docs) in enumerate(slice_corpus(corpus, years))
+    ]
 
 
 def top_k_similar(model: EmbeddingModel, word: str, k: int) -> tuple[set[str], bool]:
     """The k vocabulary words most cosine-similar to ``word`` (query excluded),
     ties broken lexicographically. Returns (words, in_vocab); an
     out-of-vocabulary query yields an empty set, not an error.
+
+    One query is one float64 cast of the matrix and one matrix-vector
+    product; the row norms and word ranks come from the model, and only
+    the words tied at the k-th similarity are sorted.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if word not in model.vocab:
         return set(), False
     idx = model.vocab[word]
+    if k >= len(model.words) - 1:
+        return {w for i, w in enumerate(model.words) if i != idx}, True
     query = model.vectors[idx].astype(np.float64)
     matrix = model.vectors.astype(np.float64)
-    norms = np.linalg.norm(matrix, axis=1)
     qnorm = np.linalg.norm(query)
-    denom = norms * qnorm
+    denom = model.norms * qnorm
     with np.errstate(invalid="ignore", divide="ignore"):
         sims = np.where(denom > 0, matrix @ query / np.where(denom > 0, denom, 1.0), 0.0)
-    ranked = sorted(
-        ((float(sims[i]), model.words[i]) for i in range(len(model.words)) if i != idx),
-        key=lambda pair: (-pair[0], pair[1]),
-    )
-    return {w for _, w in ranked[:k]}, True
+    # rank by (-similarity, word); the query sorts last and k < |vocab| - 1
+    neg = -sims
+    neg[idx] = np.inf
+    cutoff = np.partition(neg, k - 1)[k - 1]
+    candidates = np.flatnonzero(neg <= cutoff)
+    chosen = candidates[np.lexsort((model.ranks[candidates], neg[candidates]))[:k]]
+    return {model.words[i] for i in chosen}, True
 
 
 def jaccard(a: set[str], b: set[str]) -> float:
@@ -314,4 +341,7 @@ def load_model(path: str | Path) -> EmbeddingModel:
                 raise CorruptModelError(f"embedding row {i + 1} has a non-numeric value") from None
         if len(vocab) != n_vocab:
             raise CorruptModelError("duplicate words in embedding file")
+        non_finite = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+        if non_finite.size:
+            raise CorruptModelError(f"embedding row {non_finite[0] + 1} has a non-finite value")
     return EmbeddingModel(vocab, vectors, slice_label)

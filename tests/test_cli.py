@@ -281,6 +281,35 @@ class TestSimulate:
         assert warnings == [f"{len(pool) - len(predicted)} pool mentions have no prediction; "
                             "pred_difficult treats them as not HARD"]
 
+    def test_predictions_without_mention_keys_refused(self, tmp_path, caplog):
+        fixture = tmp_path / "fixture"
+        assert run("gen-synthetic", "--out", fixture, "--seed", 4, "--docs", 30) == EXIT_OK
+        dumps = [fixture / f"{name}.tsv" for name in ("alpha", "beta", "gamma")]
+        assert run("label", "--annotations", *dumps, "--out", tmp_path / "labels") == EXIT_OK
+        labels = tmp_path / "labels" / "labels.tsv"
+        assert run("features", "--corpus", fixture / "corpus.jsonl", "--mentions", labels,
+                   "--candidates", fixture / "candidates.tsv", "--schema", "simulation",
+                   "--out", tmp_path / "features") == EXIT_OK
+        features = tmp_path / "features" / "features.csv"
+        assert run("train", "--features", features, "--variant", "random_forest",
+                   "--trees", 5, "--out", tmp_path / "model") == EXIT_OK
+        model = tmp_path / "model" / "model.json"
+        simulate = ["simulate", "--labels", labels, "--gold", fixture / "gold.tsv",
+                    "--budgets", "0.1", "--repetitions", 2]
+
+        assert run("predict", "--model", model, "--features", features,
+                   "--out", tmp_path / "unkeyed") == EXIT_OK
+        status = run(*simulate, "--predictions", tmp_path / "unkeyed" / "predictions.tsv",
+                     "--out", tmp_path / "refused")
+        assert status == EXIT_ERROR
+        assert "predict --mentions" in caplog.text
+        assert not (tmp_path / "refused" / "simulation.tsv").exists()
+
+        assert run("predict", "--model", model, "--features", features, "--mentions", labels,
+                   "--out", tmp_path / "keyed") == EXIT_OK
+        assert run(*simulate, "--predictions", tmp_path / "keyed" / "predictions.tsv",
+                   "--out", tmp_path / "accepted") == EXIT_OK
+
 
 class TestEmbeddingFailure:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -300,6 +329,24 @@ class TestEmbeddingFailure:
         assert status == EXIT_ERROR
         assert "training produced non-finite vectors" in caplog.text
         assert not (tmp_path / "features.csv").exists()
+
+    def test_non_finite_saved_model_is_error_exit(
+            self, fixture_dir, labelled_dir, tmp_path, caplog):
+        models = tmp_path / "models"
+        models.mkdir()
+        (models / "000_2000.vec").write_text("2 2 2000\nalpha 0.5 nan\nbravo 1 2\n",
+                                             encoding="utf-8")
+        (models / "001_2001.vec").write_text("2 2 2001\nalpha 0.5 1\nbravo 1 2\n",
+                                             encoding="utf-8")
+        status = run(
+            "features", "--corpus", fixture_dir / "corpus.jsonl",
+            "--mentions", labelled_dir / "labels.tsv",
+            "--candidates", fixture_dir / "candidates.tsv",
+            "--embeddings", models, "--out", tmp_path / "out",
+        )
+        assert status == EXIT_ERROR
+        assert "embedding row 1 has a non-finite value" in caplog.text
+        assert not (tmp_path / "out" / "features.csv").exists()
 
 
 class TestSchemaAndRedirects:
