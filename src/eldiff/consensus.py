@@ -9,6 +9,7 @@ all-distinct / all-equal / two-of-three split.
 
 from __future__ import annotations
 
+import logging
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -17,6 +18,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import Corpus
 from .errors import MalformedRecordError
+
+log = logging.getLogger(__name__)
 
 
 class Label(Enum):
@@ -169,11 +172,18 @@ def _spans_overlap(a: tuple[int, int], b: tuple[int, int]) -> bool:
 def _align_exact(annotation_sets: Sequence[Sequence[SystemAnnotation]]) -> list[AlignedMention]:
     n = len(annotation_sets)
     slots: dict[tuple[str, int, str], list[str | None]] = {}
+    conflicts = set()
     for sys_idx, annotations in enumerate(annotation_sets):
         for a in annotations:
-            entry = slots.setdefault((a.doc_id, a.offset, a.surface), [None] * n)
+            key = (a.doc_id, a.offset, a.surface)
+            entry = slots.setdefault(key, [None] * n)
             if entry[sys_idx] is None:
                 entry[sys_idx] = a.entity_id
+            elif entry[sys_idx] != a.entity_id:
+                conflicts.add((sys_idx, key))
+    if conflicts:
+        log.warning("%d (document, offset, surface) keys are linked to different entities by "
+                    "the same system; exact alignment keeps each key's first entity", len(conflicts))
     aligned = []
     for (doc_id, offset, surface), entry in slots.items():
         if all(e is not None for e in entry):

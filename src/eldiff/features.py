@@ -414,38 +414,6 @@ class FeatureTable:
                 record.append("" if row.label is None else row.label.value)
                 writer.writerow(record)
 
-    @classmethod
-    def read_csv(cls, path: str | Path) -> "FeatureTable":
-        expected = list(FEATURE_COLUMNS) + ["label"]
-        rows = []
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != expected:
-                raise MalformedRecordError(1, f"bad header; expected {','.join(expected)}")
-            for lineno, record in enumerate(reader, start=2):
-                if len(record) != len(expected):
-                    raise MalformedRecordError(lineno, f"expected {len(expected)} fields, got {len(record)}")
-                values: dict[str, object] = {}
-                try:
-                    for column, text in zip(FEATURE_COLUMNS, record):
-                        if column == "d_topic":
-                            values[column] = text
-                        elif text == "":
-                            if column not in _OPTIONAL_COLUMNS:
-                                raise ValueError(f"column {column} cannot be empty")
-                            values[column] = None
-                        elif column in _INT_COLUMNS:
-                            values[column] = int(text)
-                        else:
-                            values[column] = float(text)
-                    label_text = record[-1]
-                    values["label"] = Label(label_text) if label_text else None
-                    rows.append(FeatureVector(**values))
-                except ValueError as exc:
-                    raise MalformedRecordError(lineno, str(exc)) from None
-        return cls(rows)
-
 
 def _replace_row(row: FeatureVector, replacements: dict) -> FeatureVector:
     fields = {c: row.value(c) for c in FEATURE_COLUMNS}

@@ -8,7 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import Dataset
-from .models import RandomForestModel, _Node
+from .models import RandomForestModel
 
 
 @dataclass(frozen=True)
@@ -35,16 +35,12 @@ def mdi(forest: RandomForestModel) -> MdiResult:
         raise ValueError("the forest has no trees; fit it first")
     n_features = len(forest.columns)
     totals = np.zeros(n_features)
-    for root in forest.trees:
-        root_n = root.counts.sum()
-        stack: list[_Node] = [root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                continue
-            totals[node.feature] += (node.counts.sum() / root_n) * node.gain
-            stack.append(node.left)
-            stack.append(node.right)
+    for tree in forest.trees:
+        split = tree.feature >= 0
+        weights = tree.counts[split].sum(axis=1) / tree.counts[0].sum()
+        # np.add.at adds in node order, so each feature's float sum follows
+        # the tree's pre-order numbering exactly
+        np.add.at(totals, tree.feature[split], weights * tree.gain[split])
     scores = totals / len(forest.trees)
     top = scores.max() if n_features else 0.0
     normalized = scores / top if top > 0 else np.zeros_like(scores)

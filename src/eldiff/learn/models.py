@@ -21,14 +21,14 @@ import numpy as np
 
 from ..consensus import CLASS_ORDER, Label
 from ..errors import CorruptModelError, UnsupportedVersionError
-from ..features import FeatureTable, FeatureVector
+from ..features import FeatureTable
 from ..rand import derive_seed
 from .dataset import Dataset, N_CLASSES, encode_table
 
 VARIANTS = ("gaussian_nb", "logistic_regression", "decision_tree", "random_forest")
 
 _MODEL_FORMAT = "eldiff-classifier"
-_MODEL_VERSION = 1
+_MODEL_VERSION = 2
 _VARIANCE_FLOOR = 1e-9
 
 
@@ -79,13 +79,9 @@ class _Model:
 
 
 def predict(model: _Model, row) -> tuple[Label, np.ndarray]:
-    """Label and class-probability vector for one row (encoded array or
-    FeatureVector); ties go to the earlier class in (HARD, MEDIUM, EASY)."""
-    if isinstance(row, FeatureVector):
-        x = model.encode(FeatureTable([row]))
-    else:
-        x = np.asarray(row, dtype=np.float64)
-    probs = model.predict_proba(model._check(x))[0]
+    """Label and class-probability vector for one encoded row; ties go to
+    the earlier class in (HARD, MEDIUM, EASY)."""
+    probs = model.predict_proba(model._check(np.asarray(row, dtype=np.float64)))[0]
     return CLASS_ORDER[int(np.argmax(probs))], probs
 
 
@@ -244,19 +240,26 @@ class LogisticRegressionModel(_Model):
 # Decision tree
 
 
-@dataclass
-class _Node:
-    counts: np.ndarray
-    feature: int | None = None
-    threshold: float | None = None
-    category: int | None = None
-    gain: float = 0.0
-    left: "_Node | None" = None
-    right: "_Node | None" = None
+@dataclass(frozen=True)
+class _Tree:
+    """One fitted tree as parallel per-node arrays; node 0 is the root.
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
+    ``feature`` is -1 at a leaf. A split sends a row left when its value
+    equals ``category`` (a categorical split) or, where ``category`` is -1,
+    when it is at most ``threshold``. ``left`` and ``right`` are -1 at a
+    leaf. ``counts`` holds the training class counts (nodes x 3) and
+    ``gain`` the split's entropy decrease (0 at a leaf). Nodes are numbered
+    in pre-order with the right child first, which is the order growth
+    visits them and the order ``mdi`` sums them in.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    category: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    counts: np.ndarray
+    gain: np.ndarray
 
 
 def _best_numeric_split(col, y_sub, parent_h):
@@ -296,26 +299,33 @@ def _best_categorical_split(col, y_sub, parent_h, n_categories):
     return best
 
 
-def _grow_tree(x, y, cat_sizes, rng=None, max_features=None):
+def _grow_tree(x, y, cat_sizes, rng=None, max_features=None) -> _Tree:
     # Splits proceed while the node is impure and any usable candidate
     # exists, even at zero gain (parity splits like XOR have zero root gain
     # but become separable one level down). Children are always strictly
     # smaller, so growth terminates. Iterative to keep deep trees off the
-    # Python recursion limit.
+    # Python recursion limit; a node is numbered when it is popped, so a
+    # child's number is always greater than its parent's.
     n_features = x.shape[1]
-
-    def new_node(rows: np.ndarray) -> _Node:
-        return _Node(counts=np.bincount(y[rows], minlength=N_CLASSES).astype(np.float64))
-
-    root_rows = np.arange(x.shape[0])
-    root = new_node(root_rows)
-    stack = [(root, root_rows)]
+    feature, threshold, category, left, right, counts, gain = [], [], [], [], [], [], []
+    stack = [(np.arange(x.shape[0]), None, 0)]  # (rows, the parent's left or right, parent)
     while stack:
-        node, rows = stack.pop()
-        if rows.shape[0] < 2 or np.count_nonzero(node.counts) <= 1:
+        rows, side, parent = stack.pop()
+        node = len(feature)
+        if side is not None:
+            side[parent] = node
+        node_counts = np.bincount(y[rows], minlength=N_CLASSES).astype(np.float64)
+        feature.append(-1)
+        threshold.append(0.0)
+        category.append(-1)
+        left.append(-1)
+        right.append(-1)
+        counts.append(node_counts)
+        gain.append(0.0)
+        if rows.shape[0] < 2 or np.count_nonzero(node_counts) <= 1:
             continue
         y_sub = y[rows]
-        parent_h = float(_entropy(node.counts))
+        parent_h = float(_entropy(node_counts))
         if max_features is not None and rng is not None and max_features < n_features:
             features = np.sort(rng.choice(n_features, size=max_features, replace=False))
         else:
@@ -326,53 +336,57 @@ def _grow_tree(x, y, cat_sizes, rng=None, max_features=None):
             if int(f) in cat_sizes:
                 found = _best_categorical_split(col, y_sub, parent_h, cat_sizes[int(f)])
                 if found is not None and (best is None or found[0] > best[0]):
-                    best = (found[0], int(f), None, found[1])
+                    best = (found[0], int(f), 0.0, found[1])
             else:
                 found = _best_numeric_split(col, y_sub, parent_h)
                 if found is not None and (best is None or found[0] > best[0]):
-                    best = (found[0], int(f), found[1], None)
+                    best = (found[0], int(f), found[1], -1)
         if best is None:
             continue
-        gain, feature, threshold, category = best
-        col = x[rows, feature]
-        mask = (col == category) if threshold is None else (col <= threshold)
-        node.feature, node.threshold, node.category = feature, threshold, category
-        node.gain = max(gain, 0.0)
-        node.left = new_node(rows[mask])
-        node.right = new_node(rows[~mask])
-        stack.append((node.left, rows[mask]))
-        stack.append((node.right, rows[~mask]))
-    return root
+        split_gain, feature[node], threshold[node], category[node] = best
+        col = x[rows, feature[node]]
+        mask = (col == category[node]) if category[node] >= 0 else (col <= threshold[node])
+        gain[node] = max(split_gain, 0.0)
+        stack.append((rows[mask], left, node))
+        stack.append((rows[~mask], right, node))
+    return _Tree(
+        feature=np.array(feature, dtype=np.int64),
+        threshold=np.array(threshold, dtype=np.float64),
+        category=np.array(category, dtype=np.int64),
+        left=np.array(left, dtype=np.int64),
+        right=np.array(right, dtype=np.int64),
+        counts=np.array(counts, dtype=np.float64).reshape(-1, N_CLASSES),
+        gain=np.array(gain, dtype=np.float64),
+    )
 
 
-def _tree_probabilities(root: _Node, x: np.ndarray, out: np.ndarray) -> None:
-    """Add the leaf distribution of every row to ``out`` (rows routed in bulk)."""
-    stack = [(root, np.arange(x.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if node.is_leaf:
-            out[idx] += node.counts / node.counts.sum()
-            continue
-        col = x[idx, node.feature]
-        mask = (col == node.category) if node.threshold is None else (col <= node.threshold)
-        stack.append((node.left, idx[mask]))
-        stack.append((node.right, idx[~mask]))
+def _tree_probabilities(tree: _Tree, x: np.ndarray, out: np.ndarray) -> None:
+    """Add the leaf distribution of every row to ``out``, moving all rows
+    still at a split down one level per step."""
+    node = np.zeros(x.shape[0], dtype=np.int64)
+    active = np.nonzero(tree.feature[node] >= 0)[0]
+    while active.size:
+        at = node[active]
+        values = x[active, tree.feature[at]]
+        categorical = tree.category[at] >= 0
+        go_left = np.where(categorical, values == tree.category[at], values <= tree.threshold[at])
+        node[active] = np.where(go_left, tree.left[at], tree.right[at])
+        active = active[tree.feature[node[active]] >= 0]
+    leaf_counts = tree.counts[node]
+    out += leaf_counts / leaf_counts.sum(axis=1, keepdims=True)
 
 
 class DecisionTreeModel(_Model):
     variant = "decision_tree"
 
     def fit(self, dataset: Dataset) -> "DecisionTreeModel":
-        self.cat_sizes = dataset.cat_sizes()
-        self.root = _grow_tree(dataset.x, dataset.y, self.cat_sizes)
+        self.tree = _grow_tree(dataset.x, dataset.y, dataset.cat_sizes())
         return self
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         x = self._check(x)
         probs = np.zeros((x.shape[0], N_CLASSES))
-        _tree_probabilities(self.root, x, probs)
+        _tree_probabilities(self.tree, x, probs)
         return probs
 
 
@@ -390,7 +404,7 @@ class RandomForestModel(_Model):
         self.max_features = max_features
         self.bootstrap = bootstrap
         self.seed = seed
-        self.trees: list[_Node] = []
+        self.trees: list[_Tree] = []
 
     def _resolved_max_features(self) -> int:
         if self.max_features is not None:
@@ -398,14 +412,14 @@ class RandomForestModel(_Model):
         return int(math.log2(len(self.columns))) + 1
 
     def fit(self, dataset: Dataset, threads: int = 1) -> "RandomForestModel":
-        self.cat_sizes = dataset.cat_sizes()
+        cat_sizes = dataset.cat_sizes()
         n = len(dataset)
         max_features = self._resolved_max_features()
 
-        def build(tree_index: int) -> _Node:
+        def build(tree_index: int) -> _Tree:
             rng = np.random.default_rng(derive_seed(self.seed, "tree", tree_index))
             rows = rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
-            return _grow_tree(dataset.x[rows], dataset.y[rows], self.cat_sizes,
+            return _grow_tree(dataset.x[rows], dataset.y[rows], cat_sizes,
                               rng=rng, max_features=max_features)
 
         if threads > 1:
@@ -447,30 +461,43 @@ def train(dataset: Dataset, variant: str, seed: int = 0, threads: int = 1, **hyp
     raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
 
-def _node_to_dict(node: _Node) -> dict:
-    payload: dict = {"counts": [float(c) for c in node.counts]}
-    if not node.is_leaf:
-        payload.update(
-            feature=node.feature,
-            threshold=node.threshold,
-            category=node.category,
-            gain=node.gain,
-            left=_node_to_dict(node.left),
-            right=_node_to_dict(node.right),
-        )
-    return payload
+_TREE_FIELDS = ("feature", "threshold", "category", "left", "right", "counts", "gain")
+_INDEX_FIELDS = ("feature", "category", "left", "right")
 
 
-def _node_from_dict(payload: dict) -> _Node:
-    node = _Node(counts=np.array(payload["counts"], dtype=np.float64))
-    if "feature" in payload:
-        node.feature = payload["feature"]
-        node.threshold = payload["threshold"]
-        node.category = payload["category"]
-        node.gain = payload["gain"]
-        node.left = _node_from_dict(payload["left"])
-        node.right = _node_from_dict(payload["right"])
-    return node
+def _tree_to_json(tree: _Tree) -> dict:
+    """A tree as one flat list per field; ``counts`` is row-major, 3 per node."""
+    return {name: getattr(tree, name).ravel().tolist() for name in _TREE_FIELDS}
+
+
+def _tree_from_json(payload: dict, n_columns: int) -> _Tree:
+    """Rebuild a tree, refusing any array that could misroute a row, loop or
+    divide by zero when predicting."""
+    try:
+        arrays = {name: np.array(payload[name], dtype=np.float64) for name in _TREE_FIELDS}
+    except (TypeError, ValueError):
+        raise CorruptModelError("a tree field is not a list of numbers") from None
+    n = arrays["feature"].size
+    if n == 0 or any(a.shape != ((N_CLASSES if name == "counts" else 1) * n,)
+                     for name, a in arrays.items()):
+        raise CorruptModelError("a tree's arrays are empty or differ in length")
+    if not all(np.isfinite(a).all() for a in arrays.values()):
+        raise CorruptModelError("a tree holds a non-finite threshold, count or gain")
+    if any(np.any(arrays[name] % 1) for name in _INDEX_FIELDS):
+        raise CorruptModelError("a tree holds a fractional feature, category or child index")
+    for name in _INDEX_FIELDS:
+        arrays[name] = arrays[name].astype(np.int64)
+    arrays["counts"] = arrays["counts"].reshape(n, N_CLASSES)
+    tree = _Tree(**arrays)
+    split = tree.feature >= 0
+    if np.any(tree.feature >= n_columns):
+        raise CorruptModelError("a tree splits on a feature index outside the columns")
+    for child in (tree.left, tree.right):
+        if np.any(split & ((child <= np.arange(n)) | (child >= n))):
+            raise CorruptModelError("a tree's child index is not after its parent inside the tree")
+    if np.any(tree.counts < 0) or np.any(tree.counts[~split].sum(axis=1) <= 0):
+        raise CorruptModelError("a tree holds a negative count or a leaf without samples")
+    return tree
 
 
 def save_model(model: _Model, path: str | Path) -> None:
@@ -508,14 +535,10 @@ def save_model(model: _Model, path: str | Path) -> None:
             "max_features": model.max_features,
             "bootstrap": model.bootstrap,
             "seed": model.seed,
-            "cat_sizes": {str(j): k for j, k in model.cat_sizes.items()},
-            "trees": [_node_to_dict(t) for t in model.trees],
+            "trees": [_tree_to_json(t) for t in model.trees],
         }
     elif isinstance(model, DecisionTreeModel):
-        payload["decision_tree"] = {
-            "cat_sizes": {str(j): k for j, k in model.cat_sizes.items()},
-            "root": _node_to_dict(model.root),
-        }
+        payload["decision_tree"] = {"tree": _tree_to_json(model.tree)}
     else:
         raise ValueError(f"cannot save model of type {type(model).__name__}")
     with open(path, "w", encoding="utf-8") as fh:
@@ -533,7 +556,8 @@ def load_model(path: str | Path) -> _Model:
         raise CorruptModelError("not a classifier model file")
     if payload.get("version") != _MODEL_VERSION:
         raise UnsupportedVersionError(
-            f"model version {payload.get('version')!r} is not supported (expected {_MODEL_VERSION})"
+            f"model version {payload.get('version')!r} is not supported "
+            f"(expected {_MODEL_VERSION}); retrain the model with this version of eldiff"
         )
     try:
         variant = payload["variant"]
@@ -563,8 +587,7 @@ def load_model(path: str | Path) -> _Model:
         if variant == "decision_tree":
             body = payload["decision_tree"]
             model = DecisionTreeModel(columns, categories)
-            model.cat_sizes = {int(j): k for j, k in body["cat_sizes"].items()}
-            model.root = _node_from_dict(body["root"])
+            model.tree = _tree_from_json(body["tree"], len(columns))
             return model
         if variant == "random_forest":
             body = payload["random_forest"]
@@ -573,8 +596,7 @@ def load_model(path: str | Path) -> _Model:
                 max_features=body["max_features"], bootstrap=body["bootstrap"],
                 seed=body["seed"],
             )
-            model.cat_sizes = {int(j): k for j, k in body["cat_sizes"].items()}
-            model.trees = [_node_from_dict(t) for t in body["trees"]]
+            model.trees = [_tree_from_json(t, len(columns)) for t in body["trees"]]
             return model
     except (KeyError, TypeError) as exc:
         raise CorruptModelError(f"model file is missing fields: {exc}") from None

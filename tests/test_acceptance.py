@@ -154,10 +154,10 @@ class TestC03ClassifierOracles:
             tree = train(make_dataset(x, y), "decision_tree")
             expected_split = oracle_best_split(x, y)
             if expected_split is None:
-                assert tree.root.is_leaf
+                assert tree.tree.feature[0] == -1
             else:
-                assert tree.root.feature == expected_split[1]
-                assert tree.root.threshold == expected_split[2]
+                assert tree.tree.feature[0] == expected_split[1]
+                assert tree.tree.threshold[0] == expected_split[2]
             compared += 1
         _passed("C03", "(NB posterior 1e-9; 50/50 tree splits equal oracle)")
 

@@ -5,7 +5,7 @@ import pytest
 
 from eldiff.learn.analysis import mdi, pearson_matrix
 from eldiff.learn.dataset import Dataset
-from eldiff.learn.models import RandomForestModel, _Node, train
+from eldiff.learn.models import RandomForestModel, _Tree, train
 
 
 def make_dataset(x, y, categories=None, columns=None):
@@ -35,8 +35,12 @@ class TestMdi:
 
     def test_single_node_trees_have_zero_importance(self):
         forest = RandomForestModel(("f0", "f1"), {}, n_trees=3)
-        forest.cat_sizes = {}
-        forest.trees = [_Node(counts=np.array([2.0, 1.0, 1.0])) for _ in range(3)]
+        forest.trees = [
+            _Tree(feature=np.array([-1]), threshold=np.array([0.0]), category=np.array([-1]),
+                  left=np.array([-1]), right=np.array([-1]),
+                  counts=np.array([[2.0, 1.0, 1.0]]), gain=np.array([0.0]))
+            for _ in range(3)
+        ]
         result = mdi(forest)
         np.testing.assert_array_equal(result.scores, [0.0, 0.0])
         np.testing.assert_array_equal(result.normalized, [0.0, 0.0])

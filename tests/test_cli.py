@@ -109,6 +109,23 @@ class TestLabel:
         assert status == EXIT_DEGENERATE
         assert (tmp_path / "out" / "labels.tsv").read_text(encoding="utf-8") == ""
 
+    def test_conflicting_duplicates_warned_and_first_entity_kept(self, tmp_path, caplog):
+        a = tmp_path / "a.tsv"
+        b = tmp_path / "b.tsv"
+        a.write_text("d1\t0\tX\tE1\nd1\t4\tY\tE2\n", encoding="utf-8")
+        b.write_text("d1\t0\tX\tE1\nd1\t4\tY\tE3\n", encoding="utf-8")
+        assert run("label", "--annotations", a, b, "--out", tmp_path / "clean") == EXIT_OK
+        a.write_text("d1\t0\tX\tE1\nd1\t0\tX\tE9\nd1\t4\tY\tE2\n", encoding="utf-8")
+        b.write_text("d1\t0\tX\tE1\nd1\t4\tY\tE3\nd1\t4\tY\tE8\nd1\t4\tY\tE3\n",
+                     encoding="utf-8")
+        with caplog.at_level(logging.INFO, logger="eldiff"):
+            assert run("label", "--annotations", a, b, "--out", tmp_path / "dup") == EXIT_OK
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == ["2 (document, offset, surface) keys are linked to different entities "
+                            "by the same system; exact alignment keeps each key's first entity"]
+        assert ((tmp_path / "dup" / "labels.tsv").read_bytes()
+                == (tmp_path / "clean" / "labels.tsv").read_bytes())
+
     def test_label_count_matches_distribution_total(self, labelled_dir):
         lines = (labelled_dir / "labels.tsv").read_text(encoding="utf-8").splitlines()
         total = (labelled_dir / "label_distribution.txt").read_text(encoding="utf-8")

@@ -1,6 +1,7 @@
 """Alignment and consensus difficulty labelling."""
 
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -90,6 +91,20 @@ class TestAlign:
         aligned = align([a, b], AlignPolicy.OVERLAP)
         assert len(aligned) == 1
         assert aligned[0].offset == 10
+
+    def test_conflicting_duplicates_warned_and_first_entity_kept(self, caplog):
+        a = [_ann("a", "d", 0, "X", "E1"), _ann("a", "d", 0, "X", "E2"),
+             _ann("a", "d", 0, "X", "E3"), _ann("a", "d", 5, "Y", "E4"),
+             _ann("a", "d", 5, "Y", "E4")]
+        b = [_ann("b", "d", 0, "X", "E1"), _ann("b", "d", 5, "Y", "E5"),
+             _ann("b", "d", 5, "Y", "E4")]
+        with caplog.at_level(logging.WARNING, logger="eldiff"):
+            assert [m.entities for m in align([a, b])] == [("E1", "E1"), ("E4", "E5")]
+            assert [m.entities for m in align([a[:1] + a[3:], b[:2]])] == [
+                ("E1", "E1"), ("E4", "E5")]
+        assert [r.getMessage() for r in caplog.records] == [
+            "2 (document, offset, surface) keys are linked to different entities by the same "
+            "system; exact alignment keeps each key's first entity"]
 
     def test_exact_groups_survive_overlap_policy(self):
         # system b has an earlier overlapping span and an identical twin;

@@ -304,7 +304,7 @@ class TestTableIO:
         ]
         path = tmp_path / "f.csv"
         FeatureTable(rows).write_csv(path)
-        again = FeatureTable.read_csv(path)
+        _, again = read_table(path)
         assert list(again) == rows
 
     def test_reduced_table_roundtrip(self, tmp_path):

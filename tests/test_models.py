@@ -1,5 +1,6 @@
 """Classifier correctness against independent oracles."""
 
+import json
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from eldiff.errors import CorruptModelError, UnsupportedVersionError
 from eldiff.learn.dataset import Dataset
 from eldiff.learn.models import (
     RandomForestModel,
-    _Node,
+    _Tree,
     load_model,
     predict,
     save_model,
@@ -24,6 +25,13 @@ def make_dataset(x, y, categories=None, columns=None):
     y = np.asarray(y, dtype=np.int64)
     columns = tuple(columns) if columns else tuple(f"f{i}" for i in range(x.shape[1]))
     return Dataset(columns, x, y, categories or {})
+
+
+def leaf_tree(counts):
+    """A single-leaf tree with the given class counts."""
+    return _Tree(feature=np.array([-1]), threshold=np.array([0.0]), category=np.array([-1]),
+                 left=np.array([-1]), right=np.array([-1]),
+                 counts=np.array([counts], dtype=np.float64), gain=np.array([0.0]))
 
 
 # --- independent oracles -----------------------------------------------------
@@ -177,17 +185,17 @@ class TestDecisionTree:
             model = train(make_dataset(x, y), "decision_tree")
             expected = oracle_best_split(x, y)
             if expected is None:
-                assert model.root.is_leaf
+                assert model.tree.feature[0] == -1
                 continue
-            assert model.root.feature == expected[1]
-            assert model.root.threshold == expected[2]
+            assert model.tree.feature[0] == expected[1]
+            assert model.tree.threshold[0] == expected[2]
 
     def test_categorical_single_category_split(self):
         x = [[0.0], [1.0], [2.0], [1.0]]
         y = [0, 2, 0, 2]
         ds = make_dataset(x, y, categories={"f0": ("A", "B", "C")})
         model = train(ds, "decision_tree")
-        assert model.root.category == 1
+        assert model.tree.category[0] == 1
         # unseen category routes to the not-equal branch
         probs = model.predict_proba(np.array([[-1.0]]))[0]
         assert probs[0] == 1.0
@@ -198,7 +206,7 @@ class TestDecisionTree:
 
     def test_constant_feature_yields_leaf(self):
         model = train(make_dataset([[5.0], [5.0], [5.0]], [0, 2, 2]), "decision_tree")
-        assert model.root.is_leaf
+        assert model.tree.feature[0] == -1
 
 
 # --- random forest -----------------------------------------------------------
@@ -217,11 +225,7 @@ class TestRandomForest:
 
     def test_forest_averaging_and_tie_break(self):
         model = RandomForestModel(("f0",), {}, n_trees=2)
-        model.cat_sizes = {}
-        model.trees = [
-            _Node(counts=np.array([1.0, 0.0, 0.0])),
-            _Node(counts=np.array([0.0, 1.0, 0.0])),
-        ]
+        model.trees = [leaf_tree([1.0, 0.0, 0.0]), leaf_tree([0.0, 1.0, 0.0])]
         label, probs = predict(model, np.array([0.0]))
         np.testing.assert_allclose(probs, [0.5, 0.5, 0.0])
         assert label is Label.HARD
@@ -295,8 +299,9 @@ class TestSharedContracts:
         model = train(dataset, "gaussian_nb")
         path = tmp_path / "model.json"
         save_model(model, path)
-        payload = path.read_text(encoding="utf-8").replace('"version": 1', '"version": 99')
-        path.write_text(payload, encoding="utf-8")
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["version"] = 99
+        path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(UnsupportedVersionError):
             load_model(path)
 
@@ -310,8 +315,7 @@ class TestSharedContracts:
 
     def test_predict_tie_breaks_hard_first(self):
         model = RandomForestModel(("f0",), {}, n_trees=1)
-        model.cat_sizes = {}
-        model.trees = [_Node(counts=np.array([2.0, 2.0, 1.0]))]
+        model.trees = [leaf_tree([2.0, 2.0, 1.0])]
         label, probs = predict(model, np.array([0.0]))
         np.testing.assert_allclose(probs, [0.4, 0.4, 0.2])
         assert label is Label.HARD

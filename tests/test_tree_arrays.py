@@ -1,0 +1,352 @@
+"""Flat-array trees: equivalence with the node-object trees they replaced,
+deep trees, and the refusal of corrupt model files."""
+
+import json
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+
+from eldiff.cli import EXIT_ERROR, EXIT_OK, main
+from eldiff.errors import CorruptModelError, UnsupportedVersionError
+from eldiff.learn.analysis import mdi
+from eldiff.learn.dataset import N_CLASSES, Dataset
+from eldiff.learn.models import (
+    _best_categorical_split,
+    _best_numeric_split,
+    _entropy,
+    load_model,
+    save_model,
+    train,
+)
+from eldiff.rand import derive_seed
+
+
+def make_dataset(x, y, categories=None):
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    return Dataset(tuple(f"f{i}" for i in range(x.shape[1])), x, y, categories or {})
+
+
+# --- reference: trees as node objects ----------------------------------------
+# The node-object growth, prediction and MDI walk that the arrays replaced,
+# kept verbatim as the oracle the array code must match bit for bit.
+
+
+@dataclass
+class _Node:
+    counts: np.ndarray
+    feature: int | None = None
+    threshold: float | None = None
+    category: int | None = None
+    gain: float = 0.0
+    left: "_Node | None" = None
+    right: "_Node | None" = None
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.feature is None
+
+
+def node_grow_tree(x, y, cat_sizes, rng=None, max_features=None):
+    n_features = x.shape[1]
+
+    def new_node(rows):
+        return _Node(counts=np.bincount(y[rows], minlength=N_CLASSES).astype(np.float64))
+
+    root_rows = np.arange(x.shape[0])
+    root = new_node(root_rows)
+    stack = [(root, root_rows)]
+    while stack:
+        node, rows = stack.pop()
+        if rows.shape[0] < 2 or np.count_nonzero(node.counts) <= 1:
+            continue
+        y_sub = y[rows]
+        parent_h = float(_entropy(node.counts))
+        if max_features is not None and rng is not None and max_features < n_features:
+            features = np.sort(rng.choice(n_features, size=max_features, replace=False))
+        else:
+            features = np.arange(n_features)
+        best = None
+        for f in features:
+            col = x[rows, f]
+            if int(f) in cat_sizes:
+                found = _best_categorical_split(col, y_sub, parent_h, cat_sizes[int(f)])
+                if found is not None and (best is None or found[0] > best[0]):
+                    best = (found[0], int(f), None, found[1])
+            else:
+                found = _best_numeric_split(col, y_sub, parent_h)
+                if found is not None and (best is None or found[0] > best[0]):
+                    best = (found[0], int(f), found[1], None)
+        if best is None:
+            continue
+        gain, feature, threshold, category = best
+        col = x[rows, feature]
+        mask = (col == category) if threshold is None else (col <= threshold)
+        node.feature, node.threshold, node.category = feature, threshold, category
+        node.gain = max(gain, 0.0)
+        node.left = new_node(rows[mask])
+        node.right = new_node(rows[~mask])
+        stack.append((node.left, rows[mask]))
+        stack.append((node.right, rows[~mask]))
+    return root
+
+
+def node_tree_probabilities(root, x, out):
+    stack = [(root, np.arange(x.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        if idx.size == 0:
+            continue
+        if node.is_leaf:
+            out[idx] += node.counts / node.counts.sum()
+            continue
+        col = x[idx, node.feature]
+        mask = (col == node.category) if node.threshold is None else (col <= node.threshold)
+        stack.append((node.left, idx[mask]))
+        stack.append((node.right, idx[~mask]))
+
+
+def node_forest(dataset, n_trees, seed, max_features=None, bootstrap=True):
+    if max_features is None:
+        max_features = int(np.log2(dataset.x.shape[1])) + 1
+    n = len(dataset)
+    trees = []
+    for t in range(n_trees):
+        rng = np.random.default_rng(derive_seed(seed, "tree", t))
+        rows = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        trees.append(node_grow_tree(dataset.x[rows], dataset.y[rows], dataset.cat_sizes(),
+                                    rng=rng, max_features=max_features))
+    return trees
+
+
+def node_forest_proba(trees, x):
+    probs = np.zeros((x.shape[0], N_CLASSES))
+    for root in trees:
+        node_tree_probabilities(root, x, probs)
+    return probs / len(trees)
+
+
+def node_mdi(trees, n_features):
+    totals = np.zeros(n_features)
+    for root in trees:
+        root_n = root.counts.sum()
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                continue
+            totals[node.feature] += (node.counts.sum() / root_n) * node.gain
+            stack.append(node.left)
+            stack.append(node.right)
+    return totals / len(trees)
+
+
+def node_arrays(root):
+    """The node tree flattened in pre-order, right child first."""
+    nodes, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if not node.is_leaf:
+            stack.append(node.left)
+            stack.append(node.right)
+    index = {id(node): i for i, node in enumerate(nodes)}
+    return {
+        "feature": [-1 if n.is_leaf else n.feature for n in nodes],
+        "threshold": [0.0 if n.threshold is None else n.threshold for n in nodes],
+        "category": [-1 if n.category is None else n.category for n in nodes],
+        "left": [-1 if n.is_leaf else index[id(n.left)] for n in nodes],
+        "right": [-1 if n.is_leaf else index[id(n.right)] for n in nodes],
+        "counts": np.array([n.counts for n in nodes]),
+        "gain": [n.gain for n in nodes],
+    }
+
+
+# --- equivalence --------------------------------------------------------------
+
+
+def numeric_data(rng):
+    x = rng.normal(size=(150, 4))
+    y = np.where(x[:, 0] + 0.5 * rng.normal(size=150) < -0.3, 0,
+                 np.where(x[:, 1] > 0.2, 2, 1))
+    return make_dataset(x, y), rng.normal(size=(80, 4))
+
+
+def categorical_data(rng):
+    x = np.column_stack([rng.integers(0, 4, size=120), rng.normal(size=120),
+                         rng.integers(0, 3, size=120)]).astype(np.float64)
+    y = rng.integers(0, 3, size=120)
+    query = np.column_stack([rng.integers(-1, 4, size=60), rng.normal(size=60),
+                             rng.integers(-1, 3, size=60)]).astype(np.float64)
+    return make_dataset(x, y, {"f0": ("a", "b", "c", "d"), "f2": ("x", "y", "z")}), query
+
+
+def tied_data(rng):
+    x = rng.integers(0, 4, size=(100, 3)).astype(np.float64)
+    y = rng.integers(0, 3, size=100)
+    return make_dataset(x, y), rng.integers(-1, 5, size=(60, 3)).astype(np.float64)
+
+
+def xor_data(rng):
+    x = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]] * 10)
+    y = np.array([2, 0, 0, 2] * 10)
+    return make_dataset(x, y), rng.integers(0, 2, size=(20, 2)).astype(np.float64)
+
+
+def single_node_data(rng):
+    x = np.full((30, 2), 5.0)
+    y = rng.integers(0, 3, size=30)
+    return make_dataset(x, y), rng.normal(size=(10, 2))
+
+
+DATA = {"numeric": numeric_data, "categorical": categorical_data, "tied": tied_data,
+        "xor": xor_data, "single_node": single_node_data}
+
+
+@pytest.mark.parametrize("name", sorted(DATA))
+@pytest.mark.parametrize("seed", [0, 17])
+class TestEquivalenceWithNodeTrees:
+    def test_decision_tree_arrays_and_probabilities(self, name, seed):
+        dataset, query = DATA[name](np.random.default_rng(seed))
+        model = train(dataset, "decision_tree")
+        root = node_grow_tree(dataset.x, dataset.y, dataset.cat_sizes())
+        expected = node_arrays(root)
+        for field, values in expected.items():
+            assert getattr(model.tree, field).tobytes() == np.asarray(
+                values, dtype=getattr(model.tree, field).dtype).tobytes(), field
+        for x in (dataset.x, query):
+            old = np.zeros((x.shape[0], N_CLASSES))
+            node_tree_probabilities(root, x, old)
+            assert model.predict_proba(x).tobytes() == old.tobytes()
+
+    def test_forest_probabilities_and_mdi(self, name, seed):
+        dataset, query = DATA[name](np.random.default_rng(seed))
+        forest = train(dataset, "random_forest", seed=seed, n_trees=20)
+        trees = node_forest(dataset, 20, seed)
+        for x in (dataset.x, query):
+            assert forest.predict_proba(x).tobytes() == node_forest_proba(trees, x).tobytes()
+        assert mdi(forest).scores.tobytes() == node_mdi(trees, dataset.x.shape[1]).tobytes()
+
+
+def test_single_node_trees_are_leaves():
+    dataset, _ = single_node_data(np.random.default_rng(3))
+    forest = train(dataset, "random_forest", seed=3, n_trees=20)
+    assert all(tree.feature.tolist() == [-1] for tree in forest.trees)
+
+
+# --- deep trees ---------------------------------------------------------------
+
+
+def deep_chain():
+    """1,200 rows on one feature 0..1199 with alternating labels and a last
+    row of class 2: the tree peels one row per level, 1,199 levels deep."""
+    y = np.arange(1200) % 2
+    y[-1] = 2
+    return np.arange(1200, dtype=np.float64)[:, None], y
+
+
+def tree_depth(tree):
+    depth = np.zeros(tree.feature.size, dtype=np.int64)
+    for node in np.nonzero(tree.feature >= 0)[0]:
+        depth[tree.left[node]] = depth[tree.right[node]] = depth[node] + 1
+    return int(depth.max())
+
+
+class TestDeepTree:
+    def test_save_load_keeps_probabilities(self, tmp_path):
+        x, y = deep_chain()
+        model = train(make_dataset(x, y), "decision_tree")
+        assert tree_depth(model.tree) == 1199
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        again = load_model(path)
+        query = np.concatenate([x, x + 0.5, [[-3.0], [5000.0]]])
+        assert again.predict_proba(query).tobytes() == model.predict_proba(query).tobytes()
+
+    def test_cli_train_exits_ok(self, tmp_path):
+        x, y = deep_chain()
+        table = tmp_path / "features.csv"
+        names = ("HARD", "MEDIUM", "EASY")
+        table.write_text("m_len,label\n" + "".join(
+            f"{int(v)},{names[c]}\n" for v, c in zip(x[:, 0], y)), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["train", "--features", str(table), "--variant", "decision_tree",
+                     "--out", str(out)]) == EXIT_OK
+        assert tree_depth(load_model(out / "model.json").tree) == 1199
+
+
+# --- the model file -------------------------------------------------------------
+
+
+@pytest.fixture
+def tree_file(tmp_path):
+    """A saved decision tree at least two levels deep, and its JSON payload."""
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(60, 3))
+    model = train(make_dataset(x, rng.integers(0, 3, size=60)), "decision_tree")
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    assert tree_depth(model.tree) >= 2
+    return path, payload
+
+
+def corrupt(path, payload, edit):
+    tree = payload["decision_tree"]["tree"]
+    edit(tree)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return path
+
+
+def second_split(tree):
+    return next(i for i, f in enumerate(tree["feature"]) if i > 0 and f >= 0)
+
+
+EDITS = {
+    "child_is_itself": lambda t: t["right"].__setitem__(0, 0),
+    "child_is_earlier": lambda t: t["left"].__setitem__(second_split(t), 0),
+    "child_out_of_range": lambda t: t["left"].__setitem__(0, len(t["feature"])),
+    "ragged_arrays": lambda t: t["gain"].pop(),
+    "feature_out_of_range": lambda t: t["feature"].__setitem__(0, 3),
+    "nan_threshold": lambda t: t["threshold"].__setitem__(0, float("nan")),
+    "infinite_count": lambda t: t["counts"].__setitem__(0, float("inf")),
+    "fractional_child": lambda t: t["right"].__setitem__(0, t["right"][0] + 0.5),
+    "leaf_without_samples": lambda t: t["counts"].__setitem__(
+        slice(3 * t["feature"].index(-1), 3 * t["feature"].index(-1) + 3), [0.0, 0.0, 0.0]),
+}
+
+
+class TestModelFile:
+    def test_trees_are_flat_lists(self, tree_file):
+        _, payload = tree_file
+        assert payload["version"] == 2
+        tree = payload["decision_tree"]["tree"]
+        assert sorted(tree) == sorted(["feature", "threshold", "category", "left", "right",
+                                       "counts", "gain"])
+        n = len(tree["feature"])
+        assert all(len(v) == n for k, v in tree.items() if k != "counts")
+        assert len(tree["counts"]) == 3 * n
+        assert not any(isinstance(v, list) for values in tree.values() for v in values)
+
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    def test_corrupt_tree_refused(self, tree_file, edit):
+        path = corrupt(*tree_file, EDITS[edit])
+        with pytest.raises(CorruptModelError):
+            load_model(path)
+
+    def test_cli_predict_on_corrupt_tree_exits_error(self, tree_file, tmp_path):
+        path, payload = tree_file
+        payload["columns"] = ["m_len", "m_words", "m_freq"]
+        corrupt(path, payload, EDITS["feature_out_of_range"])
+        features = tmp_path / "features.csv"
+        features.write_text("m_len,m_words,m_freq,label\n1,1,1,\n", encoding="utf-8")
+        assert main(["predict", "--model", str(path), "--features", str(features),
+                     "--out", str(tmp_path / "out")]) == EXIT_ERROR
+
+    def test_version_1_asks_for_retraining(self, tree_file):
+        path, payload = tree_file
+        payload["version"] = 1
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(UnsupportedVersionError, match="retrain"):
+            load_model(path)
