@@ -169,21 +169,44 @@ def _spans_overlap(a: tuple[int, int], b: tuple[int, int]) -> bool:
     return a[0] < b[1] and b[0] < a[1]
 
 
+_CONFLICT_RESOLUTION = {
+    AlignPolicy.EXACT: "exact alignment keeps each key's first entity",
+    AlignPolicy.OVERLAP: "overlap alignment tries each key's first entity first",
+}
+
+
+def _warn_conflicts(annotation_sets: Sequence[Sequence[SystemAnnotation]],
+                    policy: AlignPolicy) -> None:
+    """Warn with the number of (system, key) pairs where one system links the
+    same (document, offset, surface) key to different entities."""
+    conflicts = 0
+    for annotations in annotation_sets:
+        # Equal keys hash equally, so distinct hashes rule out repeats. The
+        # hashes are untracked ints, which keeps the usual pass from shifting
+        # the garbage collector's schedule as thousands of live key tuples do.
+        hashes = {hash((a.doc_id, a.offset, a.surface)) for a in annotations}
+        if len(hashes) == len(annotations):
+            continue
+        first: dict[tuple[str, int, str], str] = {}
+        clashed = set()
+        for a in annotations:
+            key = (a.doc_id, a.offset, a.surface)
+            if first.setdefault(key, a.entity_id) != a.entity_id:
+                clashed.add(key)
+        conflicts += len(clashed)
+    if conflicts:
+        log.warning("%d (document, offset, surface) keys are linked to different entities by "
+                    "the same system; %s", conflicts, _CONFLICT_RESOLUTION[policy])
+
+
 def _align_exact(annotation_sets: Sequence[Sequence[SystemAnnotation]]) -> list[AlignedMention]:
     n = len(annotation_sets)
     slots: dict[tuple[str, int, str], list[str | None]] = {}
-    conflicts = set()
     for sys_idx, annotations in enumerate(annotation_sets):
         for a in annotations:
-            key = (a.doc_id, a.offset, a.surface)
-            entry = slots.setdefault(key, [None] * n)
+            entry = slots.setdefault((a.doc_id, a.offset, a.surface), [None] * n)
             if entry[sys_idx] is None:
                 entry[sys_idx] = a.entity_id
-            elif entry[sys_idx] != a.entity_id:
-                conflicts.add((sys_idx, key))
-    if conflicts:
-        log.warning("%d (document, offset, surface) keys are linked to different entities by "
-                    "the same system; exact alignment keeps each key's first entity", len(conflicts))
     aligned = []
     for (doc_id, offset, surface), entry in slots.items():
         if all(e is not None for e in entry):
@@ -252,11 +275,12 @@ def align(
     """
     if len(annotation_sets) < 2:
         raise ValueError("alignment needs annotation sets from at least 2 systems")
+    if policy not in _CONFLICT_RESOLUTION:
+        raise ValueError(f"unknown alignment policy {policy!r}")
+    _warn_conflicts(annotation_sets, policy)
     if policy is AlignPolicy.EXACT:
         return _align_exact(annotation_sets)
-    if policy is AlignPolicy.OVERLAP:
-        return _align_overlap(annotation_sets)
-    raise ValueError(f"unknown alignment policy {policy!r}")
+    return _align_overlap(annotation_sets)
 
 
 def label(mention: AlignedMention) -> Label:

@@ -11,6 +11,7 @@ features per split, with one RNG stream per tree derived from the seed.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -26,6 +27,8 @@ from ..rand import derive_seed
 from .dataset import Dataset, N_CLASSES, encode_table
 
 VARIANTS = ("gaussian_nb", "logistic_regression", "decision_tree", "random_forest")
+
+log = logging.getLogger(__name__)
 
 _MODEL_FORMAT = "eldiff-classifier"
 _MODEL_VERSION = 2
@@ -214,10 +217,12 @@ class LogisticRegressionModel(_Model):
         self.bias = np.zeros(N_CLASSES)
         lr = self.learning_rate
         loss, grad_w, grad_b = softmax_loss_and_grads(self.weights, self.bias, design, y_onehot, self.l2)
-        for _ in range(self.max_iter):
+        iterations = 0
+        while iterations < self.max_iter:
             grad_norm = math.sqrt((grad_w ** 2).sum() + (grad_b ** 2).sum())
             if grad_norm < self.tol or lr < 1e-15:
                 break
+            iterations += 1
             new_w = self.weights - lr * grad_w
             new_b = self.bias - lr * grad_b
             new_loss, new_gw, new_gb = softmax_loss_and_grads(new_w, new_b, design, y_onehot, self.l2)
@@ -226,6 +231,12 @@ class LogisticRegressionModel(_Model):
                 continue
             self.weights, self.bias = new_w, new_b
             loss, grad_w, grad_b = new_loss, new_gw, new_gb
+        grad_norm = math.sqrt((grad_w ** 2).sum() + (grad_b ** 2).sum())
+        if not grad_norm < self.tol:
+            log.warning("logistic regression stopped at %s after %d iterations without reaching "
+                        "tol %g (gradient norm %.3g)",
+                        "step-size underflow" if lr < 1e-15 else "max_iter", iterations,
+                        self.tol, grad_norm)
         return self
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
@@ -262,59 +273,77 @@ class _Tree:
     gain: np.ndarray
 
 
-def _best_numeric_split(col, y_sub, parent_h):
-    order = np.argsort(col, kind="stable")
-    xs = col[order]
-    n = xs.shape[0]
-    onehot = np.zeros((n, N_CLASSES))
-    onehot[np.arange(n), y_sub[order]] = 1.0
-    prefix = np.cumsum(onehot, axis=0)
-    cuts = np.nonzero(xs[1:] != xs[:-1])[0]
-    if cuts.size == 0:
-        return None
-    left = prefix[cuts]
-    right = prefix[-1] - left
-    n_left = (cuts + 1).astype(np.float64)
-    n_right = n - n_left
-    entropies = _entropy(np.stack([left, right]))
-    gains = parent_h - (n_left / n) * entropies[0] - (n_right / n) * entropies[1]
-    best = int(np.argmax(gains))
-    threshold = (xs[cuts[best]] + xs[cuts[best] + 1]) / 2.0
-    return float(gains[best]), float(threshold)
-
-
-def _best_categorical_split(col, y_sub, parent_h, n_categories):
-    n = float(col.shape[0])
+def _best_split(xt, y, pos, features, categorical, cat_sizes, node_counts, parent_h):
+    """The best split of one node over the candidate ``features`` (sorted),
+    or None: the first maximum of the gain in (feature, cut or category)
+    order. ``pos`` holds the node's rows once per feature, each row sorted by
+    that feature's value and then by row index. Returns (gain, feature,
+    threshold, category, left class counts, left entropy, right entropy)."""
+    n = pos.shape[1]
     best = None
-    for code in range(n_categories):
-        mask = col == code
-        n_left = float(mask.sum())
-        if n_left == 0 or n_left == n:
+    numeric = features[~categorical[features]]
+    if numeric.size:
+        rows = pos[numeric]
+        xs = xt[numeric[:, None], rows]
+        at, cut = np.nonzero(xs[:, 1:] != xs[:, :-1])
+        if cut.size:
+            prefix = np.cumsum(y[rows][..., None] == np.arange(N_CLASSES), axis=1)
+            left = prefix[at, cut].astype(np.float64)
+            n_left = (cut + 1).astype(np.float64)
+            n_right = n - n_left
+            entropies = _entropy(np.stack([left, node_counts - left]))
+            gains = parent_h - (n_left / n) * entropies[0] - (n_right / n) * entropies[1]
+            b = int(np.argmax(gains))
+            k, c = at[b], cut[b]
+            best = (float(gains[b]), int(numeric[k]), float((xs[k, c] + xs[k, c + 1]) / 2.0), -1,
+                    left[b], float(entropies[0, b]), float(entropies[1, b]))
+    for f in features[categorical[features]]:
+        f = int(f)
+        eq = xt[f, pos[f]] == np.arange(cat_sizes[f])[:, None]
+        onehot = y[pos[f]][:, None] == np.arange(N_CLASSES)
+        left = eq.astype(np.float64) @ onehot.astype(np.float64)
+        n_left = left.sum(axis=1)
+        codes = np.nonzero((n_left > 0) & (n_left < n))[0]
+        if not codes.size:
             continue
-        left = np.bincount(y_sub[mask], minlength=N_CLASSES)
-        right = np.bincount(y_sub[~mask], minlength=N_CLASSES)
-        gain = parent_h - (n_left / n) * float(_entropy(left)) - ((n - n_left) / n) * float(_entropy(right))
-        if best is None or gain > best[0]:
-            best = (gain, code)
+        left, n_left = left[codes], n_left[codes]
+        entropies = _entropy(np.stack([left, node_counts - left]))
+        gains = parent_h - (n_left / n) * entropies[0] - ((n - n_left) / n) * entropies[1]
+        b = int(np.argmax(gains))
+        if best is None or gains[b] > best[0] or (gains[b] == best[0] and f < best[1]):
+            best = (float(gains[b]), f, 0.0, int(codes[b]),
+                    left[b], float(entropies[0, b]), float(entropies[1, b]))
     return best
 
 
 def _grow_tree(x, y, cat_sizes, rng=None, max_features=None) -> _Tree:
     # Splits proceed while the node is impure and any usable candidate
     # exists, even at zero gain (parity splits like XOR have zero root gain
-    # but become separable one level down). Children are always strictly
-    # smaller, so growth terminates. Iterative to keep deep trees off the
-    # Python recursion limit; a node is numbered when it is popped, so a
-    # child's number is always greater than its parent's.
+    # but become separable one level down). Children are strictly smaller,
+    # so growth terminates, unless a midpoint rounds up to the node's largest
+    # value (two adjacent floats) and sends every row left. Iterative to keep
+    # deep trees off the Python recursion limit; a node is numbered when it
+    # is popped, so a child's number is always greater than its parent's,
+    # and the forest's feature draws follow that depth-first pop order.
+    # The rows are sorted once per feature; every stacked node carries its
+    # rows as a features x rows matrix in that order, which a split keeps
+    # with one boolean gather. Children inherit their class counts and
+    # entropy from the winning cut.
     n_features = x.shape[1]
+    draw = max_features is not None and rng is not None and max_features < n_features
+    categorical = np.zeros(n_features, dtype=bool)
+    categorical[list(cat_sizes)] = True
+    xt = np.ascontiguousarray(x.T)
+    go_left = np.zeros(x.shape[0], dtype=bool)
     feature, threshold, category, left, right, counts, gain = [], [], [], [], [], [], []
-    stack = [(np.arange(x.shape[0]), None, 0)]  # (rows, the parent's left or right, parent)
+    root_counts = np.bincount(y, minlength=N_CLASSES).astype(np.float64)
+    # (rows per feature, class counts, entropy or None, the parent's left or right, parent)
+    stack = [(np.argsort(xt, axis=1, kind="stable"), root_counts, None, None, 0)]
     while stack:
-        rows, side, parent = stack.pop()
+        pos, node_counts, parent_h, side, parent = stack.pop()
         node = len(feature)
         if side is not None:
             side[parent] = node
-        node_counts = np.bincount(y[rows], minlength=N_CLASSES).astype(np.float64)
         feature.append(-1)
         threshold.append(0.0)
         category.append(-1)
@@ -322,33 +351,33 @@ def _grow_tree(x, y, cat_sizes, rng=None, max_features=None) -> _Tree:
         right.append(-1)
         counts.append(node_counts)
         gain.append(0.0)
-        if rows.shape[0] < 2 or np.count_nonzero(node_counts) <= 1:
+        if pos.shape[1] < 2 or np.count_nonzero(node_counts) <= 1:
             continue
-        y_sub = y[rows]
-        parent_h = float(_entropy(node_counts))
-        if max_features is not None and rng is not None and max_features < n_features:
+        if parent_h is None:
+            parent_h = float(_entropy(node_counts))
+        if draw:
             features = np.sort(rng.choice(n_features, size=max_features, replace=False))
         else:
             features = np.arange(n_features)
-        best = None  # (gain, feature, threshold, category)
-        for f in features:
-            col = x[rows, f]
-            if int(f) in cat_sizes:
-                found = _best_categorical_split(col, y_sub, parent_h, cat_sizes[int(f)])
-                if found is not None and (best is None or found[0] > best[0]):
-                    best = (found[0], int(f), 0.0, found[1])
-            else:
-                found = _best_numeric_split(col, y_sub, parent_h)
-                if found is not None and (best is None or found[0] > best[0]):
-                    best = (found[0], int(f), found[1], -1)
+        best = _best_split(xt, y, pos, features, categorical, cat_sizes, node_counts, parent_h)
         if best is None:
             continue
-        split_gain, feature[node], threshold[node], category[node] = best
-        col = x[rows, feature[node]]
+        (split_gain, feature[node], threshold[node], category[node],
+         left_counts, left_h, right_h) = best
+        rows = pos[0]
+        col = xt[feature[node], rows]
         mask = (col == category[node]) if category[node] >= 0 else (col <= threshold[node])
+        if np.count_nonzero(mask) != left_counts.sum():
+            # the midpoint of two adjacent floats rounded up to the upper
+            # one, so the split sends more rows left than the cut counted
+            left_counts = np.bincount(y[rows[mask]], minlength=N_CLASSES).astype(np.float64)
+            left_h = right_h = None
         gain[node] = max(split_gain, 0.0)
-        stack.append((rows[mask], left, node))
-        stack.append((rows[~mask], right, node))
+        go_left[rows] = mask
+        to_left = go_left[pos]
+        stack.append((pos[to_left].reshape(n_features, -1), left_counts, left_h, left, node))
+        stack.append((pos[~to_left].reshape(n_features, -1), node_counts - left_counts, right_h,
+                      right, node))
     return _Tree(
         feature=np.array(feature, dtype=np.int64),
         threshold=np.array(threshold, dtype=np.float64),
@@ -447,6 +476,8 @@ def train(dataset: Dataset, variant: str, seed: int = 0, threads: int = 1, **hyp
     """Fit one classifier variant on an (imputed) dataset."""
     if np.isnan(dataset.x).any():
         raise ValueError("dataset contains NaN features; impute before training")
+    if np.isinf(dataset.x).any():
+        raise ValueError("dataset contains infinite features; replace them before training")
     if np.count_nonzero(dataset.class_counts()) < 2:
         raise ValueError("training needs at least 2 classes present")
     columns, categories = dataset.columns, dataset.categories

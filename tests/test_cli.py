@@ -189,6 +189,17 @@ class TestTrainPredict:
         accuracy = sum(p == g for p, g in zip(predicted, gold)) / len(gold)
         assert accuracy >= 0.99
 
+    def test_infinite_feature_is_error_exit(self, tmp_path, caplog):
+        features = tmp_path / "features.csv"
+        features.write_text("t_j_min,t_j_max,t_j_avg,label\n0,0,0,HARD\n1,1,1,HARD\n"
+                            "inf,inf,inf,MEDIUM\ninf,inf,inf,EASY\n", encoding="utf-8")
+        with caplog.at_level(logging.ERROR, logger="eldiff"):
+            status = run("train", "--features", features, "--variant", "decision_tree",
+                         "--out", tmp_path / "out")
+        assert status == EXIT_ERROR
+        assert "infinite features" in caplog.text
+        assert not (tmp_path / "out" / "model.json").exists()
+
     def test_missing_model_file_is_error(self, tmp_path):
         table = separable_table()
         features = tmp_path / "features.csv"

@@ -106,6 +106,16 @@ class TestAlign:
             "2 (document, offset, surface) keys are linked to different entities by the same "
             "system; exact alignment keeps each key's first entity"]
 
+    def test_overlap_policy_warns_about_conflicting_duplicates(self, caplog):
+        a = [_ann("a", "d1", 0, "X", "E1"), _ann("a", "d1", 0, "X", "E9")]
+        b = [_ann("b", "d1", 0, "X", "E1"), _ann("b", "d1", 1, "X", "E2")]
+        with caplog.at_level(logging.WARNING, logger="eldiff"):
+            aligned = align([a, b], AlignPolicy.OVERLAP)
+        assert [(m.offset, m.entities) for m in aligned] == [(0, ("E1", "E1"))]
+        assert [r.getMessage() for r in caplog.records] == [
+            "1 (document, offset, surface) keys are linked to different entities by the same "
+            "system; overlap alignment tries each key's first entity first"]
+
     def test_exact_groups_survive_overlap_policy(self):
         # system b has an earlier overlapping span and an identical twin;
         # the identical twin must be preferred

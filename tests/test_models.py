@@ -1,6 +1,7 @@
 """Classifier correctness against independent oracles."""
 
 import json
+import logging
 import math
 
 import numpy as np
@@ -160,6 +161,23 @@ class TestLogisticRegression:
         model = train(ds, "logistic_regression")
         assert model.predict_codes(np.array([[0.0], [1.0]])).tolist() == [0, 2]
 
+    def test_non_convergence_warned(self, caplog):
+        rng = np.random.default_rng(4)
+        ds = make_dataset(rng.normal(size=(40, 3)), rng.integers(0, 3, size=40))
+        with caplog.at_level(logging.WARNING, logger="eldiff"):
+            capped = train(ds, "logistic_regression", max_iter=5)
+            train(ds, "logistic_regression", learning_rate=1e-16)
+            train(ds, "logistic_regression", tol=10.0)
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 2
+        assert messages[0].startswith("logistic regression stopped at max_iter after 5 iterations "
+                                      "without reaching tol 1e-06 (gradient norm ")
+        assert messages[1].startswith("logistic regression stopped at step-size underflow after 0 "
+                                      "iterations")
+        # the warning changes nothing that is fitted
+        again = train(ds, "logistic_regression", max_iter=5)
+        assert again.weights.tobytes() == capped.weights.tobytes()
+
 
 # --- decision tree -----------------------------------------------------------
 
@@ -310,8 +328,17 @@ class TestSharedContracts:
             train(make_dataset([[1.0], [2.0]], [0, 0]), "gaussian_nb")
 
     def test_nan_features_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="dataset contains NaN features; impute before training"):
             train(make_dataset([[1.0], [np.nan]], [0, 2]), "gaussian_nb")
+
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    @pytest.mark.parametrize("inf", [np.inf, -np.inf])
+    def test_infinite_features_rejected(self, variant, inf):
+        # a midpoint next to inf is inf, so tree growth on this table never ended
+        ds = make_dataset([[0.0], [1.0], [inf], [inf]], [0, 0, 1, 2])
+        with pytest.raises(ValueError, match="infinite features"):
+            train(ds, variant, n_trees=2) if variant == "random_forest" else train(ds, variant)
 
     def test_predict_tie_breaks_hard_first(self):
         model = RandomForestModel(("f0",), {}, n_trees=1)

@@ -11,14 +11,7 @@ from eldiff.cli import EXIT_ERROR, EXIT_OK, main
 from eldiff.errors import CorruptModelError, UnsupportedVersionError
 from eldiff.learn.analysis import mdi
 from eldiff.learn.dataset import N_CLASSES, Dataset
-from eldiff.learn.models import (
-    _best_categorical_split,
-    _best_numeric_split,
-    _entropy,
-    load_model,
-    save_model,
-    train,
-)
+from eldiff.learn.models import _entropy, _grow_tree, load_model, save_model, train
 from eldiff.rand import derive_seed
 
 
@@ -30,7 +23,46 @@ def make_dataset(x, y, categories=None):
 
 # --- reference: trees as node objects ----------------------------------------
 # The node-object growth, prediction and MDI walk that the arrays replaced,
-# kept verbatim as the oracle the array code must match bit for bit.
+# and the per-node split searches (one stable argsort per feature per node)
+# that the presorted growth replaced, kept verbatim as the oracle the array
+# code must match bit for bit.
+
+
+def _best_numeric_split(col, y_sub, parent_h):
+    order = np.argsort(col, kind="stable")
+    xs = col[order]
+    n = xs.shape[0]
+    onehot = np.zeros((n, N_CLASSES))
+    onehot[np.arange(n), y_sub[order]] = 1.0
+    prefix = np.cumsum(onehot, axis=0)
+    cuts = np.nonzero(xs[1:] != xs[:-1])[0]
+    if cuts.size == 0:
+        return None
+    left = prefix[cuts]
+    right = prefix[-1] - left
+    n_left = (cuts + 1).astype(np.float64)
+    n_right = n - n_left
+    entropies = _entropy(np.stack([left, right]))
+    gains = parent_h - (n_left / n) * entropies[0] - (n_right / n) * entropies[1]
+    best = int(np.argmax(gains))
+    threshold = (xs[cuts[best]] + xs[cuts[best] + 1]) / 2.0
+    return float(gains[best]), float(threshold)
+
+
+def _best_categorical_split(col, y_sub, parent_h, n_categories):
+    n = float(col.shape[0])
+    best = None
+    for code in range(n_categories):
+        mask = col == code
+        n_left = float(mask.sum())
+        if n_left == 0 or n_left == n:
+            continue
+        left = np.bincount(y_sub[mask], minlength=N_CLASSES)
+        right = np.bincount(y_sub[~mask], minlength=N_CLASSES)
+        gain = parent_h - (n_left / n) * float(_entropy(left)) - ((n - n_left) / n) * float(_entropy(right))
+        if best is None or gain > best[0]:
+            best = (gain, code)
+    return best
 
 
 @dataclass
@@ -274,6 +306,107 @@ class TestDeepTree:
         assert main(["train", "--features", str(table), "--variant", "decision_tree",
                      "--out", str(out)]) == EXIT_OK
         assert tree_depth(load_model(out / "model.json").tree) == 1199
+
+
+# --- presorted growth -------------------------------------------------------------
+# Growth sorts the rows once per feature and partitions that order at every
+# split; the node-object growth above, with its per-node stable argsort, must
+# give the same tree and leave the RNG where it leaves it.
+
+
+def grow_like_node_trees(x, y, cat_sizes=None, seed=None, max_features=None, bootstrap=False):
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    cat_sizes = cat_sizes or {}
+    rngs = [None, None] if seed is None else [np.random.default_rng(seed) for _ in range(2)]
+    if bootstrap:
+        rows = [rng.integers(0, y.size, size=y.size) for rng in rngs]
+        x, y = x[rows[0]], y[rows[0]]
+    tree = _grow_tree(x, y, cat_sizes, rng=rngs[0], max_features=max_features)
+    expected = node_arrays(node_grow_tree(x, y, cat_sizes, rng=rngs[1], max_features=max_features))
+    for field, values in expected.items():
+        assert getattr(tree, field).tobytes() == np.asarray(
+            values, dtype=getattr(tree, field).dtype).tobytes(), field
+    if seed is not None:
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    return tree
+
+
+def coarse_table(rng, n=120):
+    """Few distinct values per column, so equal values sit on both sides of
+    most cuts, plus a categorical column and rows that differ only in label."""
+    x = np.column_stack([np.round(rng.normal(size=n), 1), rng.integers(0, 5, size=n),
+                         rng.integers(0, 4, size=n), rng.normal(size=n)]).astype(np.float64)
+    x[n // 2:n // 2 + 10] = x[n // 2]
+    y = np.where(x[:, 0] + 0.3 * x[:, 2] + rng.normal(size=n) > 0.5, 2, rng.integers(0, 2, size=n))
+    return x, y
+
+
+class TestPresortedGrowth:
+    @pytest.mark.parametrize("tree_index", range(10))
+    def test_bootstrap_samples_with_duplicate_rows(self, tree_index):
+        x, y = coarse_table(np.random.default_rng(5))
+        seed = derive_seed(5, "tree", tree_index)
+        rows = np.random.default_rng(seed).integers(0, y.size, size=y.size)
+        assert np.unique(rows).size < y.size
+        tree = grow_like_node_trees(x, y, {2: 4}, seed=seed, max_features=2, bootstrap=True)
+        assert np.count_nonzero(tree.feature >= 0) > 10
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equal_values_on_both_sides_of_a_cut(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 3, size=(60, 2)).astype(np.float64)
+        y = rng.integers(0, 3, size=60)
+        grow_like_node_trees(x, y)
+        grow_like_node_trees(x, y, seed=seed, max_features=1)
+
+    def test_tied_numeric_gains_go_to_the_earlier_feature(self):
+        rng = np.random.default_rng(9)
+        good = rng.normal(size=50)
+        x = np.column_stack([rng.normal(size=50), good, good])
+        y = np.where(good > 0.4, 2, np.where(good < -0.6, 0, 1))
+        tree = grow_like_node_trees(x, y)
+        assert tree.feature[0] == 1
+        assert 2 not in tree.feature
+
+    @pytest.mark.parametrize("categorical_first", [True, False])
+    def test_numeric_and_categorical_tie_goes_to_the_earlier_feature(self, categorical_first):
+        codes = np.repeat([0.0, 1.0], 10)
+        columns = [codes, codes] if categorical_first else [codes.copy(), codes]
+        x = np.column_stack([np.full(20, 7.0), *columns])
+        cat_sizes = {1: 2} if categorical_first else {2: 2}
+        tree = grow_like_node_trees(x, (2 * codes).astype(np.int64), cat_sizes)
+        assert tree.feature[0] == 1
+        assert tree.category[0] == (0 if categorical_first else -1)
+
+    @pytest.mark.parametrize("seed", [None, 4])
+    def test_categorical_only_table(self, seed):
+        rng = np.random.default_rng(4)
+        x = np.column_stack([rng.integers(0, 4, size=80), rng.integers(0, 3, size=80)])
+        y = (x[:, 0] + rng.integers(0, 2, size=80)) % 3
+        tree = grow_like_node_trees(x, y, {0: 4, 1: 3}, seed=seed, max_features=1)
+        assert np.all(tree.category[tree.feature >= 0] >= 0)
+
+    def test_single_row_leaves(self):
+        one = grow_like_node_trees([[3.0, 1.0]], [1], {1: 2})
+        assert one.feature.tolist() == [-1]
+        tree = grow_like_node_trees([[0.0], [1.0], [2.0]], [0, 1, 1])
+        assert tree.counts.sum(axis=1).tolist() == [3.0, 2.0, 1.0]
+
+    def test_midpoint_rounding_up_to_the_upper_value(self):
+        # the midpoint of two adjacent floats rounds to the upper one here, so
+        # the split sends the upper value's rows left, not just the cut's rows
+        a = np.nextafter(1.0, 2.0)
+        b = np.nextafter(a, 2.0)
+        assert (a + b) / 2.0 == b
+        x = [[0, 0.0], [0, a], [1, b], [0, 3.0], [1, 3.0]]
+        tree = grow_like_node_trees(x, [0, 0, 1, 2, 2])
+        assert tree.threshold[0] == b
+        assert tree.counts[tree.left[0]].tolist() == [2.0, 1.0, 0.0]
+
+    def test_deep_chain(self):
+        x, y = deep_chain()
+        assert tree_depth(grow_like_node_trees(x, y)) == 1199
 
 
 # --- the model file -------------------------------------------------------------
