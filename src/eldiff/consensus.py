@@ -165,10 +165,6 @@ def validate_annotations(annotations: Iterable[SystemAnnotation], corpus: Corpus
             )
 
 
-def _spans_overlap(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    return a[0] < b[1] and b[0] < a[1]
-
-
 _CONFLICT_RESOLUTION = {
     AlignPolicy.EXACT: "exact alignment keeps each key's first entity",
     AlignPolicy.OVERLAP: "overlap alignment tries each key's first entity first",
@@ -215,49 +211,71 @@ def _align_exact(annotation_sets: Sequence[Sequence[SystemAnnotation]]) -> list[
     return aligned
 
 
+def _overlap_order(a: SystemAnnotation) -> tuple[int, int, str]:
+    return a.offset, len(a.surface), a.surface
+
+
 def _align_overlap(annotation_sets: Sequence[Sequence[SystemAnnotation]]) -> list[AlignedMention]:
     # Greedy left-to-right in the first system's order; each annotation joins
     # at most one group. An exact (offset, surface) twin is preferred over the
     # first merely-overlapping candidate so that every EXACT group survives
-    # under the OVERLAP policy.
+    # under the OVERLAP policy. Anchors come in offset order, so a candidate
+    # that is used or ends at or before one anchor's offset can never join a
+    # later group: each other system keeps a start pointer past the prefix of
+    # such candidates, and a scan stops at the first candidate starting at or
+    # after the anchor's end.
     by_doc: dict[str, list[list[SystemAnnotation]]] = {}
     n = len(annotation_sets)
     for sys_idx, annotations in enumerate(annotation_sets):
         for a in annotations:
-            by_doc.setdefault(a.doc_id, [[] for _ in range(n)])[sys_idx].append(a)
+            per_system = by_doc.get(a.doc_id)
+            if per_system is None:
+                per_system = by_doc[a.doc_id] = [[] for _ in range(n)]
+            per_system[sys_idx].append(a)
     aligned = []
     for doc_id in sorted(by_doc):
-        per_system = [sorted(annos, key=lambda a: (a.offset, len(a.surface), a.surface))
-                      for annos in by_doc[doc_id]]
-        used: list[set[int]] = [set() for _ in range(n)]
-        for anchor in per_system[0]:
-            chosen = [anchor]
-            for sys_idx in range(1, n):
-                candidate = None
-                for pos, a in enumerate(per_system[sys_idx]):
-                    if pos in used[sys_idx]:
-                        continue
-                    if a.offset == anchor.offset and a.surface == anchor.surface:
-                        candidate = pos
-                        break
+        anchors, *others = [sorted(annos, key=_overlap_order) for annos in by_doc[doc_id]]
+        lanes = []
+        for annos in others:
+            starts = [a.offset for a in annos]
+            ends = [start + len(a.surface) for start, a in zip(starts, annos)]
+            # twins are adjacent in sorted order: keep the first position
+            twins: dict[tuple[int, str], int] = {}
+            for pos, a in enumerate(annos):
+                twins.setdefault((a.offset, a.surface), pos)
+            lanes.append((annos, starts, ends, twins, [False] * len(annos)))
+        firsts = [0] * len(lanes)
+        for anchor in anchors:
+            lo, surface = anchor.offset, anchor.surface
+            hi = lo + len(surface)
+            spans = [(lo, hi)]
+            entities = [anchor.entity_id]
+            for k, (annos, starts, ends, twins, used) in enumerate(lanes):
+                start, size = firsts[k], len(annos)
+                while start < size and (used[start] or ends[start] <= lo):
+                    start += 1
+                firsts[k] = start
+                candidate = twins.get((lo, surface))
+                while candidate is not None and used[candidate]:
+                    candidate += 1
+                    if (candidate == size or starts[candidate] != lo
+                            or annos[candidate].surface != surface):
+                        candidate = None
                 if candidate is None:
-                    for pos, a in enumerate(per_system[sys_idx]):
-                        if pos in used[sys_idx]:
-                            continue
-                        if all(_spans_overlap(a.span, c.span) for c in chosen):
+                    for pos in range(start, size):
+                        if starts[pos] >= hi:
+                            break
+                        if not used[pos] and all(s < ends[pos] and starts[pos] < e
+                                                 for s, e in spans):
                             candidate = pos
                             break
                 if candidate is None:
-                    chosen = None
                     break
-                chosen.append(per_system[sys_idx][candidate])
-                used[sys_idx].add(candidate)
-            if chosen is None:
-                continue
-            aligned.append(
-                AlignedMention(doc_id, anchor.surface, anchor.offset,
-                               tuple(a.entity_id for a in chosen))
-            )
+                used[candidate] = True
+                spans.append((starts[candidate], ends[candidate]))
+                entities.append(annos[candidate].entity_id)
+            else:
+                aligned.append(AlignedMention(doc_id, surface, lo, tuple(entities)))
     aligned.sort(key=lambda m: (m.doc_id, m.offset, m.surface))
     return aligned
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .consensus import AlignedMention, Label, LabelledMention, SystemAnnotation
 from .corpus import (
     Corpus,
@@ -130,21 +132,28 @@ class FeatureVector:
     label: Label | None = None
 
     def __post_init__(self):
-        if self.m_words > self.m_len:
-            raise ValueError("m_words cannot exceed m_len")
-        if not 0.0 <= self.m_pos < 1.0:
-            raise ValueError(f"m_pos {self.m_pos} outside [0, 1)")
-        if (self.t_j_min is None) != (self.t_j_avg is None) or (self.t_j_max is None) != (self.t_j_avg is None):
-            raise ValueError("stability features must be all present or all missing")
-        if self.t_j_min is not None and not (self.t_j_min <= self.t_j_avg <= self.t_j_max):
-            raise ValueError("stability features must satisfy min <= avg <= max")
-
-    def value(self, column: str):
-        return getattr(self, column)
+        problem = _row_problem(self.m_len, self.m_words, self.m_pos,
+                               self.t_j_min, self.t_j_max, self.t_j_avg)
+        if problem is not None:
+            raise ValueError(problem)
 
     def missing(self, column: str) -> bool:
         v = getattr(self, column)
         return v is None or (column == "d_topic" and v == "")
+
+
+def _row_problem(m_len, m_words, m_pos, t_j_min, t_j_max, t_j_avg) -> str | None:
+    """The first rule of a feature row that these values break, or None.
+    ``_check_rows`` checks the same rules on whole columns."""
+    if m_words > m_len:
+        return "m_words cannot exceed m_len"
+    if not 0.0 <= m_pos < 1.0:
+        return f"m_pos {m_pos} outside [0, 1)"
+    if (t_j_min is None) != (t_j_avg is None) or (t_j_max is None) != (t_j_avg is None):
+        return "stability features must be all present or all missing"
+    if t_j_min is not None and not (t_j_min <= t_j_avg <= t_j_max):
+        return "stability features must satisfy min <= avg <= max"
+    return None
 
 
 class CandidateDictionary:
@@ -299,7 +308,8 @@ class FeatureExtractor:
             self._stability_cache[word] = semantic_stability(self.models, word, self.config.top_k)
         return self._stability_cache[word]
 
-    def extract(self, mention: Mention) -> FeatureVector:
+    def _row(self, mention: Mention) -> tuple:
+        """One mention's values in FeatureVector field order, label last."""
         doc_id, surface, offset, mention_label = _mention_fields(mention)
         doc = self.corpus.get(doc_id)
         if offset < 0 or offset + len(surface) > len(doc.text):
@@ -309,91 +319,145 @@ class FeatureExtractor:
         spans, d_words = self._document(doc)
         span = sentence_containing(doc, offset, spans)
         stability = self._stability(surface)
-        return FeatureVector(
-            m_len=len(surface),
-            m_words=len(surface.split()),
-            m_freq=count_occurrences(doc, surface, self.config.token_bounded),
-            m_df=self._df(surface),
-            m_cand=self.candidates.count(surface),
-            m_pos=offset / len(doc.text),
-            m_sent=len(span) if span is not None else 0,
-            d_words=d_words,
-            d_topic=doc.topic,
-            d_ents=self.doc_mention_counts.get(doc_id, 0),
-            t_age=self.config.kb_year - doc.publication_date.year,
-            t_df=self._tdf(surface, doc.publication_date),
-            t_j_min=stability.minimum,
-            t_j_max=stability.maximum,
-            t_j_avg=stability.average,
-            label=mention_label,
+        return (
+            len(surface),
+            len(surface.split()),
+            count_occurrences(doc, surface, self.config.token_bounded),
+            self._df(surface),
+            self.candidates.count(surface),
+            offset / len(doc.text),
+            len(span) if span is not None else 0,
+            d_words,
+            doc.topic,
+            self.doc_mention_counts.get(doc_id, 0),
+            self.config.kb_year - doc.publication_date.year,
+            self._tdf(surface, doc.publication_date),
+            stability.minimum,
+            stability.maximum,
+            stability.average,
+            mention_label,
         )
 
+    def extract(self, mention: Mention) -> FeatureVector:
+        return FeatureVector(*self._row(mention))
+
     def extract_all(self, mentions: Iterable[Mention]) -> "FeatureTable":
-        return FeatureTable([self.extract(m) for m in mentions])
+        """The feature table of ``mentions``, in order; equal row by row to
+        ``extract``."""
+        return _table_from_rows([self._row(mention) for mention in mentions])
+
+
+_STABILITY_COLUMNS = ("t_j_min", "t_j_max", "t_j_avg")
+#: The arguments of ``_row_problem``, in order.
+_RULE_COLUMNS = ("m_len", "m_words", "m_pos", *_STABILITY_COLUMNS)
+_LABELS: dict[str, Label | None] = {"": None, **{lbl.value: lbl for lbl in Label}}
 
 
 class FeatureTable:
-    """Ordered feature rows plus the per-row missing-value masks."""
+    """A feature table held as columns.
 
-    def __init__(self, rows: Sequence[FeatureVector],
-                 masks: Sequence[frozenset[str]] | None = None):
-        self.rows = list(rows)
+    Each integer column is an int64 array and each float column a float64
+    array, NaN where a stability value is missing; ``d_topic`` is a list of
+    strings, "" where the topic is missing; the labels are one list. Per
+    nullable column, a boolean mask records which values were missing before
+    imputation. Every row obeys the FeatureVector rules, so NaN in a
+    stability column always means "missing". Rows (``table[i]``, iteration)
+    and ``masks`` are built on demand.
+    """
+
+    def __init__(self, rows: Iterable[FeatureVector] = ()):
+        rows = list(rows)
+        columns = {c: [getattr(row, c) for row in rows] for c in FEATURE_COLUMNS}
+        self._set(_arrays(columns), [row.label for row in rows])
+
+    @classmethod
+    def _of(cls, values: dict, labels: list, masks: dict | None = None) -> "FeatureTable":
+        """A table of columns that already obey the row rules."""
+        table = cls.__new__(cls)
+        table._set(values, labels, masks)
+        return table
+
+    def _set(self, values: dict, labels: list, masks: dict | None = None) -> None:
+        self._values = values
+        self._labels = labels
         if masks is None:
-            self.masks = [
-                frozenset(c for c in FEATURE_COLUMNS if row.missing(c)) for row in self.rows
-            ]
-        else:
-            if len(masks) != len(self.rows):
-                raise ValueError("mask count and row count disagree")
-            self.masks = list(masks)
+            stability = np.isnan(values["t_j_min"])
+            masks = dict.fromkeys(_STABILITY_COLUMNS, stability)
+            masks["d_topic"] = np.array([t == "" for t in values["d_topic"]], dtype=bool)
+        self._masks = masks
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._labels)
+
+    def _python(self, name: str) -> list:
+        """One column as Python values, None where a stability value is missing."""
+        values = self._values[name]
+        if name == "d_topic":
+            return list(values)
+        if name in _STABILITY_COLUMNS:
+            return [None if v != v else v for v in values.tolist()]
+        return values.tolist()
 
     def __iter__(self):
-        return iter(self.rows)
+        columns = [self._python(c) for c in FEATURE_COLUMNS]
+        for values in zip(*columns, self._labels):
+            yield FeatureVector(*values)
 
     def __getitem__(self, index: int) -> FeatureVector:
-        return self.rows[index]
+        index = range(len(self))[index]
+        values = [self._values[c][index] for c in FEATURE_COLUMNS]
+        values = [v if isinstance(v, str) else v.item() for v in values]
+        values[-3:] = [None if v != v else v for v in values[-3:]]
+        return FeatureVector(*values, label=self._labels[index])
+
+    @property
+    def masks(self) -> list[frozenset[str]]:
+        """Per row, the columns whose values were missing before imputation."""
+        names = [c for c in FEATURE_COLUMNS if c in self._masks]
+        flags = zip(*(self._masks[c].tolist() for c in names))
+        return [frozenset(c for c, missing in zip(names, row) if missing) for row in flags]
 
     def labels(self) -> list[Label | None]:
-        return [row.label for row in self.rows]
+        return list(self._labels)
 
-    def column(self, name: str) -> list:
-        return [row.value(name) for row in self.rows]
+    def column(self, name: str):
+        """One column, not to be modified: an int64 or float64 array (NaN
+        where missing), or for ``d_topic`` a list of strings."""
+        return self._values[name]
 
     def impute(self, strategy: str = "mean", constant: float = 0.0,
                stability: bool = True) -> "FeatureTable":
         """Fill missing values: the stability triple per MEAN/CONSTANT policy
         (unless ``stability`` is off, for schemas that exclude it), missing
         topics with the UNKNOWN category. The original missing masks are kept
-        on the returned table."""
+        on the returned table. A mean adds the observed values as Python
+        floats in row order."""
         if strategy not in ("mean", "constant"):
             raise ValueError(f"unknown imputation strategy {strategy!r}")
-        if not self.rows:
+        if not len(self):
             raise ValueError("cannot impute an empty table")
-        fills: dict[str, float] = {}
-        any_missing = any(row.t_j_min is None for row in self.rows)
-        if stability and any_missing:
-            for column in ("t_j_min", "t_j_max", "t_j_avg"):
+        values = dict(self._values)
+        absent = np.isnan(values["t_j_min"])
+        if stability and absent.any():
+            fills: dict[str, float] = {}
+            for column in _STABILITY_COLUMNS:
                 if strategy == "constant":
                     fills[column] = constant
                     continue
-                observed = [v for v in self.column(column) if v is not None]
+                observed = values[column][~absent].tolist()
                 if not observed:
                     raise AllMissingError(f"column {column!r} has no observed values to average")
                 fills[column] = sum(observed) / len(observed)
-        new_rows = []
-        for row in self.rows:
-            replacements: dict[str, object] = {}
-            if fills and row.t_j_min is None:
-                replacements = dict(fills)
-            if row.d_topic == "":
-                replacements["d_topic"] = UNKNOWN_TOPIC
-            if replacements:
-                row = _replace_row(row, replacements)
-            new_rows.append(row)
-        return FeatureTable(new_rows, masks=self.masks)
+            row = int(np.argmax(absent))
+            problem = _row_problem(*(values[c][row].item() for c in _RULE_COLUMNS[:3]),
+                                   *(fills[c] for c in _STABILITY_COLUMNS))
+            if problem is not None:
+                raise ValueError(problem)
+            for column, fill in fills.items():
+                values[column] = np.where(absent, fill, values[column])
+        if "" in values["d_topic"]:
+            values["d_topic"] = [UNKNOWN_TOPIC if t == "" else t for t in values["d_topic"]]
+        return FeatureTable._of(values, self._labels, self._masks)
 
     def write_csv(self, path: str | Path, columns: Sequence[str] | None = None) -> None:
         """Comma-separated table; missing values are empty fields, labels one
@@ -403,22 +467,59 @@ class FeatureTable:
             columns = FEATURE_COLUMNS
         else:
             FeatureSchema(tuple(columns))
+        # The csv writer writes None as "", an int with str and a float with
+        # repr, which is why the columns go to it as Python values: the repr
+        # of a numpy float64 is not that of a float.
+        fields = [self._python(c) for c in columns]
+        fields.append(["" if lbl is None else lbl.value for lbl in self._labels])
+        # the writer quotes a field holding "\n" but not one holding a lone
+        # "\r", which a reader takes for a line break
+        carriage = "d_topic" in columns and any("\r" in t for t in self._values["d_topic"])
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
+            writer = csv.writer(fh, lineterminator="\n",
+                                quoting=csv.QUOTE_ALL if carriage else csv.QUOTE_MINIMAL)
             writer.writerow(list(columns) + ["label"])
-            for row in self.rows:
-                record = []
-                for column in columns:
-                    v = row.value(column)
-                    record.append("" if v is None else (repr(v) if isinstance(v, float) else str(v)))
-                record.append("" if row.label is None else row.label.value)
-                writer.writerow(record)
+            writer.writerows(zip(*fields))
 
 
-def _replace_row(row: FeatureVector, replacements: dict) -> FeatureVector:
-    fields = {c: row.value(c) for c in FEATURE_COLUMNS}
-    fields.update(replacements)
-    return FeatureVector(label=row.label, **fields)
+def _arrays(columns: Mapping[str, Sequence]) -> dict:
+    """Column arrays from per-column Python values, None where missing."""
+    values = {}
+    for name, column in columns.items():
+        if name == "d_topic":
+            values[name] = list(column)
+        else:
+            # None becomes NaN in a float64 array
+            values[name] = np.array(column, dtype=np.int64 if name in _INT_COLUMNS else np.float64)
+    return values
+
+
+def _check_rows(values: Mapping, absent: Mapping[str, np.ndarray]) -> None:
+    """Raise the ValueError of the first row that breaks a FeatureVector
+    rule (``_row_problem``). ``absent`` marks the missing stability values:
+    a NaN that was read or computed breaks the rules, a missing value does
+    not."""
+    lo, hi, avg = (values[c] for c in _STABILITY_COLUMNS)
+    no_lo, no_hi, no_avg = (absent[c] for c in _STABILITY_COLUMNS)
+    m_pos = values["m_pos"]
+    broken = ((values["m_words"] > values["m_len"]) | ~((0.0 <= m_pos) & (m_pos < 1.0))
+              | (no_lo != no_avg) | (no_hi != no_avg) | (~no_lo & ~((lo <= avg) & (avg <= hi))))
+    if broken.any():
+        row = int(np.argmax(broken))
+        raise ValueError(_row_problem(*(
+            None if c in absent and absent[c][row] else values[c][row].item()
+            for c in _RULE_COLUMNS
+        )))
+
+
+def _table_from_rows(rows: Sequence[tuple]) -> FeatureTable:
+    """A table of ``FeatureExtractor._row`` rows, checked by the row rules."""
+    columns = list(zip(*rows)) if rows else [()] * (len(FEATURE_COLUMNS) + 1)
+    values = _arrays(dict(zip(FEATURE_COLUMNS, columns)))
+    absent = {c: np.array([v is None for v in columns[FEATURE_COLUMNS.index(c)]], dtype=bool)
+              for c in _STABILITY_COLUMNS}
+    _check_rows(values, absent)
+    return FeatureTable._of(values, list(columns[-1]))
 
 
 _COLUMN_DEFAULTS = {
@@ -426,6 +527,7 @@ _COLUMN_DEFAULTS = {
     "m_sent": 0, "d_words": 0, "d_topic": "", "d_ents": 0, "t_age": 0, "t_df": 0,
     "t_j_min": None, "t_j_max": None, "t_j_avg": None,
 }
+_INT64_RANGE = range(-2 ** 63, 2 ** 63)
 
 
 def read_table(path: str | Path) -> tuple[FeatureSchema, FeatureTable]:
@@ -433,9 +535,10 @@ def read_table(path: str | Path) -> tuple[FeatureSchema, FeatureTable]:
 
     The header must be a subset of the canonical columns followed by
     ``label``; columns absent from the file get neutral defaults and the
-    returned schema records which columns were actually present.
+    returned schema records which columns were actually present. A malformed
+    file fails at its first bad record, with that record's line number
+    (records are counted, the header being line 1).
     """
-    rows = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -446,25 +549,65 @@ def read_table(path: str | Path) -> tuple[FeatureSchema, FeatureTable]:
             schema = FeatureSchema(columns)
         except ValueError as exc:
             raise MalformedRecordError(1, str(exc)) from None
-        for lineno, record in enumerate(reader, start=2):
-            if len(record) != len(header):
-                raise MalformedRecordError(lineno, f"expected {len(header)} fields, got {len(record)}")
-            values = dict(_COLUMN_DEFAULTS)
-            try:
-                for column, text in zip(columns, record):
-                    if column == "d_topic":
-                        values[column] = text
-                    elif text == "":
-                        if column not in _OPTIONAL_COLUMNS:
-                            raise ValueError(f"column {column} cannot be empty")
-                        values[column] = None
-                    elif column in _INT_COLUMNS:
-                        values[column] = int(text)
-                    else:
-                        values[column] = float(text)
-                label_text = record[-1]
-                values["label"] = Label(label_text) if label_text else None
-                rows.append(FeatureVector(**values))
-            except ValueError as exc:
-                raise MalformedRecordError(lineno, str(exc)) from None
-    return schema, FeatureTable(rows)
+        records = list(reader)
+    try:
+        return schema, _parse_columns(records, columns, len(header))
+    except (ValueError, OverflowError, KeyError):
+        # the column parse only says that some record is bad
+        for lineno, record in enumerate(records, start=2):
+            problem = _record_problem(record, columns, len(header))
+            if problem is not None:
+                raise MalformedRecordError(lineno, problem) from None
+        raise
+
+
+def _parse_columns(records: list[list[str]], columns: tuple[str, ...],
+                   width: int) -> FeatureTable:
+    """The table of ``records``, parsed column by column. Raises ValueError,
+    OverflowError or KeyError if any record is malformed."""
+    n = len(records)
+    if any(len(record) != width for record in records):
+        raise ValueError("records of different widths")
+    fields = list(zip(*records)) if records else [()] * width
+    values = _arrays({c: [_COLUMN_DEFAULTS[c]] * n for c in FEATURE_COLUMNS if c not in columns})
+    absent = {c: np.ones(n, dtype=bool) for c in _STABILITY_COLUMNS}
+    for name, texts in zip(columns, fields):
+        if name == "d_topic":
+            values[name] = list(texts)
+        elif name in _INT_COLUMNS:
+            values[name] = np.array(list(map(int, texts)), dtype=np.int64)
+        elif name in _STABILITY_COLUMNS:
+            absent[name] = np.array([t == "" for t in texts], dtype=bool)
+            values[name] = np.array([float(t) if t else np.nan for t in texts], dtype=np.float64)
+        else:
+            values[name] = np.array(list(map(float, texts)), dtype=np.float64)
+    labels = [_LABELS[t] for t in fields[-1]]
+    _check_rows(values, absent)
+    return FeatureTable._of(values, labels)
+
+
+def _record_problem(record: list[str], columns: tuple[str, ...], width: int) -> str | None:
+    """Why one record is not a feature row, or None: the first of its fields
+    that fails to parse, else its label, else the first row rule it breaks."""
+    if len(record) != width:
+        return f"expected {width} fields, got {len(record)}"
+    values = dict(_COLUMN_DEFAULTS)
+    try:
+        for column, text in zip(columns, record):
+            if column == "d_topic":
+                values[column] = text
+            elif text == "":
+                if column not in _OPTIONAL_COLUMNS:
+                    raise ValueError(f"column {column} cannot be empty")
+                values[column] = None
+            elif column in _INT_COLUMNS:
+                values[column] = int(text)
+                if values[column] not in _INT64_RANGE:
+                    raise ValueError(f"column {column} value outside the int64 range")
+            else:
+                values[column] = float(text)
+        if record[-1]:
+            Label(record[-1])
+    except ValueError as exc:
+        return str(exc)
+    return _row_problem(*(values[c] for c in _RULE_COLUMNS))

@@ -69,7 +69,7 @@ def encode_table(
     columns: Sequence[str],
     categories: Mapping[str, tuple[str, ...]],
 ) -> np.ndarray:
-    """Encode rows in column order; missing numerics become NaN and unseen
+    """Encode the columns in order; missing numerics become NaN and unseen
     categories code -1."""
     x = np.empty((len(table), len(columns)), dtype=np.float64)
     for j, name in enumerate(columns):
@@ -78,7 +78,7 @@ def encode_table(
             code = {v: i for i, v in enumerate(categories.get(name, ()))}
             x[:, j] = [code.get(v, -1) for v in values]
         else:
-            x[:, j] = [np.nan if v is None else float(v) for v in values]
+            x[:, j] = values
     return x
 
 

@@ -76,9 +76,10 @@ class _Model:
     def predict_codes(self, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(x), axis=1)
 
-    def predict_table(self, table: FeatureTable) -> list[tuple[Label, np.ndarray]]:
+    def predict_table(self, table: FeatureTable) -> tuple[list[Label], np.ndarray]:
+        """Each row's label and the (rows x classes) probability matrix."""
         probs = self.predict_proba(self.encode(table))
-        return [(CLASS_ORDER[int(np.argmax(p))], p) for p in probs]
+        return [CLASS_ORDER[c] for c in np.argmax(probs, axis=1).tolist()], probs
 
 
 def predict(model: _Model, row) -> tuple[Label, np.ndarray]:
@@ -320,8 +321,10 @@ def _grow_tree(x, y, cat_sizes, rng=None, max_features=None) -> _Tree:
     # Splits proceed while the node is impure and any usable candidate
     # exists, even at zero gain (parity splits like XOR have zero root gain
     # but become separable one level down). Children are strictly smaller,
-    # so growth terminates, unless a midpoint rounds up to the node's largest
-    # value (two adjacent floats) and sends every row left. Iterative to keep
+    # so growth terminates. A midpoint can round up to the node's largest
+    # value (two adjacent floats) or overflow to +-inf and send every row to
+    # one side; without feature draws that node would split so forever, so it
+    # becomes a leaf, while a forest's child draws again. Iterative to keep
     # deep trees off the Python recursion limit; a node is numbered when it
     # is popped, so a child's number is always greater than its parent's,
     # and the forest's feature draws follow that depth-first pop order.
@@ -367,9 +370,15 @@ def _grow_tree(x, y, cat_sizes, rng=None, max_features=None) -> _Tree:
         rows = pos[0]
         col = xt[feature[node], rows]
         mask = (col == category[node]) if category[node] >= 0 else (col <= threshold[node])
-        if np.count_nonzero(mask) != left_counts.sum():
-            # the midpoint of two adjacent floats rounded up to the upper
-            # one, so the split sends more rows left than the cut counted
+        n_left = np.count_nonzero(mask)
+        if n_left != left_counts.sum():
+            # the midpoint of two adjacent floats rounded up to the upper one,
+            # or overflowed to +-inf, so the split does not send left the
+            # rows the cut counted
+            if not draw and n_left in (0, rows.size):
+                # every row goes one way: a child would be this node again
+                feature[node], threshold[node], category[node] = -1, 0.0, -1
+                continue
             left_counts = np.bincount(y[rows[mask]], minlength=N_CLASSES).astype(np.float64)
             left_h = right_h = None
         gain[node] = max(split_gain, 0.0)

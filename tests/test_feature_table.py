@@ -1,0 +1,276 @@
+"""The columnar feature table: bit-level details of imputation and writing,
+the first-error rule of the reader, and hostile round trips."""
+
+import csv
+import logging
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from eldiff.cli import EXIT_ERROR, main
+from eldiff.consensus import Label
+from eldiff.errors import MalformedRecordError
+from eldiff.features import (
+    FEATURE_COLUMNS,
+    FeatureSchema,
+    FeatureTable,
+    FeatureVector,
+    read_table,
+)
+
+INT_COLUMNS = {"m_len", "m_words", "m_freq", "m_df", "m_cand", "m_sent",
+               "d_words", "d_ents", "t_age", "t_df"}
+OPTIONAL_COLUMNS = {"t_j_min", "t_j_max", "t_j_avg", "d_topic"}
+DEFAULTS = {
+    "m_len": 0, "m_words": 0, "m_freq": 0, "m_df": 0, "m_cand": 0, "m_pos": 0.0,
+    "m_sent": 0, "d_words": 0, "d_topic": "", "d_ents": 0, "t_age": 0, "t_df": 0,
+    "t_j_min": None, "t_j_max": None, "t_j_avg": None,
+}
+
+
+def rowwise_read_errors(path):
+    """The row-at-a-time reader the columnar one replaced, as the oracle for
+    error messages and line numbers: one FeatureVector per record."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        columns = tuple(header[:-1])
+        for lineno, record in enumerate(reader, start=2):
+            if len(record) != len(header):
+                raise MalformedRecordError(lineno, f"expected {len(header)} fields, got {len(record)}")
+            values = dict(DEFAULTS)
+            try:
+                for column, text in zip(columns, record):
+                    if column == "d_topic":
+                        values[column] = text
+                    elif text == "":
+                        if column not in OPTIONAL_COLUMNS:
+                            raise ValueError(f"column {column} cannot be empty")
+                        values[column] = None
+                    elif column in INT_COLUMNS:
+                        values[column] = int(text)
+                    else:
+                        values[column] = float(text)
+                label_text = record[-1]
+                values["label"] = Label(label_text) if label_text else None
+                FeatureVector(**values)
+            except ValueError as exc:
+                raise MalformedRecordError(lineno, str(exc)) from None
+
+
+def _fv(**overrides):
+    base = dict(
+        m_len=5, m_words=1, m_freq=1, m_df=1, m_cand=2, m_pos=0.1, m_sent=20,
+        d_words=50, d_topic="SPORTS", d_ents=3, t_age=16, t_df=1,
+        t_j_min=0.2, t_j_max=0.6, t_j_avg=0.4, label=Label.EASY,
+    )
+    base.update(overrides)
+    return FeatureVector(**base)
+
+
+GOOD = "5,1,1,1,2,0.1,20,50,SPORTS,3,16,1,0.2,0.6,0.4,EASY"
+HEADER = ",".join(FEATURE_COLUMNS) + ",label"
+
+
+def _with(**changes):
+    fields = dict(zip(FEATURE_COLUMNS + ("label",), GOOD.split(",")))
+    fields.update(changes)
+    return ",".join(fields[c] for c in FEATURE_COLUMNS + ("label",))
+
+
+BAD_LINES = {
+    "fields": "1,2,3",
+    "empty int": _with(m_freq=""),
+    "bad int": _with(m_df="3.5"),
+    "bad float": _with(m_pos="x"),
+    "empty m_pos": _with(m_pos=""),
+    "bad label": _with(label="HARDER"),
+    "words over len": _with(m_words="9", m_len="3"),
+    "m_pos one": _with(m_pos="1.0"),
+    "m_pos nan": _with(m_pos="nan"),
+    "partial triple": _with(t_j_max=""),
+    "unordered triple": _with(t_j_min="0.9"),
+    "nan triple": _with(t_j_min="nan", t_j_max="nan", t_j_avg="nan"),
+}
+
+
+class TestReadErrors:
+    @pytest.mark.parametrize("kind", sorted(BAD_LINES))
+    def test_message_and_line_match_the_rowwise_reader(self, tmp_path, kind):
+        path = tmp_path / "f.csv"
+        path.write_text("\n".join([HEADER, GOOD, GOOD, BAD_LINES[kind], GOOD]) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(MalformedRecordError) as expected:
+            rowwise_read_errors(path)
+        with pytest.raises(MalformedRecordError) as got:
+            read_table(path)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith("line 4: ")
+
+    @pytest.mark.parametrize("first", sorted(BAD_LINES))
+    @pytest.mark.parametrize("second", ["fields", "bad int", "partial triple", "words over len"])
+    def test_earliest_bad_line_wins(self, tmp_path, first, second):
+        path = tmp_path / "f.csv"
+        path.write_text("\n".join([HEADER, GOOD, BAD_LINES[first], GOOD, BAD_LINES[second]])
+                        + "\n", encoding="utf-8")
+        with pytest.raises(MalformedRecordError) as expected:
+            rowwise_read_errors(path)
+        with pytest.raises(MalformedRecordError) as got:
+            read_table(path)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith("line 3: ")
+
+    def test_reduced_table_checks_rules_against_defaults(self, tmp_path):
+        # absent m_len defaults to 0, so m_words 2 breaks m_words <= m_len
+        path = tmp_path / "f.csv"
+        path.write_text("m_words,label\n0,EASY\n2,HARD\n", encoding="utf-8")
+        with pytest.raises(MalformedRecordError, match="line 3: m_words cannot exceed m_len"):
+            read_table(path)
+
+    def test_empty_table(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text(HEADER + "\n", encoding="utf-8")
+        schema, table = read_table(path)
+        assert schema.columns == FEATURE_COLUMNS
+        assert len(table) == 0 and list(table) == [] and table.masks == []
+
+
+class TestImputeBits:
+    def test_mean_adds_python_floats_in_row_order(self):
+        values = [0.96, 0.72, 0.54, 0.28, 0.16, 0.97, 0.52, 0.12, 0.62, 0.78, 0.61, 0.92]
+        # the pairwise sum in np.mean rounds differently on this column
+        assert np.mean(values) != sum(values) / len(values)
+        rows = [_fv(t_j_min=v, t_j_max=v, t_j_avg=v) for v in values]
+        rows.append(_fv(t_j_min=None, t_j_max=None, t_j_avg=None))
+        filled = FeatureTable(rows).impute("mean")[len(values)]
+        assert filled.t_j_avg == sum(values) / len(values)
+        assert filled.t_j_min == filled.t_j_max == filled.t_j_avg
+
+    def test_nan_constant_breaks_the_row_rules(self):
+        rows = [_fv(), _fv(t_j_min=None, t_j_max=None, t_j_avg=None)]
+        with pytest.raises(ValueError, match="min <= avg <= max"):
+            FeatureTable(rows).impute("constant", constant=math.nan)
+
+    def test_masks_survive_imputation(self):
+        rows = [_fv(d_topic=""), _fv(t_j_min=None, t_j_max=None, t_j_avg=None)]
+        table = FeatureTable(rows).impute("constant", constant=0.5)
+        assert table.masks == [frozenset({"d_topic"}),
+                               frozenset({"t_j_min", "t_j_max", "t_j_avg"})]
+        assert table[0].d_topic == "UNKNOWN" and table[1].t_j_avg == 0.5
+
+
+class TestWriteBits:
+    def test_floats_are_written_as_python_reprs(self, tmp_path):
+        # repr(np.float64(x)) is "np.float64(x)" on numpy 2, not repr(x)
+        m_pos = 0.1 + 0.2
+        path = tmp_path / "f.csv"
+        FeatureTable([_fv(m_pos=m_pos, t_j_min=1 / 3, t_j_max=2 / 3, t_j_avg=0.5)]).write_csv(path)
+        record = path.read_text(encoding="utf-8").splitlines()[1].split(",")
+        assert record[5] == repr(m_pos) == "0.30000000000000004"
+        assert record[12:15] == [repr(1 / 3), repr(2 / 3), "0.5"]
+
+    def test_imputed_table_writes_its_fills(self, tmp_path):
+        path = tmp_path / "f.csv"
+        rows = [_fv(), _fv(t_j_min=None, t_j_max=None, t_j_avg=None, d_topic="")]
+        FeatureTable(rows).impute("mean").write_csv(path)
+        record = path.read_text(encoding="utf-8").splitlines()[2].split(",")
+        assert record[8] == "UNKNOWN" and record[12:15] == ["0.2", "0.6", "0.4"]
+
+
+# --- hostile round trips ---------------------------------------------------------
+
+PRESETS = {
+    "all": FeatureSchema.all(),
+    "candidate_count": FeatureSchema.candidate_count(),
+    "mention_length": FeatureSchema.mention_length(),
+    "without_temporal": FeatureSchema.without_temporal(),
+    "simulation": FeatureSchema.simulation_preset(),
+}
+
+topics = st.one_of(
+    st.just(""),
+    st.sampled_from(["1984", "007", "Washington,_D.C.", 'say "hi"', "a,b\"c", "\U0001F600x",
+                     "\U00010348", " padded ", "a\rb", "a\nb", "a\r\nb"]),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",))),
+)
+unit = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+counts = st.integers(min_value=0, max_value=2 ** 40)
+
+
+@st.composite
+def feature_rows(draw):
+    m_len = draw(st.integers(min_value=0, max_value=10 ** 6))
+    triple = draw(st.one_of(st.none(), st.lists(st.floats(min_value=0.0, max_value=1.0),
+                                                min_size=3, max_size=3)))
+    lo, avg, hi = sorted(triple) if triple else (None, None, None)
+    return FeatureVector(
+        m_len=m_len, m_words=draw(st.integers(min_value=0, max_value=m_len)),
+        m_freq=draw(counts), m_df=draw(counts), m_cand=draw(counts), m_pos=draw(unit),
+        m_sent=draw(counts), d_words=draw(counts), d_topic=draw(topics), d_ents=draw(counts),
+        t_age=draw(st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1)), t_df=draw(counts),
+        t_j_min=lo, t_j_max=hi, t_j_avg=avg,
+        label=draw(st.one_of(st.none(), st.sampled_from(list(Label)))),
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(feature_rows(), max_size=8), preset=st.sampled_from(sorted(PRESETS)))
+def test_write_read_roundtrip(tmp_path, rows, preset):
+    columns = PRESETS[preset].columns
+    path = tmp_path / f"{preset}.csv"
+    FeatureTable(rows).write_csv(path, columns=columns)
+    schema, table = read_table(path)
+    assert schema.columns == columns
+    assert table.labels() == [row.label for row in rows]
+    for column in columns:
+        assert [getattr(r, column) for r in table] == [getattr(r, column) for r in rows]
+    if columns == FEATURE_COLUMNS:
+        assert list(table) == rows
+        assert table.masks == FeatureTable(rows).masks
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(value=st.one_of(st.integers(max_value=-(2 ** 63) - 1), st.integers(min_value=2 ** 63),
+                       st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1)),
+       column=st.sampled_from(sorted(INT_COLUMNS - {"m_len", "m_words"})),
+       line=st.integers(min_value=0, max_value=3))
+def test_int_outside_int64_reads_back_or_fails_with_its_line(tmp_path, value, column, line):
+    records = [GOOD] * 4
+    records[line] = _with(**{column: str(value)})
+    path = tmp_path / "f.csv"
+    path.write_text("\n".join([HEADER, *records]) + "\n", encoding="utf-8")
+    try:
+        _, table = read_table(path)
+    except MalformedRecordError as exc:
+        assert not -(2 ** 63) <= value < 2 ** 63
+        assert str(exc) == f"line {line + 2}: column {column} value outside the int64 range"
+    else:
+        assert getattr(table[line], column) == value
+
+
+def test_cli_names_the_line_of_an_int_beyond_float_range(tmp_path, caplog):
+    # such a count once reached the encoder, whose float() raised OverflowError
+    path = tmp_path / "f.csv"
+    path.write_text(f"m_len,m_cand,label\n3,1,EASY\n4,1{'0' * 400},HARD\n5,2,HARD\n",
+                    encoding="utf-8")
+    with caplog.at_level(logging.ERROR, logger="eldiff"):
+        status = main(["train", "--features", str(path), "--variant", "decision_tree",
+                       "--out", str(tmp_path)])
+    assert status == EXIT_ERROR
+    assert "line 3: column m_cand value outside the int64 range" in caplog.text
+
+
+def test_lone_carriage_return_in_a_topic_roundtrips(tmp_path):
+    # csv quotes a field holding "\n" but not one holding only "\r"
+    rows = [_fv(d_topic="a\rb"), _fv(d_topic="plain", label=None)]
+    path = tmp_path / "f.csv"
+    FeatureTable(rows).write_csv(path)
+    assert list(read_table(path)[1]) == rows
+    plain = tmp_path / "plain.csv"
+    FeatureTable([_fv(d_topic="a\nb")]).write_csv(plain)
+    assert plain.read_text(encoding="utf-8").splitlines()[1].startswith("5,1,")

@@ -2,7 +2,11 @@
 deep trees, and the refusal of corrupt model files."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,9 @@ from eldiff.learn.analysis import mdi
 from eldiff.learn.dataset import N_CLASSES, Dataset
 from eldiff.learn.models import _entropy, _grow_tree, load_model, save_model, train
 from eldiff.rand import derive_seed
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def make_dataset(x, y, categories=None):
@@ -407,6 +414,33 @@ class TestPresortedGrowth:
     def test_deep_chain(self):
         x, y = deep_chain()
         assert tree_depth(grow_like_node_trees(x, y)) == 1199
+
+
+class TestDegenerateSplits:
+    """A midpoint that rounds up to a node's largest value, or overflows to
+    +-inf, sends every row to one side; growth without feature draws must
+    end there with a leaf. Each case runs in a subprocess under a timeout,
+    because before the fix growth never returned."""
+
+    GROW = (
+        "import sys, numpy as np\n"
+        "from eldiff.learn.models import _grow_tree\n"
+        "x = np.array(eval(sys.argv[1]), dtype=np.float64)[:, None]\n"
+        "tree = _grow_tree(x, np.array(eval(sys.argv[2])), {})\n"
+        "print(tree.feature.tolist(), tree.counts.tolist())\n"
+    )
+
+    @pytest.mark.parametrize("values, labels", [
+        ("[0.0, np.nextafter(1.0, 2.0), np.nextafter(np.nextafter(1.0, 2.0), 2.0)]", "[0, 0, 1]"),
+        ("[0.0, 1.7e308, 1.79e308]", "[0, 0, 1]"),
+        ("[-1.79e308, -1.7e308, 0.0]", "[1, 0, 0]"),
+    ])
+    def test_growth_ends_with_a_leaf(self, values, labels):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", self.GROW, values, labels], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[-1] [[2.0, 1.0, 0.0]]\n"
 
 
 # --- the model file -------------------------------------------------------------
