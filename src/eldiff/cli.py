@@ -24,9 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import consensus, embeddings, simulate, synth
-from .consensus import AlignPolicy, Label, align, class_distribution, label_all
+from .consensus import LABEL_OF_VALUE, AlignPolicy, Label, align, class_distribution, label_all
 from .corpus import GeneratorConfig, load_corpus
-from .errors import AllMissingError, EldiffError
+from .errors import AllMissingError, EldiffError, MalformedRecordError
 from .features import (
     FEATURE_COLUMNS,
     TEMPORAL_COLUMNS,
@@ -444,8 +444,15 @@ def _read_predictions(path: str) -> dict[simulate.MentionKey, Label]:
             fields = line.split("\t")
             if len(fields) < 4:
                 raise CliError(f"predictions line {lineno}: expected at least 4 fields")
-            doc_id, offset, surface, label = fields[:4]
-            predictions[(doc_id, int(offset), surface)] = Label(label)
+            doc_id, offset_str, surface, label_str = fields[:4]
+            try:
+                offset = int(offset_str)
+            except ValueError:
+                raise MalformedRecordError(lineno, f"bad offset {offset_str!r}") from None
+            lbl = LABEL_OF_VALUE.get(label_str)
+            if lbl is None:
+                raise MalformedRecordError(lineno, f"bad label {label_str!r}")
+            predictions[(doc_id, offset, surface)] = lbl
     return predictions
 
 
@@ -466,15 +473,16 @@ def cmd_simulate(args) -> int:
     if len(systems) != n_systems:
         raise CliError(f"{n_systems} systems in the labels file but {len(systems)} names given")
 
-    labels_map = {lm.key: lm.label for lm in labelled}
+    keys = [lm.key for lm in labelled]
+    labels_map = {key: lm.label for key, lm in zip(keys, labelled)}
     choices = {
-        system: {lm.key: lm.mention.entities[i] for lm in labelled}
+        system: {key: lm.mention.entities[i] for key, lm in zip(keys, labelled)}
         for i, system in enumerate(systems)
     }
     cand_counts = None
     if args.candidates:
         dictionary = load_candidate_dictionary(args.candidates)
-        cand_counts = {lm.key: dictionary.count(lm.mention.surface) for lm in labelled}
+        cand_counts = {key: dictionary.count(key[2]) for key in keys}
     predictions = _read_predictions(args.predictions) if args.predictions else None
 
     pool = sorted(k for k in labels_map if k in gold)
@@ -595,7 +603,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", parents=[common], help="predict difficulty for feature rows")
     p.add_argument("--model", help="trained model file")
     p.add_argument("--features", help="feature table (CSV)")
-    p.add_argument("--mentions", help="labels file supplying mention keys, row-aligned")
+    p.add_argument("--mentions",
+                   help="labels file supplying mention keys, row-aligned; without it the rows "
+                        "carry placeholder keys ('-', row, '-') that simulate refuses")
     p.add_argument("--impute", choices=["mean", "constant"])
     p.add_argument("--impute-value", dest="impute_value", type=float)
     p.set_defaults(func=cmd_predict)

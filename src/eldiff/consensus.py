@@ -10,11 +10,11 @@ all-distinct / all-equal / two-of-three split.
 from __future__ import annotations
 
 import logging
-from collections import Counter
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .corpus import Corpus
 from .errors import MalformedRecordError
@@ -37,6 +37,8 @@ class Label(Enum):
 #: and argmax tie-breaking.
 CLASS_ORDER: tuple[Label, Label, Label] = (Label.HARD, Label.MEDIUM, Label.EASY)
 CLASS_INDEX: Mapping[Label, int] = {label: i for i, label in enumerate(CLASS_ORDER)}
+#: Label by its text, the lookup every reader uses instead of ``Label(text)``.
+LABEL_OF_VALUE: Mapping[str, Label] = {label.value: label for label in Label}
 
 
 class AlignPolicy(Enum):
@@ -46,48 +48,47 @@ class AlignPolicy(Enum):
     OVERLAP = "overlap"
 
 
-@dataclass(frozen=True)
-class SystemAnnotation:
-    """One entity link emitted by one system: (document, surface, position, entity)."""
+class SystemAnnotation(namedtuple("SystemAnnotation", "system_id doc_id surface offset entity_id")):
+    """One entity link emitted by one system: (document, surface, position, entity).
 
-    system_id: str
-    doc_id: str
-    surface: str
-    offset: int
-    entity_id: str
+    An immutable tuple ``(system_id, doc_id, surface, offset, entity_id)``.
+    """
 
-    def __post_init__(self):
-        if self.offset < 0:
-            raise ValueError(f"negative offset {self.offset} in {self.doc_id!r}")
-        if not self.entity_id:
-            raise ValueError(f"empty entity id at {self.doc_id!r}:{self.offset}")
+    __slots__ = ()
+
+    def __new__(cls, system_id: str, doc_id: str, surface: str, offset: int, entity_id: str):
+        if offset < 0:
+            raise ValueError(f"negative offset {offset} in {doc_id!r}")
+        if not entity_id:
+            raise ValueError(f"empty entity id at {doc_id!r}:{offset}")
+        return tuple.__new__(cls, (system_id, doc_id, surface, offset, entity_id))
 
     @property
     def span(self) -> tuple[int, int]:
         return self.offset, self.offset + len(self.surface)
 
 
-@dataclass(frozen=True)
-class AlignedMention:
-    """A mention recognised by all systems, with one entity per system."""
+class AlignedMention(namedtuple("AlignedMention", "doc_id surface offset entities")):
+    """A mention recognised by all systems, with one entity per system.
 
-    doc_id: str
-    surface: str
-    offset: int
-    entities: tuple[str, ...]
+    An immutable tuple ``(doc_id, surface, offset, entities)``.
+    """
 
-    def __post_init__(self):
-        if len(self.entities) < 2:
+    __slots__ = ()
+
+    def __new__(cls, doc_id: str, surface: str, offset: int, entities: tuple[str, ...]):
+        if len(entities) < 2:
             raise ValueError("an aligned mention needs entities from at least 2 systems")
+        return tuple.__new__(cls, (doc_id, surface, offset, entities))
 
     @property
     def key(self) -> tuple[str, int, str]:
         return self.doc_id, self.offset, self.surface
 
 
-@dataclass(frozen=True)
-class LabelledMention:
-    """An aligned mention together with its difficulty label."""
+class LabelledMention(NamedTuple):
+    """An aligned mention together with its difficulty label: an immutable
+    tuple ``(mention, label)``."""
 
     mention: AlignedMention
     label: Label
@@ -303,11 +304,16 @@ def align(
 
 def label(mention: AlignedMention) -> Label:
     """Difficulty from the largest agreement group among the systems' entities:
-    size 1 -> HARD, size n -> EASY, otherwise MEDIUM."""
-    top = max(Counter(mention.entities).values())
-    if top == len(mention.entities):
+    size 1 -> HARD, size n -> EASY, otherwise MEDIUM.
+
+    The largest group has size n exactly when there is one distinct entity,
+    and size 1 exactly when all n are distinct, so the distinct count decides.
+    """
+    entities = mention.entities
+    distinct = len(set(entities))
+    if distinct == 1:
         return Label.EASY
-    if top == 1:
+    if distinct == len(entities):
         return Label.HARD
     return Label.MEDIUM
 
@@ -357,13 +363,11 @@ def read_labels(path: str | Path) -> list[LabelledMention]:
                 offset = int(offset_str)
             except ValueError:
                 raise MalformedRecordError(lineno, f"bad offset {offset_str!r}") from None
+            lbl = LABEL_OF_VALUE.get(label_str)
+            if lbl is None:
+                raise MalformedRecordError(lineno, f"bad label {label_str!r}")
             try:
-                lbl = Label(label_str)
-            except ValueError:
-                raise MalformedRecordError(lineno, f"bad label {label_str!r}") from None
-            entities = tuple(entities_str.split(","))
-            try:
-                mention = AlignedMention(doc_id, surface, offset, entities)
+                mention = AlignedMention(doc_id, surface, offset, tuple(entities_str.split(",")))
             except ValueError as exc:
                 raise MalformedRecordError(lineno, str(exc)) from None
             labelled.append(LabelledMention(mention, lbl))

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .consensus import AlignedMention, Label, LabelledMention, SystemAnnotation
+from .consensus import LABEL_OF_VALUE, AlignedMention, Label, LabelledMention, SystemAnnotation
 from .corpus import (
     Corpus,
     Document,
@@ -185,7 +185,10 @@ class CandidateDictionary:
 def load_candidate_dictionary(path: str | Path) -> CandidateDictionary:
     """Read ``surface<TAB>count`` or ``surface<TAB>e1,e2,...`` lines.
 
-    Duplicate surfaces merge by max count (or candidate-set union).
+    A payload of decimal digits (``str.isdecimal``) is a count; any other
+    payload is a list of entity ids, so a single all-digit id is written
+    with a trailing comma (``1984,`` reads as the set {1984}). Duplicate
+    surfaces merge by max count (or candidate-set union).
     """
     counts: dict[str, int] = {}
     sets: dict[str, frozenset[str]] = {}
@@ -198,7 +201,7 @@ def load_candidate_dictionary(path: str | Path) -> CandidateDictionary:
             if len(fields) != 2 or not fields[0]:
                 raise MalformedRecordError(lineno, "expected 'surface<TAB>count' or 'surface<TAB>e1,e2,...'")
             surface, payload = fields
-            if payload.isdigit():
+            if payload.isdecimal():
                 count = int(payload)
                 if count < 1:
                     raise MalformedRecordError(lineno, f"candidate count must be >= 1, got {count}")
@@ -350,7 +353,7 @@ class FeatureExtractor:
 _STABILITY_COLUMNS = ("t_j_min", "t_j_max", "t_j_avg")
 #: The arguments of ``_row_problem``, in order.
 _RULE_COLUMNS = ("m_len", "m_words", "m_pos", *_STABILITY_COLUMNS)
-_LABELS: dict[str, Label | None] = {"": None, **{lbl.value: lbl for lbl in Label}}
+_LABELS: dict[str, Label | None] = {"": None, **LABEL_OF_VALUE}
 
 
 class FeatureTable:

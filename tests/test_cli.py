@@ -339,6 +339,25 @@ class TestSimulate:
                    "--out", tmp_path / "accepted") == EXIT_OK
 
 
+class TestPredictionsFile:
+    @pytest.mark.parametrize("bad, message", [
+        ("d1\tzz\tParis\tEASY", "line 2: bad offset 'zz'"),
+        ("d1\t0\tParis\tHARDX", "line 2: bad label 'HARDX'"),
+    ])
+    def test_bad_value_is_error_exit_naming_its_line(self, tmp_path, caplog, bad, message):
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("d1\t0\tParis\tHARD\tE1,E2,E3\n", encoding="utf-8")
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("d1\t0\tParis\tE1\n", encoding="utf-8")
+        predictions = tmp_path / "predictions.tsv"
+        predictions.write_text(f"d1\t0\tParis\tHARD\t1\t0\t0\n{bad}\n", encoding="utf-8")
+        status = run("simulate", "--labels", labels, "--gold", gold, "--predictions", predictions,
+                     "--budgets", "1", "--repetitions", 1, "--out", tmp_path / "out")
+        assert status == EXIT_ERROR
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] == [message]
+        assert not (tmp_path / "out" / "simulation.tsv").exists()
+
+
 class TestEmbeddingFailure:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_training_is_error_exit(

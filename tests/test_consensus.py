@@ -2,6 +2,7 @@
 
 import itertools
 import logging
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -173,6 +174,18 @@ class TestLabel:
             assert label(AlignedMention("d", "m", 0, triple)) is label(
                 AlignedMention("d", "m", 0, renamed)
             )
+
+    def test_distinct_count_matches_the_largest_group_rule(self):
+        def by_largest_group(entities):
+            top = max(Counter(entities).values())
+            if top == len(entities):
+                return Label.EASY
+            return Label.HARD if top == 1 else Label.MEDIUM
+
+        for n in range(2, 6):
+            for entities in itertools.product("abcde"[:n], repeat=n):
+                mention = AlignedMention("d", "m", 0, entities)
+                assert label(mention) is by_largest_group(entities)
 
     def test_partition_property(self):
         # every mention gets exactly one label; the three sets partition the input

@@ -104,6 +104,22 @@ class TestCandidateDictionary:
         with pytest.raises(MalformedRecordError, match="line 1"):
             load_candidate_dictionary(path)
 
+    def test_only_decimal_digits_make_a_count(self, tmp_path):
+        # "²" passes str.isdigit() but not str.isdecimal(); it failed in int()
+        path = tmp_path / "cand.tsv"
+        path.write_text("X\t²\nY\t١٢\nZ\t12\n", encoding="utf-8")
+        d = load_candidate_dictionary(path)
+        assert d.candidates("X") == frozenset({"²"}) and d.count("X") == 1
+        assert d.count("Y") == 12 and d.candidates("Y") == frozenset()
+        assert d.count("Z") == 12 and d.candidates("Z") == frozenset()
+
+    def test_single_all_digit_id_takes_a_trailing_comma(self, tmp_path):
+        path = tmp_path / "cand.tsv"
+        path.write_text("Orwell\t1984,\nYear\t1984\n", encoding="utf-8")
+        d = load_candidate_dictionary(path)
+        assert d.candidates("Orwell") == frozenset({"1984"}) and d.count("Orwell") == 1
+        assert d.count("Year") == 1984
+
 
 class TestStabilityWord:
     def test_longest_word(self):
