@@ -443,7 +443,7 @@ def _read_predictions(path: str) -> dict[simulate.MentionKey, Label]:
                 continue
             fields = line.split("\t")
             if len(fields) < 4:
-                raise CliError(f"predictions line {lineno}: expected at least 4 fields")
+                raise MalformedRecordError(lineno, "expected at least 4 fields")
             doc_id, offset_str, surface, label_str = fields[:4]
             try:
                 offset = int(offset_str)

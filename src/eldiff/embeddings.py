@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -76,16 +77,15 @@ class EmbeddingModel:
 
 
 def _sigmoid(x):
-    # branch on sign so exp never overflows; a scalar skips the array selects
-    if np.ndim(x) == 0:
+    # exp of -|x| never overflows; a scalar skips the array selects
+    if not isinstance(x, np.ndarray):
         if x >= 0:
             return 1.0 / (1.0 + np.exp(-x))
         exp = np.exp(x)
         return exp / (1.0 + exp)
-    x = np.asarray(x)
-    positive = x >= 0
-    exp = np.exp(np.where(positive, -x, x))
-    return np.where(positive, 1.0, exp) / (1.0 + exp)
+    # np.minimum keeps a NaN's sign bit, which np.abs would clear
+    exp = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0, exp) / (1.0 + exp)
 
 
 def _sgns_gradients(center_vec, context_vec, negative_vecs):
@@ -166,31 +166,47 @@ def train_skipgram(docs: Iterable[Document], params: EmbeddingParams,
     lr0 = params.initial_learning_rate
     lr_floor = params.min_learning_rate
     window = params.window
+    n_neg = params.negatives
     step = 0
     for _ in range(params.epochs):
         for sent in encoded:
             length = len(sent)
             bounds = [(max(0, i - window), min(length, i + window + 1)) for i in range(length)]
-            n_pairs = sum(hi - lo - 1 for lo, hi in bounds)
-            draws = iter(np.searchsorted(noise_cdf, rng.random(n_pairs * params.negatives))
-                         .reshape(n_pairs, params.negatives))
-            for i, (center, (lo, hi)) in enumerate(zip(sent, bounds)):
-                lr = max(lr_floor, lr0 * (1.0 - step / total_steps))
+            contexts = [sent[j] for i, (lo, hi) in enumerate(bounds)
+                        for j in range(lo, hi) if j != i]
+            draws = np.searchsorted(noise_cdf, rng.random(len(contexts) * n_neg)
+                                    ).reshape(len(contexts), n_neg)
+            # a pair's negatives are its draws minus those equal to its context
+            hit = draws == np.array(contexts, dtype=draws.dtype)[:, None]
+            negatives_of = list(draws)
+            for pair in np.flatnonzero(hit.any(axis=1)).tolist():
+                negatives_of[pair] = negatives_of[pair][~hit[pair]]
+            # draws that repeat in a row (context draws too, which is only
+            # cautious) send the pair to np.subtract.at
+            ordered = np.sort(draws, axis=1)
+            repeated = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1).tolist()
+            pairs = zip(contexts, negatives_of, repeated)
+            for center, (lo, hi) in zip(sent, bounds):
+                # float32 multiplies exactly as the Python float would
+                lr = np.float32(max(lr_floor, lr0 * (1.0 - step / total_steps)))
                 step += 1
                 center_vec = center_vecs[center]
-                for j in range(lo, hi):
-                    if j == i:
-                        continue
-                    context = sent[j]
-                    pair_draws = next(draws)
-                    negatives = pair_draws[pair_draws != context]
+                for context, negatives, has_repeats in islice(pairs, hi - lo - 1):
                     context_vec = context_vecs[context]
+                    negative_vecs = context_vecs.take(negatives, axis=0)
                     g_center, g_context, g_neg = _sgns_gradients(
-                        center_vec, context_vec, context_vecs[negatives]
+                        center_vec, context_vec, negative_vecs
                     )
                     center_vec -= lr * g_center
                     context_vec -= lr * g_context
-                    np.subtract.at(context_vecs, negatives, lr * g_neg)
+                    if has_repeats:
+                        np.subtract.at(context_vecs, negatives, lr * g_neg)
+                    else:
+                        # distinct rows other than the context's, in the other
+                        # matrix from the centre: unchanged since the gather,
+                        # so a plain store equals np.subtract.at
+                        negative_vecs -= lr * g_neg
+                        context_vecs[negatives] = negative_vecs
 
     if not np.all(np.isfinite(center_vecs)):
         raise DivergedTrainingError("training produced non-finite vectors; lower the learning rate")
@@ -227,14 +243,17 @@ def train_slice_models(corpus: Corpus, params: EmbeddingParams,
     ]
 
 
-def top_k_similar(model: EmbeddingModel, word: str, k: int) -> tuple[set[str], bool]:
+def top_k_similar(model: EmbeddingModel, word: str, k: int,
+                  matrix: np.ndarray | None = None) -> tuple[set[str], bool]:
     """The k vocabulary words most cosine-similar to ``word`` (query excluded),
     ties broken lexicographically. Returns (words, in_vocab); an
     out-of-vocabulary query yields an empty set, not an error.
 
-    One query is one float64 cast of the matrix and one matrix-vector
-    product; the row norms and word ranks come from the model, and only
-    the words tied at the k-th similarity are sorted.
+    One query is one matrix-vector product in float64; ``matrix`` is
+    ``model.vectors`` already cast to float64, for callers that ask one model
+    many queries, and is cast here when not given. The row norms and word
+    ranks come from the model, and only the words tied at the k-th
+    similarity are sorted.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -244,7 +263,8 @@ def top_k_similar(model: EmbeddingModel, word: str, k: int) -> tuple[set[str], b
     if k >= len(model.words) - 1:
         return {w for i, w in enumerate(model.words) if i != idx}, True
     query = model.vectors[idx].astype(np.float64)
-    matrix = model.vectors.astype(np.float64)
+    if matrix is None:
+        matrix = model.vectors.astype(np.float64)
     qnorm = np.linalg.norm(query)
     denom = model.norms * qnorm
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -280,40 +300,71 @@ class StabilityResult:
     def missing(cls) -> "StabilityResult":
         return cls(None, None, None, False)
 
+    @classmethod
+    def of(cls, values: Sequence[float]) -> "StabilityResult":
+        """Min/max/avg of the consecutive-slice Jaccard similarities, in slice
+        order; missing when there are none."""
+        if not values:
+            return cls.missing()
+        return cls(min(values), max(values), math.fsum(values) / len(values), True)
 
-def stability_from_neighbor_sets(neighbor_sets: Sequence[set[str] | None]) -> StabilityResult:
-    """Aggregate consecutive-pair Jaccard similarities; None marks a slice
-    where the word is out of vocabulary."""
-    values = [
-        jaccard(neighbor_sets[i], neighbor_sets[i + 1])
-        for i in range(len(neighbor_sets) - 1)
-        if neighbor_sets[i] is not None and neighbor_sets[i + 1] is not None
-    ]
-    if not values:
-        return StabilityResult.missing()
-    return StabilityResult(min(values), max(values), math.fsum(values) / len(values), True)
+
+#: Words whose neighbour sets ``stability_all`` holds at once; each further
+#: chunk casts every slice to float64 again.
+STABILITY_CHUNK = 1024
 
 
 def semantic_stability(models: Sequence[EmbeddingModel], word: str, k: int) -> StabilityResult:
     """Stability of ``word`` across chronologically ordered slice models."""
+    return stability_all(models, [word], k)[word]
+
+
+def stability_all(models: Sequence[EmbeddingModel], words: Iterable[str],
+                  k: int) -> dict[str, StabilityResult]:
+    """Stability of every distinct word in ``words`` across chronologically
+    ordered slice models: min/max/avg Jaccard of its top-``k`` neighbour sets
+    in consecutive slices; a slice where the word is out of vocabulary
+    breaks the chain.
+
+    Words go in chunks of ``STABILITY_CHUNK``, and a chunk goes slice by
+    slice: the slice is cast to float64 once for all the chunk's queries (not
+    at all when none of its words is in the vocabulary), and each word keeps
+    only its neighbour set in the previous slice. Memory thus grows by one
+    cast slice and at most ``STABILITY_CHUNK`` neighbour sets.
+    """
     if len(models) < 2:
         raise ValueError("semantic stability needs at least 2 slice models")
-    neighbor_sets: list[set[str] | None] = []
-    for model in models:
-        words, in_vocab = top_k_similar(model, word, k)
-        neighbor_sets.append(words if in_vocab else None)
-    return stability_from_neighbor_sets(neighbor_sets)
+    words = list(dict.fromkeys(words))
+    results: dict[str, StabilityResult] = {}
+    for start in range(0, len(words), STABILITY_CHUNK):
+        chunk = words[start:start + STABILITY_CHUNK]
+        previous: dict[str, set[str] | None] = dict.fromkeys(chunk)
+        values: dict[str, list[float]] = {word: [] for word in chunk}
+        for model in models:
+            matrix = None
+            if any(word in model.vocab for word in chunk):
+                matrix = model.vectors.astype(np.float64)
+            for word in chunk:
+                found, in_vocab = top_k_similar(model, word, k, matrix)
+                current = found if in_vocab else None
+                if current is not None and previous[word] is not None:
+                    values[word].append(jaccard(previous[word], current))
+                previous[word] = current
+            del matrix
+        results.update((word, StabilityResult.of(values[word])) for word in chunk)
+    return results
 
 
 def save_model(model: EmbeddingModel, path: str | Path) -> None:
     """Text persistence: header ``|vocab| dim slice_label``, then one
     ``word v1 ... vdim`` line per word at 9 significant digits (lossless
     for float32)."""
+    dim = model.vectors.shape[1]
+    line = "%s" + " %.9g" * dim + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(model.words)} {model.vectors.shape[1]} {model.slice_label}\n")
+        fh.write(f"{len(model.words)} {dim} {model.slice_label}\n")
         for word, row in zip(model.words, model.vectors):
-            values = " ".join(f"{float(x):.9g}" for x in row)
-            fh.write(f"{word} {values}\n")
+            fh.write(line % (word, *row.tolist()))
 
 
 def load_model(path: str | Path) -> EmbeddingModel:

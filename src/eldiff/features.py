@@ -26,7 +26,7 @@ from .corpus import (
     sentence_containing,
     temporal_document_frequency,
 )
-from .embeddings import EmbeddingModel, StabilityResult, semantic_stability
+from .embeddings import EmbeddingModel, StabilityResult, semantic_stability, stability_all
 from .errors import AllMissingError, MalformedRecordError
 
 #: Canonical column order of the feature table (label column excluded).
@@ -346,7 +346,14 @@ class FeatureExtractor:
 
     def extract_all(self, mentions: Iterable[Mention]) -> "FeatureTable":
         """The feature table of ``mentions``, in order; equal row by row to
-        ``extract``."""
+        ``extract``. The stability of every new mention word is computed
+        first, slice by slice (``stability_all``)."""
+        mentions = list(mentions)
+        if len(self.models) >= 2:
+            words = dict.fromkeys(stability_word(_mention_fields(m)[1]) for m in mentions)
+            new = [word for word in words if word not in self._stability_cache]
+            if new:
+                self._stability_cache.update(stability_all(self.models, new, self.config.top_k))
         return _table_from_rows([self._row(mention) for mention in mentions])
 
 
@@ -609,8 +616,8 @@ def _record_problem(record: list[str], columns: tuple[str, ...], width: int) -> 
                     raise ValueError(f"column {column} value outside the int64 range")
             else:
                 values[column] = float(text)
-        if record[-1]:
-            Label(record[-1])
+        if record[-1] not in _LABELS:
+            raise ValueError(f"bad label {record[-1]!r}")
     except ValueError as exc:
         return str(exc)
     return _row_problem(*(values[c] for c in _RULE_COLUMNS))

@@ -542,6 +542,7 @@ def _tree_from_json(payload: dict, n_columns: int) -> _Tree:
 
 def save_model(model: _Model, path: str | Path) -> None:
     """Versioned, self-describing JSON persistence for every variant."""
+    trees: list[_Tree] = []
     payload: dict = {
         "format": _MODEL_FORMAT,
         "version": _MODEL_VERSION,
@@ -575,15 +576,25 @@ def save_model(model: _Model, path: str | Path) -> None:
             "max_features": model.max_features,
             "bootstrap": model.bootstrap,
             "seed": model.seed,
-            "trees": [_tree_to_json(t) for t in model.trees],
+            "trees": [],  # the last value in the file, written tree by tree
         }
+        trees = model.trees
     elif isinstance(model, DecisionTreeModel):
         payload["decision_tree"] = {"tree": _tree_to_json(model.tree)}
     else:
         raise ValueError(f"cannot save model of type {type(model).__name__}")
+    # json.dumps runs the C encoder, which writes the same text as json.dump's
+    # pure-Python one several times faster but holds all of it in memory at
+    # once; so a forest's trees are encoded one at a time, between the "["
+    # and the "]}}" that end the text of its empty "trees" list
+    text = json.dumps(payload)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        if trees:
+            fh.write(text[:-3])
+            for i, tree in enumerate(trees):
+                fh.write((", " if i else "") + json.dumps(_tree_to_json(tree)))
+            text = text[-3:]
+        fh.write(text + "\n")
 
 
 def load_model(path: str | Path) -> _Model:

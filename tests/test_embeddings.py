@@ -7,10 +7,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from eldiff import embeddings
 from eldiff.corpus import Corpus, Document, GeneratorConfig, generate_synthetic_corpus
 from eldiff.embeddings import (
     EmbeddingModel,
     EmbeddingParams,
+    StabilityResult,
     _sigmoid,
     _tokenize,
     jaccard,
@@ -19,7 +21,7 @@ from eldiff.embeddings import (
     semantic_stability,
     sgns_pair_gradients,
     slice_corpus,
-    stability_from_neighbor_sets,
+    stability_all,
     top_k_similar,
     train_skipgram,
     train_slice_models,
@@ -82,7 +84,7 @@ def _reference_train(docs, params):
     noise = np.array([counts[w] for w in vocab_words], dtype=np.float64) ** 0.75
     noise_cdf = np.cumsum(noise / noise.sum())
     total_steps = max(1, params.epochs * sum(len(s) for s in encoded))
-    step = duplicated_draws = 0
+    step = duplicated_draws = context_draws = 0
     for _ in range(params.epochs):
         for sent in encoded:
             for i, center in enumerate(sent):
@@ -96,13 +98,23 @@ def _reference_train(docs, params):
                     draws = np.searchsorted(noise_cdf, rng.random(params.negatives))
                     negatives = draws[draws != context]
                     duplicated_draws += len(set(negatives.tolist())) < len(negatives)
+                    context_draws += len(negatives) < len(draws)
                     _, g_center, g_context, g_neg = _reference_pair_gradients(
                         center_vecs[center], context_vecs[context], context_vecs[negatives]
                     )
                     center_vecs[center] -= lr * g_center
                     context_vecs[context] -= lr * g_context
                     np.subtract.at(context_vecs, negatives, lr * g_neg)
-    return vocab, center_vecs, duplicated_draws
+    return vocab, center_vecs, duplicated_draws, context_draws
+
+
+def _reference_save(model, path):
+    """The writer that formatted one np.float32 at a time."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{len(model.words)} {model.vectors.shape[1]} {model.slice_label}\n")
+        for word, row in zip(model.words, model.vectors):
+            values = " ".join(f"{float(x):.9g}" for x in row)
+            fh.write(f"{word} {values}\n")
 
 
 def _reference_top_k(model, word, k):
@@ -209,7 +221,7 @@ class TestTrainSkipgram:
         docs.append(Document("short", dt.date(2001, 1, 1), "", "alpha. bravo once alpha."))
         params = EmbeddingParams(dim=dim, window=window, negatives=negatives, epochs=2,
                                  min_count=2, initial_learning_rate=learning_rate, seed=17)
-        vocab, vectors, duplicated_draws = _reference_train(docs, params)
+        vocab, vectors, duplicated_draws, _ = _reference_train(docs, params)
         if not np.isfinite(vectors).all():
             with pytest.raises(DivergedTrainingError):
                 train_skipgram(docs, params)
@@ -217,6 +229,28 @@ class TestTrainSkipgram:
         model = train_skipgram(docs, params)
         assert model.vocab == vocab
         assert model.vectors.tobytes() == vectors.tobytes()
+        if negatives > 1:
+            assert duplicated_draws > 0
+
+    @pytest.mark.parametrize("text,window,negatives,epochs", [
+        # two words: most draws equal the context, and kept draws repeat
+        ("a b a b a b. b a a b. a b", 2, 5, 2),
+        ("a b c a c b. c c a b a. b", 1, 1, 1),
+        # a window longer than every sentence
+        ("a b c. b a. c a b c a. a c", 10, 3, 2),
+        ("a b c a c b. c c a b a. b a b", 3, 4, 3),
+    ])
+    def test_small_vocabulary_equals_per_pair_reference(self, text, window, negatives, epochs):
+        docs = [Document("d", dt.date(2000, 1, 1), "", text)]
+        params = EmbeddingParams(dim=7, window=window, negatives=negatives, epochs=epochs,
+                                 min_count=1, seed=5)
+        vocab, vectors, duplicated_draws, context_draws = _reference_train(docs, params)
+        model = train_skipgram(docs, params)
+        assert model.vocab == vocab
+        assert model.vectors.tobytes() == vectors.tobytes()
+        # draws equal to the context were dropped, and kept draws repeated
+        # (the np.subtract.at branch)
+        assert context_draws > 0
         if negatives > 1:
             assert duplicated_draws > 0
 
@@ -269,7 +303,8 @@ class TestGradients:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_sigmoid_equals_reference(self, dtype):
-        values = np.array([0.0, -0.0, 88.0, -88.0, 1e4, -1e4, np.nan, 0.3, -2.5], dtype=dtype)
+        values = np.array([0.0, -0.0, 88.0, -88.0, 100.0, -100.0, 1e4, -1e4, np.inf, -np.inf,
+                           np.nan, -np.nan, 0.3, -2.5], dtype=dtype)
         for x in [values, values[::-1].copy(), *values]:
             ours, reference = np.asarray(_sigmoid(x)), _reference_sigmoid(x)
             assert ours.dtype == reference.dtype == dtype
@@ -361,11 +396,31 @@ class TestJaccard:
                 assert (jaccard(a, b) == 1.0) == (a == b)
 
 
+def _stability_from_neighbor_sets(neighbor_sets):
+    """Consecutive-pair Jaccard similarities aggregated; None marks a slice
+    where the word is out of vocabulary."""
+    return StabilityResult.of([
+        jaccard(neighbor_sets[i], neighbor_sets[i + 1])
+        for i in range(len(neighbor_sets) - 1)
+        if neighbor_sets[i] is not None and neighbor_sets[i + 1] is not None
+    ])
+
+
+def _reference_stability(models, word, k):
+    """One word's stability from its full list of neighbour sets, one
+    ``top_k_similar`` call (and float64 cast) per slice."""
+    neighbor_sets = []
+    for model in models:
+        words, in_vocab = top_k_similar(model, word, k)
+        neighbor_sets.append(words if in_vocab else None)
+    return _stability_from_neighbor_sets(neighbor_sets)
+
+
 class TestSemanticStability:
     def test_hand_built_sets(self):
         # jaccard({a,b,c},{c,d,e}) = 1/5, jaccard({c,d,e},{c,d,e,f,g}) = 3/5
         sets = [{"a", "b", "c"}, {"c", "d", "e"}, {"c", "d", "e", "f", "g"}]
-        result = stability_from_neighbor_sets(sets)
+        result = _stability_from_neighbor_sets(sets)
         assert result.valid
         assert (result.minimum, result.maximum, result.average) == (0.2, 0.6, 0.4)
 
@@ -386,8 +441,11 @@ class TestSemanticStability:
         assert result.minimum is None
 
     def test_gap_slice_skipped(self):
-        sets = [{"a", "b"}, None, {"a", "b"}]
-        assert not stability_from_neighbor_sets(sets).valid
+        vectors = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0]], dtype=np.float32)
+        present = EmbeddingModel({"q": 0, "x": 1, "y": 2}, vectors, "1990")
+        absent = EmbeddingModel({"z": 0, "x": 1, "y": 2}, vectors, "1991")
+        assert not semantic_stability([present, absent, present], "q", 1).valid
+        assert semantic_stability([present, present, absent], "q", 1).valid
 
     def test_min_avg_max_ordering_property(self):
         rng = np.random.default_rng(8)
@@ -399,7 +457,7 @@ class TestSemanticStability:
                     sets.append(None)
                 else:
                     sets.append({w for w in universe if rng.random() < 0.4})
-            result = stability_from_neighbor_sets(sets)
+            result = _stability_from_neighbor_sets(sets)
             if result.valid:
                 assert result.minimum <= result.average <= result.maximum
 
@@ -408,6 +466,35 @@ class TestSemanticStability:
         model = EmbeddingModel(vocab, np.ones((1, 2), dtype=np.float32), "t")
         with pytest.raises(ValueError):
             semantic_stability([model], "x", 2)
+        with pytest.raises(ValueError):
+            stability_all([model], ["x"], 2)
+
+    def test_stability_all_equals_per_word(self):
+        models = train_slice_models(_cluster_corpus(n_docs=30, seed=4),
+                                    EmbeddingParams(dim=6, epochs=1, min_count=2, seed=3),
+                                    years=2)
+        vocabularies = [set(m.vocab) for m in models]
+        words = sorted(set.union(*vocabularies)) + ["absent", "alpha"]
+        assert len(models) >= 3 and set.union(*vocabularies) != set.intersection(*vocabularies)
+        largest = max(len(m) for m in models)
+        for k in (1, 3, largest - 2, largest - 1, largest + 5):
+            found = stability_all(models, words, k)
+            assert list(found) == list(dict.fromkeys(words))
+            for word in words:
+                expected = _reference_stability(models, word, k)
+                assert found[word] == expected, (word, k)
+                assert semantic_stability(models, word, k) == expected, (word, k)
+        assert stability_all(models, [], 3) == {}
+
+    def test_stability_all_chunks_equal_one_pass(self, monkeypatch):
+        models = train_slice_models(_cluster_corpus(n_docs=30, seed=4),
+                                    EmbeddingParams(dim=6, epochs=1, min_count=2, seed=3),
+                                    years=2)
+        words = sorted(set.union(*(set(m.vocab) for m in models))) + ["absent"]
+        whole = stability_all(models, words, 3)
+        for chunk in (1, 2, 7):
+            monkeypatch.setattr(embeddings, "STABILITY_CHUNK", chunk)
+            assert stability_all(models, words, 3) == whole, chunk
 
 
 class TestPersistence:
@@ -425,6 +512,20 @@ class TestPersistence:
         path2 = tmp_path / "m2.vec"
         save_model(again, path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_bytes_equal_per_value_writer(self, tmp_path):
+        corpus = _cluster_corpus(n_docs=10)
+        trained = train_skipgram(corpus, EmbeddingParams(dim=6, epochs=1, min_count=1, seed=2),
+                                 slice_label="1990-1991")
+        tiny = np.finfo(np.float32).smallest_subnormal
+        extremes = np.array([[0.0, -0.0, tiny, -tiny],
+                             [np.finfo(np.float32).max, np.finfo(np.float32).min, 1e-38, 0.1],
+                             [1 / 3, -2 / 3, 123456789.0, 1.5e-7]], dtype=np.float32)
+        hostile = EmbeddingModel({"%s": 0, "caf\u00e9": 1, "\U0001F600%d": 2}, extremes, "s")
+        for model in (trained, hostile):
+            save_model(model, tmp_path / "new.vec")
+            _reference_save(model, tmp_path / "old.vec")
+            assert (tmp_path / "new.vec").read_bytes() == (tmp_path / "old.vec").read_bytes()
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_value_rejected(self, tmp_path, bad):

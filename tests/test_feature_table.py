@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from eldiff.cli import EXIT_ERROR, main
-from eldiff.consensus import Label
+from eldiff.consensus import LABEL_OF_VALUE, Label
 from eldiff.errors import MalformedRecordError
 from eldiff.features import (
     FEATURE_COLUMNS,
@@ -55,7 +55,9 @@ def rowwise_read_errors(path):
                     else:
                         values[column] = float(text)
                 label_text = record[-1]
-                values["label"] = Label(label_text) if label_text else None
+                if label_text and label_text not in LABEL_OF_VALUE:
+                    raise ValueError(f"bad label {label_text!r}")
+                values["label"] = LABEL_OF_VALUE[label_text] if label_text else None
                 FeatureVector(**values)
             except ValueError as exc:
                 raise MalformedRecordError(lineno, str(exc)) from None
@@ -122,6 +124,13 @@ class TestReadErrors:
             read_table(path)
         assert str(got.value) == str(expected.value)
         assert str(got.value).startswith("line 3: ")
+
+    def test_bad_label_worded_as_the_other_readers(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("\n".join([HEADER, GOOD, BAD_LINES["bad label"]]) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(MalformedRecordError, match=r"^line 3: bad label 'HARDER'$"):
+            read_table(path)
 
     def test_reduced_table_checks_rules_against_defaults(self, tmp_path):
         # absent m_len defaults to 0, so m_words 2 breaks m_words <= m_len

@@ -1,5 +1,6 @@
 """Classifier correctness against independent oracles."""
 
+import io
 import json
 import logging
 import math
@@ -304,6 +305,17 @@ class TestSharedContracts:
         np.testing.assert_allclose(model.predict_proba(query), again.predict_proba(query),
                                    atol=1e-12)
         assert np.array_equal(model.predict_codes(query), again.predict_codes(query))
+
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    def test_file_equals_pure_python_encoder(self, dataset, variant, tmp_path):
+        kwargs = {"n_trees": 5} if variant == "random_forest" else {}
+        path = tmp_path / "model.json"
+        save_model(train(dataset, variant, seed=1, **kwargs), path)
+        text = path.read_text(encoding="utf-8")
+        # json.dump is the writer the file used to come from
+        old = io.StringIO()
+        json.dump(json.loads(text), old)
+        assert text == old.getvalue() + "\n"
 
     def test_truncated_file_is_corrupt(self, dataset, tmp_path):
         model = train(dataset, "gaussian_nb")

@@ -216,9 +216,11 @@ class TestPredictionsOracle:
         path = write_lines(tmp_path / "predictions.tsv", [*lines, "", "d\t1\tx\tEASY"])
         assert outcome(_read_predictions, path) == outcome(oracle_read_predictions, path)
 
-    def test_field_count_error_unchanged(self, tmp_path):
+    def test_field_count_error_names_its_line(self, tmp_path):
         path = write_lines(tmp_path / "predictions.tsv", [GOOD_PREDICTION, "d1\t10\tParis"])
-        assert outcome(_read_predictions, path) == outcome(oracle_read_predictions, path)
+        # the old reader said "predictions line 2: ..." in a CliError
+        assert outcome(_read_predictions, path) == (
+            MalformedRecordError, "line 2: expected at least 4 fields", 2)
 
     @pytest.mark.parametrize("line, message", [
         ("d1\tzz\tParis\tHARD", "line 2: bad offset 'zz'"),
