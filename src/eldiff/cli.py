@@ -77,7 +77,6 @@ class CliError(Exception):
 
 _DEFAULTS: dict[str, object] = {
     "seed": 0,
-    "threads": 1,
     "out": ".",
     "policy": "exact",
     "docs": 120,
@@ -265,7 +264,6 @@ def cmd_features(args) -> int:
         kb_year=args.kb_year,
         window_months=args.window_months,
         top_k=args.top_k,
-        slice_years=args.slice_years,
     )
     extractor = FeatureExtractor(corpus, candidates, models, config, doc_counts)
     table = extractor.extract_all(mentions)
@@ -299,7 +297,7 @@ def cmd_train(args) -> int:
     hyper = {"n_trees": args.trees} if args.variant == "random_forest" else {}
     train_seed = derive_seed(args.seed, "train")
     log.info("training %s on %d rows (derived seed %d)", args.variant, len(dataset), train_seed)
-    model = train(dataset, args.variant, seed=train_seed, threads=args.threads, **hyper)
+    model = train(dataset, args.variant, seed=train_seed, **hyper)
     model_path = out / "model.json"
     save_model(model, model_path)
     log.info("model written to %s", model_path)
@@ -343,8 +341,6 @@ def cmd_eval(args) -> int:
     unknown = [v for v in variants if v not in VARIANTS]
     if unknown:
         raise CliError(f"unknown variants {unknown}; expected a subset of {VARIANTS}")
-    if args.balancing not in ("unbalanced", "balanced", "both"):
-        raise CliError("--balancing must be unbalanced, balanced or both")
     balancing = {"unbalanced": [False], "balanced": [True], "both": [False, True]}[args.balancing]
     samples = [float(s) for s in args.samples.split(",") if s]
     schema_names = [s for s in (args.schemas or "file").split(",") if s]
@@ -367,13 +363,8 @@ def cmd_eval(args) -> int:
             for variant in variants:
                 hyper = {"n_trees": args.trees} if variant == "random_forest" else {}
                 for balanced in balancing:
-                    try:
-                        result = cross_validate(
-                            dataset, variant, k=args.folds, balanced=balanced,
-                            seed=derive_seed(args.seed, "eval"), threads=args.threads, **hyper,
-                        )
-                    except ValueError as exc:
-                        raise CliError(str(exc)) from None
+                    result = cross_validate(dataset, variant, k=args.folds, balanced=balanced,
+                                            seed=derive_seed(args.seed, "eval"), **hyper)
                     cells.append(EvalCell(schema_name, variant, balanced, fraction, result))
 
     significance = None
@@ -542,7 +533,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat JSON config file; flags win over it")
     common.add_argument("--seed", type=int, help="master seed (default 0)")
-    common.add_argument("--threads", type=int, help="worker threads for forest fitting")
+    common.add_argument("--threads", type=int,
+                        help="has no effect; accepted so existing scripts and configs still run")
     common.add_argument("--out", help="output directory (default .)")
 
     parser = argparse.ArgumentParser(
@@ -643,6 +635,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The JSON type a config value needs for each flag type, and its name in messages.
+_CONFIG_TYPES = {int: (int, "an integer"), float: ((int, float), "a number"), None: (str, "a string")}
+
+
+def _config_value(key: str, value, action: argparse.Action):
+    """A config-file value checked as the flag's value would be: its type
+    (an integer flag takes no float), its list shape and its choices."""
+    if action.nargs == 0:
+        ok, expected = isinstance(value, bool), "true or false"
+    elif action.nargs in ("+", "*"):
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+        expected = "a list of strings"
+    else:
+        types, expected = _CONFIG_TYPES[action.type]
+        ok = isinstance(value, types) and not isinstance(value, bool)
+    if not ok:
+        raise CliError(f"config key {key!r} expects {expected}")
+    if action.choices is not None and value not in action.choices:
+        raise CliError(f"config key {key!r} expects one of {', '.join(action.choices)}")
+    return value
+
+
 def _apply_config(args: argparse.Namespace) -> None:
     config: dict = {}
     if args.config:
@@ -654,10 +668,12 @@ def _apply_config(args: argparse.Namespace) -> None:
         if not isinstance(config, dict):
             raise CliError("the config file must hold a flat JSON object")
         config = {k.replace("-", "_"): v for k, v in config.items()}
+    subcommands = next(a for a in _build_parser()._actions if a.dest == "command").choices
+    actions = {a.dest: a for a in subcommands[args.command]._actions}
     for key, value in vars(args).items():
         if value is None:
             if key in config:
-                setattr(args, key, config[key])
+                setattr(args, key, _config_value(key, config[key], actions[key]))
             elif key in _DEFAULTS:
                 setattr(args, key, _DEFAULTS[key])
 

@@ -79,10 +79,6 @@ class Corpus:
         return doc_id in self._by_id
 
     @property
-    def documents(self) -> Sequence[Document]:
-        return self._documents
-
-    @property
     def date_index(self) -> Mapping[dt.date, Sequence[str]]:
         return self._by_date
 
@@ -91,13 +87,6 @@ class Corpus:
             return self._by_id[doc_id]
         except KeyError:
             raise KeyError(f"unknown document id {doc_id!r}") from None
-
-    def date_range(self) -> tuple[dt.date, dt.date]:
-        """Earliest and latest publication dates (the corpus period)."""
-        if not self._documents:
-            raise ValueError("empty corpus has no date range")
-        dates = self._by_date.keys()
-        return min(dates), max(dates)
 
 
 def load_corpus(path: str | Path) -> Corpus:

@@ -99,12 +99,11 @@ class FeatureSchema:
 class FeatureConfig:
     """Corpus-dependent feature settings; defaults follow the production
     configuration (reference KB year 2016, +/-6 month window, top-50
-    neighbours, yearly slices)."""
+    neighbours)."""
 
     kb_year: int = 2016
     window_months: int = 6
     top_k: int = 50
-    slice_years: int = 1
     token_bounded: bool = False
 
 

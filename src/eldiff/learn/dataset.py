@@ -36,10 +36,6 @@ class Dataset:
     def __len__(self) -> int:
         return self.x.shape[0]
 
-    @property
-    def n_features(self) -> int:
-        return self.x.shape[1]
-
     def cat_sizes(self) -> dict[int, int]:
         """Column index -> number of training-time categories."""
         return {

@@ -10,10 +10,10 @@ features per split, with one RNG stream per tree derived from the seed.
 
 from __future__ import annotations
 
+import inspect
 import json
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -449,7 +449,7 @@ class RandomForestModel(_Model):
             return self.max_features
         return int(math.log2(len(self.columns))) + 1
 
-    def fit(self, dataset: Dataset, threads: int = 1) -> "RandomForestModel":
+    def fit(self, dataset: Dataset) -> "RandomForestModel":
         cat_sizes = dataset.cat_sizes()
         n = len(dataset)
         max_features = self._resolved_max_features()
@@ -460,11 +460,7 @@ class RandomForestModel(_Model):
             return _grow_tree(dataset.x[rows], dataset.y[rows], cat_sizes,
                               rng=rng, max_features=max_features)
 
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                self.trees = list(pool.map(build, range(self.n_trees)))
-        else:
-            self.trees = [build(t) for t in range(self.n_trees)]
+        self.trees = [build(t) for t in range(self.n_trees)]
         return self
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
@@ -481,24 +477,29 @@ class RandomForestModel(_Model):
 # Facade, persistence
 
 
-def train(dataset: Dataset, variant: str, seed: int = 0, threads: int = 1, **hyperparams) -> _Model:
-    """Fit one classifier variant on an (imputed) dataset."""
+_MODELS = {cls.variant: cls for cls in
+           (GaussianNBModel, LogisticRegressionModel, DecisionTreeModel, RandomForestModel)}
+
+
+def train(dataset: Dataset, variant: str, seed: int = 0, **hyperparams) -> _Model:
+    """Fit one classifier variant on an (imputed) dataset; ``hyperparams``
+    must all be arguments of the variant's constructor."""
+    model_cls = _MODELS.get(variant)
+    if model_cls is None:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    accepted = set(inspect.signature(model_cls).parameters) - {"columns", "categories"}
+    unexpected = sorted(set(hyperparams) - accepted)
+    if unexpected:
+        raise ValueError(f"{variant} takes no hyperparameter {', '.join(unexpected)}")
     if np.isnan(dataset.x).any():
         raise ValueError("dataset contains NaN features; impute before training")
     if np.isinf(dataset.x).any():
         raise ValueError("dataset contains infinite features; replace them before training")
     if np.count_nonzero(dataset.class_counts()) < 2:
         raise ValueError("training needs at least 2 classes present")
-    columns, categories = dataset.columns, dataset.categories
-    if variant == "gaussian_nb":
-        return GaussianNBModel(columns, categories).fit(dataset)
-    if variant == "logistic_regression":
-        return LogisticRegressionModel(columns, categories, **hyperparams).fit(dataset)
-    if variant == "decision_tree":
-        return DecisionTreeModel(columns, categories).fit(dataset)
-    if variant == "random_forest":
-        return RandomForestModel(columns, categories, seed=seed, **hyperparams).fit(dataset, threads=threads)
-    raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if model_cls is RandomForestModel:
+        hyperparams["seed"] = seed
+    return model_cls(dataset.columns, dataset.categories, **hyperparams).fit(dataset)
 
 
 _TREE_FIELDS = ("feature", "threshold", "category", "left", "right", "counts", "gain")

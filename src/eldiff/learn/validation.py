@@ -114,7 +114,6 @@ def cross_validate(
     k: int = 10,
     balanced: bool = False,
     seed: int = 0,
-    threads: int = 1,
     **hyperparams,
 ) -> CrossValResult:
     """k-fold cross-validation of one classifier configuration.
@@ -129,10 +128,8 @@ def cross_validate(
     for f, (train_idx, test_idx) in enumerate(splits):
         if balanced:
             train_idx = undersample(train_idx, dataset.y, derive_seed(seed, "balance", f))
-        model = train(
-            dataset.subset(train_idx), variant,
-            seed=derive_seed(seed, "fit", f), threads=threads, **hyperparams,
-        )
+        model = train(dataset.subset(train_idx), variant,
+                      seed=derive_seed(seed, "fit", f), **hyperparams)
         codes = model.predict_codes(dataset.x[test_idx])
         predictions[test_idx] = codes
         fold_reports.append(evaluate(codes, dataset.y[test_idx]))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from eldiff import embeddings
-from eldiff.cli import EXIT_DEGENERATE, EXIT_ERROR, EXIT_OK, main
+from eldiff.cli import EXIT_DEGENERATE, EXIT_ERROR, EXIT_OK, _apply_config, _build_parser, main
 from eldiff.consensus import Label, read_labels
 from eldiff.features import FeatureTable, FeatureVector
 from eldiff.simulate import GoldStandard
@@ -446,6 +446,32 @@ class TestConfig:
         b = tmp_path / "b"
         assert run("gen-synthetic", "--config", config, "--docs", 4, "--out", b) == EXIT_OK
         assert len((b / "corpus.jsonl").read_text(encoding="utf-8").splitlines()) == 4
+
+    @pytest.mark.parametrize("command, config, message", [
+        ("gen-synthetic", {"docs": "5"}, "config key 'docs' expects an integer"),
+        ("gen-synthetic", {"docs": 2.5}, "config key 'docs' expects an integer"),
+        ("eval", {"folds": True}, "config key 'folds' expects an integer"),
+        ("train", {"sample": "half"}, "config key 'sample' expects a number"),
+        ("label", {"policy": "fuzzy"}, "config key 'policy' expects one of exact, overlap"),
+        ("train", {"balanced": "yes"}, "config key 'balanced' expects true or false"),
+        ("label", {"annotations": "a.tsv"}, "config key 'annotations' expects a list of strings"),
+    ])
+    def test_config_values_checked_like_flags(self, tmp_path, caplog, command, config, message):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        with caplog.at_level(logging.ERROR, logger="eldiff"):
+            assert run(command, "--config", path, "--out", tmp_path / "out") == EXIT_ERROR
+        assert [r.getMessage() for r in caplog.records] == [message]
+        assert not (tmp_path / "out").exists()
+
+    def test_config_values_of_the_right_type_applied(self, tmp_path):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps({"sample": 1, "impute": "constant", "balanced": False,
+                                    "threads": 3, "corpus": 7}), encoding="utf-8")
+        args = _build_parser().parse_args(["train", "--config", str(path)])
+        _apply_config(args)
+        # keys that are not flags of the command stay unchecked and unused
+        assert (args.sample, args.impute, args.balanced, args.threads) == (1, "constant", False, 3)
 
     def test_bad_config_rejected(self, tmp_path):
         config = tmp_path / "conf.json"

@@ -259,16 +259,6 @@ class TestRandomForest:
         query = rng.normal(size=(10, 3))
         np.testing.assert_array_equal(a.predict_proba(query), b.predict_proba(query))
 
-    def test_thread_count_does_not_change_results(self):
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=(40, 3))
-        y = rng.integers(0, 3, size=40)
-        ds = make_dataset(x, y)
-        serial = train(ds, "random_forest", seed=4, n_trees=8, threads=1)
-        threaded = train(ds, "random_forest", seed=4, n_trees=8, threads=4)
-        query = rng.normal(size=(10, 3))
-        np.testing.assert_array_equal(serial.predict_proba(query), threaded.predict_proba(query))
-
 
 # --- shared contracts --------------------------------------------------------
 
@@ -351,6 +341,15 @@ class TestSharedContracts:
         ds = make_dataset([[0.0], [1.0], [inf], [inf]], [0, 0, 1, 2])
         with pytest.raises(ValueError, match="infinite features"):
             train(ds, variant, n_trees=2) if variant == "random_forest" else train(ds, variant)
+
+    @pytest.mark.parametrize("variant", VARIANT_NAMES)
+    def test_unknown_hyperparameters_rejected(self, dataset, variant):
+        with pytest.raises(ValueError, match=f"{variant} takes no hyperparameter threads, zeta"):
+            train(dataset, variant, seed=1, zeta=0.5, threads=4)
+
+    def test_accepted_hyperparameters_reach_the_model(self, dataset):
+        assert train(dataset, "random_forest", seed=1, n_trees=3).n_trees == 3
+        assert train(dataset, "logistic_regression", max_iter=7).max_iter == 7
 
     def test_predict_tie_breaks_hard_first(self):
         model = RandomForestModel(("f0",), {}, n_trees=1)
