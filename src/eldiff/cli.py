@@ -667,8 +667,14 @@ def _apply_config(args: argparse.Namespace) -> None:
             raise CliError(f"cannot read config file {args.config}: {exc}") from None
         if not isinstance(config, dict):
             raise CliError("the config file must hold a flat JSON object")
-        config = {k.replace("-", "_"): v for k, v in config.items()}
     subcommands = next(a for a in _build_parser()._actions if a.dest == "command").choices
+    # A key of another subcommand goes unused, so one file can serve every
+    # command; a key that no subcommand knows is a mistake.
+    known = {a.dest for p in subcommands.values() for a in p._actions if a.dest != "help"}
+    for key in config:
+        if key.replace("-", "_") not in known:
+            raise CliError(f"config key {key!r} is not a flag of any command")
+    config = {k.replace("-", "_"): v for k, v in config.items()}
     actions = {a.dest: a for a in subcommands[args.command]._actions}
     for key, value in vars(args).items():
         if value is None:

@@ -216,8 +216,19 @@ def load_candidate_dictionary(path: str | Path) -> CandidateDictionary:
 
 
 def write_candidate_dictionary(dictionary: CandidateDictionary, path: str | Path) -> None:
+    """Write one ``surface<TAB>count`` line per surface, in sorted order.
+
+    An empty surface, or one holding a tab, ``\\n`` or ``\\r``, would read
+    back as another record or as a malformed line, so it raises ValueError
+    before the file is opened.
+    """
+    surfaces = sorted(dictionary._counts)
+    for surface in surfaces:
+        if not surface or "\t" in surface or "\n" in surface or "\r" in surface:
+            raise ValueError(f"candidate surface {surface!r} cannot be written: it is empty "
+                             "or holds a tab or line break")
     with open(path, "w", encoding="utf-8") as fh:
-        for surface in sorted(dictionary._counts):
+        for surface in surfaces:
             fh.write(f"{surface}\t{dictionary._counts[surface]}\n")
 
 

@@ -473,6 +473,18 @@ class TestConfig:
         # keys that are not flags of the command stay unchecked and unused
         assert (args.sample, args.impute, args.balanced, args.threads) == (1, "constant", False, 3)
 
+    @pytest.mark.parametrize("command, key", [("train", "tress"), ("gen-synthetic", "seeds"),
+                                              ("eval", "help")])
+    def test_key_of_no_command_rejected(self, tmp_path, caplog, command, key):
+        path = tmp_path / "conf.json"
+        # "corpus" belongs to other commands and goes unused; the misspelt key does not
+        path.write_text(json.dumps({"corpus": "c.jsonl", key: 5}), encoding="utf-8")
+        with caplog.at_level(logging.ERROR, logger="eldiff"):
+            assert run(command, "--config", path, "--out", tmp_path / "out") == EXIT_ERROR
+        assert [r.getMessage() for r in caplog.records] == [
+            f"config key {key!r} is not a flag of any command"]
+        assert not (tmp_path / "out").exists()
+
     def test_bad_config_rejected(self, tmp_path):
         config = tmp_path / "conf.json"
         config.write_text("[1, 2]", encoding="utf-8")

@@ -1,9 +1,12 @@
 """Feature extraction, imputation and the table format."""
 
 import datetime as dt
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from eldiff.consensus import AlignedMention, Label, LabelledMention, SystemAnnotation
 from eldiff.corpus import Corpus, Document
@@ -20,6 +23,7 @@ from eldiff.features import (
     load_candidate_dictionary,
     read_table,
     stability_word,
+    write_candidate_dictionary,
 )
 
 
@@ -119,6 +123,34 @@ class TestCandidateDictionary:
         d = load_candidate_dictionary(path)
         assert d.candidates("Orwell") == frozenset({"1984"}) and d.count("Orwell") == 1
         assert d.count("Year") == 1984
+
+
+    @pytest.mark.parametrize("surface", ["", "a\tb", "a\nb", "a\rb", "Paris\r"])
+    def test_writer_refuses_what_it_cannot_read_back(self, tmp_path, surface):
+        path = tmp_path / "cand.tsv"
+        with pytest.raises(ValueError, match=re.escape(repr(surface))):
+            write_candidate_dictionary(CandidateDictionary({"Bonn": 2, surface: 1}), path)
+        assert not path.exists()
+
+
+HOSTILE_SURFACES = ["1984", ",", "a,b", "\x0b", "\x1c", "\x85", "\u2028", "\u2029",
+                    "\U0001F600", "\U00010348", " ", "²"]
+surfaces = st.lists(st.one_of(
+    st.sampled_from(HOSTILE_SURFACES),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",),
+                                   blacklist_characters="\t\n\r"), max_size=4),
+), min_size=1, max_size=4).map("".join).filter(bool)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(counts=st.dictionaries(surfaces, st.integers(1, 10 ** 12), max_size=8))
+def test_candidate_dictionary_roundtrip(tmp_path, counts):
+    path = tmp_path / "cand.tsv"
+    write_candidate_dictionary(CandidateDictionary(counts), path)
+    loaded = load_candidate_dictionary(path)
+    assert len(loaded) == len(counts)
+    assert {s: loaded.count(s) for s in counts} == counts
 
 
 class TestStabilityWord:

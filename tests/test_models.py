@@ -7,13 +7,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from eldiff.consensus import Label
 from eldiff.errors import CorruptModelError, UnsupportedVersionError
-from eldiff.learn.dataset import Dataset
+from eldiff.learn.dataset import N_CLASSES, Dataset
 from eldiff.learn.models import (
+    LogisticRegressionModel,
     RandomForestModel,
     _Tree,
+    _softmax,
     load_model,
     predict,
     save_model,
@@ -66,6 +71,62 @@ def oracle_best_split(x, y):
             if best is None or gain > best[0]:
                 best = (gain, f, threshold)
     return best
+
+
+def oracle_softmax_loss_and_grads(weights, bias, x, y_onehot, l2):
+    """The training step as it was written with numpy's row reductions."""
+    logits = x @ weights.T + bias
+    logits = logits - logits.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(logits).sum(axis=1, keepdims=True))
+    log_p = logits - log_norm
+    n = x.shape[0]
+    loss = -(y_onehot * log_p).sum() / n + 0.5 * l2 * (weights ** 2).sum()
+    residual = (np.exp(log_p) - y_onehot) / n
+    grad_w = residual.T @ x + l2 * weights
+    grad_b = residual.sum(axis=0)
+    return loss, grad_w, grad_b
+
+
+def oracle_lr_fit(self, dataset):
+    """LogisticRegressionModel.fit as it was written, without its closing
+    warning, on the oracle step."""
+    x, y = dataset.x, dataset.y
+    cat_sizes = dataset.cat_sizes()
+    self.cont_idx = [j for j in range(x.shape[1]) if j not in cat_sizes]
+    self.cat_layout = sorted(cat_sizes.items())
+    cont = x[:, self.cont_idx]
+    self.mu = cont.mean(axis=0) if self.cont_idx else np.zeros(0)
+    sigma = cont.std(axis=0) if self.cont_idx else np.zeros(0)
+    self.sigma = np.where(sigma > 0, sigma, 1.0)
+    design = self._design(x)
+    y_onehot = np.zeros((len(y), N_CLASSES))
+    y_onehot[np.arange(len(y)), y] = 1.0
+    self.weights = np.zeros((N_CLASSES, design.shape[1]))
+    self.bias = np.zeros(N_CLASSES)
+    lr = self.learning_rate
+    loss, grad_w, grad_b = oracle_softmax_loss_and_grads(self.weights, self.bias, design, y_onehot, self.l2)
+    iterations = 0
+    while iterations < self.max_iter:
+        grad_norm = math.sqrt((grad_w ** 2).sum() + (grad_b ** 2).sum())
+        if grad_norm < self.tol or lr < 1e-15:
+            break
+        iterations += 1
+        new_w = self.weights - lr * grad_w
+        new_b = self.bias - lr * grad_b
+        new_loss, new_gw, new_gb = oracle_softmax_loss_and_grads(new_w, new_b, design, y_onehot, self.l2)
+        if new_loss > loss:
+            lr *= 0.5
+            continue
+        self.weights, self.bias = new_w, new_b
+        loss, grad_w, grad_b = new_loss, new_gw, new_gb
+    return self, iterations, lr
+
+
+def oracle_softmax(scores):
+    """Row-wise softmax with numpy's row reductions, as both predictors had it."""
+    scores = scores - scores.max(axis=1, keepdims=True)
+    p = np.exp(scores)
+    return p / p.sum(axis=1, keepdims=True)
 
 
 # --- Gaussian naive Bayes ----------------------------------------------------
@@ -178,6 +239,88 @@ class TestLogisticRegression:
         # the warning changes nothing that is fitted
         again = train(ds, "logistic_regression", max_iter=5)
         assert again.weights.tobytes() == capped.weights.tobytes()
+
+
+def _bytes(*arrays_):
+    return [np.asarray(a).tobytes() for a in arrays_]
+
+
+# Small integers make ties for the row maximum common; the bias offsets put
+# logits near +-700, where a class's exp underflows to 0.
+_values = st.one_of(st.integers(-3, 3).map(float),
+                    st.floats(-5, 5, allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def softmax_steps(draw):
+    n, d = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    x = draw(arrays(np.float64, (n, d), elements=_values))
+    weights = draw(arrays(np.float64, (3, d), elements=_values))
+    bias = draw(arrays(np.float64, 3, elements=_values))
+    bias += np.array(draw(st.lists(st.sampled_from([0.0, 700.0, -700.0]), min_size=3, max_size=3)))
+    classes = draw(st.sampled_from([(0, 1, 2), (0, 2), (1, 2), (1,)]))
+    y = np.array(draw(st.lists(st.sampled_from(classes), min_size=n, max_size=n)))
+    y_onehot = np.zeros((n, 3))
+    y_onehot[np.arange(n), y] = 1.0
+    return weights, bias, x, y_onehot, draw(st.sampled_from([0.0, 1e-8, 0.5]))
+
+
+class TestLogisticRegressionBits:
+    """The column-wise step and softmax against the row-reduction oracles,
+    byte for byte."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(step=softmax_steps())
+    def test_step_equals_oracle(self, step):
+        assert (_bytes(*softmax_loss_and_grads(*step))
+                == _bytes(*oracle_softmax_loss_and_grads(*step)))
+
+    @pytest.mark.parametrize("bias, l2", [
+        ([0.0, 0.0, 0.0], 0.0),            # every row a three-way tie
+        ([700.0, -700.0, 700.0], 0.0),     # near +-700, tied at the top
+        ([-700.0, -700.0, 0.5], 1e-8),
+    ])
+    def test_single_row_equals_oracle(self, bias, l2):
+        step = (np.zeros((3, 2)), np.array(bias), np.array([[1.5, -2.0]]),
+                np.array([[0.0, 1.0, 0.0]]), l2)
+        assert (_bytes(*softmax_loss_and_grads(*step))
+                == _bytes(*oracle_softmax_loss_and_grads(*step)))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(scores=st.integers(1, 12).flatmap(lambda n: arrays(
+        np.float64, (n, 3), elements=st.one_of(_values, st.just(-np.inf), st.just(700.0)))))
+    def test_softmax_equals_oracle(self, scores):
+        # naive Bayes gives a class of prior 0 a log score of -inf, never a whole row
+        scores[:, 1] = np.where(np.isinf(scores).all(axis=1), 0.0, scores[:, 1])
+        expected = oracle_softmax(scores)
+        assert _softmax(scores.copy()).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("hyperparams, unseen", [
+        ({}, False),                       # the default: runs to max_iter
+        ({"tol": 1e-2}, False),            # stops on tol
+        ({"learning_rate": 50.0}, False),  # rejected steps halve the rate
+        ({}, True),                        # a category that training never saw
+    ])
+    def test_fit_and_predict_equal_oracle(self, hyperparams, unseen):
+        rng = np.random.default_rng(29)
+        n = 60
+        cats = rng.integers(0, 3 if unseen else 4, size=n).astype(np.float64)
+        x = np.column_stack([rng.normal(size=(n, 3)), cats])
+        y = rng.integers(0, 3, size=n)
+        ds = make_dataset(x, y, categories={"f3": ("A", "B", "C", "D")})
+        model = LogisticRegressionModel(ds.columns, ds.categories, **hyperparams).fit(ds)
+        oracle, iterations, lr = oracle_lr_fit(
+            LogisticRegressionModel(ds.columns, ds.categories, **hyperparams), ds)
+        if "tol" in hyperparams:
+            assert iterations < oracle.max_iter
+        if "learning_rate" in hyperparams:
+            assert lr < hyperparams["learning_rate"]
+        assert _bytes(model.weights, model.bias) == _bytes(oracle.weights, oracle.bias)
+        queries = x.copy()
+        if unseen:
+            queries[:5, 3] = [3.0, 3.0, -1.0, -1.0, 3.0]
+        expected = oracle_softmax(oracle._design(queries) @ oracle.weights.T + oracle.bias)
+        assert model.predict_proba(queries).tobytes() == expected.tobytes()
 
 
 # --- decision tree -----------------------------------------------------------
