@@ -274,7 +274,14 @@ def cmd_features(args) -> int:
     return EXIT_OK
 
 
+def _check_trees(args) -> None:
+    if args.trees < 1:
+        raise CliError(f"--trees must be at least 1, not {args.trees}")
+
+
 def cmd_train(args) -> int:
+    if args.variant == "random_forest":
+        _check_trees(args)
     out = _out_dir(args)
     file_schema, table = read_table(_require(args, "features"))
     schema = _parse_schema(args.schema, file_schema)
@@ -341,6 +348,8 @@ def cmd_eval(args) -> int:
     unknown = [v for v in variants if v not in VARIANTS]
     if unknown:
         raise CliError(f"unknown variants {unknown}; expected a subset of {VARIANTS}")
+    if "random_forest" in variants:
+        _check_trees(args)
     balancing = {"unbalanced": [False], "balanced": [True], "both": [False, True]}[args.balancing]
     samples = [float(s) for s in args.samples.split(",") if s]
     schema_names = [s for s in (args.schemas or "file").split(",") if s]

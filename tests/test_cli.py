@@ -200,6 +200,20 @@ class TestTrainPredict:
         assert "infinite features" in caplog.text
         assert not (tmp_path / "out" / "model.json").exists()
 
+    @pytest.mark.parametrize("trees", [0, -3])
+    def test_forest_without_trees_is_error_exit(self, tmp_path, caplog, trees):
+        features = tmp_path / "features.csv"
+        separable_table().write_csv(features)
+        with caplog.at_level(logging.ERROR, logger="eldiff"):
+            status = run("train", "--features", features, "--variant", "random_forest",
+                         "--trees", trees, "--impute", "constant", "--out", tmp_path / "out")
+        assert status == EXIT_ERROR
+        assert "--trees" in caplog.text
+        assert not (tmp_path / "out" / "model.json").exists()
+        # the forest size means nothing to the other variants
+        assert run("train", "--features", features, "--variant", "decision_tree",
+                   "--trees", trees, "--impute", "constant", "--out", tmp_path / "out") == EXIT_OK
+
     def test_missing_model_file_is_error(self, tmp_path):
         table = separable_table()
         features = tmp_path / "features.csv"
@@ -224,6 +238,16 @@ class TestEval:
         status = run("eval", "--features", features, "--variants", "gaussian_nb",
                      "--folds", 10, "--impute", "constant", "--out", tmp_path)
         assert status == EXIT_ERROR
+
+    @pytest.mark.parametrize("trees", [0, -3])
+    def test_forest_without_trees_is_error_exit(self, features_dir, tmp_path, caplog, trees):
+        with caplog.at_level(logging.ERROR, logger="eldiff"):
+            status = run("eval", "--features", features_dir / "features.csv",
+                         "--variants", "gaussian_nb,random_forest", "--folds", 3,
+                         "--trees", trees, "--out", tmp_path, "--seed", 1)
+        assert status == EXIT_ERROR
+        assert "--trees" in caplog.text
+        assert not (tmp_path / "eval_report.json").exists()
 
     def test_grid_reports_written(self, features_dir, tmp_path):
         status = run(

@@ -402,6 +402,46 @@ class TestRandomForest:
         query = rng.normal(size=(10, 3))
         np.testing.assert_array_equal(a.predict_proba(query), b.predict_proba(query))
 
+    @pytest.mark.parametrize("hyper", [{"n_trees": 0}, {"n_trees": -3}, {"n_trees": 2.0},
+                                       {"n_trees": True}, {"max_features": 0},
+                                       {"max_features": 1.5}])
+    def test_hyperparameters_below_one_or_not_integers_rejected(self, hyper):
+        ds = make_dataset([[0.0], [1.0], [2.0], [3.0]], [0, 0, 2, 2])
+        with pytest.raises(ValueError, match=next(iter(hyper))):
+            train(ds, "random_forest", seed=1, **hyper)
+
+
+@pytest.fixture
+def forest_file(tmp_path):
+    """A saved two-tree forest and its JSON payload."""
+    rng = np.random.default_rng(12)
+    ds = make_dataset(rng.normal(size=(40, 3)), rng.integers(0, 3, size=40))
+    path = tmp_path / "model.json"
+    save_model(train(ds, "random_forest", seed=3, n_trees=2), path)
+    return path, json.loads(path.read_text(encoding="utf-8"))
+
+
+class TestForestFile:
+    @pytest.mark.parametrize("fields", [
+        {"n_trees": 7}, {"trees": []}, {"trees": [], "n_trees": 0}, {"n_trees": 2.0},
+        {"n_trees": True}, {"max_features": 0}, {"max_features": 2.5}, {"max_features": "2"},
+        {"trees": {}},
+    ])
+    def test_bad_forest_fields_refused(self, forest_file, fields):
+        path, payload = forest_file
+        payload["random_forest"].update(fields)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(CorruptModelError):
+            load_model(path)
+
+    @pytest.mark.parametrize("max_features", [None, 1, 3])
+    def test_good_forest_fields_load(self, forest_file, max_features):
+        path, payload = forest_file
+        payload["random_forest"]["max_features"] = max_features
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        model = load_model(path)
+        assert (model.n_trees, len(model.trees), model.max_features) == (2, 2, max_features)
+
 
 # --- shared contracts --------------------------------------------------------
 

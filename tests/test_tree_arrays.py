@@ -10,12 +10,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from eldiff.cli import EXIT_ERROR, EXIT_OK, main
 from eldiff.errors import CorruptModelError, UnsupportedVersionError
 from eldiff.learn.analysis import mdi
 from eldiff.learn.dataset import N_CLASSES, Dataset
-from eldiff.learn.models import _entropy, _grow_tree, load_model, save_model, train
+from eldiff.learn import models
+from eldiff.learn.models import _grow_trees, load_model, save_model, train
 from eldiff.rand import derive_seed
 
 
@@ -30,9 +33,21 @@ def make_dataset(x, y, categories=None):
 
 # --- reference: trees as node objects ----------------------------------------
 # The node-object growth, prediction and MDI walk that the arrays replaced,
-# and the per-node split searches (one stable argsort per feature per node)
-# that the presorted growth replaced, kept verbatim as the oracle the array
-# code must match bit for bit.
+# the per-node split searches (one stable argsort per feature per node)
+# that the presorted growth replaced, and the row-wise entropy that the
+# batched search replaced, kept verbatim as the oracle the array code must
+# match bit for bit.
+
+
+def _entropy(counts) -> np.ndarray:
+    """Shannon entropy in bits of class-count vectors along the last axis."""
+    counts = np.asarray(counts, dtype=np.float64)
+    totals = counts.sum(axis=-1, keepdims=True)
+    safe = np.where(totals > 0, totals, 1.0)
+    p = counts / safe
+    logs = np.zeros_like(p)
+    np.log2(p, out=logs, where=p > 0)
+    return -(p * logs).sum(axis=-1)
 
 
 def _best_numeric_split(col, y_sub, parent_h):
@@ -202,6 +217,12 @@ def node_arrays(root):
     }
 
 
+def assert_tree_equals(tree, expected):
+    for field, values in expected.items():
+        assert getattr(tree, field).tobytes() == np.asarray(
+            values, dtype=getattr(tree, field).dtype).tobytes(), field
+
+
 # --- equivalence --------------------------------------------------------------
 
 
@@ -326,14 +347,16 @@ def grow_like_node_trees(x, y, cat_sizes=None, seed=None, max_features=None, boo
     y = np.asarray(y, dtype=np.int64)
     cat_sizes = cat_sizes or {}
     rngs = [None, None] if seed is None else [np.random.default_rng(seed) for _ in range(2)]
+    weights = np.ones((1, y.size), dtype=np.int64)
     if bootstrap:
         rows = [rng.integers(0, y.size, size=y.size) for rng in rngs]
-        x, y = x[rows[0]], y[rows[0]]
-    tree = _grow_tree(x, y, cat_sizes, rng=rngs[0], max_features=max_features)
-    expected = node_arrays(node_grow_tree(x, y, cat_sizes, rng=rngs[1], max_features=max_features))
-    for field, values in expected.items():
-        assert getattr(tree, field).tobytes() == np.asarray(
-            values, dtype=getattr(tree, field).dtype).tobytes(), field
+        weights[0] = np.bincount(rows[0], minlength=y.size)
+    tree = _grow_trees(x, y, cat_sizes, weights, None if seed is None else rngs[:1],
+                       max_features)[0]
+    if bootstrap:
+        x, y = x[rows[1]], y[rows[1]]
+    assert_tree_equals(tree, node_arrays(node_grow_tree(x, y, cat_sizes, rng=rngs[1],
+                                                        max_features=max_features)))
     if seed is not None:
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
     return tree
@@ -424,9 +447,9 @@ class TestDegenerateSplits:
 
     GROW = (
         "import sys, numpy as np\n"
-        "from eldiff.learn.models import _grow_tree\n"
+        "from eldiff.learn.models import _grow_trees\n"
         "x = np.array(eval(sys.argv[1]), dtype=np.float64)[:, None]\n"
-        "tree = _grow_tree(x, np.array(eval(sys.argv[2])), {})\n"
+        "tree = _grow_trees(x, np.array(eval(sys.argv[2])), {}, np.ones((1, len(x)), int))[0]\n"
         "print(tree.feature.tolist(), tree.counts.tolist())\n"
     )
 
@@ -441,6 +464,149 @@ class TestDegenerateSplits:
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[-1] [[2.0, 1.0, 0.0]]\n"
+
+
+# --- lockstep growth -------------------------------------------------------------
+# All trees of a fit grow together, one batched split search per step; every
+# tree must still be the one grown alone, and every generator must end where
+# growing its tree alone leaves it.
+
+
+def check_lockstep(x, y, cat_sizes, weights, seeds=None, max_features=None):
+    """Grow one tree per row of ``weights`` in lockstep, each from its own
+    generator, then each alone with node objects on its sample."""
+    rngs = None if seeds is None else [np.random.default_rng(s) for s in seeds]
+    trees = _grow_trees(x, y, cat_sizes, weights, rngs, max_features)
+    for t, tree in enumerate(trees):
+        rows = np.repeat(np.arange(y.size), weights[t])
+        alone = None if seeds is None else np.random.default_rng(seeds[t])
+        assert_tree_equals(tree, node_arrays(node_grow_tree(
+            x[rows], y[rows], cat_sizes, rng=alone, max_features=max_features)))
+        if seeds is not None:
+            assert rngs[t].bit_generator.state == alone.bit_generator.state
+    return trees
+
+
+def check_forest_fit(monkeypatch, dataset, n_trees, seed, **hyper):
+    """Fit a forest, keeping the generator of each tree, and compare each
+    tree and generator with growing that tree alone on its bootstrap sample."""
+    made, real = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda s: made.append(real(s)) or made[-1])
+    forest = train(dataset, "random_forest", seed=seed, n_trees=n_trees, **hyper)
+    monkeypatch.undo()
+    max_features = forest._resolved_max_features()
+    assert len(made) == len(forest.trees) == n_trees
+    for t, tree in enumerate(forest.trees):
+        alone = np.random.default_rng(derive_seed(seed, "tree", t))
+        n = len(dataset)
+        rows = alone.integers(0, n, size=n) if forest.bootstrap else np.arange(n)
+        assert_tree_equals(tree, node_arrays(node_grow_tree(
+            dataset.x[rows], dataset.y[rows], dataset.cat_sizes(), rng=alone,
+            max_features=max_features)))
+        assert made[t].bit_generator.state == alone.bit_generator.state
+    return forest
+
+
+class TestLockstepGrowth:
+    def test_trees_finishing_at_very_different_steps(self):
+        # a pure sample (a leaf at the first step), a 199-level chain, and
+        # samples of a few rows, side by side
+        x, y = deep_chain()
+        x, y = x[:200], y[:200].copy()
+        y[-1] = 2
+        weights = np.zeros((5, 200), dtype=np.int32)
+        weights[0, y == 0] = 1
+        weights[1] = 1
+        weights[2, [3, 4, 5]] = [2, 1, 3]
+        weights[3, ::2] = 1
+        weights[3, -1] = 1
+        weights[4, [0, 199]] = 1
+        trees = check_lockstep(x, y, {}, weights, seeds=range(5), max_features=1)
+        sizes = [tree.feature.size for tree in trees]
+        assert sizes[0] == 1 and sizes[1] == 2 * 199 + 1 and sizes[2] == 5
+        # without draws the same trees grow their whole frontier per step
+        check_lockstep(x, y, {}, weights)
+
+    def test_forest_with_pure_bootstraps_next_to_deeper_trees(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        x = np.column_stack([rng.normal(size=10), rng.integers(0, 3, size=10),
+                             rng.normal(size=10)])
+        y = np.array([0] * 8 + [1, 2])
+        forest = check_forest_fit(monkeypatch, make_dataset(x, y), 40, 6)
+        sizes = [tree.feature.size for tree in forest.trees]
+        assert min(sizes) == 1 and max(sizes) >= 7
+
+    def test_one_tree(self, monkeypatch):
+        dataset, _ = numeric_data(np.random.default_rng(2))
+        check_forest_fit(monkeypatch, dataset, 1, 2)
+        check_forest_fit(monkeypatch, dataset, 1, 2, bootstrap=False, max_features=2)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_categorical_only_table(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        x = np.column_stack([rng.integers(0, 4, size=90), rng.integers(0, 3, size=90),
+                             rng.integers(0, 2, size=90)]).astype(np.float64)
+        y = (x[:, 0] + rng.integers(0, 2, size=90)) % 3
+        dataset = make_dataset(x, y, {"f0": tuple("abcd"), "f1": tuple("xyz"), "f2": ("p", "q")})
+        forest = check_forest_fit(monkeypatch, dataset, 12, seed, max_features=1)
+        assert all(np.all(t.category[t.feature >= 0] >= 0) for t in forest.trees)
+
+    def test_coarse_table_with_ties_and_duplicate_rows(self, monkeypatch):
+        x, y = coarse_table(np.random.default_rng(7))
+        dataset = make_dataset(x, y, {"f2": tuple("abcd")})
+        forest = check_forest_fit(monkeypatch, dataset, 15, 7, max_features=2)
+        assert sum(np.count_nonzero(t.feature >= 0) for t in forest.trees) > 100
+
+    def test_midpoints_that_round_up_make_the_draw_path_recount(self, monkeypatch):
+        # the cut between a and b has the midpoint b, so it sends the b rows
+        # left too: a drawn tree recounts that side and grows on
+        a = np.nextafter(1.0, 2.0)
+        b = np.nextafter(a, 2.0)
+        rng = np.random.default_rng(8)
+        x = np.column_stack([rng.integers(0, 2, size=24), np.repeat([a, b, 3.0], 8)])
+        y = np.repeat([0, 1, 2], 8)
+        forest = check_forest_fit(monkeypatch, make_dataset(x, y), 10, 8, max_features=1)
+        assert any(np.any(t.threshold[t.feature == 1] == b) for t in forest.trees)
+
+    def test_steps_larger_than_the_element_budget(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        x = np.round(rng.normal(size=(300, 8)), 2)
+        y = np.where(x[:, 0] + x[:, 1] > 0.3, 2, rng.integers(0, 2, size=300))
+        dataset = make_dataset(x, y)
+        # the first step of 20 trees, and the root of one tree on every row
+        assert 20 * 8 * 150 > models._STEP_ELEMENTS
+        check_forest_fit(monkeypatch, dataset, 20, 9)
+        big = np.tile(x, (8, 1))
+        assert big.size > models._STEP_ELEMENTS
+        tree = train(make_dataset(big, np.tile(y, 8)), "decision_tree").tree
+        assert_tree_equals(tree, node_arrays(node_grow_tree(big, np.tile(y, 8), {})))
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_random_small_tables(self, data):
+        n_rows = data.draw(st.integers(1, 24), label="rows")
+        n_features = data.draw(st.integers(1, 4), label="features")
+        cat_sizes = {j: data.draw(st.integers(1, 4), label=f"categories of {j}")
+                     for j in range(n_features) if data.draw(st.booleans(), label=f"{j} coded")}
+        columns = [
+            data.draw(st.lists(st.integers(0, cat_sizes[j] - 1) if j in cat_sizes else
+                               st.sampled_from([-2.0, -0.5, 0.0, 0.5, 1.0, 3.0]),
+                               min_size=n_rows, max_size=n_rows), label=f"column {j}")
+            for j in range(n_features)
+        ]
+        x = np.array(columns, dtype=np.float64).T
+        y = np.array(data.draw(st.lists(st.integers(0, 2), min_size=n_rows, max_size=n_rows),
+                               label="labels"))
+        if not data.draw(st.booleans(), label="forest"):
+            check_lockstep(x, y, cat_sizes, np.ones((1, n_rows), dtype=np.int32))
+            return
+        n_trees = data.draw(st.integers(1, 4), label="trees")
+        seeds = [data.draw(st.integers(0, 2 ** 32 - 1), label=f"seed {t}") for t in range(n_trees)]
+        samples = np.random.default_rng(seeds[0]).integers(0, n_rows, size=(n_trees, n_rows))
+        weights = np.array([np.bincount(rows, minlength=n_rows) for rows in samples],
+                           dtype=np.int32)
+        max_features = data.draw(st.integers(1, n_features), label="max_features")
+        check_lockstep(x, y, cat_sizes, weights, seeds, max_features)
 
 
 # --- the model file -------------------------------------------------------------

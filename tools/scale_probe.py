@@ -1,0 +1,171 @@
+#!/usr/bin/env python3
+"""Time the route-shaped CLI pipeline at growing corpus sizes and record
+the result as ``SCALE_<pr>.json``.
+
+Usage (from the root of a checkout):
+
+    python3 tools/scale_probe.py --pr N [--docs 70,280,1120] [--src DIR] [--name NAME]
+
+For each size it builds route-shaped inputs at seed 7 with
+``bench.workloads.write_inputs``: documents of 19 sentences of 13 words over
+the wide vocabulary (3 topics of 600 pseudo-words). It then runs
+``label --policy overlap``, ``features --schema simulation``,
+``train --trees 25``, ``predict`` and ``simulate`` one after another, each in
+its own child process pinned to one CPU, importing eldiff from ``--src``
+(this checkout's ``src`` by default). For every command it records the wall
+seconds, the child's ``ru_maxrss`` and the sha256 of the file it writes; for
+every size the token and feature-row counts; and the ratio of each command's
+time between neighbouring sizes. The run, with the machine line of
+``bench/run.py``, is stored under ``--name`` (``change`` by default) in
+``SCALE_<N>.json`` at the root of this checkout, next to any runs already
+there, so one file can hold both the parent's and the change's runs.
+Nothing here is gated; the numbers are for reading.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import shutil
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 7
+TREES = 25
+BUDGETS = "0.05,0.10,0.15"
+
+
+def src_digest(src: Path) -> str:
+    """sha256 over the relative paths and contents of every ``.py`` file
+    under ``src``: equal for any two copies of the same code."""
+    digest = hashlib.sha256()
+    for path in sorted(src.rglob("*.py")):
+        digest.update(path.relative_to(src).as_posix().encode("utf-8") + b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def file_sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def commands(inputs: dict[str, Path], out: Path) -> list[tuple[str, list, Path]]:
+    """(name, eldiff argv, the file it writes) for each command, in order."""
+    from workloads import SYSTEMS
+
+    ann = [inputs[s] for s in SYSTEMS]
+    return [
+        ("label", ["label", "--annotations", *ann, "--policy", "overlap",
+                   "--corpus", inputs["corpus"], "--out", out, "--seed", SEED],
+         out / "labels.tsv"),
+        ("features", ["features", "--corpus", inputs["corpus"], "--mentions", out / "labels.tsv",
+                      "--candidates", inputs["candidates"], "--annotations", *ann,
+                      "--schema", "simulation", "--out", out, "--seed", SEED],
+         out / "features.csv"),
+        ("train", ["train", "--features", out / "features.csv", "--variant", "random_forest",
+                   "--trees", TREES, "--out", out, "--seed", SEED],
+         out / "model.json"),
+        ("predict", ["predict", "--model", out / "model.json", "--features", out / "features.csv",
+                     "--mentions", out / "labels.tsv", "--out", out],
+         out / "predictions.tsv"),
+        ("simulate", ["simulate", "--labels", out / "labels.tsv", "--gold", inputs["gold"],
+                      "--candidates", inputs["candidates"], "--predictions",
+                      out / "predictions.tsv", "--systems", ",".join(SYSTEMS),
+                      "--budgets", BUDGETS, "--out", out, "--seed", SEED],
+         out / "simulation.tsv"),
+    ]
+
+
+def run_child(argv: list, src: Path) -> dict:
+    """Run one eldiff command in a child process; its wall seconds and peak
+    resident memory."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
+    start = time.perf_counter()
+    with subprocess.Popen([sys.executable, "-m", "eldiff.cli", *map(str, argv)], env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE) as child:
+        stderr = child.stderr.read()
+        # wait4 reaps the child and gives its own resource usage
+        _, status, usage = os.wait4(child.pid, 0)
+        wall = time.perf_counter() - start
+        child.returncode = os.waitstatus_to_exitcode(status)
+    if child.returncode != 0:
+        sys.stderr.write(stderr.decode("utf-8", "replace"))
+        raise SystemExit(f"eldiff {argv[0]} exited with status {child.returncode}")
+    return {"wall_s": round(wall, 3), "maxrss_mb": round(usage.ru_maxrss / 1024, 1)}
+
+
+def probe_size(docs: int, work: Path, src: Path) -> dict:
+    from workloads import Size, write_inputs
+
+    inputs = write_inputs(work / "inputs", SEED, Size(docs=docs, sentences=(19, 19),
+                                                     words=(13, 13)), wide=True)
+    out = work / "out"
+    point = {"docs": docs, "commands": {}}
+    for name, argv, written in commands(inputs, out):
+        result = run_child(argv, src)
+        result["sha256"] = file_sha256(written)
+        point["commands"][name] = result
+        print(f"{docs} docs  {name:9s} {result['wall_s']:8.2f} s  {result['maxrss_mb']:7.1f} MB",
+              flush=True)
+    with open(inputs["corpus"], encoding="utf-8") as fh:
+        point["tokens"] = sum(len(json.loads(line)["text"].split()) for line in fh)
+    with open(out / "features.csv", encoding="utf-8") as fh:
+        point["feature_rows"] = sum(1 for _ in fh) - 1
+    return point
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--pr", type=int, required=True, help="number of the change measured")
+    parser.add_argument("--docs", default="70,280,1120", help="comma-separated corpus sizes")
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="the src directory whose eldiff is measured")
+    parser.add_argument("--name", default="change", help="key of this run in the file")
+    args = parser.parse_args(argv)
+    sizes = [int(d) for d in args.docs.split(",") if d]
+    src = args.src.resolve()
+    if not (src / "eldiff").is_dir():
+        raise SystemExit(f"no eldiff package under {src}")
+    sys.path[:0] = [str(src), str(ROOT / "bench")]
+    from run import machine_facts
+
+    cpu = max(os.sched_getaffinity(0))
+    os.sched_setaffinity(0, {cpu})  # the children inherit it
+    work = ROOT / ".scale_work"
+    points = []
+    try:
+        for docs in sizes:
+            shutil.rmtree(work, ignore_errors=True)
+            points.append(probe_size(docs, work, src))
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    ratios = {
+        name: [round(b["commands"][name]["wall_s"] / a["commands"][name]["wall_s"], 2)
+               for a, b in zip(points, points[1:])]
+        for name in points[0]["commands"]
+    }
+    path = ROOT / f"SCALE_{args.pr}.json"
+    record = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {"pr": args.pr}
+    record.setdefault("runs", {})[args.name] = {
+        "src_sha256": src_digest(src),
+        "seed": SEED,
+        "machine": machine_facts(cpu),
+        "sizes": points,
+        "ratios": ratios,
+    }
+    path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
