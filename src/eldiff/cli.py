@@ -29,6 +29,7 @@ from .corpus import GeneratorConfig, load_corpus
 from .errors import AllMissingError, EldiffError, MalformedRecordError
 from .features import (
     FEATURE_COLUMNS,
+    STABILITY_COLUMNS,
     TEMPORAL_COLUMNS,
     FeatureConfig,
     FeatureExtractor,
@@ -67,8 +68,6 @@ log = logging.getLogger("eldiff")
 EXIT_OK = 0
 EXIT_ERROR = 2
 EXIT_DEGENERATE = 3
-
-_STABILITY = ("t_j_min", "t_j_max", "t_j_avg")
 
 
 class CliError(Exception):
@@ -161,7 +160,7 @@ def _load_redirects(path: str | None) -> dict[str, str] | None:
 
 
 def _imputed(table, schema: FeatureSchema, args) -> object:
-    stability = all(c in schema.columns for c in _STABILITY)
+    stability = all(c in schema.columns for c in STABILITY_COLUMNS)
     return table.impute(strategy=args.impute, constant=args.impute_value, stability=stability)
 
 
@@ -237,7 +236,7 @@ def cmd_features(args) -> int:
         doc_counts = count_doc_mentions([[lm.mention for lm in mentions]])
 
     models: list[embeddings.EmbeddingModel] = []
-    needs_stability = any(c in schema.columns for c in _STABILITY)
+    needs_stability = any(c in schema.columns for c in STABILITY_COLUMNS)
     if needs_stability:
         if args.embeddings:
             models = _load_slice_models(args.embeddings)
@@ -416,7 +415,7 @@ def cmd_importance(args) -> int:
 def cmd_correlate(args) -> int:
     out = _out_dir(args)
     file_schema, table = read_table(_require(args, "features"))
-    stability_present = all(c in file_schema.columns for c in _STABILITY)
+    stability_present = all(c in file_schema.columns for c in STABILITY_COLUMNS)
     columns = None
     try:
         imputed = table.impute(strategy="mean", stability=stability_present)
@@ -424,7 +423,7 @@ def cmd_correlate(args) -> int:
         imputed = table.impute(strategy="mean", stability=False)
         columns = tuple(
             c for c in file_schema.columns
-            if c not in _STABILITY and c != "d_topic"
+            if c not in STABILITY_COLUMNS and c != "d_topic"
         )
         log.warning("stability features are missing everywhere; excluded from correlation")
     dataset = dataset_from_table(imputed, file_schema, require_labels=False)

@@ -1,4 +1,4 @@
-"""Mention feature vectors: mention-based, document-based and temporal.
+"""Mention features: mention-based, document-based and temporal.
 
 Fifteen columns (thirteen features, with the stability triple expanded),
 computed per mention against a corpus, a candidate dictionary and the
@@ -37,6 +37,9 @@ FEATURE_COLUMNS = (
 )
 CATEGORICAL_COLUMNS = frozenset({"d_topic"})
 TEMPORAL_COLUMNS = ("t_age", "t_df", "t_j_min", "t_j_max", "t_j_avg")
+#: The semantic-stability triple: all present, or all missing when the
+#: mention word is out of vocabulary.
+STABILITY_COLUMNS = ("t_j_min", "t_j_max", "t_j_avg")
 #: Placeholder category for missing topics after imputation.
 UNKNOWN_TOPIC = "UNKNOWN"
 
@@ -107,43 +110,10 @@ class FeatureConfig:
     token_bounded: bool = False
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    """One mention's feature row. The stability triple is None when the
-    mention word is out of vocabulary; d_topic is "" when the document
-    carries no topic."""
-
-    m_len: int
-    m_words: int
-    m_freq: int
-    m_df: int
-    m_cand: int
-    m_pos: float
-    m_sent: int
-    d_words: int
-    d_topic: str
-    d_ents: int
-    t_age: int
-    t_df: int
-    t_j_min: float | None
-    t_j_max: float | None
-    t_j_avg: float | None
-    label: Label | None = None
-
-    def __post_init__(self):
-        problem = _row_problem(self.m_len, self.m_words, self.m_pos,
-                               self.t_j_min, self.t_j_max, self.t_j_avg)
-        if problem is not None:
-            raise ValueError(problem)
-
-    def missing(self, column: str) -> bool:
-        v = getattr(self, column)
-        return v is None or (column == "d_topic" and v == "")
-
-
 def _row_problem(m_len, m_words, m_pos, t_j_min, t_j_max, t_j_avg) -> str | None:
-    """The first rule of a feature row that these values break, or None.
-    ``_check_rows`` checks the same rules on whole columns."""
+    """The first rule of a feature row that these values break, or None;
+    None stands for a missing stability value. ``_check_rows`` checks the
+    same rules on whole columns."""
     if m_words > m_len:
         return "m_words cannot exceed m_len"
     if not 0.0 <= m_pos < 1.0:
@@ -158,13 +128,11 @@ def _row_problem(m_len, m_words, m_pos, t_j_min, t_j_max, t_j_avg) -> str | None
 class CandidateDictionary:
     """Surface string to candidate-entity count; absent surfaces count 0."""
 
-    def __init__(self, counts: Mapping[str, int],
-                 candidate_sets: Mapping[str, frozenset[str]] | None = None):
+    def __init__(self, counts: Mapping[str, int]):
         for surface, count in counts.items():
             if count < 1:
                 raise ValueError(f"candidate count for {surface!r} must be >= 1")
         self._counts = dict(counts)
-        self._sets = dict(candidate_sets) if candidate_sets else None
 
     def __len__(self) -> int:
         return len(self._counts)
@@ -175,19 +143,15 @@ class CandidateDictionary:
     def count(self, surface: str) -> int:
         return self._counts.get(surface, 0)
 
-    def candidates(self, surface: str) -> frozenset[str]:
-        if self._sets is None:
-            return frozenset()
-        return self._sets.get(surface, frozenset())
-
 
 def load_candidate_dictionary(path: str | Path) -> CandidateDictionary:
     """Read ``surface<TAB>count`` or ``surface<TAB>e1,e2,...`` lines.
 
     A payload of decimal digits (``str.isdecimal``) is a count; any other
     payload is a list of entity ids, so a single all-digit id is written
-    with a trailing comma (``1984,`` reads as the set {1984}). Duplicate
-    surfaces merge by max count (or candidate-set union).
+    with a trailing comma (``1984,`` reads as the set {1984}). A list is
+    read for its count: the size of the union of every list given for the
+    surface. Duplicate surfaces merge by max count.
     """
     counts: dict[str, int] = {}
     sets: dict[str, frozenset[str]] = {}
@@ -212,7 +176,7 @@ def load_candidate_dictionary(path: str | Path) -> CandidateDictionary:
                 merged = sets.get(surface, frozenset()) | ids
                 sets[surface] = merged
                 counts[surface] = max(counts.get(surface, 0), len(merged))
-    return CandidateDictionary(counts, sets or None)
+    return CandidateDictionary(counts)
 
 
 def write_candidate_dictionary(dictionary: CandidateDictionary, path: str | Path) -> None:
@@ -265,7 +229,7 @@ def _mention_fields(mention: Mention) -> tuple[str, str, int, Label | None]:
 
 
 class FeatureExtractor:
-    """Computes feature vectors against shared immutable inputs.
+    """Computes feature tables against shared immutable inputs.
 
     Per-corpus quantities (m_df, t_df, stability) are memoized, so batch
     extraction shares one index pass while staying identical to per-mention
@@ -322,7 +286,7 @@ class FeatureExtractor:
         return self._stability_cache[word]
 
     def _row(self, mention: Mention) -> tuple:
-        """One mention's values in FeatureVector field order, label last."""
+        """One mention's values in ``FEATURE_COLUMNS`` order, label last."""
         doc_id, surface, offset, mention_label = _mention_fields(mention)
         doc = self.corpus.get(doc_id)
         if offset < 0 or offset + len(surface) > len(doc.text):
@@ -351,25 +315,27 @@ class FeatureExtractor:
             mention_label,
         )
 
-    def extract(self, mention: Mention) -> FeatureVector:
-        return FeatureVector(*self._row(mention))
+    def extract(self, mention: Mention) -> "FeatureTable":
+        """The one-row feature table of ``mention``."""
+        return self.extract_all([mention])
 
     def extract_all(self, mentions: Iterable[Mention]) -> "FeatureTable":
-        """The feature table of ``mentions``, in order; equal row by row to
-        ``extract``. The stability of every new mention word is computed
-        first, slice by slice (``stability_all``)."""
+        """The feature table of ``mentions``, one row each, in order. The
+        stability of every new mention word is computed first, slice by
+        slice (``stability_all``)."""
         mentions = list(mentions)
         if len(self.models) >= 2:
             words = dict.fromkeys(stability_word(_mention_fields(m)[1]) for m in mentions)
             new = [word for word in words if word not in self._stability_cache]
             if new:
                 self._stability_cache.update(stability_all(self.models, new, self.config.top_k))
-        return _table_from_rows([self._row(mention) for mention in mentions])
+        rows = [self._row(mention) for mention in mentions]
+        *columns, labels = zip(*rows) if rows else [()] * (len(FEATURE_COLUMNS) + 1)
+        return FeatureTable(dict(zip(FEATURE_COLUMNS, columns)), labels)
 
 
-_STABILITY_COLUMNS = ("t_j_min", "t_j_max", "t_j_avg")
 #: The arguments of ``_row_problem``, in order.
-_RULE_COLUMNS = ("m_len", "m_words", "m_pos", *_STABILITY_COLUMNS)
+_RULE_COLUMNS = ("m_len", "m_words", "m_pos", *STABILITY_COLUMNS)
 _LABELS: dict[str, Label | None] = {"": None, **LABEL_OF_VALUE}
 
 
@@ -378,33 +344,32 @@ class FeatureTable:
 
     Each integer column is an int64 array and each float column a float64
     array, NaN where a stability value is missing; ``d_topic`` is a list of
-    strings, "" where the topic is missing; the labels are one list. Per
-    nullable column, a boolean mask records which values were missing before
-    imputation. Every row obeys the FeatureVector rules, so NaN in a
-    stability column always means "missing". Rows (``table[i]``, iteration)
-    and ``masks`` are built on demand.
+    strings, "" where the topic is missing; the labels are one list. Every
+    row obeys the row rules (``_row_problem``), so NaN in a stability column
+    always means "missing".
     """
 
-    def __init__(self, rows: Iterable[FeatureVector] = ()):
-        rows = list(rows)
-        columns = {c: [getattr(row, c) for row in rows] for c in FEATURE_COLUMNS}
-        self._set(_arrays(columns), [row.label for row in rows])
+    def __init__(self, columns: Mapping[str, Sequence], labels: Sequence[Label | None]):
+        """The table of ``columns``, which maps every feature column to its
+        Python values in row order (None where a stability value is missing,
+        "" where a topic is), and of one label or None per row. Raises
+        ValueError if a column's length differs from the labels' or if a row
+        breaks a row rule."""
+        labels = list(labels)
+        if any(len(columns[c]) != len(labels) for c in FEATURE_COLUMNS):
+            raise ValueError("every feature column needs one value per label")
+        values = _arrays({c: columns[c] for c in FEATURE_COLUMNS})
+        absent = {c: np.array([v is None for v in columns[c]], dtype=bool)
+                  for c in STABILITY_COLUMNS}
+        _check_rows(values, absent)
+        self._values, self._labels = values, labels
 
     @classmethod
-    def _of(cls, values: dict, labels: list, masks: dict | None = None) -> "FeatureTable":
-        """A table of columns that already obey the row rules."""
+    def _of(cls, values: dict, labels: list) -> "FeatureTable":
+        """A table of column arrays that already obey the row rules."""
         table = cls.__new__(cls)
-        table._set(values, labels, masks)
+        table._values, table._labels = values, labels
         return table
-
-    def _set(self, values: dict, labels: list, masks: dict | None = None) -> None:
-        self._values = values
-        self._labels = labels
-        if masks is None:
-            stability = np.isnan(values["t_j_min"])
-            masks = dict.fromkeys(_STABILITY_COLUMNS, stability)
-            masks["d_topic"] = np.array([t == "" for t in values["d_topic"]], dtype=bool)
-        self._masks = masks
 
     def __len__(self) -> int:
         return len(self._labels)
@@ -414,28 +379,9 @@ class FeatureTable:
         values = self._values[name]
         if name == "d_topic":
             return list(values)
-        if name in _STABILITY_COLUMNS:
+        if name in STABILITY_COLUMNS:
             return [None if v != v else v for v in values.tolist()]
         return values.tolist()
-
-    def __iter__(self):
-        columns = [self._python(c) for c in FEATURE_COLUMNS]
-        for values in zip(*columns, self._labels):
-            yield FeatureVector(*values)
-
-    def __getitem__(self, index: int) -> FeatureVector:
-        index = range(len(self))[index]
-        values = [self._values[c][index] for c in FEATURE_COLUMNS]
-        values = [v if isinstance(v, str) else v.item() for v in values]
-        values[-3:] = [None if v != v else v for v in values[-3:]]
-        return FeatureVector(*values, label=self._labels[index])
-
-    @property
-    def masks(self) -> list[frozenset[str]]:
-        """Per row, the columns whose values were missing before imputation."""
-        names = [c for c in FEATURE_COLUMNS if c in self._masks]
-        flags = zip(*(self._masks[c].tolist() for c in names))
-        return [frozenset(c for c, missing in zip(names, row) if missing) for row in flags]
 
     def labels(self) -> list[Label | None]:
         return list(self._labels)
@@ -449,9 +395,8 @@ class FeatureTable:
                stability: bool = True) -> "FeatureTable":
         """Fill missing values: the stability triple per MEAN/CONSTANT policy
         (unless ``stability`` is off, for schemas that exclude it), missing
-        topics with the UNKNOWN category. The original missing masks are kept
-        on the returned table. A mean adds the observed values as Python
-        floats in row order."""
+        topics with the UNKNOWN category. A mean adds the observed values as
+        Python floats in row order."""
         if strategy not in ("mean", "constant"):
             raise ValueError(f"unknown imputation strategy {strategy!r}")
         if not len(self):
@@ -460,7 +405,7 @@ class FeatureTable:
         absent = np.isnan(values["t_j_min"])
         if stability and absent.any():
             fills: dict[str, float] = {}
-            for column in _STABILITY_COLUMNS:
+            for column in STABILITY_COLUMNS:
                 if strategy == "constant":
                     fills[column] = constant
                     continue
@@ -470,14 +415,14 @@ class FeatureTable:
                 fills[column] = sum(observed) / len(observed)
             row = int(np.argmax(absent))
             problem = _row_problem(*(values[c][row].item() for c in _RULE_COLUMNS[:3]),
-                                   *(fills[c] for c in _STABILITY_COLUMNS))
+                                   *(fills[c] for c in STABILITY_COLUMNS))
             if problem is not None:
                 raise ValueError(problem)
             for column, fill in fills.items():
                 values[column] = np.where(absent, fill, values[column])
         if "" in values["d_topic"]:
             values["d_topic"] = [UNKNOWN_TOPIC if t == "" else t for t in values["d_topic"]]
-        return FeatureTable._of(values, self._labels, self._masks)
+        return FeatureTable._of(values, self._labels)
 
     def write_csv(self, path: str | Path, columns: Sequence[str] | None = None) -> None:
         """Comma-separated table; missing values are empty fields, labels one
@@ -515,12 +460,12 @@ def _arrays(columns: Mapping[str, Sequence]) -> dict:
 
 
 def _check_rows(values: Mapping, absent: Mapping[str, np.ndarray]) -> None:
-    """Raise the ValueError of the first row that breaks a FeatureVector
-    rule (``_row_problem``). ``absent`` marks the missing stability values:
+    """Raise the ValueError of the first row that breaks a row rule
+    (``_row_problem``). ``absent`` marks the missing stability values:
     a NaN that was read or computed breaks the rules, a missing value does
     not."""
-    lo, hi, avg = (values[c] for c in _STABILITY_COLUMNS)
-    no_lo, no_hi, no_avg = (absent[c] for c in _STABILITY_COLUMNS)
+    lo, hi, avg = (values[c] for c in STABILITY_COLUMNS)
+    no_lo, no_hi, no_avg = (absent[c] for c in STABILITY_COLUMNS)
     m_pos = values["m_pos"]
     broken = ((values["m_words"] > values["m_len"]) | ~((0.0 <= m_pos) & (m_pos < 1.0))
               | (no_lo != no_avg) | (no_hi != no_avg) | (~no_lo & ~((lo <= avg) & (avg <= hi))))
@@ -530,16 +475,6 @@ def _check_rows(values: Mapping, absent: Mapping[str, np.ndarray]) -> None:
             None if c in absent and absent[c][row] else values[c][row].item()
             for c in _RULE_COLUMNS
         )))
-
-
-def _table_from_rows(rows: Sequence[tuple]) -> FeatureTable:
-    """A table of ``FeatureExtractor._row`` rows, checked by the row rules."""
-    columns = list(zip(*rows)) if rows else [()] * (len(FEATURE_COLUMNS) + 1)
-    values = _arrays(dict(zip(FEATURE_COLUMNS, columns)))
-    absent = {c: np.array([v is None for v in columns[FEATURE_COLUMNS.index(c)]], dtype=bool)
-              for c in _STABILITY_COLUMNS}
-    _check_rows(values, absent)
-    return FeatureTable._of(values, list(columns[-1]))
 
 
 _COLUMN_DEFAULTS = {
@@ -555,9 +490,11 @@ def read_table(path: str | Path) -> tuple[FeatureSchema, FeatureTable]:
 
     The header must be a subset of the canonical columns followed by
     ``label``; columns absent from the file get neutral defaults and the
-    returned schema records which columns were actually present. A malformed
-    file fails at its first bad record, with that record's line number
-    (records are counted, the header being line 1).
+    returned schema records which columns were actually present. The file
+    is parsed column by column, and every record must obey the row rules
+    (``_row_problem``). A malformed file fails at its first bad record, with
+    that record's line number (records are counted, the header being
+    line 1).
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -590,13 +527,13 @@ def _parse_columns(records: list[list[str]], columns: tuple[str, ...],
         raise ValueError("records of different widths")
     fields = list(zip(*records)) if records else [()] * width
     values = _arrays({c: [_COLUMN_DEFAULTS[c]] * n for c in FEATURE_COLUMNS if c not in columns})
-    absent = {c: np.ones(n, dtype=bool) for c in _STABILITY_COLUMNS}
+    absent = {c: np.ones(n, dtype=bool) for c in STABILITY_COLUMNS}
     for name, texts in zip(columns, fields):
         if name == "d_topic":
             values[name] = list(texts)
         elif name in _INT_COLUMNS:
             values[name] = np.array(list(map(int, texts)), dtype=np.int64)
-        elif name in _STABILITY_COLUMNS:
+        elif name in STABILITY_COLUMNS:
             absent[name] = np.array([t == "" for t in texts], dtype=bool)
             values[name] = np.array([float(t) if t else np.nan for t in texts], dtype=np.float64)
         else:

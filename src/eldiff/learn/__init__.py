@@ -9,7 +9,6 @@ from .models import (
     LogisticRegressionModel,
     RandomForestModel,
     load_model,
-    predict,
     save_model,
     softmax_loss_and_grads,
     train,
@@ -38,7 +37,6 @@ __all__ = [
     "DecisionTreeModel",
     "RandomForestModel",
     "train",
-    "predict",
     "save_model",
     "load_model",
     "softmax_loss_and_grads",

@@ -87,13 +87,6 @@ class _Model:
         return [CLASS_ORDER[c] for c in np.argmax(probs, axis=1).tolist()], probs
 
 
-def predict(model: _Model, row) -> tuple[Label, np.ndarray]:
-    """Label and class-probability vector for one encoded row; ties go to
-    the earlier class in (HARD, MEDIUM, EASY)."""
-    probs = model.predict_proba(model._check(np.asarray(row, dtype=np.float64)))[0]
-    return CLASS_ORDER[int(np.argmax(probs))], probs
-
-
 # ---------------------------------------------------------------------------
 # Softmax over the three classes
 

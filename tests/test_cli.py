@@ -10,7 +10,7 @@ import pytest
 from eldiff import embeddings
 from eldiff.cli import EXIT_DEGENERATE, EXIT_ERROR, EXIT_OK, _apply_config, _build_parser, main
 from eldiff.consensus import Label, read_labels
-from eldiff.features import FeatureTable, FeatureVector
+from eldiff.features import FeatureTable
 from eldiff.simulate import GoldStandard
 
 
@@ -55,20 +55,27 @@ def features_dir(fixture_dir, labelled_dir, tmp_path_factory):
     return out
 
 
+def feature_table(labels, **columns):
+    """One row per label; each column is given as a list of its values in
+    row order, or as one value for every row."""
+    return FeatureTable({c: v if isinstance(v, list) else [v] * len(labels)
+                         for c, v in columns.items()}, labels)
+
+
 def separable_table():
     """Label is a noiseless function of m_len: tiny/medium/large."""
-    rows = []
+    labels, m_lens = [], []
     rng = np.random.default_rng(0)
     for label, m_len in [(Label.HARD, 2), (Label.MEDIUM, 12), (Label.EASY, 30)]:
         for _ in range(30):
             jitter = int(rng.integers(0, 3))
-            rows.append(FeatureVector(
-                m_len=m_len + jitter, m_words=1, m_freq=1, m_df=1,
-                m_cand=1, m_pos=0.5, m_sent=10, d_words=20, d_topic="T",
-                d_ents=1, t_age=10, t_df=1,
-                t_j_min=None, t_j_max=None, t_j_avg=None, label=label,
-            ))
-    return FeatureTable(rows)
+            labels.append(label)
+            m_lens.append(m_len + jitter)
+    return feature_table(
+        labels, m_len=m_lens, m_words=1, m_freq=1, m_df=1,
+        m_cand=1, m_pos=0.5, m_sent=10, d_words=20, d_topic="T",
+        d_ents=1, t_age=10, t_df=1, t_j_min=None, t_j_max=None, t_j_avg=None,
+    )
 
 
 class TestGenSynthetic:
@@ -185,7 +192,7 @@ class TestTrainPredict:
             line.split("\t")[3]
             for line in (tmp_path / "predictions.tsv").read_text(encoding="utf-8").splitlines()
         ]
-        gold = [row.label.value for row in table]
+        gold = [label.value for label in table.labels()]
         accuracy = sum(p == g for p, g in zip(predicted, gold)) / len(gold)
         assert accuracy >= 0.99
 
@@ -225,16 +232,13 @@ class TestTrainPredict:
 
 class TestEval:
     def test_fold_size_error_is_explicit(self, tmp_path, capsys):
-        rows = []
-        for label, count in [(Label.HARD, 9), (Label.MEDIUM, 30), (Label.EASY, 30)]:
-            for i in range(count):
-                rows.append(FeatureVector(
-                    m_len=5, m_words=1, m_freq=1, m_df=1, m_cand=1, m_pos=0.1,
-                    m_sent=5, d_words=10, d_topic="T", d_ents=1, t_age=5, t_df=1,
-                    t_j_min=None, t_j_max=None, t_j_avg=None, label=label,
-                ))
+        labels = [Label.HARD] * 9 + [Label.MEDIUM] * 30 + [Label.EASY] * 30
         features = tmp_path / "features.csv"
-        FeatureTable(rows).write_csv(features)
+        feature_table(
+            labels, m_len=5, m_words=1, m_freq=1, m_df=1, m_cand=1, m_pos=0.1,
+            m_sent=5, d_words=10, d_topic="T", d_ents=1, t_age=5, t_df=1,
+            t_j_min=None, t_j_max=None, t_j_avg=None,
+        ).write_csv(features)
         status = run("eval", "--features", features, "--variants", "gaussian_nb",
                      "--folds", 10, "--impute", "constant", "--out", tmp_path)
         assert status == EXIT_ERROR

@@ -15,9 +15,10 @@ from eldiff.consensus import LABEL_OF_VALUE, Label
 from eldiff.errors import MalformedRecordError
 from eldiff.features import (
     FEATURE_COLUMNS,
+    STABILITY_COLUMNS,
     FeatureSchema,
     FeatureTable,
-    FeatureVector,
+    _row_problem,
     read_table,
 )
 
@@ -33,7 +34,8 @@ DEFAULTS = {
 
 def rowwise_read_errors(path):
     """The row-at-a-time reader the columnar one replaced, as the oracle for
-    error messages and line numbers: one FeatureVector per record."""
+    error messages and line numbers: each record parsed on its own and
+    checked by the row rules."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -57,20 +59,37 @@ def rowwise_read_errors(path):
                 label_text = record[-1]
                 if label_text and label_text not in LABEL_OF_VALUE:
                     raise ValueError(f"bad label {label_text!r}")
-                values["label"] = LABEL_OF_VALUE[label_text] if label_text else None
-                FeatureVector(**values)
+                problem = _row_problem(*(values[c] for c in ("m_len", "m_words", "m_pos",
+                                                             *STABILITY_COLUMNS)))
+                if problem is not None:
+                    raise ValueError(problem)
             except ValueError as exc:
                 raise MalformedRecordError(lineno, str(exc)) from None
 
 
-def _fv(**overrides):
-    base = dict(
-        m_len=5, m_words=1, m_freq=1, m_df=1, m_cand=2, m_pos=0.1, m_sent=20,
-        d_words=50, d_topic="SPORTS", d_ents=3, t_age=16, t_df=1,
-        t_j_min=0.2, t_j_max=0.6, t_j_avg=0.4, label=Label.EASY,
-    )
-    base.update(overrides)
-    return FeatureVector(**base)
+BASE = dict(
+    m_len=5, m_words=1, m_freq=1, m_df=1, m_cand=2, m_pos=0.1, m_sent=20,
+    d_words=50, d_topic="SPORTS", d_ents=3, t_age=16, t_df=1,
+    t_j_min=0.2, t_j_max=0.6, t_j_avg=0.4, label=Label.EASY,
+)
+
+
+def _table(rows=1, **columns):
+    """A table of ``rows`` rows of the base values, except that a column
+    given here holds its value in every row, or its list of values."""
+    columns = {c: v if isinstance(v, list) else [v] * rows
+               for c, v in {**BASE, **columns}.items()}
+    return FeatureTable(columns, columns["label"])
+
+
+def _python(table):
+    """The columns of ``table`` as Python values, None where a stability
+    value is missing, and its labels."""
+    columns = {c: list(table.column(c)) if c == "d_topic" else table.column(c).tolist()
+               for c in FEATURE_COLUMNS}
+    for c in STABILITY_COLUMNS:
+        columns[c] = [None if math.isnan(v) else v for v in columns[c]]
+    return {**columns, "label": table.labels()}
 
 
 GOOD = "5,1,1,1,2,0.1,20,50,SPORTS,3,16,1,0.2,0.6,0.4,EASY"
@@ -144,7 +163,8 @@ class TestReadErrors:
         path.write_text(HEADER + "\n", encoding="utf-8")
         schema, table = read_table(path)
         assert schema.columns == FEATURE_COLUMNS
-        assert len(table) == 0 and list(table) == [] and table.masks == []
+        assert len(table) == 0
+        assert _python(table) == {c: [] for c in FEATURE_COLUMNS + ("label",)}
 
 
 class TestImputeBits:
@@ -152,23 +172,21 @@ class TestImputeBits:
         values = [0.96, 0.72, 0.54, 0.28, 0.16, 0.97, 0.52, 0.12, 0.62, 0.78, 0.61, 0.92]
         # the pairwise sum in np.mean rounds differently on this column
         assert np.mean(values) != sum(values) / len(values)
-        rows = [_fv(t_j_min=v, t_j_max=v, t_j_avg=v) for v in values]
-        rows.append(_fv(t_j_min=None, t_j_max=None, t_j_avg=None))
-        filled = FeatureTable(rows).impute("mean")[len(values)]
-        assert filled.t_j_avg == sum(values) / len(values)
-        assert filled.t_j_min == filled.t_j_max == filled.t_j_avg
+        triple = values + [None]
+        table = _table(len(triple), t_j_min=triple, t_j_max=triple, t_j_avg=triple)
+        filled = [table.impute("mean").column(c)[-1] for c in STABILITY_COLUMNS]
+        assert filled == [sum(values) / len(values)] * 3
 
     def test_nan_constant_breaks_the_row_rules(self):
-        rows = [_fv(), _fv(t_j_min=None, t_j_max=None, t_j_avg=None)]
+        table = _table(2, t_j_min=[0.2, None], t_j_max=[0.6, None], t_j_avg=[0.4, None])
         with pytest.raises(ValueError, match="min <= avg <= max"):
-            FeatureTable(rows).impute("constant", constant=math.nan)
+            table.impute("constant", constant=math.nan)
 
-    def test_masks_survive_imputation(self):
-        rows = [_fv(d_topic=""), _fv(t_j_min=None, t_j_max=None, t_j_avg=None)]
-        table = FeatureTable(rows).impute("constant", constant=0.5)
-        assert table.masks == [frozenset({"d_topic"}),
-                               frozenset({"t_j_min", "t_j_max", "t_j_avg"})]
-        assert table[0].d_topic == "UNKNOWN" and table[1].t_j_avg == 0.5
+    def test_constant_fills_only_what_is_missing(self):
+        table = _table(2, d_topic=["", "SPORTS"], t_j_min=[0.2, None], t_j_max=[0.6, None],
+                       t_j_avg=[0.4, None]).impute("constant", constant=0.5)
+        assert table.column("d_topic") == ["UNKNOWN", "SPORTS"]
+        assert table.column("t_j_avg").tolist() == [0.4, 0.5]
 
 
 class TestWriteBits:
@@ -176,15 +194,16 @@ class TestWriteBits:
         # repr(np.float64(x)) is "np.float64(x)" on numpy 2, not repr(x)
         m_pos = 0.1 + 0.2
         path = tmp_path / "f.csv"
-        FeatureTable([_fv(m_pos=m_pos, t_j_min=1 / 3, t_j_max=2 / 3, t_j_avg=0.5)]).write_csv(path)
+        _table(m_pos=m_pos, t_j_min=1 / 3, t_j_max=2 / 3, t_j_avg=0.5).write_csv(path)
         record = path.read_text(encoding="utf-8").splitlines()[1].split(",")
         assert record[5] == repr(m_pos) == "0.30000000000000004"
         assert record[12:15] == [repr(1 / 3), repr(2 / 3), "0.5"]
 
     def test_imputed_table_writes_its_fills(self, tmp_path):
         path = tmp_path / "f.csv"
-        rows = [_fv(), _fv(t_j_min=None, t_j_max=None, t_j_avg=None, d_topic="")]
-        FeatureTable(rows).impute("mean").write_csv(path)
+        table = _table(2, t_j_min=[0.2, None], t_j_max=[0.6, None], t_j_avg=[0.4, None],
+                       d_topic=["SPORTS", ""])
+        table.impute("mean").write_csv(path)
         record = path.read_text(encoding="utf-8").splitlines()[2].split(",")
         assert record[8] == "UNKNOWN" and record[12:15] == ["0.2", "0.6", "0.4"]
 
@@ -210,36 +229,45 @@ counts = st.integers(min_value=0, max_value=2 ** 40)
 
 
 @st.composite
-def feature_rows(draw):
-    m_len = draw(st.integers(min_value=0, max_value=10 ** 6))
-    triple = draw(st.one_of(st.none(), st.lists(st.floats(min_value=0.0, max_value=1.0),
-                                                min_size=3, max_size=3)))
-    lo, avg, hi = sorted(triple) if triple else (None, None, None)
-    return FeatureVector(
-        m_len=m_len, m_words=draw(st.integers(min_value=0, max_value=m_len)),
-        m_freq=draw(counts), m_df=draw(counts), m_cand=draw(counts), m_pos=draw(unit),
-        m_sent=draw(counts), d_words=draw(counts), d_topic=draw(topics), d_ents=draw(counts),
-        t_age=draw(st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1)), t_df=draw(counts),
-        t_j_min=lo, t_j_max=hi, t_j_avg=avg,
-        label=draw(st.one_of(st.none(), st.sampled_from(list(Label)))),
-    )
+def feature_columns(draw):
+    """Every feature column's values and the labels of up to 8 rows; a
+    stability triple is all None or sorted as min, avg, max."""
+    n = draw(st.integers(min_value=0, max_value=8))
+
+    def column(values):
+        return draw(st.lists(values, min_size=n, max_size=n))
+
+    m_len = column(st.integers(min_value=0, max_value=10 ** 6))
+    triples = column(st.one_of(st.none(), st.lists(st.floats(min_value=0.0, max_value=1.0),
+                                                   min_size=3, max_size=3)))
+    lo, avg, hi = ([sorted(t)[i] if t else None for t in triples] for i in range(3))
+    return {
+        "m_len": m_len, "m_words": [draw(st.integers(min_value=0, max_value=v)) for v in m_len],
+        "m_freq": column(counts), "m_df": column(counts), "m_cand": column(counts),
+        "m_pos": column(unit), "m_sent": column(counts), "d_words": column(counts),
+        "d_topic": column(topics), "d_ents": column(counts),
+        "t_age": column(st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1)),
+        "t_df": column(counts), "t_j_min": lo, "t_j_max": hi, "t_j_avg": avg,
+        "label": column(st.one_of(st.none(), st.sampled_from(list(Label)))),
+    }
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(rows=st.lists(feature_rows(), max_size=8), preset=st.sampled_from(sorted(PRESETS)))
-def test_write_read_roundtrip(tmp_path, rows, preset):
+@given(values=feature_columns(), preset=st.sampled_from(sorted(PRESETS)))
+def test_write_read_roundtrip(tmp_path, values, preset):
     columns = PRESETS[preset].columns
     path = tmp_path / f"{preset}.csv"
-    FeatureTable(rows).write_csv(path, columns=columns)
+    FeatureTable(values, values["label"]).write_csv(path, columns=columns)
     schema, table = read_table(path)
     assert schema.columns == columns
-    assert table.labels() == [row.label for row in rows]
+    assert table.labels() == values["label"]
+    read = _python(table)
     for column in columns:
-        assert [getattr(r, column) for r in table] == [getattr(r, column) for r in rows]
+        # a missing value reads back as None, or "" for a topic
+        assert read[column] == values[column]
     if columns == FEATURE_COLUMNS:
-        assert list(table) == rows
-        assert table.masks == FeatureTable(rows).masks
+        assert read == values
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None,
@@ -259,7 +287,7 @@ def test_int_outside_int64_reads_back_or_fails_with_its_line(tmp_path, value, co
         assert not -(2 ** 63) <= value < 2 ** 63
         assert str(exc) == f"line {line + 2}: column {column} value outside the int64 range"
     else:
-        assert getattr(table[line], column) == value
+        assert table.column(column).tolist()[line] == value
 
 
 def test_cli_names_the_line_of_an_int_beyond_float_range(tmp_path, caplog):
@@ -276,10 +304,10 @@ def test_cli_names_the_line_of_an_int_beyond_float_range(tmp_path, caplog):
 
 def test_lone_carriage_return_in_a_topic_roundtrips(tmp_path):
     # csv quotes a field holding "\n" but not one holding only "\r"
-    rows = [_fv(d_topic="a\rb"), _fv(d_topic="plain", label=None)]
+    table = _table(2, d_topic=["a\rb", "plain"], label=[Label.EASY, None])
     path = tmp_path / "f.csv"
-    FeatureTable(rows).write_csv(path)
-    assert list(read_table(path)[1]) == rows
+    table.write_csv(path)
+    assert _python(read_table(path)[1]) == _python(table)
     plain = tmp_path / "plain.csv"
-    FeatureTable([_fv(d_topic="a\nb")]).write_csv(plain)
+    _table(d_topic="a\nb").write_csv(plain)
     assert plain.read_text(encoding="utf-8").splitlines()[1].startswith("5,1,")

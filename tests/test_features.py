@@ -1,6 +1,7 @@
 """Feature extraction, imputation and the table format."""
 
 import datetime as dt
+import math
 import re
 
 import numpy as np
@@ -13,12 +14,13 @@ from eldiff.corpus import Corpus, Document
 from eldiff.embeddings import EmbeddingModel
 from eldiff.errors import AllMissingError, MalformedRecordError
 from eldiff.features import (
+    FEATURE_COLUMNS,
+    STABILITY_COLUMNS,
     CandidateDictionary,
     FeatureConfig,
     FeatureExtractor,
     FeatureSchema,
     FeatureTable,
-    FeatureVector,
     count_doc_mentions,
     load_candidate_dictionary,
     read_table,
@@ -27,31 +29,50 @@ from eldiff.features import (
 )
 
 
-def _fv(**overrides):
-    base = dict(
-        m_len=5, m_words=1, m_freq=1, m_df=1, m_cand=2, m_pos=0.1, m_sent=20,
-        d_words=50, d_topic="SPORTS", d_ents=3, t_age=16, t_df=1,
-        t_j_min=0.2, t_j_max=0.6, t_j_avg=0.4, label=Label.EASY,
-    )
-    base.update(overrides)
-    return FeatureVector(**base)
+BASE = dict(
+    m_len=5, m_words=1, m_freq=1, m_df=1, m_cand=2, m_pos=0.1, m_sent=20,
+    d_words=50, d_topic="SPORTS", d_ents=3, t_age=16, t_df=1,
+    t_j_min=0.2, t_j_max=0.6, t_j_avg=0.4, label=Label.EASY,
+)
 
 
-class TestFeatureVector:
-    def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            _fv(m_words=9, m_len=3)
-        with pytest.raises(ValueError):
-            _fv(m_pos=1.5)
-        with pytest.raises(ValueError):
-            _fv(t_j_min=0.9, t_j_max=0.1, t_j_avg=0.5)
-        with pytest.raises(ValueError):
-            _fv(t_j_min=None, t_j_max=0.5, t_j_avg=0.5)
+def _table(rows=1, **columns):
+    """A table of ``rows`` rows of the base values, except that a column
+    given here holds its value in every row, or its list of values."""
+    columns = {c: v if isinstance(v, list) else [v] * rows
+               for c, v in {**BASE, **columns}.items()}
+    return FeatureTable(columns, columns["label"])
 
-    def test_missing_mask(self):
-        row = _fv(t_j_min=None, t_j_max=None, t_j_avg=None, d_topic="")
-        assert row.missing("t_j_avg") and row.missing("d_topic")
-        assert not row.missing("m_len")
+
+def _python(table):
+    """The columns of ``table`` as Python values, None where a stability
+    value is missing, and its labels."""
+    columns = {c: list(table.column(c)) if c == "d_topic" else table.column(c).tolist()
+               for c in FEATURE_COLUMNS}
+    for c in STABILITY_COLUMNS:
+        columns[c] = [None if math.isnan(v) else v for v in columns[c]]
+    return {**columns, "label": table.labels()}
+
+
+def _row(table, index=0):
+    return {c: values[index] for c, values in _python(table).items()}
+
+
+class TestTableConstructor:
+    @pytest.mark.parametrize("columns, message", [
+        (dict(m_words=9, m_len=3), "m_words cannot exceed m_len"),
+        (dict(m_pos=1.5), "m_pos 1.5 outside [0, 1)"),
+        (dict(t_j_min=0.9, t_j_max=0.1, t_j_avg=0.5), "min <= avg <= max"),
+        (dict(t_j_min=None, t_j_max=0.5, t_j_avg=0.5), "all present or all missing"),
+    ])
+    def test_row_rules_enforced(self, columns, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            _table(**columns)
+
+    def test_columns_and_labels_must_agree_in_length(self):
+        columns = {c: [v] * 2 for c, v in BASE.items()}
+        with pytest.raises(ValueError, match="one value per label"):
+            FeatureTable(columns, [Label.EASY])
 
 
 class TestSchema:
@@ -85,10 +106,11 @@ class TestCandidateDictionary:
 
     def test_id_list_lines(self, tmp_path):
         path = tmp_path / "cand.tsv"
-        path.write_text("Paris\tE1,E2,E3\n", encoding="utf-8")
+        path.write_text("Paris\tE1,E2,E3\nBonn\tE1,,E2,E1\n", encoding="utf-8")
         d = load_candidate_dictionary(path)
         assert d.count("Paris") == 3
-        assert d.candidates("Paris") == frozenset({"E1", "E2", "E3"})
+        # a repeated id counts once and an empty one not at all
+        assert d.count("Bonn") == 2
 
     def test_duplicate_merged_by_max(self, tmp_path):
         path = tmp_path / "cand.tsv"
@@ -98,9 +120,7 @@ class TestCandidateDictionary:
     def test_duplicate_sets_merged_by_union(self, tmp_path):
         path = tmp_path / "cand.tsv"
         path.write_text("X\tE1,E2\nX\tE2,E3\n", encoding="utf-8")
-        d = load_candidate_dictionary(path)
-        assert d.candidates("X") == frozenset({"E1", "E2", "E3"})
-        assert d.count("X") == 3
+        assert load_candidate_dictionary(path).count("X") == 3
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "cand.tsv"
@@ -113,15 +133,13 @@ class TestCandidateDictionary:
         path = tmp_path / "cand.tsv"
         path.write_text("X\t²\nY\t١٢\nZ\t12\n", encoding="utf-8")
         d = load_candidate_dictionary(path)
-        assert d.candidates("X") == frozenset({"²"}) and d.count("X") == 1
-        assert d.count("Y") == 12 and d.candidates("Y") == frozenset()
-        assert d.count("Z") == 12 and d.candidates("Z") == frozenset()
+        assert d.count("X") == 1 and d.count("Y") == 12 and d.count("Z") == 12
 
     def test_single_all_digit_id_takes_a_trailing_comma(self, tmp_path):
         path = tmp_path / "cand.tsv"
         path.write_text("Orwell\t1984,\nYear\t1984\n", encoding="utf-8")
         d = load_candidate_dictionary(path)
-        assert d.candidates("Orwell") == frozenset({"1984"}) and d.count("Orwell") == 1
+        assert d.count("Orwell") == 1
         assert d.count("Year") == 1984
 
 
@@ -180,39 +198,39 @@ class TestExtract:
         return FeatureExtractor(corpus, candidates, [], FeatureConfig(), counts)
 
     def test_normalised_position(self, extractor):
-        row = extractor.extract(("doc1", "Paris", 250))
-        assert row.m_pos == 0.25
+        row = _row(extractor.extract(("doc1", "Paris", 250)))
+        assert row["m_pos"] == 0.25
 
     def test_position_at_document_start_is_exactly_zero(self, extractor):
-        assert extractor.extract(("doc2", "Paris", 0)).m_pos == 0.0
+        assert _row(extractor.extract(("doc2", "Paris", 0)))["m_pos"] == 0.0
 
     def test_age_against_reference_kb(self, extractor):
         # kb year 2016, publication year 2000 -> age 16
-        row = extractor.extract(("doc1", "Paris", 250))
-        assert row.t_age == 16
+        row = _row(extractor.extract(("doc1", "Paris", 250)))
+        assert row["t_age"] == 16
 
     def test_word_and_char_counts(self, extractor):
-        row = extractor.extract(("doc2", "John McCain", 10))
-        assert row.m_words == 2
-        assert row.m_len == 11
+        row = _row(extractor.extract(("doc2", "John McCain", 10)))
+        assert row["m_words"] == 2
+        assert row["m_len"] == 11
 
     def test_frequency_features(self, extractor):
-        row = extractor.extract(("doc2", "Paris", 0))
-        assert row.m_freq == 2
-        assert row.m_df == 2
-        assert row.m_cand == 26
-        assert row.t_df == 2  # both Paris docs inside +/-6 months
+        row = _row(extractor.extract(("doc2", "Paris", 0)))
+        assert row["m_freq"] == 2
+        assert row["m_df"] == 2
+        assert row["m_cand"] == 26
+        assert row["t_df"] == 2  # both Paris docs inside +/-6 months
 
     def test_sentence_length(self, extractor):
         # first sentence of doc2 is "Paris met John McCain" (21 chars)
-        row = extractor.extract(("doc2", "Paris", 0))
-        assert row.m_sent == 21
+        row = _row(extractor.extract(("doc2", "Paris", 0)))
+        assert row["m_sent"] == 21
 
     def test_document_features(self, extractor):
-        row = extractor.extract(("doc2", "Paris", 0))
-        assert row.d_words == 6
-        assert row.d_topic == ""
-        assert row.d_ents == 2
+        row = _row(extractor.extract(("doc2", "Paris", 0)))
+        assert row["d_words"] == 6
+        assert row["d_topic"] == ""
+        assert row["d_ents"] == 2
 
     def test_memoised_sentence_and_word_counts_match_linear_scan(self, corpus):
         # every offset of documents with adjacent, leading and trailing marks
@@ -238,21 +256,21 @@ class TestExtract:
         for offset in range(longest):
             for doc in docs:
                 if offset < len(doc.text):
-                    row = extractor.extract((doc.id, doc.text[offset], offset))
-                    assert row.m_sent == sentence_length(doc.text, offset), (doc.id, offset)
-                    assert row.d_words == len(doc.text.split())
+                    row = _row(extractor.extract((doc.id, doc.text[offset], offset)))
+                    assert row["m_sent"] == sentence_length(doc.text, offset), (doc.id, offset)
+                    assert row["d_words"] == len(doc.text.split())
 
     def test_stability_missing_without_models(self, extractor):
-        row = extractor.extract(("doc1", "Paris", 250))
-        assert row.t_j_min is None and row.missing("t_j_avg")
+        row = _row(extractor.extract(("doc1", "Paris", 250)))
+        assert row["t_j_min"] is row["t_j_max"] is row["t_j_avg"] is None
 
     def test_stability_with_models(self, corpus):
         vocab = {"Paris": 0, "x": 1, "y": 2}
         vectors = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0]], dtype=np.float32)
         models = [EmbeddingModel(vocab, vectors, str(y)) for y in (1999, 2000)]
         extractor = FeatureExtractor(corpus, None, models, FeatureConfig(top_k=2))
-        row = extractor.extract(("doc1", "Paris", 250))
-        assert (row.t_j_min, row.t_j_max, row.t_j_avg) == (1.0, 1.0, 1.0)
+        row = _row(extractor.extract(("doc1", "Paris", 250)))
+        assert (row["t_j_min"], row["t_j_max"], row["t_j_avg"]) == (1.0, 1.0, 1.0)
 
     def test_unknown_doc_rejected(self, extractor):
         with pytest.raises(KeyError):
@@ -264,14 +282,14 @@ class TestExtract:
 
     def test_label_carried_from_labelled_mention(self, extractor):
         lm = LabelledMention(AlignedMention("doc1", "Paris", 250, ("a", "b")), Label.MEDIUM)
-        assert extractor.extract(lm).label is Label.MEDIUM
+        assert extractor.extract(lm).labels() == [Label.MEDIUM]
 
     def test_batch_equals_one_by_one(self, extractor):
         mentions = [("doc2", "Paris", 0), ("doc1", "Paris", 250), ("doc2", "Paris", 23)]
         table = extractor.extract_all(mentions)
         assert len(table) == 3
-        for row, mention in zip(table, mentions):
-            assert row == extractor.extract(mention)
+        for index, mention in enumerate(mentions):
+            assert _row(table, index) == _row(extractor.extract(mention))
 
     def test_property_run_rows_satisfy_invariants(self, corpus):
         rng = np.random.default_rng(0)
@@ -284,11 +302,12 @@ class TestExtract:
             length = int(rng.integers(1, min(6, len(doc.text) - offset) + 1))
             mentions.append((doc.id, doc.text[offset:offset + length], offset))
         table = extractor.extract_all(mentions)
-        for row in table:
-            assert 0 <= row.m_pos < 1
-            assert row.m_words <= row.m_len
-            assert row.m_freq >= 1  # the surface occurs at its own offset
-            assert row.m_df >= 1
+        assert len(table) == 2000
+        m_pos = table.column("m_pos")
+        assert ((0 <= m_pos) & (m_pos < 1)).all()
+        assert (table.column("m_words") <= table.column("m_len")).all()
+        assert (table.column("m_freq") >= 1).all()  # the surface occurs at its own offset
+        assert (table.column("m_df") >= 1).all()
 
 
 class TestCountDocMentions:
@@ -301,43 +320,32 @@ class TestCountDocMentions:
 
 class TestImpute:
     def test_mean_fills_stability(self):
-        rows = [
-            _fv(t_j_min=1.0, t_j_max=1.0, t_j_avg=1.0),
-            _fv(t_j_min=None, t_j_max=None, t_j_avg=None),
-            _fv(t_j_min=3.0 / 10, t_j_max=5.0 / 10, t_j_avg=4.0 / 10),
-        ]
-        table = FeatureTable(rows).impute("mean")
-        filled = table[1]
-        assert filled.t_j_min == pytest.approx((1.0 + 0.3) / 2)
-        assert filled.t_j_max == pytest.approx((1.0 + 0.5) / 2)
-        # the mask still marks the originally missing entries
-        assert "t_j_min" in table.masks[1]
-        assert "t_j_min" not in table.masks[0]
+        table = _table(3, t_j_min=[1.0, None, 3.0 / 10], t_j_max=[1.0, None, 5.0 / 10],
+                       t_j_avg=[1.0, None, 4.0 / 10]).impute("mean")
+        assert table.column("t_j_min")[1] == pytest.approx((1.0 + 0.3) / 2)
+        assert table.column("t_j_max")[1] == pytest.approx((1.0 + 0.5) / 2)
 
     def test_constant_fill(self):
-        rows = [_fv(t_j_min=None, t_j_max=None, t_j_avg=None)]
-        table = FeatureTable(rows).impute("constant", constant=0.0)
-        assert (table[0].t_j_min, table[0].t_j_max, table[0].t_j_avg) == (0.0, 0.0, 0.0)
+        table = _table(t_j_min=None, t_j_max=None, t_j_avg=None).impute("constant", constant=0.0)
+        assert [table.column(c)[0] for c in STABILITY_COLUMNS] == [0.0, 0.0, 0.0]
 
     def test_all_missing_mean_errors(self):
-        rows = [_fv(t_j_min=None, t_j_max=None, t_j_avg=None) for _ in range(3)]
         with pytest.raises(AllMissingError):
-            FeatureTable(rows).impute("mean")
+            _table(3, t_j_min=None, t_j_max=None, t_j_avg=None).impute("mean")
 
     def test_missing_topic_becomes_unknown(self):
-        table = FeatureTable([_fv(d_topic="")]).impute("constant")
-        assert table[0].d_topic == "UNKNOWN"
+        table = _table(d_topic="").impute("constant")
+        assert table.column("d_topic")[0] == "UNKNOWN"
 
     def test_stability_disabled_skips_numeric_fill(self):
-        rows = [_fv(t_j_min=None, t_j_max=None, t_j_avg=None)]
-        table = FeatureTable(rows).impute("mean", stability=False)
-        assert table[0].t_j_min is None
+        table = _table(t_j_min=None, t_j_max=None, t_j_avg=None).impute("mean", stability=False)
+        assert _row(table)["t_j_min"] is None
 
 
 class TestTableIO:
     def test_header_is_canonical(self, tmp_path):
         path = tmp_path / "f.csv"
-        FeatureTable([_fv()]).write_csv(path)
+        _table().write_csv(path)
         header = path.read_text(encoding="utf-8").splitlines()[0]
         assert header == (
             "m_len,m_words,m_freq,m_df,m_cand,m_pos,m_sent,d_words,d_topic,"
@@ -345,23 +353,21 @@ class TestTableIO:
         )
 
     def test_roundtrip_with_missing_values(self, tmp_path):
-        rows = [
-            _fv(),
-            _fv(t_j_min=None, t_j_max=None, t_j_avg=None, d_topic="", label=None),
-            _fv(label=Label.HARD, m_pos=0.123456789),
-        ]
+        table = _table(3, t_j_min=[0.2, None, 0.2], t_j_max=[0.6, None, 0.6],
+                       t_j_avg=[0.4, None, 0.4], d_topic=["SPORTS", "", "SPORTS"],
+                       label=[Label.EASY, None, Label.HARD], m_pos=[0.1, 0.1, 0.123456789])
         path = tmp_path / "f.csv"
-        FeatureTable(rows).write_csv(path)
+        table.write_csv(path)
         _, again = read_table(path)
-        assert list(again) == rows
+        assert _python(again) == _python(table)
 
     def test_reduced_table_roundtrip(self, tmp_path):
         path = tmp_path / "f.csv"
-        FeatureTable([_fv()]).write_csv(path, columns=("m_cand",))
+        _table().write_csv(path, columns=("m_cand",))
         schema, table = read_table(path)
         assert schema.columns == ("m_cand",)
-        assert table[0].m_cand == 2
-        assert table[0].label is Label.EASY
+        assert table.column("m_cand").tolist() == [2]
+        assert table.labels() == [Label.EASY]
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "f.csv"

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from eldiff.consensus import Label
+from eldiff.consensus import CLASS_ORDER, Label
 from eldiff.errors import CorruptModelError, UnsupportedVersionError
 from eldiff.learn.dataset import N_CLASSES, Dataset
 from eldiff.learn.models import (
@@ -20,7 +20,6 @@ from eldiff.learn.models import (
     _Tree,
     _softmax,
     load_model,
-    predict,
     save_model,
     softmax_loss_and_grads,
     train,
@@ -388,9 +387,9 @@ class TestRandomForest:
     def test_forest_averaging_and_tie_break(self):
         model = RandomForestModel(("f0",), {}, n_trees=2)
         model.trees = [leaf_tree([1.0, 0.0, 0.0]), leaf_tree([0.0, 1.0, 0.0])]
-        label, probs = predict(model, np.array([0.0]))
-        np.testing.assert_allclose(probs, [0.5, 0.5, 0.0])
-        assert label is Label.HARD
+        x = np.array([[0.0]])
+        np.testing.assert_allclose(model.predict_proba(x), [[0.5, 0.5, 0.0]])
+        assert [CLASS_ORDER[c] for c in model.predict_codes(x)] == [Label.HARD]
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(5)
@@ -537,9 +536,9 @@ class TestSharedContracts:
     def test_predict_tie_breaks_hard_first(self):
         model = RandomForestModel(("f0",), {}, n_trees=1)
         model.trees = [leaf_tree([2.0, 2.0, 1.0])]
-        label, probs = predict(model, np.array([0.0]))
-        np.testing.assert_allclose(probs, [0.4, 0.4, 0.2])
-        assert label is Label.HARD
+        x = np.array([[0.0]])
+        np.testing.assert_allclose(model.predict_proba(x), [[0.4, 0.4, 0.2]])
+        assert [CLASS_ORDER[c] for c in model.predict_codes(x)] == [Label.HARD]
 
     def test_schema_mismatch_rejected(self, dataset):
         model = train(dataset, "gaussian_nb")
