@@ -48,6 +48,19 @@ class AlignPolicy(Enum):
     OVERLAP = "overlap"
 
 
+def _annotation_problem(doc_id: str, offset: int, entity_id: str) -> str | None:
+    """The first annotation rule the values break, or None if they keep all.
+
+    The one statement of the rules: ``SystemAnnotation`` checks them here,
+    and so does ``read_annotation_fields`` for every line it reads.
+    """
+    if offset < 0:
+        return f"negative offset {offset} in {doc_id!r}"
+    if not entity_id:
+        return f"empty entity id at {doc_id!r}:{offset}"
+    return None
+
+
 class SystemAnnotation(namedtuple("SystemAnnotation", "system_id doc_id surface offset entity_id")):
     """One entity link emitted by one system: (document, surface, position, entity).
 
@@ -57,10 +70,9 @@ class SystemAnnotation(namedtuple("SystemAnnotation", "system_id doc_id surface 
     __slots__ = ()
 
     def __new__(cls, system_id: str, doc_id: str, surface: str, offset: int, entity_id: str):
-        if offset < 0:
-            raise ValueError(f"negative offset {offset} in {doc_id!r}")
-        if not entity_id:
-            raise ValueError(f"empty entity id at {doc_id!r}:{offset}")
+        problem = _annotation_problem(doc_id, offset, entity_id)
+        if problem:
+            raise ValueError(problem)
         return tuple.__new__(cls, (system_id, doc_id, surface, offset, entity_id))
 
     @property
@@ -111,20 +123,19 @@ def normalize_entity(raw: str, redirect_map: Mapping[str, str] | None = None) ->
     return canonical
 
 
-def read_annotations(
+def read_annotation_fields(
     path: str | Path,
-    system_id: str | None = None,
     redirect_map: Mapping[str, str] | None = None,
     normalize: bool = True,
-) -> list[SystemAnnotation]:
-    """Read one system's annotation dump.
+) -> list[tuple[str, str, int, str]]:
+    """``(doc_id, surface, offset, entity_id)`` for each line of an
+    annotation dump, checked as ``read_annotations`` checks them.
 
-    Format: tab-separated ``doc_id  offset  surface  entity_id``, one
-    annotation per line. Entity ids are normalized unless disabled.
+    Each distinct raw entity id is normalized once. The first bad line
+    raises MalformedRecordError with its line number.
     """
-    if system_id is None:
-        system_id = Path(path).stem
-    annotations = []
+    records = []
+    canonical: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -139,15 +150,38 @@ def read_annotations(
             except ValueError:
                 raise MalformedRecordError(lineno, f"bad offset {offset_str!r}") from None
             if normalize:
-                try:
-                    entity = normalize_entity(entity, redirect_map)
-                except ValueError:
-                    raise MalformedRecordError(lineno, "empty entity id") from None
-            try:
-                annotations.append(SystemAnnotation(system_id, doc_id, surface, offset, entity))
-            except ValueError as exc:
-                raise MalformedRecordError(lineno, str(exc)) from None
-    return annotations
+                raw = entity
+                entity = canonical.get(raw)
+                if entity is None:
+                    try:
+                        entity = canonical[raw] = normalize_entity(raw, redirect_map)
+                    except ValueError:
+                        raise MalformedRecordError(lineno, "empty entity id") from None
+            problem = _annotation_problem(doc_id, offset, entity)
+            if problem:
+                raise MalformedRecordError(lineno, problem)
+            records.append((doc_id, surface, offset, entity))
+    return records
+
+
+def read_annotations(
+    path: str | Path,
+    system_id: str | None = None,
+    redirect_map: Mapping[str, str] | None = None,
+    normalize: bool = True,
+) -> list[SystemAnnotation]:
+    """Read one system's annotation dump.
+
+    Format: tab-separated ``doc_id  offset  surface  entity_id``, one
+    annotation per line. Entity ids are normalized unless disabled.
+    """
+    if system_id is None:
+        system_id = Path(path).stem
+    # read_annotation_fields checked every line with _annotation_problem, as
+    # the constructor would: build the tuples without checking them twice
+    new = tuple.__new__
+    return [new(SystemAnnotation, (system_id, *fields))
+            for fields in read_annotation_fields(path, redirect_map, normalize)]
 
 
 def write_annotations(annotations: Iterable[SystemAnnotation], path: str | Path) -> None:

@@ -57,10 +57,13 @@ class Corpus:
     """Immutable, ordered document collection with id and date indexes.
 
     All query methods are read-only and safe to call from multiple threads.
+    The token index behind the frequency queries is built on first use; two
+    threads that race there build equal indexes.
     """
 
     def __init__(self, documents: Iterable[Document]):
         self._documents: list[Document] = list(documents)
+        self._index: _TokenIndex | None = None
         self._by_id: dict[str, Document] = {}
         self._by_date: dict[dt.date, list[str]] = {}
         for doc in self._documents:
@@ -87,6 +90,11 @@ class Corpus:
             return self._by_id[doc_id]
         except KeyError:
             raise KeyError(f"unknown document id {doc_id!r}") from None
+
+    def _token_index(self) -> "_TokenIndex":
+        if self._index is None:
+            self._index = _TokenIndex(self._documents)
+        return self._index
 
 
 def load_corpus(path: str | Path) -> Corpus:
@@ -205,11 +213,92 @@ def count_occurrences(doc: Document, surface: str, token_bounded: bool = False) 
     return _scan_occurrences(doc.text, surface, token_bounded=True)
 
 
+#: A token is a maximal run of word characters; ``\w`` accepts exactly the
+#: characters ``_is_word_char`` does.
+_TOKEN = re.compile(r"\w+")
+#: Joins the index vocabulary into one string; never a word character.
+_SEP = "\n"
+
+
+class _TokenIndex:
+    """The documents holding each whole token, and per queried surface the
+    sorted publication dates of the documents that contain it.
+
+    A surface's word-character runs narrow down where it can occur. A run
+    with a non-word character before it inside the surface starts a text
+    token, and one with a non-word character after it ends a text token;
+    ``token_bounded`` makes the surface's own edges count as such characters.
+    So an interior run is a whole text token, a leading run a suffix, a
+    trailing run a prefix and a lone run any substring of one. The rarest
+    run's documents are confirmed with ``count_occurrences``, except for a
+    surface that is one run, which every candidate contains. A surface
+    without word characters is checked against every document.
+    """
+
+    def __init__(self, documents: Sequence[Document]):
+        # numbered in date order, so ascending candidates give sorted dates
+        self._documents = sorted(documents, key=lambda doc: doc.publication_date)
+        postings: dict[str, list[int]] = {}
+        for i, doc in enumerate(self._documents):
+            for token in dict.fromkeys(_TOKEN.findall(doc.text)):
+                postings.setdefault(token, []).append(i)
+        self._postings = postings
+        self._vocabulary = _SEP + _SEP.join(postings) + _SEP
+        self._dates: dict[tuple[str, bool], list[dt.date]] = {}
+
+    def dates(self, surface: str, token_bounded: bool) -> list[dt.date]:
+        """Sorted publication dates of the documents where
+        ``count_occurrences(doc, surface, token_bounded) >= 1``."""
+        key = (surface, token_bounded)
+        dates = self._dates.get(key)
+        if dates is None:
+            dates = self._dates[key] = self._find(surface, token_bounded)
+        return dates
+
+    def _find(self, surface: str, token_bounded: bool) -> list[dt.date]:
+        docs = self._documents
+        runs = list(_TOKEN.finditer(surface))
+        if not runs:
+            candidates = range(len(docs))
+        else:
+            candidates = min(
+                (self._holding(m.group(), token_bounded or m.start() > 0,
+                               token_bounded or m.end() < len(surface)) for m in runs),
+                key=len,
+            )
+            if runs[0].group() == surface:
+                return [docs[i].publication_date for i in candidates]
+        return [docs[i].publication_date for i in candidates
+                if count_occurrences(docs[i], surface, token_bounded) >= 1]
+
+    def _holding(self, run: str, starts: bool, ends: bool) -> Sequence[int]:
+        """Ascending numbers of the documents with a token that ``run``
+        matches: whole if it ``starts`` and ``ends`` one, else as a prefix,
+        a suffix or any substring."""
+        if starts and ends:
+            return self._postings.get(run, [])
+        vocabulary = self._vocabulary
+        pattern = (_SEP if starts else "") + run + (_SEP if ends else "")
+        lists = []
+        at = vocabulary.find(pattern)
+        while at >= 0:
+            # the run begins after the pattern's leading separator, if any
+            begin = vocabulary.rfind(_SEP, 0, at + starts) + 1
+            end = vocabulary.find(_SEP, at + 1)
+            lists.append(self._postings[vocabulary[begin:end]])
+            at = vocabulary.find(pattern, end)
+        if len(lists) == 1:
+            return lists[0]
+        return sorted(set().union(*lists))
+
+
 def document_frequency(corpus: Corpus, surface: str, token_bounded: bool = False) -> int:
-    """Number of documents containing at least one occurrence of ``surface``."""
+    """Number of documents containing at least one occurrence of ``surface``
+    (``count_occurrences(doc, surface, token_bounded) >= 1``), answered from
+    the corpus's token index."""
     if not surface:
         raise ValueError("surface must be non-empty")
-    return sum(1 for doc in corpus if count_occurrences(doc, surface, token_bounded) >= 1)
+    return len(corpus._token_index().dates(surface, token_bounded))
 
 
 def shift_months(day: dt.date, months: int) -> dt.date:
@@ -232,7 +321,8 @@ def temporal_document_frequency(
     [anchor - window, anchor + window], boundaries inclusive.
 
     The window is measured in calendar months; ``None`` means unbounded,
-    which reduces to plain document_frequency.
+    which reduces to plain document_frequency. The count is two bisections
+    of the dates the token index holds for ``surface``.
     """
     if not surface:
         raise ValueError("surface must be non-empty")
@@ -242,13 +332,8 @@ def temporal_document_frequency(
         raise ValueError("window_months must be positive")
     lo = shift_months(anchor, -window_months)
     hi = shift_months(anchor, window_months)
-    count = 0
-    for date, doc_ids in corpus.date_index.items():
-        if lo <= date <= hi:
-            for doc_id in doc_ids:
-                if count_occurrences(corpus.get(doc_id), surface, token_bounded) >= 1:
-                    count += 1
-    return count
+    dates = corpus._token_index().dates(surface, token_bounded)
+    return bisect.bisect_right(dates, hi) - bisect.bisect_left(dates, lo)
 
 
 @dataclass

@@ -26,7 +26,8 @@ from .corpus import (
     sentence_containing,
     temporal_document_frequency,
 )
-from .embeddings import EmbeddingModel, StabilityResult, semantic_stability, stability_all
+from .embeddings import EmbeddingModel, StabilityResult, stability_all
+from .embeddings import semantic_stability  # noqa: F401  a tracer target of bench/spans.py
 from .errors import AllMissingError, MalformedRecordError
 
 #: Canonical column order of the feature table (label column excluded).
@@ -278,12 +279,10 @@ class FeatureExtractor:
         return self._tdf_cache[key]
 
     def _stability(self, surface: str) -> StabilityResult:
+        """The mention word's stability, which ``extract_all`` has cached."""
         if len(self.models) < 2:
             return StabilityResult.missing()
-        word = stability_word(surface)
-        if word not in self._stability_cache:
-            self._stability_cache[word] = semantic_stability(self.models, word, self.config.top_k)
-        return self._stability_cache[word]
+        return self._stability_cache[stability_word(surface)]
 
     def _row(self, mention: Mention) -> tuple:
         """One mention's values in ``FEATURE_COLUMNS`` order, label last."""

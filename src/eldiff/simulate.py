@@ -17,7 +17,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .consensus import Label, read_annotations
+from .consensus import Label, read_annotation_fields
+from .consensus import read_annotations  # noqa: F401  a tracer target of bench/spans.py
 from .rand import derive_seed
 
 #: (doc_id, offset, surface) identifies an evaluated mention.
@@ -55,12 +56,11 @@ class GoldStandard:
         """Read gold annotations (same tab-separated layout as system dumps);
         conflicting duplicate keys are rejected."""
         entries: dict[MentionKey, str] = {}
-        for a in read_annotations(path, system_id="gold", redirect_map=redirect_map,
-                                  normalize=normalize):
-            key = (a.doc_id, a.offset, a.surface)
-            if key in entries and entries[key] != a.entity_id:
+        for doc_id, surface, offset, entity in read_annotation_fields(path, redirect_map,
+                                                                      normalize):
+            key = (doc_id, offset, surface)
+            if entries.setdefault(key, entity) != entity:
                 raise ValueError(f"conflicting gold entries for mention {key}")
-            entries[key] = a.entity_id
         return cls(entries)
 
 

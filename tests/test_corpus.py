@@ -1,9 +1,13 @@
 """Corpus loading, sentence segmentation and frequency queries."""
 
 import datetime as dt
+import re
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from eldiff.corpus import (
     Corpus,
@@ -20,6 +24,7 @@ from eldiff.corpus import (
     temporal_document_frequency,
     write_corpus,
 )
+from eldiff.corpus import _TOKEN, _is_word_char
 from eldiff.errors import DuplicateIdError, MalformedRecordError
 
 
@@ -194,6 +199,34 @@ class TestCountOccurrences:
         assert count_occurrences(doc, "Paris", token_bounded=True) == 1
 
 
+def scan_document_frequency(corpus, surface, token_bounded=False):
+    """Oracle: the scan ``document_frequency`` did before the token index."""
+    if not surface:
+        raise ValueError("surface must be non-empty")
+    return sum(1 for doc in corpus if count_occurrences(doc, surface, token_bounded) >= 1)
+
+
+def scan_temporal_document_frequency(corpus, surface, anchor, window_months=6,
+                                     token_bounded=False):
+    """Oracle: the scan ``temporal_document_frequency`` did before the token
+    index."""
+    if not surface:
+        raise ValueError("surface must be non-empty")
+    if window_months is None:
+        return scan_document_frequency(corpus, surface, token_bounded)
+    if window_months <= 0:
+        raise ValueError("window_months must be positive")
+    lo = shift_months(anchor, -window_months)
+    hi = shift_months(anchor, window_months)
+    count = 0
+    for date, doc_ids in corpus.date_index.items():
+        if lo <= date <= hi:
+            for doc_id in doc_ids:
+                if count_occurrences(corpus.get(doc_id), surface, token_bounded) >= 1:
+                    count += 1
+    return count
+
+
 class TestDocumentFrequency:
     def test_doc_level_counting(self, tiny_corpus):
         assert document_frequency(tiny_corpus, "Paris") == 2
@@ -203,6 +236,91 @@ class TestDocumentFrequency:
     def test_multiple_occurrences_count_once(self):
         corpus = Corpus([_doc("w w w w w w w", "only")])
         assert document_frequency(corpus, "w") == 1
+
+    @pytest.mark.parametrize("surface, token_bounded, expected", [
+        ("ew Yor", False, 2),  # partial first and last tokens
+        ("ew Yor", True, 0),
+        ("Paris", False, 3),  # "Parisian" holds it too
+        ("Paris", True, 2),
+        ("aris", False, 3),  # a lone run matches inside a token
+        ("...", False, 2),  # no word character: every document is checked
+        ("...", True, 0),  # each run of dots follows a word character
+        ("match. The", False, 1),  # spans a sentence mark
+        ("Paris, New", False, 1),
+        ("Paris, New", True, 1),
+        ("York.", False, 2),  # a trailing mark: "York" must end a token
+        ("ian p", False, 1),
+        ("is", True, 0),
+    ])
+    def test_named_surfaces(self, surface, token_bounded, expected):
+        corpus = Corpus([
+            _doc("We met in Paris, New York... and Bonn.", "a", dt.date(2000, 1, 1)),
+            _doc("A Parisian paper; New Yorkers read it... York.", "b", dt.date(2000, 3, 1)),
+            _doc("Paris won the match. The team left Paris!", "c", dt.date(2001, 1, 1)),
+        ])
+        assert document_frequency(corpus, surface, token_bounded) == expected
+        assert scan_document_frequency(corpus, surface, token_bounded) == expected
+
+    def test_queries_repeat(self, tiny_corpus):
+        for _ in range(2):
+            assert document_frequency(tiny_corpus, "Paris") == 2
+            assert document_frequency(tiny_corpus, "Paris", token_bounded=True) == 2
+            assert temporal_document_frequency(tiny_corpus, "Paris", dt.date(2000, 5, 1), 1) == 1
+
+    def test_empty_corpus(self):
+        assert document_frequency(Corpus([]), "x") == 0
+        assert temporal_document_frequency(Corpus([]), "x", dt.date(2000, 1, 1)) == 0
+
+    def test_empty_surface_rejected(self, tiny_corpus):
+        with pytest.raises(ValueError):
+            document_frequency(tiny_corpus, "")
+        with pytest.raises(ValueError):
+            temporal_document_frequency(tiny_corpus, "", dt.date(2000, 1, 1))
+
+
+def test_token_pattern_matches_word_chars_on_every_code_point():
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert "".join(_TOKEN.findall(chars)) == "".join(c for c in chars if _is_word_char(c))
+    assert re.fullmatch(r"\w", "_") and not re.fullmatch(r"\w", "\u0301")
+
+
+#: Letters, digits, "_", space, punctuation, sentence marks, "é", "ß", a
+#: combining acute accent, an astral letter and an astral symbol.
+_ALPHABET = "abAB01_ ,-'.!?;éß\u0301\U0001D400\U0001F600"
+_texts = st.text(alphabet=_ALPHABET, min_size=1, max_size=30)
+
+
+@st.composite
+def corpora_and_queries(draw):
+    texts = draw(st.lists(_texts, min_size=1, max_size=8))
+    days = draw(st.lists(st.integers(0, 3 * 365), min_size=len(texts), max_size=len(texts)))
+    corpus = Corpus(_doc(text, f"d{i}", dt.date(2000, 1, 1) + dt.timedelta(days=day))
+                    for i, (text, day) in enumerate(zip(texts, days)))
+    queries = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            text = draw(st.sampled_from(texts))
+            start = draw(st.integers(0, len(text) - 1))
+            surface = text[start:draw(st.integers(start + 1, len(text)))]
+        else:
+            surface = draw(st.text(alphabet=_ALPHABET, min_size=1, max_size=6))
+        anchor = dt.date(2000, 1, 1) + dt.timedelta(days=draw(st.integers(-200, 4 * 365)))
+        window = draw(st.one_of(st.none(), st.integers(1, 24)))
+        queries.append((surface, anchor, window))
+    return corpus, queries
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=corpora_and_queries(), token_bounded=st.booleans())
+def test_index_answers_equal_the_scans(case, token_bounded):
+    corpus, queries = case
+    for surface, anchor, window in queries:
+        assert document_frequency(corpus, surface, token_bounded) == \
+            scan_document_frequency(corpus, surface, token_bounded), surface
+        assert temporal_document_frequency(corpus, surface, anchor, window, token_bounded) == \
+            scan_temporal_document_frequency(corpus, surface, anchor, window, token_bounded), \
+            (surface, anchor, window)
 
 
 class TestTemporalDocumentFrequency:

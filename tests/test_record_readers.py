@@ -20,6 +20,7 @@ from eldiff.consensus import (
     write_labels,
 )
 from eldiff.errors import MalformedRecordError
+from eldiff.simulate import GoldStandard
 
 # --- oracles: the readers as they were before the records became tuples ----------
 # Each builds its records through the checking constructors and turns the
@@ -53,6 +54,24 @@ def oracle_read_annotations(path, system_id=None, redirect_map=None, normalize=T
             except ValueError as exc:
                 raise MalformedRecordError(lineno, str(exc)) from None
     return annotations
+
+
+def oracle_read_gold(path, redirect_map=None, normalize=True):
+    """``GoldStandard.read`` as it was: every line read into a
+    ``SystemAnnotation`` first, then copied into the mapping."""
+    entries = {}
+    for a in oracle_read_annotations(path, system_id="gold", redirect_map=redirect_map,
+                                     normalize=normalize):
+        key = (a.doc_id, a.offset, a.surface)
+        if key in entries and entries[key] != a.entity_id:
+            raise ValueError(f"conflicting gold entries for mention {key}")
+        entries[key] = a.entity_id
+    return entries
+
+
+def read_gold(path, **kwargs):
+    gold = GoldStandard.read(path, **kwargs)
+    return {key: gold.entity(key) for key in gold.keys()}
 
 
 def oracle_read_labels(path):
@@ -160,6 +179,45 @@ class TestAnnotationOracle:
                        {"system_id": "named"}):
             assert outcome(read_annotations, path, **kwargs) == \
                 outcome(oracle_read_annotations, path, **kwargs)
+
+
+    @pytest.mark.parametrize("valid", ["d1\t10\tParis\tParis", "d1\t10\t \tParis",
+                                       "d1\t10\tParis\tGone"])
+    def test_empty_id_after_a_valid_line_with_the_same_text(self, tmp_path, valid):
+        # each raw id is normalized once per file; the empty one still fails
+        # on its own line
+        path = write_lines(tmp_path / "sys.tsv", [valid, valid, "d1\t10\tParis\t "])
+        expected = outcome(oracle_read_annotations, path)
+        assert expected[:2] == (MalformedRecordError, "line 3: empty entity id")
+        assert outcome(read_annotations, path) == expected
+
+
+class TestGoldOracle:
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("kind", sorted(BAD_ANNOTATIONS))
+    def test_entries_or_error_match(self, tmp_path, kind, normalize):
+        path = write_lines(tmp_path / "gold.tsv",
+                           [GOOD_ANNOTATION, "", GOOD_ANNOTATION, BAD_ANNOTATIONS[kind]])
+        expected = outcome(oracle_read_gold, path, redirect_map=REDIRECTS, normalize=normalize)
+        assert outcome(read_gold, path, redirect_map=REDIRECTS, normalize=normalize) == expected
+
+    @pytest.mark.parametrize("last", ["d2\t1\tBonn\tBonn", BAD_ANNOTATIONS["bad offset"]])
+    def test_conflicting_duplicate(self, tmp_path, last):
+        # a bad line anywhere in the file wins over a conflict before it
+        path = write_lines(tmp_path / "gold.tsv",
+                           [GOOD_ANNOTATION, "d1\t10\tParis\tLyon", last])
+        expected = outcome(oracle_read_gold, path)
+        assert expected[0] is (ValueError if last.endswith("Bonn") else MalformedRecordError)
+        assert outcome(read_gold, path) == expected
+
+    def test_generated_gold_matches(self, tmp_path):
+        lines = [f"doc{i % 7}\t{i * 3}\tw{i % 5} x\t{' e ' if i % 4 else 'E'}{i % 11}"
+                 for i in range(300)]
+        path = write_lines(tmp_path / "gold.tsv", lines + lines[:50])
+        for kwargs in ({}, {"redirect_map": {"E3": "E4"}}, {"normalize": False}):
+            expected = outcome(oracle_read_gold, path, **kwargs)
+            assert len(expected) == 300
+            assert outcome(read_gold, path, **kwargs) == expected
 
 
 # --- label files ----------------------------------------------------------------------

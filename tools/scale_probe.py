@@ -1,25 +1,34 @@
 #!/usr/bin/env python3
-"""Time the route-shaped CLI pipeline at growing corpus sizes and record
-the result as ``SCALE_<pr>.json``.
+"""Time CLI pipelines at growing corpus sizes and record the result as
+``SCALE_<pr>.json``.
 
 Usage (from the root of a checkout):
 
-    python3 tools/scale_probe.py --pr N [--docs 70,280,1120] [--src DIR] [--name NAME]
+    python3 tools/scale_probe.py --pr N [--shape route|embed] [--docs 70,280,1120]
+                                 [--src DIR] [--name NAME]
 
-For each size it builds route-shaped inputs at seed 7 with
-``bench.workloads.write_inputs``: documents of 19 sentences of 13 words over
-the wide vocabulary (3 topics of 600 pseudo-words). It then runs
-``label --policy overlap``, ``features --schema simulation``,
-``train --trees 25``, ``predict`` and ``simulate`` one after another, each in
-its own child process pinned to one CPU, importing eldiff from ``--src``
-(this checkout's ``src`` by default). For every command it records the wall
-seconds, the child's ``ru_maxrss`` and the sha256 of the file it writes; for
-every size the token and feature-row counts; and the ratio of each command's
-time between neighbouring sizes. The run, with the machine line of
-``bench/run.py``, is stored under ``--name`` (``change`` by default) in
+For each size it builds inputs at seed 7 with ``bench.workloads.write_inputs``
+over a wide vocabulary of seeded pseudo-words, in one of two shapes:
+
+- ``route`` (the default; 70, 280 and 1120 docs): documents of 19 sentences
+  of 13 words over 3 topics of 600 words. It runs ``label --policy overlap``,
+  ``features --schema simulation``, ``train --trees 25``, ``predict`` and
+  ``simulate``.
+- ``embed`` (90, 360 and 1440 docs): documents of 5 sentences of 10 words
+  over 3 topics of 4,800 words. It runs ``label`` and
+  ``features --train-embeddings`` (dimension 50, one epoch, min-count 1)
+  with every feature column, so ``t_df`` and stability are computed too.
+
+The commands run one after another, each in its own child process pinned to
+one CPU, importing eldiff from ``--src`` (this checkout's ``src`` by
+default). For every command it records the wall seconds, the child's
+``ru_maxrss`` and the sha256 of the file it writes; for every size the token
+and feature-row counts; and the ratio of each command's time between
+neighbouring sizes. The run, with the machine line of ``bench/run.py``, is
+stored as ``runs[<shape>][<name>]`` (``--name`` is ``change`` by default) in
 ``SCALE_<N>.json`` at the root of this checkout, next to any runs already
-there, so one file can hold both the parent's and the change's runs.
-Nothing here is gated; the numbers are for reading.
+there, so one file can hold the parent's and the change's runs of both
+shapes. Nothing here is gated; the numbers are for reading.
 """
 
 from __future__ import annotations
@@ -58,11 +67,32 @@ def file_sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def commands(inputs: dict[str, Path], out: Path) -> list[tuple[str, list, Path]]:
+#: Per shape: the default sizes, and the ``Size`` fields other than ``docs``.
+SHAPES = {
+    "route": ("70,280,1120", dict(sentences=(19, 19), words=(13, 13))),
+    "embed": ("90,360,1440", dict(sentences=(5, 5), words=(10, 10), topic_words=4800,
+                                  embed_dim=50)),
+}
+
+
+def commands(shape: str, inputs: dict[str, Path], out: Path,
+             embed_dim: int) -> list[tuple[str, list, Path]]:
     """(name, eldiff argv, the file it writes) for each command, in order."""
     from workloads import SYSTEMS
 
     ann = [inputs[s] for s in SYSTEMS]
+    if shape == "embed":
+        return [
+            ("label", ["label", "--annotations", *ann, "--corpus", inputs["corpus"],
+                       "--out", out, "--seed", SEED],
+             out / "labels.tsv"),
+            ("features", ["features", "--corpus", inputs["corpus"],
+                          "--mentions", out / "labels.tsv", "--candidates", inputs["candidates"],
+                          "--annotations", *ann, "--train-embeddings", "--embed-dim", embed_dim,
+                          "--embed-epochs", 1, "--embed-min-count", 1, "--out", out,
+                          "--seed", SEED],
+             out / "features.csv"),
+        ]
     return [
         ("label", ["label", "--annotations", *ann, "--policy", "overlap",
                    "--corpus", inputs["corpus"], "--out", out, "--seed", SEED],
@@ -103,14 +133,14 @@ def run_child(argv: list, src: Path) -> dict:
     return {"wall_s": round(wall, 3), "maxrss_mb": round(usage.ru_maxrss / 1024, 1)}
 
 
-def probe_size(docs: int, work: Path, src: Path) -> dict:
+def probe_size(shape: str, docs: int, work: Path, src: Path) -> dict:
     from workloads import Size, write_inputs
 
-    inputs = write_inputs(work / "inputs", SEED, Size(docs=docs, sentences=(19, 19),
-                                                     words=(13, 13)), wide=True)
+    size = Size(docs=docs, **SHAPES[shape][1])
+    inputs = write_inputs(work / "inputs", SEED, size, wide=True)
     out = work / "out"
     point = {"docs": docs, "commands": {}}
-    for name, argv, written in commands(inputs, out):
+    for name, argv, written in commands(shape, inputs, out, size.embed_dim):
         result = run_child(argv, src)
         result["sha256"] = file_sha256(written)
         point["commands"][name] = result
@@ -126,12 +156,14 @@ def probe_size(docs: int, work: Path, src: Path) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", type=int, required=True, help="number of the change measured")
-    parser.add_argument("--docs", default="70,280,1120", help="comma-separated corpus sizes")
+    parser.add_argument("--shape", choices=sorted(SHAPES), default="route",
+                        help="the inputs and commands measured")
+    parser.add_argument("--docs", help="comma-separated corpus sizes (default: the shape's)")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="the src directory whose eldiff is measured")
     parser.add_argument("--name", default="change", help="key of this run in the file")
     args = parser.parse_args(argv)
-    sizes = [int(d) for d in args.docs.split(",") if d]
+    sizes = [int(d) for d in (args.docs or SHAPES[args.shape][0]).split(",") if d]
     src = args.src.resolve()
     if not (src / "eldiff").is_dir():
         raise SystemExit(f"no eldiff package under {src}")
@@ -145,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         for docs in sizes:
             shutil.rmtree(work, ignore_errors=True)
-            points.append(probe_size(docs, work, src))
+            points.append(probe_size(args.shape, docs, work, src))
     finally:
         shutil.rmtree(work, ignore_errors=True)
     ratios = {
@@ -155,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     path = ROOT / f"SCALE_{args.pr}.json"
     record = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {"pr": args.pr}
-    record.setdefault("runs", {})[args.name] = {
+    record.setdefault("runs", {}).setdefault(args.shape, {})[args.name] = {
         "src_sha256": src_digest(src),
         "seed": SEED,
         "machine": machine_facts(cpu),
