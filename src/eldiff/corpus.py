@@ -54,23 +54,19 @@ class SentenceSpan:
 
 
 class Corpus:
-    """Immutable, ordered document collection with id and date indexes.
+    """Immutable, ordered document collection with an id index.
 
-    All query methods are read-only and safe to call from multiple threads.
-    The token index behind the frequency queries is built on first use; two
-    threads that race there build equal indexes.
+    The token index behind the frequency queries is built on first use.
     """
 
     def __init__(self, documents: Iterable[Document]):
         self._documents: list[Document] = list(documents)
         self._index: _TokenIndex | None = None
         self._by_id: dict[str, Document] = {}
-        self._by_date: dict[dt.date, list[str]] = {}
         for doc in self._documents:
             if doc.id in self._by_id:
                 raise DuplicateIdError(doc.id)
             self._by_id[doc.id] = doc
-            self._by_date.setdefault(doc.publication_date, []).append(doc.id)
 
     def __len__(self) -> int:
         return len(self._documents)
@@ -80,10 +76,6 @@ class Corpus:
 
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._by_id
-
-    @property
-    def date_index(self) -> Mapping[dt.date, Sequence[str]]:
-        return self._by_date
 
     def get(self, doc_id: str) -> Document:
         try:
@@ -100,9 +92,11 @@ class Corpus:
 def load_corpus(path: str | Path) -> Corpus:
     """Read a JSON-lines corpus file.
 
-    Raises MalformedRecordError (with line number) for unparseable lines and
-    DuplicateIdError for repeated ids. Blank lines are rejected, not skipped:
-    the format is strictly one record per line.
+    Raises MalformedRecordError (with line number) for unparseable lines,
+    including an ``id``, ``text`` or ``topic`` that is not a string (a
+    ``null`` or absent topic reads as ""), and DuplicateIdError for repeated
+    ids. Blank lines are rejected, not skipped: the format is strictly one
+    record per line.
     """
     documents = []
     seen: set[str] = set()
@@ -121,7 +115,11 @@ def load_corpus(path: str | Path) -> Corpus:
                 text = record["text"]
             except KeyError as exc:
                 raise MalformedRecordError(lineno, f"missing field {exc.args[0]!r}") from None
-            topic = record.get("topic", "")
+            topic = "" if record.get("topic") is None else record["topic"]
+            for name, value in (("id", doc_id), ("text", text), ("topic", topic)):
+                if not isinstance(value, str):
+                    raise MalformedRecordError(
+                        lineno, f"field {name!r} must be a string, not {type(value).__name__}")
             try:
                 date = dt.date.fromisoformat(date_str)
             except (TypeError, ValueError):
@@ -130,7 +128,7 @@ def load_corpus(path: str | Path) -> Corpus:
                 raise DuplicateIdError(doc_id, lineno)
             seen.add(doc_id)
             try:
-                documents.append(Document(id=doc_id, publication_date=date, topic=topic or "", text=text))
+                documents.append(Document(id=doc_id, publication_date=date, topic=topic, text=text))
             except ValueError as exc:
                 raise MalformedRecordError(lineno, str(exc)) from None
     return Corpus(documents)
@@ -221,8 +219,9 @@ _SEP = "\n"
 
 
 class _TokenIndex:
-    """The documents holding each whole token, and per queried surface the
-    sorted publication dates of the documents that contain it.
+    """The documents holding each whole token, per queried surface the
+    sorted publication dates of the documents that contain it, and per
+    queried anchor date and window the window's bounds.
 
     A surface's word-character runs narrow down where it can occur. A run
     with a non-word character before it inside the surface starts a text
@@ -245,6 +244,7 @@ class _TokenIndex:
         self._postings = postings
         self._vocabulary = _SEP + _SEP.join(postings) + _SEP
         self._dates: dict[tuple[str, bool], list[dt.date]] = {}
+        self._windows: dict[tuple[dt.date, int], tuple[dt.date, dt.date]] = {}
 
     def dates(self, surface: str, token_bounded: bool) -> list[dt.date]:
         """Sorted publication dates of the documents where
@@ -254,6 +254,14 @@ class _TokenIndex:
         if dates is None:
             dates = self._dates[key] = self._find(surface, token_bounded)
         return dates
+
+    def window(self, anchor: dt.date, months: int) -> tuple[dt.date, dt.date]:
+        """The inclusive bounds ``anchor`` -/+ ``months`` calendar months."""
+        bounds = self._windows.get((anchor, months))
+        if bounds is None:
+            bounds = self._windows[anchor, months] = (shift_months(anchor, -months),
+                                                      shift_months(anchor, months))
+        return bounds
 
     def _find(self, surface: str, token_bounded: bool) -> list[dt.date]:
         docs = self._documents
@@ -322,7 +330,8 @@ def temporal_document_frequency(
 
     The window is measured in calendar months; ``None`` means unbounded,
     which reduces to plain document_frequency. The count is two bisections
-    of the dates the token index holds for ``surface``.
+    of the dates the token index holds for ``surface``, between the bounds
+    it holds for the anchor and window.
     """
     if not surface:
         raise ValueError("surface must be non-empty")
@@ -330,9 +339,9 @@ def temporal_document_frequency(
         return document_frequency(corpus, surface, token_bounded)
     if window_months <= 0:
         raise ValueError("window_months must be positive")
-    lo = shift_months(anchor, -window_months)
-    hi = shift_months(anchor, window_months)
-    dates = corpus._token_index().dates(surface, token_bounded)
+    index = corpus._token_index()
+    lo, hi = index.window(anchor, window_months)
+    dates = index.dates(surface, token_bounded)
     return bisect.bisect_right(dates, hi) - bisect.bisect_left(dates, lo)
 
 

@@ -298,7 +298,8 @@ class StabilityResult:
 
     @classmethod
     def missing(cls) -> "StabilityResult":
-        return cls(None, None, None, False)
+        """The one shared missing result."""
+        return _MISSING
 
     @classmethod
     def of(cls, values: Sequence[float]) -> "StabilityResult":
@@ -307,6 +308,9 @@ class StabilityResult:
         if not values:
             return cls.missing()
         return cls(min(values), max(values), math.fsum(values) / len(values), True)
+
+
+_MISSING = StabilityResult(None, None, None, False)
 
 
 #: Words whose neighbour sets ``stability_all`` holds at once; each further

@@ -232,11 +232,10 @@ def _mention_fields(mention: Mention) -> tuple[str, str, int, Label | None]:
 class FeatureExtractor:
     """Computes feature tables against shared immutable inputs.
 
-    Per-corpus quantities (m_df, t_df, stability) are memoized, so batch
-    extraction shares one index pass while staying identical to per-mention
-    extraction. Each document is segmented and split into words once, on
-    its first mention: m_sent is then a bisection over the stored sentence
-    spans and d_words a lookup. Safe for concurrent reads once constructed.
+    m_df and t_df are answered by the corpus's token index, which memoizes
+    them; each mention word's stability is computed once. Each document is
+    segmented and split into words once, on its first mention: m_sent is
+    then a bisection over the stored sentence spans and d_words a lookup.
     """
 
     def __init__(
@@ -252,8 +251,6 @@ class FeatureExtractor:
         self.models = list(models) if models else []
         self.config = config if config is not None else FeatureConfig()
         self.doc_mention_counts = dict(doc_mention_counts) if doc_mention_counts else {}
-        self._df_cache: dict[str, int] = {}
-        self._tdf_cache: dict[tuple[str, str], int] = {}
         self._stability_cache: dict[str, StabilityResult] = {}
         self._doc_cache: dict[str, tuple[list[SentenceSpan], int]] = {}
 
@@ -262,21 +259,6 @@ class FeatureExtractor:
         if doc.id not in self._doc_cache:
             self._doc_cache[doc.id] = (segment_sentences(doc), len(doc.text.split()))
         return self._doc_cache[doc.id]
-
-    def _df(self, surface: str) -> int:
-        if surface not in self._df_cache:
-            self._df_cache[surface] = document_frequency(
-                self.corpus, surface, self.config.token_bounded
-            )
-        return self._df_cache[surface]
-
-    def _tdf(self, surface: str, anchor) -> int:
-        key = (surface, anchor.isoformat())
-        if key not in self._tdf_cache:
-            self._tdf_cache[key] = temporal_document_frequency(
-                self.corpus, surface, anchor, self.config.window_months, self.config.token_bounded
-            )
-        return self._tdf_cache[key]
 
     def _stability(self, surface: str) -> StabilityResult:
         """The mention word's stability, which ``extract_all`` has cached."""
@@ -292,22 +274,24 @@ class FeatureExtractor:
             raise ValueError(
                 f"mention {surface!r} at {doc_id}:{offset} lies outside the document text"
             )
+        config = self.config
         spans, d_words = self._document(doc)
         span = sentence_containing(doc, offset, spans)
         stability = self._stability(surface)
         return (
             len(surface),
             len(surface.split()),
-            count_occurrences(doc, surface, self.config.token_bounded),
-            self._df(surface),
+            count_occurrences(doc, surface, config.token_bounded),
+            document_frequency(self.corpus, surface, config.token_bounded),
             self.candidates.count(surface),
             offset / len(doc.text),
             len(span) if span is not None else 0,
             d_words,
             doc.topic,
             self.doc_mention_counts.get(doc_id, 0),
-            self.config.kb_year - doc.publication_date.year,
-            self._tdf(surface, doc.publication_date),
+            config.kb_year - doc.publication_date.year,
+            temporal_document_frequency(self.corpus, surface, doc.publication_date,
+                                        config.window_months, config.token_bounded),
             stability.minimum,
             stability.maximum,
             stability.average,

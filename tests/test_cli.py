@@ -517,3 +517,25 @@ class TestConfig:
         config = tmp_path / "conf.json"
         config.write_text("[1, 2]", encoding="utf-8")
         assert run("gen-synthetic", "--config", config, "--out", tmp_path) == EXIT_ERROR
+
+
+class TestCorpusFieldTypes:
+    @pytest.mark.parametrize("field, value", [("id", 12), ("text", 5), ("topic", 7)])
+    def test_non_string_field_is_error_exit_naming_its_line(
+            self, fixture_dir, labelled_dir, tmp_path, caplog, field, value):
+        lines = (fixture_dir / "corpus.jsonl").read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[1])
+        record[field] = value
+        lines[1] = json.dumps(record)
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with caplog.at_level(logging.ERROR, logger="eldiff"):
+            assert run("label", "--annotations", fixture_dir / "alpha.tsv",
+                       fixture_dir / "beta.tsv", fixture_dir / "gamma.tsv",
+                       "--corpus", corpus, "--out", tmp_path / "label") == EXIT_ERROR
+            assert run("features", "--corpus", corpus, "--mentions", labelled_dir / "labels.tsv",
+                       "--candidates", fixture_dir / "candidates.tsv",
+                       "--out", tmp_path / "features") == EXIT_ERROR
+        message = f"line 2: field {field!r} must be a string, not int"
+        assert [r.getMessage() for r in caplog.records] == [message, message]
+        assert not (tmp_path / "features" / "features.csv").exists()

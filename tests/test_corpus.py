@@ -1,6 +1,8 @@
 """Corpus loading, sentence segmentation and frequency queries."""
 
+import collections
 import datetime as dt
+import json
 import re
 import sys
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from eldiff import corpus as corpus_module
 from eldiff.corpus import (
     Corpus,
     Document,
@@ -26,6 +29,7 @@ from eldiff.corpus import (
 )
 from eldiff.corpus import _TOKEN, _is_word_char
 from eldiff.errors import DuplicateIdError, MalformedRecordError
+from eldiff.features import FeatureConfig, FeatureExtractor
 
 
 def _doc(text, doc_id="d", date=dt.date(2000, 1, 1), topic=""):
@@ -82,9 +86,23 @@ class TestLoadCorpus:
         assert [d.id for d in again] == [d.id for d in tiny_corpus]
         assert again.get("d1").text == tiny_corpus.get("d1").text
 
-    def test_date_index_covers_documents(self, tiny_corpus):
-        ids = [i for ids in tiny_corpus.date_index.values() for i in ids]
-        assert sorted(ids) == ["d1", "d2", "d3"]
+    @pytest.mark.parametrize("field, value", [("id", 12), ("text", 5), ("topic", 7),
+                                              ("topic", False), ("id", None), ("text", ["x"])])
+    def test_non_string_field_names_line(self, tmp_path, field, value):
+        path = tmp_path / "c.jsonl"
+        record = {"id": "b", "date": "1999-01-03", "topic": "X", "text": "two", field: value}
+        path.write_text('{"id": "a", "date": "1999-01-02", "text": "one"}\n'
+                        + json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(MalformedRecordError,
+                           match=f"line 2: field '{field}' must be a string, not "
+                                 f"{type(value).__name__}"):
+            load_corpus(path)
+
+    def test_null_topic_reads_as_empty(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text('{"id": "a", "date": "1999-01-02", "topic": null, "text": "one"}\n',
+                        encoding="utf-8")
+        assert load_corpus(path).get("a").topic == ""
 
 
 class TestSegmentSentences:
@@ -218,13 +236,8 @@ def scan_temporal_document_frequency(corpus, surface, anchor, window_months=6,
         raise ValueError("window_months must be positive")
     lo = shift_months(anchor, -window_months)
     hi = shift_months(anchor, window_months)
-    count = 0
-    for date, doc_ids in corpus.date_index.items():
-        if lo <= date <= hi:
-            for doc_id in doc_ids:
-                if count_occurrences(corpus.get(doc_id), surface, token_bounded) >= 1:
-                    count += 1
-    return count
+    return sum(1 for doc in corpus if lo <= doc.publication_date <= hi
+               and count_occurrences(doc, surface, token_bounded) >= 1)
 
 
 class TestDocumentFrequency:
@@ -361,6 +374,60 @@ class TestTemporalDocumentFrequency:
         assert shift_months(dt.date(2000, 8, 31), -6) == dt.date(2000, 2, 29)
         assert shift_months(dt.date(2000, 1, 31), 1) == dt.date(2000, 2, 29)
         assert shift_months(dt.date(2000, 6, 15), 7) == dt.date(2001, 1, 15)
+
+
+class TestWindowMemo:
+    """The token index holds the window bounds per (anchor, window), and the
+    feature extractor keeps no m_df or t_df memo of its own."""
+
+    #: month ends (31 Aug -6 months is 29 Feb, 31 Jan +1 month is 28 or
+    #: 29 Feb) next to the dates their windows end on
+    DATES = [dt.date(2000, 8, 31), dt.date(2000, 2, 29), dt.date(2001, 1, 31),
+             dt.date(2001, 2, 28), dt.date(2000, 1, 31), dt.date(2000, 3, 31),
+             dt.date(1999, 8, 31), dt.date(2000, 9, 30), dt.date(2001, 7, 31)]
+    TEXTS = ["Paris won. New York", "Paris; Parisian", "York... and Bonn", "Bonn Paris"]
+
+    @pytest.fixture
+    def corpus(self):
+        return Corpus(_doc(self.TEXTS[i % len(self.TEXTS)], f"d{i}", date)
+                      for i, date in enumerate(self.DATES + self.DATES[::2]))
+
+    @pytest.fixture
+    def mentions(self, corpus):
+        return [(doc.id, doc.text[:k], 0) for doc in corpus for k in (1, 4, 5, 9)]
+
+    @pytest.mark.parametrize("token_bounded", [False, True])
+    def test_extractors_with_different_windows_share_one_corpus(
+            self, corpus, mentions, token_bounded):
+        extractors = {window: FeatureExtractor(corpus, config=FeatureConfig(
+            window_months=window, token_bounded=token_bounded)) for window in (1, 6, 12)}
+        t_df = {}
+        for _ in range(2):
+            for window, extractor in extractors.items():
+                table = extractor.extract_all(mentions)
+                for row, (doc_id, surface, _) in enumerate(mentions):
+                    anchor = corpus.get(doc_id).publication_date
+                    assert table.column("m_df")[row] == \
+                        scan_document_frequency(corpus, surface, token_bounded)
+                    assert table.column("t_df")[row] == scan_temporal_document_frequency(
+                        corpus, surface, anchor, window, token_bounded), (surface, anchor, window)
+                t_df[window] = table.column("t_df").tolist()
+        assert t_df[1] != t_df[6] != t_df[12]
+
+    def test_bounds_computed_once_per_anchor_and_window(self, corpus, mentions, monkeypatch):
+        calls = collections.Counter()
+        shift = corpus_module.shift_months
+
+        def counting(day, months):
+            calls[day, abs(months)] += 1
+            return shift(day, months)
+
+        monkeypatch.setattr(corpus_module, "shift_months", counting)
+        for window in (1, 6, 1):
+            FeatureExtractor(corpus, config=FeatureConfig(window_months=window)).extract_all(
+                mentions)
+        assert set(calls) == {(date, window) for date in self.DATES for window in (1, 6)}
+        assert max(calls.values()) <= 2
 
 
 class TestSyntheticCorpus:

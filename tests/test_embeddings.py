@@ -439,6 +439,8 @@ class TestSemanticStability:
         result = semantic_stability(models, "absent", 2)
         assert not result.valid
         assert result.minimum is None
+        assert result is StabilityResult.missing() is StabilityResult.missing()
+        assert result == StabilityResult(None, None, None, False)
 
     def test_gap_slice_skipped(self):
         vectors = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0]], dtype=np.float32)
