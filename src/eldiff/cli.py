@@ -24,9 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import consensus, embeddings, simulate, synth
-from .consensus import LABEL_OF_VALUE, AlignPolicy, Label, align, class_distribution, label_all
+from .consensus import AlignPolicy, Label, align, class_distribution, label_all
 from .corpus import GeneratorConfig, load_corpus
-from .errors import AllMissingError, EldiffError, MalformedRecordError
+from .errors import AllMissingError, EldiffError
 from .features import (
     FEATURE_COLUMNS,
     STABILITY_COLUMNS,
@@ -143,22 +143,6 @@ def _parse_schema(text: str | None, file_schema: FeatureSchema) -> FeatureSchema
         raise CliError(f"bad schema {text!r}: {exc}") from None
 
 
-def _load_redirects(path: str | None) -> dict[str, str] | None:
-    if path is None:
-        return None
-    redirects = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise CliError(f"redirect map line {lineno}: expected 2 tab-separated fields")
-            redirects[consensus.normalize_entity(fields[0])] = consensus.normalize_entity(fields[1])
-    return redirects
-
-
 def _imputed(table, schema: FeatureSchema, args) -> object:
     stability = all(c in schema.columns for c in STABILITY_COLUMNS)
     return table.impute(strategy=args.impute, constant=args.impute_value, stability=stability)
@@ -189,7 +173,8 @@ def cmd_label(args) -> int:
     if not paths or len(paths) < 2:
         raise CliError("labelling needs at least 2 annotation dumps (--annotations)")
     out = _out_dir(args)
-    redirects = _load_redirects(args.redirects)
+    redirects = (consensus.read_redirects(args.redirects) if args.redirects is not None
+                 else None)
     dumps = [consensus.read_annotations(p, redirect_map=redirects) for p in paths]
     if args.corpus:
         corpus = load_corpus(args.corpus)
@@ -331,11 +316,10 @@ def cmd_predict(args) -> int:
     if keys is None:
         keys = [("-", i, "-") for i in range(len(labels))]
     predictions_path = out / "predictions.tsv"
-    with open(predictions_path, "w", encoding="utf-8") as fh:
-        fh.writelines(
-            f"{doc_id}\t{offset}\t{surface}\t{label.value}\t{p0:.9g}\t{p1:.9g}\t{p2:.9g}\n"
-            for (doc_id, offset, surface), label, (p0, p1, p2) in zip(keys, labels, probs.tolist())
-        )
+    consensus.write_tsv(
+        ((doc_id, str(offset), surface, label.value, f"{p0:.9g}", f"{p1:.9g}", f"{p2:.9g}")
+         for (doc_id, offset, surface), label, (p0, p1, p2) in zip(keys, labels, probs.tolist())),
+        predictions_path)
     log.info("wrote %d predictions to %s", len(labels), predictions_path)
     return EXIT_OK
 
@@ -435,23 +419,10 @@ def cmd_correlate(args) -> int:
 
 def _read_predictions(path: str) -> dict[simulate.MentionKey, Label]:
     predictions = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) < 4:
-                raise MalformedRecordError(lineno, "expected at least 4 fields")
-            doc_id, offset_str, surface, label_str = fields[:4]
-            try:
-                offset = int(offset_str)
-            except ValueError:
-                raise MalformedRecordError(lineno, f"bad offset {offset_str!r}") from None
-            lbl = LABEL_OF_VALUE.get(label_str)
-            if lbl is None:
-                raise MalformedRecordError(lineno, f"bad label {label_str!r}")
-            predictions[(doc_id, offset, surface)] = lbl
+    records = consensus.read_tsv(path, 4, at_least=True)
+    for lineno, (doc_id, offset_str, surface, label_str, *_) in records:
+        key = (doc_id, consensus.parse_offset(offset_str, lineno), surface)
+        predictions[key] = consensus.parse_label(label_str, lineno)
     return predictions
 
 

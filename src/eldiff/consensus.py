@@ -13,6 +13,7 @@ import logging
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -123,6 +124,79 @@ def normalize_entity(raw: str, redirect_map: Mapping[str, str] | None = None) ->
     return canonical
 
 
+def read_redirects(path: str | Path) -> dict[str, str]:
+    """Read a redirect map: tab-separated ``from  to``, both ids normalized."""
+    redirects = {}
+    for lineno, (source, target) in read_tsv(path, 2):
+        try:
+            redirects[normalize_entity(source)] = normalize_entity(target)
+        except ValueError:
+            raise MalformedRecordError(lineno, "empty entity id") from None
+    return redirects
+
+
+# --- the line format of the six tab-separated files (README, "File formats") ----
+
+_WRITE_CHUNK = 4096
+
+
+def read_tsv(path: str | Path, n_fields: int, at_least: bool = False):
+    """Yield ``(line number, fields)`` for each non-blank line of a
+    tab-separated file, read as UTF-8 with universal newlines.
+
+    A line with other than ``n_fields`` fields (fewer, if ``at_least``)
+    raises MalformedRecordError with its line number.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line == "\n":
+                continue
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != n_fields and (len(fields) < n_fields or not at_least):
+                raise MalformedRecordError(lineno, f"expected {'at least ' * at_least}{n_fields} "
+                                                   f"tab-separated fields, got {len(fields)}")
+            yield lineno, fields
+
+
+def parse_offset(text: str, lineno: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise MalformedRecordError(lineno, f"bad offset {text!r}") from None
+
+
+def parse_label(text: str, lineno: int) -> Label:
+    lbl = LABEL_OF_VALUE.get(text)
+    if lbl is None:
+        raise MalformedRecordError(lineno, f"bad label {text!r}")
+    return lbl
+
+
+def write_tsv(rows: Iterable[Sequence[str]], path: str | Path) -> None:
+    """Write one tab-separated line per row of string fields.
+
+    A field holding a tab, ``\\n`` or ``\\r`` would read back as another
+    record or a malformed line (universal newlines turn ``\\r`` into a line
+    break), so it raises ValueError naming the field before the file is
+    opened. Rows are joined and checked a chunk at a time: only the file's
+    text is held at once.
+    """
+    rows = iter(rows)
+    texts = []
+    while chunk := list(islice(rows, _WRITE_CHUNK)):
+        text = "\n".join(map("\t".join, chunk))
+        if (text.count("\t") != sum(map(len, chunk)) - len(chunk)
+                or text.count("\n") != len(chunk) - 1 or "\r" in text):
+            for lineno, row in enumerate(chunk, start=len(texts) * _WRITE_CHUNK + 1):
+                for field in row:
+                    if "\t" in field or "\n" in field or "\r" in field:
+                        raise ValueError(f"row {lineno}: field {field!r} holds a tab or line "
+                                         "break and cannot be written")
+        texts.append(text + "\n")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(texts)
+
+
 def read_annotation_fields(
     path: str | Path,
     redirect_map: Mapping[str, str] | None = None,
@@ -136,31 +210,20 @@ def read_annotation_fields(
     """
     records = []
     canonical: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise MalformedRecordError(lineno, f"expected 4 tab-separated fields, got {len(fields)}")
-            doc_id, offset_str, surface, entity = fields
-            try:
-                offset = int(offset_str)
-            except ValueError:
-                raise MalformedRecordError(lineno, f"bad offset {offset_str!r}") from None
-            if normalize:
-                raw = entity
-                entity = canonical.get(raw)
-                if entity is None:
-                    try:
-                        entity = canonical[raw] = normalize_entity(raw, redirect_map)
-                    except ValueError:
-                        raise MalformedRecordError(lineno, "empty entity id") from None
-            problem = _annotation_problem(doc_id, offset, entity)
-            if problem:
-                raise MalformedRecordError(lineno, problem)
-            records.append((doc_id, surface, offset, entity))
+    for lineno, (doc_id, offset_str, surface, entity) in read_tsv(path, 4):
+        offset = parse_offset(offset_str, lineno)
+        if normalize:
+            raw = entity
+            entity = canonical.get(raw)
+            if entity is None:
+                try:
+                    entity = canonical[raw] = normalize_entity(raw, redirect_map)
+                except ValueError:
+                    raise MalformedRecordError(lineno, "empty entity id") from None
+        problem = _annotation_problem(doc_id, offset, entity)
+        if problem:
+            raise MalformedRecordError(lineno, problem)
+        records.append((doc_id, surface, offset, entity))
     return records
 
 
@@ -185,9 +248,7 @@ def read_annotations(
 
 
 def write_annotations(annotations: Iterable[SystemAnnotation], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for a in annotations:
-            fh.write(f"{a.doc_id}\t{a.offset}\t{a.surface}\t{a.entity_id}\n")
+    write_tsv(((a.doc_id, str(a.offset), a.surface, a.entity_id) for a in annotations), path)
 
 
 def validate_annotations(annotations: Iterable[SystemAnnotation], corpus: Corpus) -> None:
@@ -376,33 +437,18 @@ def class_distribution(labelled: Sequence[LabelledMention]) -> ClassDistribution
 
 def write_labels(labelled: Iterable[LabelledMention], path: str | Path) -> None:
     """Write the label file: ``doc_id offset surface label e1,...,en`` (tabs)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for lm in labelled:
-            m = lm.mention
-            fh.write(f"{m.doc_id}\t{m.offset}\t{m.surface}\t{lm.label}\t{','.join(m.entities)}\n")
+    write_tsv(((m.doc_id, str(m.offset), m.surface, lbl.value, ",".join(m.entities))
+               for m, lbl in labelled), path)
 
 
 def read_labels(path: str | Path) -> list[LabelledMention]:
     labelled = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 5:
-                raise MalformedRecordError(lineno, f"expected 5 tab-separated fields, got {len(fields)}")
-            doc_id, offset_str, surface, label_str, entities_str = fields
-            try:
-                offset = int(offset_str)
-            except ValueError:
-                raise MalformedRecordError(lineno, f"bad offset {offset_str!r}") from None
-            lbl = LABEL_OF_VALUE.get(label_str)
-            if lbl is None:
-                raise MalformedRecordError(lineno, f"bad label {label_str!r}")
-            try:
-                mention = AlignedMention(doc_id, surface, offset, tuple(entities_str.split(",")))
-            except ValueError as exc:
-                raise MalformedRecordError(lineno, str(exc)) from None
-            labelled.append(LabelledMention(mention, lbl))
+    for lineno, (doc_id, offset_str, surface, label_str, entities_str) in read_tsv(path, 5):
+        offset = parse_offset(offset_str, lineno)
+        lbl = parse_label(label_str, lineno)
+        try:
+            mention = AlignedMention(doc_id, surface, offset, tuple(entities_str.split(",")))
+        except ValueError as exc:
+            raise MalformedRecordError(lineno, str(exc)) from None
+        labelled.append(LabelledMention(mention, lbl))
     return labelled

@@ -16,6 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .consensus import LABEL_OF_VALUE, AlignedMention, Label, LabelledMention, SystemAnnotation
+from .consensus import read_tsv, write_tsv
 from .corpus import (
     Corpus,
     Document,
@@ -92,12 +93,6 @@ class FeatureSchema:
             c for c in FEATURE_COLUMNS if c not in TEMPORAL_COLUMNS and c != "d_topic"
         ))
 
-    def categorical(self) -> tuple[str, ...]:
-        return tuple(c for c in self.columns if c in CATEGORICAL_COLUMNS)
-
-    def continuous(self) -> tuple[str, ...]:
-        return tuple(c for c in self.columns if c not in CATEGORICAL_COLUMNS)
-
 
 @dataclass(frozen=True)
 class FeatureConfig:
@@ -156,45 +151,34 @@ def load_candidate_dictionary(path: str | Path) -> CandidateDictionary:
     """
     counts: dict[str, int] = {}
     sets: dict[str, frozenset[str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2 or not fields[0]:
-                raise MalformedRecordError(lineno, "expected 'surface<TAB>count' or 'surface<TAB>e1,e2,...'")
-            surface, payload = fields
-            if payload.isdecimal():
-                count = int(payload)
-                if count < 1:
-                    raise MalformedRecordError(lineno, f"candidate count must be >= 1, got {count}")
-                counts[surface] = max(counts.get(surface, 0), count)
-            else:
-                ids = frozenset(e for e in payload.split(",") if e)
-                if not ids:
-                    raise MalformedRecordError(lineno, "empty candidate list")
-                merged = sets.get(surface, frozenset()) | ids
-                sets[surface] = merged
-                counts[surface] = max(counts.get(surface, 0), len(merged))
+    for lineno, (surface, payload) in read_tsv(path, 2):
+        if not surface:
+            raise MalformedRecordError(lineno, "empty surface")
+        if payload.isdecimal():
+            count = int(payload)
+            if count < 1:
+                raise MalformedRecordError(lineno, f"candidate count must be >= 1, got {count}")
+            counts[surface] = max(counts.get(surface, 0), count)
+        else:
+            ids = frozenset(e for e in payload.split(",") if e)
+            if not ids:
+                raise MalformedRecordError(lineno, "empty candidate list")
+            merged = sets.get(surface, frozenset()) | ids
+            sets[surface] = merged
+            counts[surface] = max(counts.get(surface, 0), len(merged))
     return CandidateDictionary(counts)
 
 
 def write_candidate_dictionary(dictionary: CandidateDictionary, path: str | Path) -> None:
     """Write one ``surface<TAB>count`` line per surface, in sorted order.
 
-    An empty surface, or one holding a tab, ``\\n`` or ``\\r``, would read
-    back as another record or as a malformed line, so it raises ValueError
+    An empty surface reads back as a malformed line, so it raises ValueError
     before the file is opened.
     """
-    surfaces = sorted(dictionary._counts)
-    for surface in surfaces:
-        if not surface or "\t" in surface or "\n" in surface or "\r" in surface:
-            raise ValueError(f"candidate surface {surface!r} cannot be written: it is empty "
-                             "or holds a tab or line break")
-    with open(path, "w", encoding="utf-8") as fh:
-        for surface in surfaces:
-            fh.write(f"{surface}\t{dictionary._counts[surface]}\n")
+    counts = dictionary._counts
+    if "" in counts:
+        raise ValueError("candidate surface '' cannot be written: it is empty")
+    write_tsv(((surface, str(counts[surface])) for surface in sorted(counts)), path)
 
 
 def count_doc_mentions(annotation_sets: Iterable[Iterable[SystemAnnotation]]) -> dict[str, int]:

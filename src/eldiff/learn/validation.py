@@ -18,16 +18,10 @@ from .metrics import EvalReport, evaluate
 from .models import train
 
 
-def _label_array(labels) -> np.ndarray:
-    if isinstance(labels, Dataset):
-        return labels.y
-    return np.asarray(labels)
-
-
 def stratified_kfold(labels, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """k disjoint, exhaustive (train, test) index splits whose per-fold class
     counts stay within one instance of exact proportionality."""
-    y = _label_array(labels)
+    y = np.asarray(labels)
     if k < 2:
         raise ValueError("k must be at least 2")
     rng = np.random.default_rng(seed)
@@ -55,7 +49,7 @@ def stratified_kfold(labels, k: int, seed: int) -> list[tuple[np.ndarray, np.nda
 def undersample(train_indices, labels, seed: int) -> np.ndarray:
     """Reduce every training class to the minority-class count, without
     replacement. Classes already at the minority count keep their members."""
-    y = _label_array(labels)
+    y = np.asarray(labels)
     train_indices = np.asarray(train_indices)
     y_train = y[train_indices]
     present = [c for c in range(N_CLASSES) if np.any(y_train == c)]

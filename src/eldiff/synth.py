@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .consensus import SystemAnnotation, write_annotations
+from .consensus import SystemAnnotation, write_annotations, write_tsv
 from .corpus import Corpus, GeneratorConfig, generate_synthetic_corpus, write_corpus
 from .features import CandidateDictionary, write_candidate_dictionary
 from .rand import derive_seed
@@ -133,9 +133,8 @@ def write_fixture(
     candidates_path = out / "candidates.tsv"
     write_candidate_dictionary(suite.candidates, candidates_path)
     gold_path = out / "gold.tsv"
-    with open(gold_path, "w", encoding="utf-8") as fh:
-        for (doc_id, offset, surface), entity in sorted(suite.gold.items()):
-            fh.write(f"{doc_id}\t{offset}\t{surface}\t{entity}\n")
+    write_tsv(((doc_id, str(offset), surface, entity)
+               for (doc_id, offset, surface), entity in sorted(suite.gold.items())), gold_path)
     return FixturePaths(
         corpus=corpus_path,
         annotations=annotation_paths,

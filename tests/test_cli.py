@@ -448,6 +448,25 @@ class TestSchemaAndRedirects:
         line = (out / "labels.tsv").read_text(encoding="utf-8").strip()
         assert line.endswith("EASY\tBarack_Obama,Barack_Obama")
 
+    @pytest.mark.parametrize("bad_line, message", [
+        (" \tBarack Obama", "line 3: empty entity id"),
+        ("Obama\t", "line 3: empty entity id"),
+        ("Obama", "line 3: expected 2 tab-separated fields, got 1"),
+        ("Obama\tBarack Obama\textra", "line 3: expected 2 tab-separated fields, got 3"),
+    ])
+    def test_bad_redirect_line_names_its_line(self, tmp_path, caplog, bad_line, message):
+        a = tmp_path / "a.tsv"
+        b = tmp_path / "b.tsv"
+        a.write_text("d1\t0\tObama\tObama\n", encoding="utf-8")
+        b.write_text("d1\t0\tObama\tBarack Obama\n", encoding="utf-8")
+        redirects = tmp_path / "redirects.tsv"
+        redirects.write_text(f"Obama\tBarack Obama\n\n{bad_line}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("label", "--annotations", a, b, "--redirects", redirects,
+                   "--out", out) == EXIT_ERROR
+        assert message in caplog.text
+        assert not (out / "labels.tsv").exists()
+
     def test_features_from_saved_embeddings_match_training_run(
             self, fixture_dir, labelled_dir, tmp_path):
         first = tmp_path / "first"

@@ -1,7 +1,9 @@
 """The annotation, label and predictions readers against the record-by-record
-readers they replaced, and hostile round trips of the two text formats."""
+readers they replaced, hostile round trips of the tab-separated formats, and
+the one line format they share."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,10 +18,13 @@ from eldiff.consensus import (
     normalize_entity,
     read_annotations,
     read_labels,
+    read_redirects,
     write_annotations,
     write_labels,
+    write_tsv,
 )
 from eldiff.errors import MalformedRecordError
+from eldiff.features import load_candidate_dictionary
 from eldiff.simulate import GoldStandard
 
 # --- oracles: the readers as they were before the records became tuples ----------
@@ -278,7 +283,7 @@ class TestPredictionsOracle:
         path = write_lines(tmp_path / "predictions.tsv", [GOOD_PREDICTION, "d1\t10\tParis"])
         # the old reader said "predictions line 2: ..." in a CliError
         assert outcome(_read_predictions, path) == (
-            MalformedRecordError, "line 2: expected at least 4 fields", 2)
+            MalformedRecordError, "line 2: expected at least 4 tab-separated fields, got 3", 2)
 
     @pytest.mark.parametrize("line, message", [
         ("d1\tzz\tParis\tHARD", "line 2: bad offset 'zz'"),
@@ -315,16 +320,40 @@ class TestRecords:
 
 
 # --- hostile round trips --------------------------------------------------------------------
+# Fields may hold tabs and line breaks too: the writers must refuse those record
+# sets, naming the field and leaving no file, and round-trip every other one.
 
+BREAKS = ["\t", "\n", "\r"]
 HOSTILE = ["1984", "\x0b", "\x1c", "\x85", "\u2028", "\u2029", "\U0001F600", "\U00010348",
            " ", "a b"]
+# about one piece in twenty holds a tab or line break
 pieces = st.one_of(
-    st.sampled_from(HOSTILE),
-    st.text(alphabet=st.characters(blacklist_categories=("Cs",),
-                                   blacklist_characters="\t\n\r"), max_size=4),
+    st.sampled_from(HOSTILE * 3 + BREAKS),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=4),
 )
 field_text = st.lists(pieces, max_size=4).map("".join)
 offsets = st.integers(min_value=0, max_value=10 ** 12)
+HOSTILE_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None,
+                            suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def first_unwritable(fields):
+    """The first of the fields that holds a tab or line break, or None."""
+    return next((f for f in fields if any(b in f for b in BREAKS)), None)
+
+
+def refused(write, records, path, fields):
+    """Whether ``write`` had to refuse the records: if one of their fields
+    holds a tab or line break, it raises ValueError naming the first such
+    field and leaves no file at the path."""
+    path.unlink(missing_ok=True)
+    bad = first_unwritable(fields)
+    if bad is None:
+        return False
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        write(records, path)
+    assert not path.exists()
+    return True
 
 
 @st.composite
@@ -341,11 +370,25 @@ def labelled_mentions(draw):
     return LabelledMention(mention, draw(st.sampled_from(list(Label))))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def expected_gold_or_error(entries):
+    """The normalized entries, or the error of the first line whose id
+    normalizes to nothing."""
+    expected = {}
+    for lineno, (key, entity) in enumerate(sorted(entries.items()), start=1):
+        try:
+            expected[key] = normalize_entity(entity)
+        except ValueError:
+            return MalformedRecordError, f"line {lineno}: empty entity id", lineno
+    return expected
+
+
+@HOSTILE_SETTINGS
 @given(records=st.lists(annotations(), max_size=8))
 def test_annotation_dump_roundtrip(tmp_path, records):
     path = tmp_path / "sys.tsv"
+    if refused(write_annotations, records, path,
+               [f for a in records for f in (a.doc_id, a.surface, a.entity_id)]):
+        return
     write_annotations(records, path)
     assert read_annotations(path, system_id="sys", normalize=False) == records
     expected = []
@@ -359,13 +402,91 @@ def test_annotation_dump_roundtrip(tmp_path, records):
     assert read_annotations(path, system_id="sys") == expected
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@HOSTILE_SETTINGS
 @given(records=st.lists(labelled_mentions(), max_size=8))
 def test_label_file_roundtrip(tmp_path, records):
     path = tmp_path / "labels.tsv"
+    if refused(write_labels, records, path,
+               [f for lm in records for f in (lm.mention.doc_id, lm.mention.surface,
+                                              ",".join(lm.mention.entities))]):
+        return
     write_labels(records, path)
     again = read_labels(path)
     assert again == records
     assert all(type(lm) is LabelledMention and type(lm.mention) is AlignedMention
                for lm in again)
+
+
+def write_predictions(records, path):
+    """The predictions layout ``predict`` writes, through the shared writer."""
+    write_tsv([(doc_id, str(offset), surface, label.value, *(f"{p:.9g}" for p in probs))
+               for (doc_id, offset, surface), label, probs in records], path)
+
+
+@HOSTILE_SETTINGS
+@given(records=st.lists(st.tuples(st.tuples(field_text, offsets, field_text),
+                                  st.sampled_from(list(Label)),
+                                  st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3)),
+                        max_size=8))
+def test_predictions_file_roundtrip(tmp_path, records):
+    path = tmp_path / "predictions.tsv"
+    if refused(write_predictions, records, path,
+               [f for (doc_id, _, surface), _, _ in records for f in (doc_id, surface)]):
+        return
+    write_predictions(records, path)
+    # a later prediction for the same key wins
+    assert _read_predictions(path) == {key: label for key, label, _ in records}
+
+
+def write_gold(entries, path):
+    """The gold layout ``gen-synthetic`` writes, through the shared writer."""
+    write_tsv([(doc_id, str(offset), surface, entity)
+               for (doc_id, offset, surface), entity in sorted(entries.items())], path)
+
+
+@HOSTILE_SETTINGS
+@given(entries=st.dictionaries(st.tuples(field_text, offsets, field_text),
+                               field_text.filter(bool), max_size=8))
+def test_gold_file_roundtrip(tmp_path, entries):
+    path = tmp_path / "gold.tsv"
+    if refused(write_gold, entries, path,
+               [f for (doc_id, _, surface), entity in sorted(entries.items())
+                for f in (doc_id, surface, entity)]):
+        return
+    write_gold(entries, path)
+    assert read_gold(path, normalize=False) == entries
+    assert outcome(read_gold, path) == expected_gold_or_error(entries)
+
+
+# --- one line format ----------------------------------------------------------------------------
+
+SHORT_LINES = {
+    "annotations": (read_annotations, GOOD_ANNOTATION, "4"),
+    "gold": (GoldStandard.read, GOOD_ANNOTATION, "4"),
+    "labels": (read_labels, GOOD_LABEL, "5"),
+    "predictions": (_read_predictions, GOOD_PREDICTION, "at least 4"),
+    "candidates": (load_candidate_dictionary, "Paris\t3", "2"),
+    "redirects": (read_redirects, "Obama\tBarack Obama", "2"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SHORT_LINES))
+def test_short_line_names_its_line_in_every_format(tmp_path, kind):
+    reader, good, expected = SHORT_LINES[kind]
+    path = write_lines(tmp_path / f"{kind}.tsv", [good, good.split("\t")[0], good])
+    with pytest.raises(MalformedRecordError) as exc:
+        reader(path)
+    assert exc.value.line_number == 2
+    assert str(exc.value) == f"line 2: expected {expected} tab-separated fields, got 1"
+
+
+def test_writer_checks_and_joins_every_chunk(tmp_path):
+    rows = [(f"d{i}", str(i), "x", "E") for i in range(10000)]
+    path = tmp_path / "big.tsv"
+    write_tsv(rows, path)
+    assert path.read_text(encoding="utf-8") == "".join("\t".join(r) + "\n" for r in rows)
+    path.unlink()
+    rows[9000] = ("d", "1", "x\ry", "E")
+    with pytest.raises(ValueError, match=r"^row 9001: field 'x\\ry' "):
+        write_tsv(rows, path)
+    assert not path.exists()
