@@ -6,8 +6,8 @@ match the flag names; explicit flags win. One master seed drives every
 randomized stage through documented derivations, and each stage logs its
 derived seed so it can be re-run in isolation.
 
-Exit statuses: 0 success, 2 validation/configuration error, 3 completed
-with a degenerate result (for example an empty alignment).
+Exit statuses: 0 success, 2 validation/configuration or file-system error,
+3 completed with a degenerate result (for example an empty alignment).
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .reports import (
     write_mdi_report,
     write_pearson_matrix,
 )
-from .simulate import GoldStandard, budget_from_fraction, run_simulation, write_simulation_report
+from .simulate import budget_from_fraction, read_gold, run_simulation, write_simulation_report
 
 log = logging.getLogger("eldiff")
 
@@ -431,7 +431,7 @@ def cmd_simulate(args) -> int:
     labelled = consensus.read_labels(_require(args, "labels"))
     if not labelled:
         raise CliError("the labels file is empty; nothing to simulate")
-    gold = GoldStandard.read(_require(args, "gold"))
+    gold = read_gold(_require(args, "gold"))
     n_systems = len(labelled[0].mention.entities)
     if any(len(lm.mention.entities) != n_systems for lm in labelled):
         raise CliError("labels file mixes mentions with different system counts")
@@ -487,16 +487,15 @@ def cmd_simulate(args) -> int:
         repetitions=args.repetitions, seed=sim_seed,
     )
     write_simulation_report(result, out / "simulation.tsv")
-    with open(out / "simulation_panels.tsv", "w", encoding="utf-8") as fh:
-        for budget in result.budgets:
-            fh.write(f"# budget {budget}\n")
-            fh.write("strategy\t" + "\t".join(result.systems) + "\n")
-            fh.write("before\t" + "\t".join(
-                f"{result.before[s]:.6f}" for s in result.systems) + "\n")
-            for strategy in result.strategies:
-                fh.write(strategy.value + "\t" + "\t".join(
-                    f"{result.outcome(s, strategy, budget).mean_after:.6f}"
-                    for s in result.systems) + "\n")
+    panels = []
+    for budget in result.budgets:
+        panels.append((f"# budget {budget}",))
+        panels.append(("strategy", *result.systems))
+        panels.append(("before", *(f"{result.before[s]:.6f}" for s in result.systems)))
+        for strategy in result.strategies:
+            panels.append((strategy.value, *(
+                f"{result.outcome(s, strategy, budget).mean_after:.6f}" for s in result.systems)))
+    consensus.write_tsv(panels, out / "simulation_panels.tsv")
     log.info("simulation reports written to %s", out)
     return EXIT_OK
 
@@ -670,13 +669,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config(args)
         return args.func(args)
-    except CliError as exc:
-        log.error("%s", exc)
-        return EXIT_ERROR
-    except EldiffError as exc:
-        log.error("%s", exc)
-        return EXIT_ERROR
-    except (FileNotFoundError, KeyError, ValueError) as exc:
+    except (CliError, EldiffError, OSError, KeyError, ValueError) as exc:
         log.error("%s", exc)
         return EXIT_ERROR
     finally:

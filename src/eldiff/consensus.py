@@ -53,7 +53,7 @@ def _annotation_problem(doc_id: str, offset: int, entity_id: str) -> str | None:
     """The first annotation rule the values break, or None if they keep all.
 
     The one statement of the rules: ``SystemAnnotation`` checks them here,
-    and so does ``read_annotation_fields`` for every line it reads.
+    and so does ``read_annotations`` for every line it reads.
     """
     if offset < 0:
         return f"negative offset {offset} in {doc_id!r}"
@@ -62,23 +62,19 @@ def _annotation_problem(doc_id: str, offset: int, entity_id: str) -> str | None:
     return None
 
 
-class SystemAnnotation(namedtuple("SystemAnnotation", "system_id doc_id surface offset entity_id")):
+class SystemAnnotation(namedtuple("SystemAnnotation", "doc_id surface offset entity_id")):
     """One entity link emitted by one system: (document, surface, position, entity).
 
-    An immutable tuple ``(system_id, doc_id, surface, offset, entity_id)``.
+    An immutable tuple ``(doc_id, surface, offset, entity_id)``.
     """
 
     __slots__ = ()
 
-    def __new__(cls, system_id: str, doc_id: str, surface: str, offset: int, entity_id: str):
+    def __new__(cls, doc_id: str, surface: str, offset: int, entity_id: str):
         problem = _annotation_problem(doc_id, offset, entity_id)
         if problem:
             raise ValueError(problem)
-        return tuple.__new__(cls, (system_id, doc_id, surface, offset, entity_id))
-
-    @property
-    def span(self) -> tuple[int, int]:
-        return self.offset, self.offset + len(self.surface)
+        return tuple.__new__(cls, (doc_id, surface, offset, entity_id))
 
 
 class AlignedMention(namedtuple("AlignedMention", "doc_id surface offset entities")):
@@ -159,10 +155,11 @@ def read_tsv(path: str | Path, n_fields: int, at_least: bool = False):
 
 
 def parse_offset(text: str, lineno: int) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise MalformedRecordError(lineno, f"bad offset {text!r}") from None
+    # ASCII digits only: int() also takes "1_000", " +7 " and other scripts'
+    # digits, which a writer would write back as other text
+    if not (text.isascii() and text.isdigit()):
+        raise MalformedRecordError(lineno, f"bad offset {text!r}")
+    return int(text)
 
 
 def parse_label(text: str, lineno: int) -> Label:
@@ -197,19 +194,21 @@ def write_tsv(rows: Iterable[Sequence[str]], path: str | Path) -> None:
         fh.writelines(texts)
 
 
-def read_annotation_fields(
+def read_annotations(
     path: str | Path,
     redirect_map: Mapping[str, str] | None = None,
     normalize: bool = True,
-) -> list[tuple[str, str, int, str]]:
-    """``(doc_id, surface, offset, entity_id)`` for each line of an
-    annotation dump, checked as ``read_annotations`` checks them.
+) -> list[SystemAnnotation]:
+    """Read one system's annotation dump, or a gold standard in its layout.
 
-    Each distinct raw entity id is normalized once. The first bad line
-    raises MalformedRecordError with its line number.
+    Format: tab-separated ``doc_id  offset  surface  entity_id``, one
+    annotation per line. Entity ids are normalized unless disabled; each
+    distinct raw id is normalized once. The first bad line raises
+    MalformedRecordError with its line number.
     """
-    records = []
+    annotations = []
     canonical: dict[str, str] = {}
+    new = tuple.__new__
     for lineno, (doc_id, offset_str, surface, entity) in read_tsv(path, 4):
         offset = parse_offset(offset_str, lineno)
         if normalize:
@@ -223,28 +222,9 @@ def read_annotation_fields(
         problem = _annotation_problem(doc_id, offset, entity)
         if problem:
             raise MalformedRecordError(lineno, problem)
-        records.append((doc_id, surface, offset, entity))
-    return records
-
-
-def read_annotations(
-    path: str | Path,
-    system_id: str | None = None,
-    redirect_map: Mapping[str, str] | None = None,
-    normalize: bool = True,
-) -> list[SystemAnnotation]:
-    """Read one system's annotation dump.
-
-    Format: tab-separated ``doc_id  offset  surface  entity_id``, one
-    annotation per line. Entity ids are normalized unless disabled.
-    """
-    if system_id is None:
-        system_id = Path(path).stem
-    # read_annotation_fields checked every line with _annotation_problem, as
-    # the constructor would: build the tuples without checking them twice
-    new = tuple.__new__
-    return [new(SystemAnnotation, (system_id, *fields))
-            for fields in read_annotation_fields(path, redirect_map, normalize)]
+        # checked as the constructor checks: build the tuple without it
+        annotations.append(new(SystemAnnotation, (doc_id, surface, offset, entity)))
+    return annotations
 
 
 def write_annotations(annotations: Iterable[SystemAnnotation], path: str | Path) -> None:

@@ -12,13 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .consensus import Label, read_annotation_fields
-from .consensus import read_annotations  # noqa: F401  a tracer target of bench/spans.py
+from .consensus import Label, read_annotations, read_tsv, write_tsv
+from .errors import MalformedRecordError
 from .rand import derive_seed
 
 #: (doc_id, offset, surface) identifies an evaluated mention.
@@ -32,39 +33,24 @@ class Strategy(Enum):
     CANDIDATES = "candidates"
 
 
-class GoldStandard:
-    """Mapping from mention key to the correct entity id."""
-
-    def __init__(self, entries: Mapping[MentionKey, str]):
-        self._entries = dict(entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: MentionKey) -> bool:
-        return key in self._entries
-
-    def entity(self, key: MentionKey) -> str:
-        return self._entries[key]
-
-    def keys(self):
-        return self._entries.keys()
-
-    @classmethod
-    def read(cls, path: str | Path, redirect_map: Mapping[str, str] | None = None,
-             normalize: bool = True) -> "GoldStandard":
-        """Read gold annotations (same tab-separated layout as system dumps);
-        conflicting duplicate keys are rejected."""
-        entries: dict[MentionKey, str] = {}
-        for doc_id, surface, offset, entity in read_annotation_fields(path, redirect_map,
-                                                                      normalize):
-            key = (doc_id, offset, surface)
-            if entries.setdefault(key, entity) != entity:
-                raise ValueError(f"conflicting gold entries for mention {key}")
-        return cls(entries)
+def read_gold(path: str | Path, redirect_map: Mapping[str, str] | None = None,
+              normalize: bool = True) -> dict[MentionKey, str]:
+    """Read a gold standard: the annotation-dump layout, one correct entity
+    per mention key. A key given again with another entity raises
+    MalformedRecordError naming that line; a bad line anywhere in the file
+    is reported first."""
+    gold: dict[MentionKey, str] = {}
+    for i, (doc_id, surface, offset, entity) in enumerate(
+            read_annotations(path, redirect_map, normalize)):
+        key = (doc_id, offset, surface)
+        if gold.setdefault(key, entity) != entity:
+            # read_annotations gives one record per non-blank line, in order
+            lineno, _ = next(islice(read_tsv(path, 4), i, None))
+            raise MalformedRecordError(lineno, f"conflicting gold entries for mention {key}")
+    return gold
 
 
-def accuracy(choices: Mapping[MentionKey, str], gold: GoldStandard) -> float:
+def accuracy(choices: Mapping[MentionKey, str], gold: Mapping[MentionKey, str]) -> float:
     """Fraction of correctly linked mentions among the evaluated ones."""
     if not choices:
         raise ValueError("cannot compute accuracy over an empty mention set")
@@ -72,7 +58,7 @@ def accuracy(choices: Mapping[MentionKey, str], gold: GoldStandard) -> float:
     for key, entity in choices.items():
         if key not in gold:
             raise KeyError(f"mention {key} is missing from the gold standard")
-        correct += entity == gold.entity(key)
+        correct += entity == gold[key]
     return correct / len(choices)
 
 
@@ -152,7 +138,7 @@ def select_mentions(
 def apply_feedback(
     choices: Mapping[MentionKey, str],
     selected: Iterable[MentionKey],
-    gold: GoldStandard,
+    gold: Mapping[MentionKey, str],
 ) -> dict[MentionKey, str]:
     """Replace the selected mentions' links with the gold entity; everything
     else is untouched. Feedback can therefore never introduce an error."""
@@ -162,7 +148,7 @@ def apply_feedback(
             raise KeyError(f"selected mention {key} is not among the evaluated mentions")
         if key not in gold:
             raise KeyError(f"selected mention {key} is missing from the gold standard")
-        corrected[key] = gold.entity(key)
+        corrected[key] = gold[key]
     return corrected
 
 
@@ -195,7 +181,7 @@ class SimulationResult:
 
 def run_simulation(
     system_choices: Mapping[str, Mapping[MentionKey, str]],
-    gold: GoldStandard,
+    gold: Mapping[MentionKey, str],
     labels: Mapping[MentionKey, Label] | None,
     budgets: Sequence[int],
     predictions: Mapping[MentionKey, Label] | None = None,
@@ -241,7 +227,7 @@ def run_simulation(
 
     n = len(pool)
     wrong = {
-        system: np.array([system_choices[system][k] != gold.entity(k) for k in pool], dtype=bool)
+        system: np.array([system_choices[system][k] != gold[k] for k in pool], dtype=bool)
         for system in systems
     }
     n_wrong = {system: int(wrong[system].sum()) for system in systems}
@@ -280,15 +266,16 @@ def run_simulation(
 def write_simulation_report(result: SimulationResult, path: str | Path) -> None:
     """Tab-separated report: one row per (system, strategy, budget) with
     before, mean/stddev after, repetition count and master seed."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("system\tstrategy\tbudget\tbefore\tafter_mean\tafter_stddev\trepetitions\tseed\n")
-        fh.write(f"# evaluated_mentions\t{result.n_evaluated}\n")
+    def rows():
+        yield ("system", "strategy", "budget", "before", "after_mean", "after_stddev",
+               "repetitions", "seed")
+        yield ("# evaluated_mentions", str(result.n_evaluated))
         for system in result.systems:
             for strategy in result.strategies:
                 for budget in result.budgets:
                     outcome = result.outcome(system, strategy, budget)
-                    fh.write(
-                        f"{system}\t{strategy.value}\t{budget}\t{result.before[system]:.6f}"
-                        f"\t{outcome.mean_after:.6f}\t{outcome.std_after:.6f}"
-                        f"\t{result.repetitions}\t{result.seed}\n"
-                    )
+                    yield (system, strategy.value, str(budget), f"{result.before[system]:.6f}",
+                           f"{outcome.mean_after:.6f}", f"{outcome.std_after:.6f}",
+                           str(result.repetitions), str(result.seed))
+
+    write_tsv(rows(), path)

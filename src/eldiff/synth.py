@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .consensus import SystemAnnotation, write_annotations, write_tsv
+from .consensus import SystemAnnotation, write_annotations
 from .corpus import Corpus, GeneratorConfig, generate_synthetic_corpus, write_corpus
 from .features import CandidateDictionary, write_candidate_dictionary
 from .rand import derive_seed
@@ -93,9 +93,7 @@ def generate_annotations(
             for system, entity in zip(systems, entities):
                 if rng.random() < miss_rate:
                     continue
-                dumps[system].append(
-                    SystemAnnotation(system, doc.id, word, offset, entity)
-                )
+                dumps[system].append(SystemAnnotation(doc.id, word, offset, entity))
             if rng.random() < gold_rate:
                 gold[(doc.id, offset, word)] = correct
     counts = {word: 1 + len(_alternates(word)) for word in sorted(vocabulary)}
@@ -133,8 +131,9 @@ def write_fixture(
     candidates_path = out / "candidates.tsv"
     write_candidate_dictionary(suite.candidates, candidates_path)
     gold_path = out / "gold.tsv"
-    write_tsv(((doc_id, str(offset), surface, entity)
-               for (doc_id, offset, surface), entity in sorted(suite.gold.items())), gold_path)
+    write_annotations((SystemAnnotation(doc_id, surface, offset, entity)
+                       for (doc_id, offset, surface), entity in sorted(suite.gold.items())),
+                      gold_path)
     return FixturePaths(
         corpus=corpus_path,
         annotations=annotation_paths,

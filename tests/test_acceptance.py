@@ -21,7 +21,6 @@ from eldiff.learn.models import softmax_loss_and_grads, train
 from eldiff.learn.validation import cross_validate, stratified_kfold, undersample
 from eldiff.learn.analysis import mdi, pearson_matrix
 from eldiff.simulate import (
-    GoldStandard,
     Strategy,
     accuracy,
     apply_feedback,
@@ -337,7 +336,7 @@ class TestC11SimulationArithmetic:
         rng = np.random.default_rng(17)
         n = 60
         keys = [("d", i, f"m{i}") for i in range(n)]
-        gold = GoldStandard({k: "G" for k in keys})
+        gold = {k: "G" for k in keys}
         for seed in range(10):
             wrong = set(rng.choice(n, size=14, replace=False).tolist())
             choices = {k: ("W" if i in wrong else "G") for i, k in enumerate(keys)}

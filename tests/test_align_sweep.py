@@ -17,6 +17,10 @@ from eldiff.consensus import AlignedMention, SystemAnnotation, _align_overlap, r
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
 
+def _span(a):
+    return a.offset, a.offset + len(a.surface)
+
+
 def _spans_overlap(a, b):
     return a[0] < b[1] and b[0] < a[1]
 
@@ -46,7 +50,7 @@ def greedy_align_overlap(annotation_sets):
                     for pos, a in enumerate(per_system[sys_idx]):
                         if pos in used[sys_idx]:
                             continue
-                        if all(_spans_overlap(a.span, c.span) for c in chosen):
+                        if all(_spans_overlap(_span(a), _span(c)) for c in chosen):
                             candidate = pos
                             break
                 if candidate is None:
@@ -91,11 +95,10 @@ SURFACES = ("", "a", "ab", "abc", "b", "bcd", "abcdef", "zz")
 
 def _random_sets(rng):
     sets = []
-    for system in range(int(rng.integers(2, 5))):
+    for _ in range(int(rng.integers(2, 5))):
         annotations = []
         for _ in range(int(rng.integers(0, 9))):
             annotations.append(SystemAnnotation(
-                f"s{system}",
                 ("d1", "d2")[int(rng.integers(0, 2))],
                 SURFACES[int(rng.integers(0, len(SURFACES)))],
                 int(rng.integers(0, 10)),
@@ -119,16 +122,16 @@ def test_random_sets_match_greedy():
 def test_used_candidate_stays_used_after_a_later_system_fails():
     # the anchor at 0 takes b's only span, then finds nothing in c; the anchor
     # at 1 can no longer use b's span
-    a = [SystemAnnotation("a", "d", "xx", 0, "E"), SystemAnnotation("a", "d", "xx", 1, "E")]
-    b = [SystemAnnotation("b", "d", "xxx", 0, "E")]
-    c = [SystemAnnotation("c", "d", "x", 2, "E")]
+    a = [SystemAnnotation("d", "xx", 0, "E"), SystemAnnotation("d", "xx", 1, "E")]
+    b = [SystemAnnotation("d", "xxx", 0, "E")]
+    c = [SystemAnnotation("d", "x", 2, "E")]
     assert greedy_align_overlap([a, b, c]) == []
     assert _align_overlap([a, b, c]) == []
 
 
 def test_exact_twin_wins_over_earlier_overlap():
-    a = [SystemAnnotation("a", "d", "abc", 2, "E1")]
-    b = [SystemAnnotation("b", "d", "abcdef", 0, "E2"), SystemAnnotation("b", "d", "abc", 2, "E3")]
+    a = [SystemAnnotation("d", "abc", 2, "E1")]
+    b = [SystemAnnotation("d", "abcdef", 0, "E2"), SystemAnnotation("d", "abc", 2, "E3")]
     expected = [AlignedMention("d", "abc", 2, ("E1", "E3"))]
     assert greedy_align_overlap([a, b]) == expected
     assert _align_overlap([a, b]) == expected

@@ -11,7 +11,7 @@ from eldiff import embeddings
 from eldiff.cli import EXIT_DEGENERATE, EXIT_ERROR, EXIT_OK, _apply_config, _build_parser, main
 from eldiff.consensus import Label, read_labels
 from eldiff.features import FeatureTable
-from eldiff.simulate import GoldStandard
+from eldiff.simulate import read_gold
 
 
 def run(*argv):
@@ -312,10 +312,20 @@ class TestSimulate:
         panels = (tmp_path / "simulation_panels.tsv").read_text(encoding="utf-8")
         assert panels.count("# budget") == 2
 
+    def test_system_name_with_a_tab_refused(self, fixture_dir, labelled_dir, tmp_path, caplog):
+        status = run("simulate", "--labels", labelled_dir / "labels.tsv",
+                     "--gold", fixture_dir / "gold.tsv", "--systems", "a\tb,c,d",
+                     "--budgets", "0.1", "--repetitions", 1, "--out", tmp_path)
+        assert status == EXIT_ERROR
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] == [
+            "row 3: field 'a\\tb' holds a tab or line break and cannot be written"]
+        assert not (tmp_path / "simulation.tsv").exists()
+        assert not (tmp_path / "simulation_panels.tsv").exists()
+
     def test_pool_counts_logged_and_missing_predictions_warned(
             self, fixture_dir, labelled_dir, tmp_path, caplog):
         labels_path = labelled_dir / "labels.tsv"
-        gold = GoldStandard.read(fixture_dir / "gold.tsv")
+        gold = read_gold(fixture_dir / "gold.tsv")
         keys = sorted({lm.key for lm in read_labels(labels_path)})
         pool = [k for k in keys if k in gold]
         predicted = pool[::3]
@@ -384,6 +394,31 @@ class TestPredictionsFile:
         assert status == EXIT_ERROR
         assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] == [message]
         assert not (tmp_path / "out" / "simulation.tsv").exists()
+
+
+class TestFileSystemErrors:
+    """An input or output path the file system refuses is an error exit with
+    a message, not a traceback."""
+
+    def test_annotation_dump_that_is_a_directory(self, fixture_dir, tmp_path, caplog):
+        status = run("label", "--annotations", tmp_path, fixture_dir / "alpha.tsv",
+                     "--out", tmp_path / "out")
+        assert status == EXIT_ERROR
+        assert "Is a directory" in caplog.text
+
+    def test_gold_standard_that_is_a_directory(self, fixture_dir, labelled_dir, tmp_path, caplog):
+        status = run("simulate", "--labels", labelled_dir / "labels.tsv", "--gold", tmp_path,
+                     "--out", tmp_path / "out")
+        assert status == EXIT_ERROR
+        assert "Is a directory" in caplog.text
+
+    def test_output_directory_that_is_a_file(self, fixture_dir, tmp_path, caplog):
+        out = tmp_path / "taken"
+        out.write_text("", encoding="utf-8")
+        status = run("label", "--annotations", fixture_dir / "alpha.tsv",
+                     fixture_dir / "beta.tsv", "--out", out)
+        assert status == EXIT_ERROR
+        assert "File exists" in caplog.text
 
 
 class TestEmbeddingFailure:

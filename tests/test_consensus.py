@@ -25,8 +25,8 @@ from eldiff.consensus import (
 from eldiff.errors import MalformedRecordError
 
 
-def _ann(system, doc, offset, surface, entity):
-    return SystemAnnotation(system, doc, surface, offset, entity)
+def _ann(doc, offset, surface, entity):
+    return SystemAnnotation(doc, surface, offset, entity)
 
 
 class TestNormalizeEntity:
@@ -51,7 +51,7 @@ class TestNormalizeEntity:
 class TestAlign:
     def test_three_systems_exact(self):
         sets = [
-            [_ann(s, "d1", 10, "Paris", f"E{i}")]
+            [_ann("d1", 10, "Paris", f"E{i}")]
             for i, s in enumerate(["a", "b", "c"])
         ]
         aligned = align(sets, AlignPolicy.EXACT)
@@ -60,8 +60,8 @@ class TestAlign:
         assert aligned[0].key == ("d1", 10, "Paris")
 
     def test_policy_contrast_on_boundary_disagreement(self):
-        a = [_ann("a", "d1", 10, "Paris", "E1")]
-        b = [_ann("b", "d1", 11, "aris", "E2")]
+        a = [_ann("d1", 10, "Paris", "E1")]
+        b = [_ann("d1", 11, "aris", "E2")]
         assert align([a, b], AlignPolicy.EXACT) == []
         overlap = align([a, b], AlignPolicy.OVERLAP)
         assert len(overlap) == 1
@@ -69,36 +69,36 @@ class TestAlign:
         assert overlap[0].key == ("d1", 10, "Paris")
 
     def test_mention_missing_from_one_system_excluded(self):
-        a = [_ann("a", "d1", 10, "Paris", "E1"), _ann("a", "d1", 40, "Bonn", "E9")]
-        b = [_ann("b", "d1", 10, "Paris", "E1"), _ann("b", "d1", 40, "Bonn", "E9")]
-        c = [_ann("c", "d1", 10, "Paris", "E1")]
+        a = [_ann("d1", 10, "Paris", "E1"), _ann("d1", 40, "Bonn", "E9")]
+        b = [_ann("d1", 10, "Paris", "E1"), _ann("d1", 40, "Bonn", "E9")]
+        c = [_ann("d1", 10, "Paris", "E1")]
         aligned = align([a, b, c], AlignPolicy.EXACT)
         assert [m.surface for m in aligned] == ["Paris"]
 
     def test_fewer_than_two_systems_rejected(self):
         with pytest.raises(ValueError):
-            align([[_ann("a", "d1", 0, "X", "E")]], AlignPolicy.EXACT)
+            align([[_ann("d1", 0, "X", "E")]], AlignPolicy.EXACT)
 
     def test_output_ordered_by_doc_and_offset(self):
-        a = [_ann("a", "d2", 5, "x", "E"), _ann("a", "d1", 9, "y", "E"), _ann("a", "d1", 2, "z", "E")]
-        b = [_ann("b", "d1", 2, "z", "E"), _ann("b", "d1", 9, "y", "E"), _ann("b", "d2", 5, "x", "E")]
+        a = [_ann("d2", 5, "x", "E"), _ann("d1", 9, "y", "E"), _ann("d1", 2, "z", "E")]
+        b = [_ann("d1", 2, "z", "E"), _ann("d1", 9, "y", "E"), _ann("d2", 5, "x", "E")]
         aligned = align([a, b], AlignPolicy.EXACT)
         assert [(m.doc_id, m.offset) for m in aligned] == [("d1", 2), ("d1", 9), ("d2", 5)]
 
     def test_greedy_one_to_one_under_overlap(self):
         # two anchor mentions but only one overlapping annotation in system b
-        a = [_ann("a", "d1", 10, "Paris", "E1"), _ann("a", "d1", 12, "ris", "E2")]
-        b = [_ann("b", "d1", 11, "aris", "E3")]
+        a = [_ann("d1", 10, "Paris", "E1"), _ann("d1", 12, "ris", "E2")]
+        b = [_ann("d1", 11, "aris", "E3")]
         aligned = align([a, b], AlignPolicy.OVERLAP)
         assert len(aligned) == 1
         assert aligned[0].offset == 10
 
     def test_conflicting_duplicates_warned_and_first_entity_kept(self, caplog):
-        a = [_ann("a", "d", 0, "X", "E1"), _ann("a", "d", 0, "X", "E2"),
-             _ann("a", "d", 0, "X", "E3"), _ann("a", "d", 5, "Y", "E4"),
-             _ann("a", "d", 5, "Y", "E4")]
-        b = [_ann("b", "d", 0, "X", "E1"), _ann("b", "d", 5, "Y", "E5"),
-             _ann("b", "d", 5, "Y", "E4")]
+        a = [_ann("d", 0, "X", "E1"), _ann("d", 0, "X", "E2"),
+             _ann("d", 0, "X", "E3"), _ann("d", 5, "Y", "E4"),
+             _ann("d", 5, "Y", "E4")]
+        b = [_ann("d", 0, "X", "E1"), _ann("d", 5, "Y", "E5"),
+             _ann("d", 5, "Y", "E4")]
         with caplog.at_level(logging.WARNING, logger="eldiff"):
             assert [m.entities for m in align([a, b])] == [("E1", "E1"), ("E4", "E5")]
             assert [m.entities for m in align([a[:1] + a[3:], b[:2]])] == [
@@ -108,8 +108,8 @@ class TestAlign:
             "system; exact alignment keeps each key's first entity"]
 
     def test_overlap_policy_warns_about_conflicting_duplicates(self, caplog):
-        a = [_ann("a", "d1", 0, "X", "E1"), _ann("a", "d1", 0, "X", "E9")]
-        b = [_ann("b", "d1", 0, "X", "E1"), _ann("b", "d1", 1, "X", "E2")]
+        a = [_ann("d1", 0, "X", "E1"), _ann("d1", 0, "X", "E9")]
+        b = [_ann("d1", 0, "X", "E1"), _ann("d1", 1, "X", "E2")]
         with caplog.at_level(logging.WARNING, logger="eldiff"):
             aligned = align([a, b], AlignPolicy.OVERLAP)
         assert [(m.offset, m.entities) for m in aligned] == [(0, ("E1", "E1"))]
@@ -120,8 +120,8 @@ class TestAlign:
     def test_exact_groups_survive_overlap_policy(self):
         # system b has an earlier overlapping span and an identical twin;
         # the identical twin must be preferred
-        a = [_ann("a", "d1", 10, "Paris", "E1")]
-        b = [_ann("b", "d1", 8, "in Pa", "E2"), _ann("b", "d1", 10, "Paris", "E3")]
+        a = [_ann("d1", 10, "Paris", "E1")]
+        b = [_ann("d1", 8, "in Pa", "E2"), _ann("d1", 10, "Paris", "E3")]
         aligned = align([a, b], AlignPolicy.OVERLAP)
         assert aligned[0].entities == ("E1", "E3")
 
@@ -134,7 +134,7 @@ class TestAlign:
                 for _ in range(rng.integers(3, 10)):
                     offset = int(rng.integers(0, 40))
                     surface = "m" * int(rng.integers(2, 6))
-                    annotations.append(_ann(system, "d1", offset, surface, "E"))
+                    annotations.append(_ann("d1", offset, surface, "E"))
                 sets.append(annotations)
             exact_keys = {m.key for m in align(sets, AlignPolicy.EXACT)}
             overlap_keys = {m.key for m in align(sets, AlignPolicy.OVERLAP)}
@@ -222,7 +222,7 @@ class TestAnnotationIO:
     def test_read_write_roundtrip(self, tmp_path):
         path = tmp_path / "sys.tsv"
         path.write_text("d1\t10\tParis\tparis france\nd2\t0\tBonn\tBonn\n", encoding="utf-8")
-        annotations = read_annotations(path, system_id="sys")
+        annotations = read_annotations(path)
         assert annotations[0].entity_id == "Paris_france"
         assert annotations[1].offset == 0
 

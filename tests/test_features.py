@@ -312,8 +312,8 @@ class TestExtract:
 
 class TestCountDocMentions:
     def test_union_of_distinct_spans(self):
-        a = [SystemAnnotation("a", "d1", "X", 0, "E"), SystemAnnotation("a", "d1", "Y", 5, "E")]
-        b = [SystemAnnotation("b", "d1", "X", 0, "E"), SystemAnnotation("b", "d2", "Z", 1, "E")]
+        a = [SystemAnnotation("d1", "X", 0, "E"), SystemAnnotation("d1", "Y", 5, "E")]
+        b = [SystemAnnotation("d1", "X", 0, "E"), SystemAnnotation("d2", "Z", 1, "E")]
         counts = count_doc_mentions([a, b])
         assert counts == {"d1": 2, "d2": 1}
 

@@ -25,16 +25,20 @@ from eldiff.consensus import (
 )
 from eldiff.errors import MalformedRecordError
 from eldiff.features import load_candidate_dictionary
-from eldiff.simulate import GoldStandard
+from eldiff.simulate import read_gold
 
 # --- oracles: the readers as they were before the records became tuples ----------
 # Each builds its records through the checking constructors and turns the
-# first ValueError into the error it reports.
+# first ValueError into the error it reports. An offset is ASCII digits only.
 
 
-def oracle_read_annotations(path, system_id=None, redirect_map=None, normalize=True):
-    if system_id is None:
-        system_id = path.stem
+def oracle_offset(text, lineno):
+    if not re.fullmatch("[0-9]+", text):
+        raise MalformedRecordError(lineno, f"bad offset {text!r}")
+    return int(text)
+
+
+def oracle_read_annotations(path, redirect_map=None, normalize=True):
     annotations = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -45,38 +49,33 @@ def oracle_read_annotations(path, system_id=None, redirect_map=None, normalize=T
             if len(fields) != 4:
                 raise MalformedRecordError(lineno, f"expected 4 tab-separated fields, got {len(fields)}")
             doc_id, offset_str, surface, entity = fields
-            try:
-                offset = int(offset_str)
-            except ValueError:
-                raise MalformedRecordError(lineno, f"bad offset {offset_str!r}") from None
+            offset = oracle_offset(offset_str, lineno)
             if normalize:
                 try:
                     entity = normalize_entity(entity, redirect_map)
                 except ValueError:
                     raise MalformedRecordError(lineno, "empty entity id") from None
             try:
-                annotations.append(SystemAnnotation(system_id, doc_id, surface, offset, entity))
+                annotations.append(SystemAnnotation(doc_id, surface, offset, entity))
             except ValueError as exc:
                 raise MalformedRecordError(lineno, str(exc)) from None
     return annotations
 
 
 def oracle_read_gold(path, redirect_map=None, normalize=True):
-    """``GoldStandard.read`` as it was: every line read into a
-    ``SystemAnnotation`` first, then copied into the mapping."""
+    """The gold reader as it was: every line read into a ``SystemAnnotation``
+    first, then copied into the mapping. A conflicting duplicate names the
+    line it is on."""
+    annotations = oracle_read_annotations(path, redirect_map=redirect_map, normalize=normalize)
+    with open(path, encoding="utf-8") as fh:
+        linenos = [lineno for lineno, line in enumerate(fh, start=1) if line.rstrip("\n")]
     entries = {}
-    for a in oracle_read_annotations(path, system_id="gold", redirect_map=redirect_map,
-                                     normalize=normalize):
+    for lineno, a in zip(linenos, annotations, strict=True):
         key = (a.doc_id, a.offset, a.surface)
         if key in entries and entries[key] != a.entity_id:
-            raise ValueError(f"conflicting gold entries for mention {key}")
+            raise MalformedRecordError(lineno, f"conflicting gold entries for mention {key}")
         entries[key] = a.entity_id
     return entries
-
-
-def read_gold(path, **kwargs):
-    gold = GoldStandard.read(path, **kwargs)
-    return {key: gold.entity(key) for key in gold.keys()}
 
 
 def oracle_read_labels(path):
@@ -90,10 +89,7 @@ def oracle_read_labels(path):
             if len(fields) != 5:
                 raise MalformedRecordError(lineno, f"expected 5 tab-separated fields, got {len(fields)}")
             doc_id, offset_str, surface, label_str, entities_str = fields
-            try:
-                offset = int(offset_str)
-            except ValueError:
-                raise MalformedRecordError(lineno, f"bad offset {offset_str!r}") from None
+            offset = oracle_offset(offset_str, lineno)
             try:
                 lbl = Label(label_str)
             except ValueError:
@@ -148,6 +144,10 @@ BAD_ANNOTATIONS = {
     "bad offset": "d1\tten\tParis\tE",
     "empty offset": "d1\t\tParis\tE",
     "negative offset": "d1\t-3\tParis\tE",
+    "signed offset": "d1\t+7\tParis\tE",
+    "padded offset": "d1\t 7 \tParis\tE",
+    "offset with an underscore": "d1\t1_000\tParis\tE",
+    "offset in Arabic-Indic digits": "d1\t\u0663\tParis\tE",
     "whitespace-only entity": "d1\t3\tParis\t \x0b ",
     "negative offset and empty entity": "d1\t-3\tParis\t",
     "redirect to an empty id": "d1\t3\tParis\tGone",
@@ -180,8 +180,7 @@ class TestAnnotationOracle:
                  for i in range(300)]
         path = write_lines(tmp_path / "alpha.tsv", lines)
         redirects = {"E3": "E4", "E_5": "Other"}
-        for kwargs in ({}, {"redirect_map": redirects}, {"normalize": False},
-                       {"system_id": "named"}):
+        for kwargs in ({}, {"redirect_map": redirects}, {"normalize": False}):
             assert outcome(read_annotations, path, **kwargs) == \
                 outcome(oracle_read_annotations, path, **kwargs)
 
@@ -206,13 +205,14 @@ class TestGoldOracle:
         expected = outcome(oracle_read_gold, path, redirect_map=REDIRECTS, normalize=normalize)
         assert outcome(read_gold, path, redirect_map=REDIRECTS, normalize=normalize) == expected
 
-    @pytest.mark.parametrize("last", ["d2\t1\tBonn\tBonn", BAD_ANNOTATIONS["bad offset"]])
-    def test_conflicting_duplicate(self, tmp_path, last):
+    @pytest.mark.parametrize("last, line_number", [("d2\t1\tBonn\tBonn", 2),
+                                                   (BAD_ANNOTATIONS["bad offset"], 3)])
+    def test_conflicting_duplicate(self, tmp_path, last, line_number):
         # a bad line anywhere in the file wins over a conflict before it
         path = write_lines(tmp_path / "gold.tsv",
                            [GOOD_ANNOTATION, "d1\t10\tParis\tLyon", last])
         expected = outcome(oracle_read_gold, path)
-        assert expected[0] is (ValueError if last.endswith("Bonn") else MalformedRecordError)
+        assert expected[0] is MalformedRecordError and expected[2] == line_number
         assert outcome(read_gold, path) == expected
 
     def test_generated_gold_matches(self, tmp_path):
@@ -302,15 +302,15 @@ class TestPredictionsOracle:
 class TestRecords:
     def test_constructors_keep_their_checks(self):
         with pytest.raises(ValueError, match="negative offset -1 in 'd'"):
-            SystemAnnotation("s", "d", "x", -1, "E")
+            SystemAnnotation("d", "x", -1, "E")
         with pytest.raises(ValueError, match="empty entity id at 'd':0"):
-            SystemAnnotation("s", "d", "x", 0, "")
+            SystemAnnotation("d", "x", 0, "")
         with pytest.raises(ValueError, match="at least 2 systems"):
             AlignedMention("d", "x", 0, ("E",))
 
     def test_records_are_tuples(self):
-        annotation = SystemAnnotation("s", "d", "xy", 3, "E")
-        assert annotation == ("s", "d", "xy", 3, "E") and annotation.span == (3, 5)
+        annotation = SystemAnnotation("d", "xy", 3, "E")
+        assert annotation == ("d", "xy", 3, "E")
         mention = AlignedMention("d", "xy", 3, ("E", "F"))
         labelled = LabelledMention(mention, Label.HARD)
         assert labelled == (("d", "xy", 3, ("E", "F")), Label.HARD)
@@ -358,7 +358,7 @@ def refused(write, records, path, fields):
 
 @st.composite
 def annotations(draw):
-    return SystemAnnotation("sys", draw(field_text), draw(field_text), draw(offsets),
+    return SystemAnnotation(draw(field_text), draw(field_text), draw(offsets),
                             draw(field_text.filter(bool)))
 
 
@@ -390,16 +390,16 @@ def test_annotation_dump_roundtrip(tmp_path, records):
                [f for a in records for f in (a.doc_id, a.surface, a.entity_id)]):
         return
     write_annotations(records, path)
-    assert read_annotations(path, system_id="sys", normalize=False) == records
+    assert read_annotations(path, normalize=False) == records
     expected = []
     for lineno, a in enumerate(records, start=1):
         try:
             expected.append(a._replace(entity_id=normalize_entity(a.entity_id)))
         except ValueError:
             with pytest.raises(MalformedRecordError, match=f"^line {lineno}: empty entity id$"):
-                read_annotations(path, system_id="sys")
+                read_annotations(path)
             return
-    assert read_annotations(path, system_id="sys") == expected
+    assert read_annotations(path) == expected
 
 
 @HOSTILE_SETTINGS
@@ -439,9 +439,9 @@ def test_predictions_file_roundtrip(tmp_path, records):
 
 
 def write_gold(entries, path):
-    """The gold layout ``gen-synthetic`` writes, through the shared writer."""
-    write_tsv([(doc_id, str(offset), surface, entity)
-               for (doc_id, offset, surface), entity in sorted(entries.items())], path)
+    """The gold file as ``gen-synthetic`` writes it."""
+    write_annotations([SystemAnnotation(doc_id, surface, offset, entity)
+                       for (doc_id, offset, surface), entity in sorted(entries.items())], path)
 
 
 @HOSTILE_SETTINGS
@@ -462,7 +462,7 @@ def test_gold_file_roundtrip(tmp_path, entries):
 
 SHORT_LINES = {
     "annotations": (read_annotations, GOOD_ANNOTATION, "4"),
-    "gold": (GoldStandard.read, GOOD_ANNOTATION, "4"),
+    "gold": (read_gold, GOOD_ANNOTATION, "4"),
     "labels": (read_labels, GOOD_LABEL, "5"),
     "predictions": (_read_predictions, GOOD_PREDICTION, "at least 4"),
     "candidates": (load_candidate_dictionary, "Paris\t3", "2"),
@@ -478,6 +478,25 @@ def test_short_line_names_its_line_in_every_format(tmp_path, kind):
         reader(path)
     assert exc.value.line_number == 2
     assert str(exc.value) == f"line 2: expected {expected} tab-separated fields, got 1"
+
+
+OFFSET_LINES = {
+    "annotations": (read_annotations, "d1\t{}\tParis\tE"),
+    "gold": (read_gold, "d1\t{}\tParis\tE"),
+    "labels": (read_labels, "d1\t{}\tParis\tEASY\tE1,E1"),
+    "predictions": (_read_predictions, "d1\t{}\tParis\tHARD\t1\t0\t0"),
+}
+
+
+@pytest.mark.parametrize("offset", ["-1", "+7", " 7 ", "7\x0b", "1_000", "\u0663", "\U0001D7D5"])
+@pytest.mark.parametrize("kind", sorted(OFFSET_LINES))
+def test_offset_is_ascii_digits_in_every_format(tmp_path, kind, offset):
+    # int() reads each of these as a number that writes back as other text
+    reader, line = OFFSET_LINES[kind]
+    path = write_lines(tmp_path / f"{kind}.tsv", [line.format("0123456789"), line.format(offset)])
+    with pytest.raises(MalformedRecordError) as exc:
+        reader(path)
+    assert str(exc.value) == f"line 2: bad offset {offset!r}"
 
 
 def test_writer_checks_and_joins_every_chunk(tmp_path):

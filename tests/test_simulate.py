@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
+from eldiff import simulate
 from eldiff.consensus import Label
+from eldiff.errors import MalformedRecordError
 from eldiff.simulate import (
-    GoldStandard,
     Strategy,
     accuracy,
     apply_feedback,
     budget_from_fraction,
+    read_gold,
     run_simulation,
     select_mentions,
 )
@@ -24,7 +26,7 @@ def make_world(n=40, wrong=10, seed=0):
     """One system with `wrong` incorrect links; HARD labels on the wrong ones."""
     rng = np.random.default_rng(seed)
     keys = [key(i) for i in range(n)]
-    gold = GoldStandard({k: "G" for k in keys})
+    gold = {k: "G" for k in keys}
     wrong_set = set(rng.choice(n, size=wrong, replace=False).tolist())
     choices = {k: ("W" if i in wrong_set else "G") for i, k in enumerate(keys)}
     labels = {k: (Label.HARD if i in wrong_set else Label.EASY) for i, k in enumerate(keys)}
@@ -33,20 +35,20 @@ def make_world(n=40, wrong=10, seed=0):
 
 class TestAccuracy:
     def test_eight_of_ten(self):
-        gold = GoldStandard({key(i): "G" for i in range(10)})
+        gold = {key(i): "G" for i in range(10)}
         choices = {key(i): ("G" if i < 8 else "W") for i in range(10)}
         assert accuracy(choices, gold) == 0.8
 
     def test_all_correct(self):
-        gold = GoldStandard({key(i): "G" for i in range(5)})
+        gold = {key(i): "G" for i in range(5)}
         assert accuracy({key(i): "G" for i in range(5)}, gold) == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            accuracy({}, GoldStandard({}))
+            accuracy({}, {})
 
     def test_missing_gold_entry_named(self):
-        gold = GoldStandard({key(0): "G"})
+        gold = {key(0): "G"}
         with pytest.raises(KeyError, match="m1"):
             accuracy({key(0): "G", key(1): "G"}, gold)
 
@@ -118,7 +120,7 @@ class TestApplyFeedback:
             before = accuracy(choices, gold)
             corrected = apply_feedback(choices, selected, gold)
             after = accuracy(corrected, gold)
-            wrong_selected = sum(1 for k in selected if choices[k] != gold.entity(k))
+            wrong_selected = sum(1 for k in selected if choices[k] != gold[k])
             assert after - before == pytest.approx(wrong_selected / len(keys), abs=1e-12)
 
     def test_unknown_selection_rejected(self):
@@ -185,7 +187,7 @@ class TestRunSimulation:
         assert Strategy.PRED_DIFFICULT in result.strategies
 
     def test_no_common_gold_mentions_rejected(self):
-        gold = GoldStandard({("other", 0, "x"): "G"})
+        gold = {("other", 0, "x"): "G"}
         with pytest.raises(ValueError):
             run_simulation({"s": {key(0): "G"}}, gold, {key(0): Label.EASY},
                            budgets=[1], repetitions=1, seed=0)
@@ -267,7 +269,7 @@ def _equivalence_world(seed):
     many ties, and predictions missing for a fifth of the pool."""
     rng = np.random.default_rng(seed)
     keys = [key(i) for i in range(60)]
-    gold = GoldStandard({k: "G" for k in keys})
+    gold = {k: "G" for k in keys}
     outside = [("d2", i, f"x{i}") for i in range(5)]
     systems = {
         name: {k: ("G" if rng.random() < p else "W") for k in keys + outside}
@@ -323,16 +325,29 @@ class TestIndexedSimulationEquivalence:
                 for key, o in result.after.items()} == after
 
 
-class TestGoldStandard:
+class TestReadGold:
     def test_read(self, tmp_path):
         path = tmp_path / "gold.tsv"
         path.write_text("d1\t10\tParis\tparis\nd1\t20\tBonn\tBonn\n", encoding="utf-8")
-        gold = GoldStandard.read(path)
-        assert gold.entity(("d1", 10, "Paris")) == "Paris"
-        assert len(gold) == 2
+        assert read_gold(path) == {("d1", 10, "Paris"): "Paris", ("d1", 20, "Bonn"): "Bonn"}
 
-    def test_conflicting_duplicates_rejected(self, tmp_path):
+    def test_conflicting_duplicate_names_its_line(self, tmp_path):
         path = tmp_path / "gold.tsv"
-        path.write_text("d1\t10\tParis\tA\nd1\t10\tParis\tB\n", encoding="utf-8")
-        with pytest.raises(ValueError):
-            GoldStandard.read(path)
+        path.write_text("\nd1\t10\tParis\tA\n\nd1\t10\tParis\ta\nd1\t10\tParis\tB\n",
+                        encoding="utf-8")
+        with pytest.raises(MalformedRecordError) as exc:
+            read_gold(path)
+        assert exc.value.line_number == 5
+        assert str(exc.value) == \
+            "line 5: conflicting gold entries for mention ('d1', 10, 'Paris')"
+
+    def test_reads_through_the_module_global(self, tmp_path, monkeypatch):
+        # bench/spans.py times the gold read by wrapping this name
+        path = tmp_path / "gold.tsv"
+        path.write_text("d1\t10\tParis\tParis\n", encoding="utf-8")
+        calls = []
+        original = simulate.read_annotations
+        monkeypatch.setattr(simulate, "read_annotations",
+                            lambda *args: calls.append(args) or original(*args))
+        assert read_gold(path) == {("d1", 10, "Paris"): "Paris"}
+        assert calls == [(path, None, True)]
