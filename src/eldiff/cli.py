@@ -185,11 +185,12 @@ def cmd_label(args) -> int:
     labels_path = out / "labels.tsv"
     consensus.write_labels(labelled, labels_path)
     dist = class_distribution(labelled)
-    with open(out / "label_distribution.txt", "w", encoding="utf-8") as fh:
-        fh.write(f"total\t{dist.total}\n")
-        for lbl in consensus.CLASS_ORDER:
-            frac = "-" if dist.fractions is None else f"{dist.fractions[lbl]:.6f}"
-            fh.write(f"{lbl.value}\t{dist.counts[lbl]}\t{frac}\n")
+    consensus.write_tsv(
+        [("total", str(dist.total)),
+         *((lbl.value, str(dist.counts[lbl]),
+            "-" if dist.fractions is None else f"{dist.fractions[lbl]:.6f}")
+           for lbl in consensus.CLASS_ORDER)],
+        out / "label_distribution.txt")
     log.info("wrote %d labels to %s", dist.total, labels_path)
     if dist.total == 0:
         log.warning("alignment produced zero common mentions; labels file is empty")

@@ -155,9 +155,10 @@ def read_tsv(path: str | Path, n_fields: int, at_least: bool = False):
 
 
 def parse_offset(text: str, lineno: int) -> int:
-    # ASCII digits only: int() also takes "1_000", " +7 " and other scripts'
-    # digits, which a writer would write back as other text
-    if not (text.isascii() and text.isdigit()):
+    # ASCII digits with no leading zero: int() also takes "007", "1_000",
+    # " +7 " and other scripts' digits, which a writer would write back as
+    # other text
+    if not (text.isascii() and text.isdigit()) or (text[0] == "0" and text != "0"):
         raise MalformedRecordError(lineno, f"bad offset {text!r}")
     return int(text)
 

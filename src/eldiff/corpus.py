@@ -74,9 +74,6 @@ class Corpus:
     def __iter__(self) -> Iterator[Document]:
         return iter(self._documents)
 
-    def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._by_id
-
     def get(self, doc_id: str) -> Document:
         try:
             return self._by_id[doc_id]
@@ -158,61 +155,32 @@ def segment_sentences(doc: Document) -> list[SentenceSpan]:
     return [SentenceSpan(m.start(), m.end()) for m in _SENTENCE.finditer(doc.text)]
 
 
-def sentence_containing(
-    doc: Document, offset: int, spans: Sequence[SentenceSpan] | None = None
-) -> SentenceSpan | None:
+def sentence_containing(doc: Document, offset: int,
+                        spans: Sequence[SentenceSpan]) -> SentenceSpan | None:
     """The sentence span covering ``offset``, or None if the offset falls on
     a boundary mark (no span contains it).
 
     ``spans`` is ``segment_sentences(doc)`` computed once by the caller; the
-    span is then found by bisection instead of segmenting the document again.
+    span is found by bisection instead of segmenting the document again.
     """
-    if spans is None:
-        spans = segment_sentences(doc)
     i = bisect.bisect_right(spans, offset, key=lambda span: span.start) - 1
     if i >= 0 and offset < spans[i].end:
         return spans[i]
     return None
 
 
-def _scan_occurrences(text: str, surface: str, token_bounded: bool) -> int:
-    count = 0
-    i = 0
-    n = len(surface)
-    while True:
-        i = text.find(surface, i)
-        if i < 0:
-            return count
-        if token_bounded:
-            before_ok = i == 0 or not _is_word_char(text[i - 1])
-            after_ok = i + n == len(text) or not _is_word_char(text[i + n])
-            if not (before_ok and after_ok):
-                i += 1
-                continue
-        count += 1
-        i += n
-
-
-def _is_word_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
-
-
-def count_occurrences(doc: Document, surface: str, token_bounded: bool = False) -> int:
+def count_occurrences(doc: Document, surface: str) -> int:
     """Non-overlapping, case-sensitive exact matches of ``surface`` in the
-    document text, scanned left to right.
-
-    With ``token_bounded`` the match must not be flanked by word characters;
-    the default places no boundary requirement.
-    """
+    document text, scanned left to right, with no token-boundary
+    requirement."""
     if not surface:
         raise ValueError("surface must be non-empty")
-    if not token_bounded:
-        return doc.text.count(surface)
-    return _scan_occurrences(doc.text, surface, token_bounded=True)
+    return doc.text.count(surface)
 
 
 #: A token is a maximal run of word characters; ``\w`` accepts exactly the
-#: characters ``_is_word_char`` does.
+#: letters, digits and ``_`` (``str.isalnum() or == "_"``), which a test
+#: checks on every code point.
 _TOKEN = re.compile(r"\w+")
 #: Joins the index vocabulary into one string; never a word character.
 _SEP = "\n"
@@ -225,11 +193,10 @@ class _TokenIndex:
 
     A surface's word-character runs narrow down where it can occur. A run
     with a non-word character before it inside the surface starts a text
-    token, and one with a non-word character after it ends a text token;
-    ``token_bounded`` makes the surface's own edges count as such characters.
+    token, and one with a non-word character after it ends a text token.
     So an interior run is a whole text token, a leading run a suffix, a
     trailing run a prefix and a lone run any substring of one. The rarest
-    run's documents are confirmed with ``count_occurrences``, except for a
+    run's documents are confirmed by a substring search, except for a
     surface that is one run, which every candidate contains. A surface
     without word characters is checked against every document.
     """
@@ -243,16 +210,15 @@ class _TokenIndex:
                 postings.setdefault(token, []).append(i)
         self._postings = postings
         self._vocabulary = _SEP + _SEP.join(postings) + _SEP
-        self._dates: dict[tuple[str, bool], list[dt.date]] = {}
+        self._dates: dict[str, list[dt.date]] = {}
         self._windows: dict[tuple[dt.date, int], tuple[dt.date, dt.date]] = {}
 
-    def dates(self, surface: str, token_bounded: bool) -> list[dt.date]:
+    def dates(self, surface: str) -> list[dt.date]:
         """Sorted publication dates of the documents where
-        ``count_occurrences(doc, surface, token_bounded) >= 1``."""
-        key = (surface, token_bounded)
-        dates = self._dates.get(key)
+        ``count_occurrences(doc, surface) >= 1``."""
+        dates = self._dates.get(surface)
         if dates is None:
-            dates = self._dates[key] = self._find(surface, token_bounded)
+            dates = self._dates[surface] = self._find(surface)
         return dates
 
     def window(self, anchor: dt.date, months: int) -> tuple[dt.date, dt.date]:
@@ -263,21 +229,20 @@ class _TokenIndex:
                                                       shift_months(anchor, months))
         return bounds
 
-    def _find(self, surface: str, token_bounded: bool) -> list[dt.date]:
+    def _find(self, surface: str) -> list[dt.date]:
         docs = self._documents
         runs = list(_TOKEN.finditer(surface))
         if not runs:
             candidates = range(len(docs))
         else:
             candidates = min(
-                (self._holding(m.group(), token_bounded or m.start() > 0,
-                               token_bounded or m.end() < len(surface)) for m in runs),
+                (self._holding(m.group(), m.start() > 0, m.end() < len(surface))
+                 for m in runs),
                 key=len,
             )
             if runs[0].group() == surface:
                 return [docs[i].publication_date for i in candidates]
-        return [docs[i].publication_date for i in candidates
-                if count_occurrences(docs[i], surface, token_bounded) >= 1]
+        return [docs[i].publication_date for i in candidates if surface in docs[i].text]
 
     def _holding(self, run: str, starts: bool, ends: bool) -> Sequence[int]:
         """Ascending numbers of the documents with a token that ``run``
@@ -300,13 +265,13 @@ class _TokenIndex:
         return sorted(set().union(*lists))
 
 
-def document_frequency(corpus: Corpus, surface: str, token_bounded: bool = False) -> int:
+def document_frequency(corpus: Corpus, surface: str) -> int:
     """Number of documents containing at least one occurrence of ``surface``
-    (``count_occurrences(doc, surface, token_bounded) >= 1``), answered from
-    the corpus's token index."""
+    (``count_occurrences(doc, surface) >= 1``), answered from the corpus's
+    token index."""
     if not surface:
         raise ValueError("surface must be non-empty")
-    return len(corpus._token_index().dates(surface, token_bounded))
+    return len(corpus._token_index().dates(surface))
 
 
 def shift_months(day: dt.date, months: int) -> dt.date:
@@ -319,29 +284,22 @@ def shift_months(day: dt.date, months: int) -> dt.date:
 
 
 def temporal_document_frequency(
-    corpus: Corpus,
-    surface: str,
-    anchor: dt.date,
-    window_months: int | None = 6,
-    token_bounded: bool = False,
+    corpus: Corpus, surface: str, anchor: dt.date, window_months: int = 6
 ) -> int:
     """document_frequency restricted to publication dates within
     [anchor - window, anchor + window], boundaries inclusive.
 
-    The window is measured in calendar months; ``None`` means unbounded,
-    which reduces to plain document_frequency. The count is two bisections
-    of the dates the token index holds for ``surface``, between the bounds
-    it holds for the anchor and window.
+    The window is a positive number of calendar months. The count is two
+    bisections of the dates the token index holds for ``surface``, between
+    the bounds it holds for the anchor and window.
     """
     if not surface:
         raise ValueError("surface must be non-empty")
-    if window_months is None:
-        return document_frequency(corpus, surface, token_bounded)
     if window_months <= 0:
         raise ValueError("window_months must be positive")
     index = corpus._token_index()
     lo, hi = index.window(anchor, window_months)
-    dates = index.dates(surface, token_bounded)
+    dates = index.dates(surface)
     return bisect.bisect_right(dates, hi) - bisect.bisect_left(dates, lo)
 
 

@@ -103,7 +103,6 @@ class FeatureConfig:
     kb_year: int = 2016
     window_months: int = 6
     top_k: int = 50
-    token_bounded: bool = False
 
 
 def _row_problem(m_len, m_words, m_pos, t_j_min, t_j_max, t_j_avg) -> str | None:
@@ -132,9 +131,6 @@ class CandidateDictionary:
 
     def __len__(self) -> int:
         return len(self._counts)
-
-    def __contains__(self, surface: str) -> bool:
-        return surface in self._counts
 
     def count(self, surface: str) -> int:
         return self._counts.get(surface, 0)
@@ -265,8 +261,8 @@ class FeatureExtractor:
         return (
             len(surface),
             len(surface.split()),
-            count_occurrences(doc, surface, config.token_bounded),
-            document_frequency(self.corpus, surface, config.token_bounded),
+            count_occurrences(doc, surface),
+            document_frequency(self.corpus, surface),
             self.candidates.count(surface),
             offset / len(doc.text),
             len(span) if span is not None else 0,
@@ -275,7 +271,7 @@ class FeatureExtractor:
             self.doc_mention_counts.get(doc_id, 0),
             config.kb_year - doc.publication_date.year,
             temporal_document_frequency(self.corpus, surface, doc.publication_date,
-                                        config.window_months, config.token_bounded),
+                                        config.window_months),
             stability.minimum,
             stability.maximum,
             stability.average,

@@ -11,9 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
-from .consensus import CLASS_ORDER
+from .consensus import CLASS_ORDER, write_tsv
 from .learn.analysis import MdiResult, PearsonResult
 from .learn.metrics import EvalReport, TTestResult
 from .learn.validation import CrossValResult
@@ -135,21 +133,17 @@ def render_significance(rows: Sequence[tuple[str, str, TTestResult]]) -> str:
 
 
 def write_mdi_report(result: MdiResult, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("feature\tmdi\tnormalized\n")
-        by_name = {name: i for i, name in enumerate(result.columns)}
-        for name, score in result.ranking():
-            fh.write(f"{name}\t{score:.9g}\t{result.normalized[by_name[name]]:.9g}\n")
+    by_name = {name: i for i, name in enumerate(result.columns)}
+    write_tsv([("feature", "mdi", "normalized"),
+               *((name, f"{score:.9g}", f"{result.normalized[by_name[name]]:.9g}")
+                 for name, score in result.ranking())], path)
 
 
 def write_pearson_matrix(result: PearsonResult, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("feature\t" + "\t".join(result.columns) + "\n")
-        for i, name in enumerate(result.columns):
-            cells = []
-            for j in range(len(result.columns)):
-                v = result.matrix[i, j]
-                cells.append("nan" if np.isnan(v) else f"{v:.9g}")
-            fh.write(name + "\t" + "\t".join(cells) + "\n")
-        if result.degenerate:
-            fh.write("# zero-variance: " + ",".join(result.degenerate) + "\n")
+    # NaN formats as "nan"
+    rows = [("feature", *result.columns),
+            *((name, *(f"{v:.9g}" for v in result.matrix[i]))
+              for i, name in enumerate(result.columns))]
+    if result.degenerate:
+        rows.append(("# zero-variance: " + ",".join(result.degenerate),))
+    write_tsv(rows, path)

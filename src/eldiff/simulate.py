@@ -186,17 +186,18 @@ def run_simulation(
     budgets: Sequence[int],
     predictions: Mapping[MentionKey, Label] | None = None,
     cand_counts: Mapping[MentionKey, int] | None = None,
-    strategies: Sequence[Strategy] | None = None,
     repetitions: int = 10,
     seed: int = 0,
 ) -> SimulationResult:
     """Before/after accuracy per system, strategy and budget.
 
-    The evaluated set is the intersection of every system's mentions with
-    the gold standard. Each (strategy, budget, repetition) selection uses an
-    independent seed derived from the master seed, the strategy name, the
-    budget index and the repetition index, so repetitions can run in any
-    order (or in parallel) with identical results.
+    The strategies are DIFFICULT, PRED_DIFFICULT if ``predictions`` are
+    given, RANDOM, and CANDIDATES if ``cand_counts`` are given, in that
+    order. The evaluated set is the intersection of every system's mentions
+    with the gold standard. Each (strategy, budget, repetition) selection
+    uses an independent seed derived from the master seed, the strategy
+    name, the budget index and the repetition index, so repetitions can run
+    in any order (or in parallel) with identical results.
 
     The evaluated set is indexed once: each system becomes one boolean
     vector marking its wrong links, and each strategy indexes its HARD and
@@ -217,12 +218,11 @@ def run_simulation(
     pool = sorted(k for k in common if k in gold)
     if not pool:
         raise ValueError("no commonly recognised mention exists in the gold standard")
-    if strategies is None:
-        strategies = [Strategy.DIFFICULT, Strategy.RANDOM]
-        if predictions is not None:
-            strategies.insert(1, Strategy.PRED_DIFFICULT)
-        if cand_counts is not None:
-            strategies.append(Strategy.CANDIDATES)
+    strategies = [Strategy.DIFFICULT, Strategy.RANDOM]
+    if predictions is not None:
+        strategies.insert(1, Strategy.PRED_DIFFICULT)
+    if cand_counts is not None:
+        strategies.append(Strategy.CANDIDATES)
     strategies = tuple(strategies)
 
     n = len(pool)

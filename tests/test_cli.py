@@ -115,6 +115,8 @@ class TestLabel:
         status = run("label", "--annotations", a, b, "--out", tmp_path / "out")
         assert status == EXIT_DEGENERATE
         assert (tmp_path / "out" / "labels.tsv").read_text(encoding="utf-8") == ""
+        assert (tmp_path / "out" / "label_distribution.txt").read_text(encoding="utf-8") == \
+            "total\t0\nHARD\t0\t-\nMEDIUM\t0\t-\nEASY\t0\t-\n"
 
     def test_conflicting_duplicates_warned_and_first_entity_kept(self, tmp_path, caplog):
         a = tmp_path / "a.tsv"

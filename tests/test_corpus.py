@@ -27,7 +27,7 @@ from eldiff.corpus import (
     temporal_document_frequency,
     write_corpus,
 )
-from eldiff.corpus import _TOKEN, _is_word_char
+from eldiff.corpus import _TOKEN
 from eldiff.errors import DuplicateIdError, MalformedRecordError
 from eldiff.features import FeatureConfig, FeatureExtractor
 
@@ -137,8 +137,9 @@ class TestSegmentSentences:
 
     def test_sentence_containing(self):
         doc = _doc("A b. C d!")
-        assert sentence_containing(doc, 5) == segment_sentences(doc)[1]
-        assert sentence_containing(doc, 3) is None  # offset on the mark itself
+        spans = segment_sentences(doc)
+        assert sentence_containing(doc, 5, spans) == spans[1]
+        assert sentence_containing(doc, 3, spans) is None  # offset on the mark itself
 
 
 def _segment_by_loop(text):
@@ -193,7 +194,6 @@ class TestSentenceIndex:
             for offset in range(-1, len(text) + 2):
                 expected = _containing_by_scan(reference, offset)
                 assert sentence_containing(doc, offset, spans) == expected, (text, offset)
-                assert sentence_containing(doc, offset) == expected, (text, offset)
 
 
 class TestCountOccurrences:
@@ -210,34 +210,25 @@ class TestCountOccurrences:
         with pytest.raises(ValueError):
             count_occurrences(_doc("x"), "")
 
-    def test_token_bounded_mode(self):
-        doc = _doc("par is in Paris, Parisian par")
-        assert count_occurrences(doc, "par", token_bounded=False) == 2
-        assert count_occurrences(doc, "par", token_bounded=True) == 2
-        assert count_occurrences(doc, "Paris", token_bounded=True) == 1
 
-
-def scan_document_frequency(corpus, surface, token_bounded=False):
+def scan_document_frequency(corpus, surface):
     """Oracle: the scan ``document_frequency`` did before the token index."""
     if not surface:
         raise ValueError("surface must be non-empty")
-    return sum(1 for doc in corpus if count_occurrences(doc, surface, token_bounded) >= 1)
+    return sum(1 for doc in corpus if count_occurrences(doc, surface) >= 1)
 
 
-def scan_temporal_document_frequency(corpus, surface, anchor, window_months=6,
-                                     token_bounded=False):
+def scan_temporal_document_frequency(corpus, surface, anchor, window_months=6):
     """Oracle: the scan ``temporal_document_frequency`` did before the token
     index."""
     if not surface:
         raise ValueError("surface must be non-empty")
-    if window_months is None:
-        return scan_document_frequency(corpus, surface, token_bounded)
     if window_months <= 0:
         raise ValueError("window_months must be positive")
     lo = shift_months(anchor, -window_months)
     hi = shift_months(anchor, window_months)
     return sum(1 for doc in corpus if lo <= doc.publication_date <= hi
-               and count_occurrences(doc, surface, token_bounded) >= 1)
+               and count_occurrences(doc, surface) >= 1)
 
 
 class TestDocumentFrequency:
@@ -250,34 +241,28 @@ class TestDocumentFrequency:
         corpus = Corpus([_doc("w w w w w w w", "only")])
         assert document_frequency(corpus, "w") == 1
 
-    @pytest.mark.parametrize("surface, token_bounded, expected", [
-        ("ew Yor", False, 2),  # partial first and last tokens
-        ("ew Yor", True, 0),
-        ("Paris", False, 3),  # "Parisian" holds it too
-        ("Paris", True, 2),
-        ("aris", False, 3),  # a lone run matches inside a token
-        ("...", False, 2),  # no word character: every document is checked
-        ("...", True, 0),  # each run of dots follows a word character
-        ("match. The", False, 1),  # spans a sentence mark
-        ("Paris, New", False, 1),
-        ("Paris, New", True, 1),
-        ("York.", False, 2),  # a trailing mark: "York" must end a token
-        ("ian p", False, 1),
-        ("is", True, 0),
+    @pytest.mark.parametrize("surface, expected", [
+        ("ew Yor", 2),  # partial first and last tokens
+        ("Paris", 3),  # "Parisian" holds it too
+        ("aris", 3),  # a lone run matches inside a token
+        ("...", 2),  # no word character: every document is checked
+        ("match. The", 1),  # spans a sentence mark
+        ("Paris, New", 1),
+        ("York.", 2),  # a trailing mark: "York" must end a token
+        ("ian p", 1),
     ])
-    def test_named_surfaces(self, surface, token_bounded, expected):
+    def test_named_surfaces(self, surface, expected):
         corpus = Corpus([
             _doc("We met in Paris, New York... and Bonn.", "a", dt.date(2000, 1, 1)),
             _doc("A Parisian paper; New Yorkers read it... York.", "b", dt.date(2000, 3, 1)),
             _doc("Paris won the match. The team left Paris!", "c", dt.date(2001, 1, 1)),
         ])
-        assert document_frequency(corpus, surface, token_bounded) == expected
-        assert scan_document_frequency(corpus, surface, token_bounded) == expected
+        assert document_frequency(corpus, surface) == expected
+        assert scan_document_frequency(corpus, surface) == expected
 
     def test_queries_repeat(self, tiny_corpus):
         for _ in range(2):
             assert document_frequency(tiny_corpus, "Paris") == 2
-            assert document_frequency(tiny_corpus, "Paris", token_bounded=True) == 2
             assert temporal_document_frequency(tiny_corpus, "Paris", dt.date(2000, 5, 1), 1) == 1
 
     def test_empty_corpus(self):
@@ -293,7 +278,8 @@ class TestDocumentFrequency:
 
 def test_token_pattern_matches_word_chars_on_every_code_point():
     chars = "".join(map(chr, range(sys.maxunicode + 1)))
-    assert "".join(_TOKEN.findall(chars)) == "".join(c for c in chars if _is_word_char(c))
+    assert "".join(_TOKEN.findall(chars)) == "".join(c for c in chars
+                                                     if c.isalnum() or c == "_")
     assert re.fullmatch(r"\w", "_") and not re.fullmatch(r"\w", "\u0301")
 
 
@@ -318,21 +304,21 @@ def corpora_and_queries(draw):
         else:
             surface = draw(st.text(alphabet=_ALPHABET, min_size=1, max_size=6))
         anchor = dt.date(2000, 1, 1) + dt.timedelta(days=draw(st.integers(-200, 4 * 365)))
-        window = draw(st.one_of(st.none(), st.integers(1, 24)))
+        window = draw(st.integers(1, 24))
         queries.append((surface, anchor, window))
     return corpus, queries
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(case=corpora_and_queries(), token_bounded=st.booleans())
-def test_index_answers_equal_the_scans(case, token_bounded):
+@given(case=corpora_and_queries())
+def test_index_answers_equal_the_scans(case):
     corpus, queries = case
     for surface, anchor, window in queries:
-        assert document_frequency(corpus, surface, token_bounded) == \
-            scan_document_frequency(corpus, surface, token_bounded), surface
-        assert temporal_document_frequency(corpus, surface, anchor, window, token_bounded) == \
-            scan_temporal_document_frequency(corpus, surface, anchor, window, token_bounded), \
+        assert document_frequency(corpus, surface) == scan_document_frequency(corpus, surface), \
+            surface
+        assert temporal_document_frequency(corpus, surface, anchor, window) == \
+            scan_temporal_document_frequency(corpus, surface, anchor, window), \
             (surface, anchor, window)
 
 
@@ -356,11 +342,10 @@ class TestTemporalDocumentFrequency:
         corpus = Corpus([_doc("target", "a", dt.date(2000, 1, 1))])
         assert temporal_document_frequency(corpus, "target", anchor, 6) == 0
 
-    def test_unbounded_equals_document_frequency(self, tiny_corpus):
-        for surface in ("Paris", "vote", "the"):
-            assert temporal_document_frequency(
-                tiny_corpus, surface, dt.date(2000, 1, 1), None
-            ) == document_frequency(tiny_corpus, surface)
+    @pytest.mark.parametrize("months", [0, -6])
+    def test_window_must_be_positive(self, tiny_corpus, months):
+        with pytest.raises(ValueError, match="window_months must be positive"):
+            temporal_document_frequency(tiny_corpus, "Paris", dt.date(2000, 1, 1), months)
 
     def test_window_monotonicity(self, tiny_corpus):
         anchor = dt.date(2000, 6, 1)
@@ -396,21 +381,18 @@ class TestWindowMemo:
     def mentions(self, corpus):
         return [(doc.id, doc.text[:k], 0) for doc in corpus for k in (1, 4, 5, 9)]
 
-    @pytest.mark.parametrize("token_bounded", [False, True])
-    def test_extractors_with_different_windows_share_one_corpus(
-            self, corpus, mentions, token_bounded):
-        extractors = {window: FeatureExtractor(corpus, config=FeatureConfig(
-            window_months=window, token_bounded=token_bounded)) for window in (1, 6, 12)}
+    def test_extractors_with_different_windows_share_one_corpus(self, corpus, mentions):
+        extractors = {window: FeatureExtractor(corpus, config=FeatureConfig(window_months=window))
+                      for window in (1, 6, 12)}
         t_df = {}
         for _ in range(2):
             for window, extractor in extractors.items():
                 table = extractor.extract_all(mentions)
                 for row, (doc_id, surface, _) in enumerate(mentions):
                     anchor = corpus.get(doc_id).publication_date
-                    assert table.column("m_df")[row] == \
-                        scan_document_frequency(corpus, surface, token_bounded)
+                    assert table.column("m_df")[row] == scan_document_frequency(corpus, surface)
                     assert table.column("t_df")[row] == scan_temporal_document_frequency(
-                        corpus, surface, anchor, window, token_bounded), (surface, anchor, window)
+                        corpus, surface, anchor, window), (surface, anchor, window)
                 t_df[window] = table.column("t_df").tolist()
         assert t_df[1] != t_df[6] != t_df[12]
 

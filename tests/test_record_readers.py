@@ -29,11 +29,12 @@ from eldiff.simulate import read_gold
 
 # --- oracles: the readers as they were before the records became tuples ----------
 # Each builds its records through the checking constructors and turns the
-# first ValueError into the error it reports. An offset is ASCII digits only.
+# first ValueError into the error it reports. An offset is ASCII digits with
+# no leading zero.
 
 
 def oracle_offset(text, lineno):
-    if not re.fullmatch("[0-9]+", text):
+    if not re.fullmatch("0|[1-9][0-9]*", text):
         raise MalformedRecordError(lineno, f"bad offset {text!r}")
     return int(text)
 
@@ -146,6 +147,7 @@ BAD_ANNOTATIONS = {
     "negative offset": "d1\t-3\tParis\tE",
     "signed offset": "d1\t+7\tParis\tE",
     "padded offset": "d1\t 7 \tParis\tE",
+    "zero-padded offset": "d1\t007\tParis\tE",
     "offset with an underscore": "d1\t1_000\tParis\tE",
     "offset in Arabic-Indic digits": "d1\t\u0663\tParis\tE",
     "whitespace-only entity": "d1\t3\tParis\t \x0b ",
@@ -258,6 +260,16 @@ class TestLabelOracle:
         assert expected[2] == 2
         assert outcome(read_labels, path) == expected
 
+    def test_zero_padded_offset_is_refused(self, tmp_path):
+        # read as 7, it would be written back as "7": the file would not
+        # round-trip byte for byte
+        lines = ["d1\t0\tParis\tEASY\tE1,E1", "d1\t007\tParis\tEASY\tE1,E1"]
+        path = write_lines(tmp_path / "labels.tsv", lines[:1])
+        write_labels(read_labels(path), tmp_path / "again.tsv")
+        assert (tmp_path / "again.tsv").read_text(encoding="utf-8") == lines[0] + "\n"
+        path = write_lines(tmp_path / "labels.tsv", lines)
+        assert outcome(read_labels, path) == (MalformedRecordError, "line 2: bad offset '007'", 2)
+
     def test_generated_file_matches(self, tmp_path):
         lines = [f"doc{i % 7}\t{i * 3}\tw{i % 5}\t{('HARD', 'MEDIUM', 'EASY')[i % 3]}"
                  f"\tE{i % 4},E{i % 3},E{i % 2}" for i in range(300)]
@@ -294,6 +306,14 @@ class TestPredictionsOracle:
         # the old reader raised a bare ValueError that named no line
         assert outcome(oracle_read_predictions, path)[0] is ValueError
         assert outcome(_read_predictions, path) == (MalformedRecordError, message, 2)
+
+    def test_zero_padded_offset_is_refused(self, tmp_path):
+        path = write_lines(tmp_path / "predictions.tsv",
+                           ["d1\t0\tParis\tHARD", "d1\t007\tParis\tHARD"])
+        # the old reader read it as offset 7
+        assert ("d1", 7, "Paris") in oracle_read_predictions(path)
+        assert outcome(_read_predictions, path) == (
+            MalformedRecordError, "line 2: bad offset '007'", 2)
 
 
 # --- the records themselves ---------------------------------------------------------------
@@ -488,15 +508,17 @@ OFFSET_LINES = {
 }
 
 
-@pytest.mark.parametrize("offset", ["-1", "+7", " 7 ", "7\x0b", "1_000", "\u0663", "\U0001D7D5"])
+@pytest.mark.parametrize("offset", ["-1", "+7", " 7 ", "7\x0b", "1_000", "\u0663", "\U0001D7D5",
+                                    "007", "00"])
 @pytest.mark.parametrize("kind", sorted(OFFSET_LINES))
 def test_offset_is_ascii_digits_in_every_format(tmp_path, kind, offset):
     # int() reads each of these as a number that writes back as other text
     reader, line = OFFSET_LINES[kind]
-    path = write_lines(tmp_path / f"{kind}.tsv", [line.format("0123456789"), line.format(offset)])
+    path = write_lines(tmp_path / f"{kind}.tsv",
+                       [line.format("0"), line.format("1234567890"), line.format(offset)])
     with pytest.raises(MalformedRecordError) as exc:
         reader(path)
-    assert str(exc.value) == f"line 2: bad offset {offset!r}"
+    assert str(exc.value) == f"line 3: bad offset {offset!r}"
 
 
 def test_writer_checks_and_joins_every_chunk(tmp_path):

@@ -56,6 +56,37 @@ class TestFileWriters:
         assert lines[1].startswith("b\t0.8\t1")
         assert lines[2].startswith("a\t0.2\t0.25")
 
+    def test_writers_keep_the_bytes_of_the_line_loops(self, tmp_path):
+        # the per-line writers these replaced, as they were
+        def old_mdi(result, path):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("feature\tmdi\tnormalized\n")
+                by_name = {name: i for i, name in enumerate(result.columns)}
+                for name, score in result.ranking():
+                    fh.write(f"{name}\t{score:.9g}\t{result.normalized[by_name[name]]:.9g}\n")
+
+        def old_pearson(result, path):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("feature\t" + "\t".join(result.columns) + "\n")
+                for i, name in enumerate(result.columns):
+                    cells = ["nan" if np.isnan(v) else f"{v:.9g}" for v in result.matrix[i]]
+                    fh.write(name + "\t" + "\t".join(cells) + "\n")
+                if result.degenerate:
+                    fh.write("# zero-variance: " + ",".join(result.degenerate) + "\n")
+
+        values = np.array([0.0, -0.0, 1 / 3, 1e-300, 5e-324, -np.nan, np.inf, 123456789.5])
+        columns = tuple(f"f{i}" for i in range(len(values)))
+        mdi = MdiResult(columns, values, values[::-1].copy())
+        with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+            matrix = np.outer(values, values[::-1])
+        cases = [(write_mdi_report, old_mdi, mdi)] + [
+            (write_pearson_matrix, old_pearson, PearsonResult(columns, matrix, degenerate))
+            for degenerate in ((), ("f5",), ("f5", "f6"))]
+        for write, old, result in cases:
+            write(result, tmp_path / "new.tsv")
+            old(result, tmp_path / "old.tsv")
+            assert (tmp_path / "new.tsv").read_bytes() == (tmp_path / "old.tsv").read_bytes()
+
     def test_pearson_matrix_marks_nan_and_degenerate(self, tmp_path):
         matrix = np.array([[1.0, np.nan], [np.nan, np.nan]])
         result = PearsonResult(("x", "y"), matrix, ("y",))

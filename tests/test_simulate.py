@@ -304,8 +304,7 @@ class TestIndexedSimulationEquivalence:
         systems, gold, labels, predictions, cand_counts = _equivalence_world(world_seed)
         budgets = [0, 2, 7, 15, 30, 60, 100]
         result = run_simulation(systems, gold, labels, budgets, predictions=predictions,
-                                cand_counts=cand_counts, strategies=self.STRATEGIES,
-                                repetitions=6, seed=world_seed)
+                                cand_counts=cand_counts, repetitions=6, seed=world_seed)
         n, before, after = _reference_run(systems, gold, labels, budgets, predictions,
                                           cand_counts, self.STRATEGIES, 6, world_seed)
         assert result.n_evaluated == n == 60
