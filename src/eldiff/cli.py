@@ -18,6 +18,7 @@ import functools
 import gc
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -206,6 +207,8 @@ def _load_slice_models(directory: str) -> list[embeddings.EmbeddingModel]:
 
 
 def cmd_features(args) -> int:
+    _check_at_least(args, "window_months")
+    _check_at_least(args, "top_k")
     out = _out_dir(args)
     corpus = load_corpus(_require(args, "corpus"))
     mentions = consensus.read_labels(_require(args, "mentions"))
@@ -259,14 +262,34 @@ def cmd_features(args) -> int:
     return EXIT_OK
 
 
-def _check_trees(args) -> None:
-    if args.trees < 1:
-        raise CliError(f"--trees must be at least 1, not {args.trees}")
+def _check_at_least(args, name: str, least: int = 1) -> None:
+    """Refuse an integer flag below ``least``, before any input is read."""
+    value = getattr(args, name)
+    if value < least:
+        raise CliError(f"--{name.replace('_', '-')} must be at least {least}, not {value}")
+
+
+def _numbers(args, name: str, ok, expected: str) -> list[float]:
+    """The comma-separated numbers of a flag, refusing any that is not a
+    number or fails ``ok``, before any input is read."""
+    values = []
+    for token in getattr(args, name).split(","):
+        token = token.strip()
+        if not token:
+            continue
+        try:
+            value = float(token)
+        except ValueError:
+            value = math.nan
+        if not ok(value):
+            raise CliError(f"--{name} takes {expected}, not {token!r}")
+        values.append(value)
+    return values
 
 
 def cmd_train(args) -> int:
     if args.variant == "random_forest":
-        _check_trees(args)
+        _check_at_least(args, "trees")
     out = _out_dir(args)
     file_schema, table = read_table(_require(args, "features"))
     schema = _parse_schema(args.schema, file_schema)
@@ -326,16 +349,17 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    out = _out_dir(args)
-    file_schema, table = read_table(_require(args, "features"))
     variants = [v for v in args.variants.split(",") if v]
     unknown = [v for v in variants if v not in VARIANTS]
     if unknown:
         raise CliError(f"unknown variants {unknown}; expected a subset of {VARIANTS}")
     if "random_forest" in variants:
-        _check_trees(args)
+        _check_at_least(args, "trees")
+    _check_at_least(args, "folds", 2)
+    samples = _numbers(args, "samples", lambda v: 0.0 < v <= 1.0, "fractions in (0, 1]")
+    out = _out_dir(args)
+    file_schema, table = read_table(_require(args, "features"))
     balancing = {"unbalanced": [False], "balanced": [True], "both": [False, True]}[args.balancing]
-    samples = [float(s) for s in args.samples.split(",") if s]
     schema_names = [s for s in (args.schemas or "file").split(",") if s]
 
     log.info("cross-validation uses derived seed %d", derive_seed(args.seed, "eval"))
@@ -428,6 +452,9 @@ def _read_predictions(path: str) -> dict[simulate.MentionKey, Label]:
 
 
 def cmd_simulate(args) -> int:
+    _check_at_least(args, "repetitions")
+    fractions = _numbers(args, "budgets", lambda v: 0.0 <= v < math.inf,
+                         "non-negative numbers (values < 1 are fractions)")
     out = _out_dir(args)
     labelled = consensus.read_labels(_require(args, "labels"))
     if not labelled:
@@ -471,13 +498,8 @@ def cmd_simulate(args) -> int:
         log.log(logging.WARNING if unpredicted else logging.INFO,
                 "%d pool mentions have no prediction; pred_difficult treats them as not HARD",
                 unpredicted)
-    budgets = []
-    for token in args.budgets.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        value = float(token)
-        budgets.append(budget_from_fraction(len(pool), value) if value < 1.0 else int(value))
+    budgets = [budget_from_fraction(len(pool), value) if value < 1.0 else int(value)
+               for value in fractions]
 
     sim_seed = derive_seed(args.seed, "simulate")
     log.info("simulating %d strategies over %d mentions (derived seed %d)",

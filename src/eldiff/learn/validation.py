@@ -1,7 +1,11 @@
 """Stratified k-fold cross-validation, undersampling and stratified sampling.
 
 Balancing happens inside the cross-validation loop, on training folds only,
-so test folds always keep the natural class distribution.
+so test folds always keep the natural class distribution. The decision trees
+or forests of all folds grow together (``models.train_folds``), and each
+fold's trees are the ones fitting its training rows alone grows; naive Bayes
+and logistic regression fit one fold at a time, since their float sums
+depend on the shape of the fold's matrix.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from ..consensus import CLASS_ORDER
 from ..rand import derive_seed
 from .dataset import Dataset, N_CLASSES
 from .metrics import EvalReport, evaluate
-from .models import train
+from .models import TREE_VARIANTS, train, train_folds
 
 
 def stratified_kfold(labels, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -114,16 +118,22 @@ def cross_validate(
 
     With ``balanced`` the training fold is undersampled before fitting; test
     folds always keep the natural distribution. The pooled report evaluates
-    the union of all test-fold predictions.
+    the union of all test-fold predictions. Decision trees and forests of
+    all folds grow together (``train_folds``); every fold's model is the
+    one ``train`` fits on its training rows alone.
     """
     splits = stratified_kfold(dataset.y, k, derive_seed(seed, "folds"))
+    samples = [undersample(train_idx, dataset.y, derive_seed(seed, "balance", f)) if balanced
+               else train_idx for f, (train_idx, _) in enumerate(splits)]
+    seeds = [derive_seed(seed, "fit", f) for f in range(k)]
+    if variant in TREE_VARIANTS:
+        fold_models = train_folds(dataset, variant, samples, seeds, **hyperparams)
+    else:
+        fold_models = (train(dataset.subset(rows), variant, seed=s, **hyperparams)
+                       for rows, s in zip(samples, seeds))
     predictions = np.full(len(dataset), -1, dtype=np.int64)
     fold_reports = []
-    for f, (train_idx, test_idx) in enumerate(splits):
-        if balanced:
-            train_idx = undersample(train_idx, dataset.y, derive_seed(seed, "balance", f))
-        model = train(dataset.subset(train_idx), variant,
-                      seed=derive_seed(seed, "fit", f), **hyperparams)
+    for model, (_, test_idx) in zip(fold_models, splits):
         codes = model.predict_codes(dataset.x[test_idx])
         predictions[test_idx] = codes
         fold_reports.append(evaluate(codes, dataset.y[test_idx]))

@@ -520,6 +520,53 @@ class TestSchemaAndRedirects:
         assert (first / "features.csv").read_bytes() == (second / "features.csv").read_bytes()
 
 
+class TestFlagChecks:
+    """A bad flag value ends the command before it reads an input or makes
+    its output directory, with one error naming the flag."""
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("features", ["--window-months", 0], "--window-months must be at least 1, not 0"),
+        ("features", ["--window-months", -2], "--window-months must be at least 1, not -2"),
+        ("features", ["--top-k", 0], "--top-k must be at least 1, not 0"),
+        ("simulate", ["--repetitions", 0], "--repetitions must be at least 1, not 0"),
+        ("simulate", ["--budgets", "abc"], "--budgets takes non-negative numbers "
+                                           "(values < 1 are fractions), not 'abc'"),
+        ("simulate", ["--budgets", "0.1,-3"], "--budgets takes non-negative numbers "
+                                              "(values < 1 are fractions), not '-3'"),
+        ("simulate", ["--budgets", "inf"], "--budgets takes non-negative numbers "
+                                           "(values < 1 are fractions), not 'inf'"),
+        ("simulate", ["--budgets", "nan"], "--budgets takes non-negative numbers "
+                                           "(values < 1 are fractions), not 'nan'"),
+        ("eval", ["--folds", 1], "--folds must be at least 2, not 1"),
+        ("eval", ["--samples", "0.5,0"], "--samples takes fractions in (0, 1], not '0'"),
+        ("eval", ["--samples", "1.5"], "--samples takes fractions in (0, 1], not '1.5'"),
+    ])
+    def test_bad_value_refused_before_any_work(self, fixture_dir, labelled_dir, features_dir,
+                                               tmp_path, caplog, command, flags, message):
+        inputs = {
+            "features": ["--corpus", fixture_dir / "corpus.jsonl",
+                         "--mentions", labelled_dir / "labels.tsv",
+                         "--candidates", fixture_dir / "candidates.tsv",
+                         "--train-embeddings", "--embed-dim", 10, "--embed-epochs", 1],
+            "simulate": ["--labels", labelled_dir / "labels.tsv",
+                         "--gold", fixture_dir / "gold.tsv"],
+            "eval": ["--features", features_dir / "features.csv"],
+        }[command]
+        out = tmp_path / "out"
+        with caplog.at_level(logging.ERROR, logger="eldiff"):
+            assert run(command, *inputs, *flags, "--out", out) == EXIT_ERROR
+        assert [r.getMessage() for r in caplog.records] == [message]
+        assert not out.exists()
+
+    def test_zero_budget_still_accepted(self, fixture_dir, labelled_dir, tmp_path):
+        assert run("simulate", "--labels", labelled_dir / "labels.tsv",
+                   "--gold", fixture_dir / "gold.tsv", "--budgets", "0, 2,0.5",
+                   "--repetitions", 1, "--out", tmp_path) == EXIT_OK
+        rows = (tmp_path / "simulation.tsv").read_text(encoding="utf-8").splitlines()[2:]
+        # 0.5 of the pool is its own budget
+        assert sorted({int(line.split("\t")[2]) for line in rows})[:2] == [0, 2]
+
+
 class TestConfig:
     def test_config_supplies_defaults_and_flags_win(self, tmp_path):
         config = tmp_path / "conf.json"

@@ -1,15 +1,23 @@
 """Stratified folds, undersampling, stratified sampling, cross-validation."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from eldiff.learn import models, validation
 from eldiff.learn.dataset import Dataset
+from eldiff.learn.metrics import evaluate
+from eldiff.learn.models import train
 from eldiff.learn.validation import (
     cross_validate,
     stratified_kfold,
     stratified_sample,
     undersample,
 )
+from eldiff.rand import derive_seed
 
 
 def labels_with_counts(hard, medium, easy, seed=0):
@@ -163,3 +171,199 @@ class TestCrossValidate:
         b = cross_validate(ds, "random_forest", k=3, seed=5, n_trees=5)
         np.testing.assert_array_equal(a.report.confusion, b.report.confusion)
         assert a.fold_macro_f1 == b.fold_macro_f1
+
+
+# --- fold growth ------------------------------------------------------------------
+# Cross-validation grows the trees of all folds together. The oracle is the
+# loop it replaced: one ``train`` per fold on that fold's training subset.
+
+
+def oracle_cross_validate(dataset, variant, k, balanced, seed, **hyper):
+    """Each fold's model and test-fold report, fitted one fold at a time."""
+    fitted, reports = [], []
+    for f, (train_idx, test_idx) in enumerate(
+            stratified_kfold(dataset.y, k, derive_seed(seed, "folds"))):
+        if balanced:
+            train_idx = undersample(train_idx, dataset.y, derive_seed(seed, "balance", f))
+        model = train(dataset.subset(train_idx), variant, seed=derive_seed(seed, "fit", f),
+                      **hyper)
+        fitted.append(model)
+        reports.append(evaluate(model.predict_codes(dataset.x[test_idx]), dataset.y[test_idx]))
+    return fitted, reports
+
+
+def recorded(run):
+    """``run()``'s result, the fold models ``train_folds`` returned during it,
+    and every generator made during it, by seed, in its final state."""
+    made, folded = {}, []
+    real_rng, real_folds = np.random.default_rng, validation.train_folds
+
+    def rng(seed):
+        made[seed] = real_rng(seed)
+        return made[seed]
+
+    def folds(*args, **kwargs):
+        folded.extend(real_folds(*args, **kwargs))
+        return folded
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "default_rng", rng)
+        mp.setattr(validation, "train_folds", folds)
+        result = run()
+    return result, folded, {s: g.bit_generator.state for s, g in made.items()}
+
+
+def report_fields(report):
+    # repr, so that two undefined (NaN) scores compare equal
+    return report.confusion.tobytes(), repr([getattr(report, f.name) for f in fields(report)
+                                             if f.name != "confusion"])
+
+
+def trees_of(model):
+    return model.trees if hasattr(model, "trees") else [model.tree]
+
+
+def tree_bytes(tree):
+    return [getattr(tree, f.name).tobytes() for f in fields(tree)]
+
+
+def check_folds(dataset, variant, k, balanced, seed, **hyper):
+    """cross_validate equals the oracle fold by fold: every tree array, every
+    generator's final state and every report. Returns the fold models."""
+    result, fitted, states = recorded(lambda: cross_validate(
+        dataset, variant, k=k, balanced=balanced, seed=seed, **hyper))
+    (oracle, oracle_reports), _, oracle_states = recorded(lambda: oracle_cross_validate(
+        dataset, variant, k, balanced, seed, **hyper))
+    assert len(fitted) == len(oracle) == k
+    for model, expected in zip(fitted, oracle):
+        assert type(model) is type(expected)
+        assert ([tree_bytes(t) for t in trees_of(model)]
+                == [tree_bytes(t) for t in trees_of(expected)])
+    assert states == oracle_states
+    assert ([report_fields(r) for r in result.fold_reports]
+            == [report_fields(r) for r in oracle_reports])
+    return fitted
+
+
+def coarse_dataset(rng, n=150):
+    """A categorical column, a coarse column whose values tie across most
+    cuts, and a block of duplicate rows."""
+    x = np.column_stack([np.round(rng.normal(size=n), 1), rng.integers(0, 4, size=n),
+                         rng.normal(size=n)]).astype(np.float64)
+    x[n // 2:n // 2 + 12] = x[n // 2]
+    y = np.where(x[:, 0] + 0.4 * x[:, 1] + rng.normal(size=n) > 0.8, 2,
+                 rng.integers(0, 2, size=n))
+    return make_dataset(x, y, {"f1": tuple("abcd")})
+
+
+class TestFoldGrowth:
+    @pytest.mark.parametrize("balanced", [False, True])
+    @pytest.mark.parametrize("variant, hyper", [("decision_tree", {}),
+                                                ("random_forest", {"n_trees": 6}),
+                                                ("random_forest", {"n_trees": 4,
+                                                                   "max_features": 2}),
+                                                ("random_forest", {"n_trees": 3,
+                                                                   "bootstrap": False})])
+    def test_folds_equal_fitting_each_alone(self, variant, hyper, balanced):
+        dataset = coarse_dataset(np.random.default_rng(3))
+        check_folds(dataset, variant, 5, balanced, 11, **hyper)
+
+    @pytest.mark.parametrize("variant", ["decision_tree", "random_forest"])
+    def test_midpoints_that_round_up(self, variant):
+        # the cut between a and b has the midpoint b: a drawn tree recounts
+        # the side it sends left, and a decision tree's node becomes a leaf
+        a = np.nextafter(1.0, 2.0)
+        b = np.nextafter(a, 2.0)
+        rng = np.random.default_rng(8)
+        x = np.column_stack([rng.integers(0, 2, size=48), np.tile(np.repeat([a, b, 3.0], 8), 2)])
+        y = np.tile(np.repeat([0, 1, 2], 8), 2)
+        hyper = {"n_trees": 10, "max_features": 1} if variant == "random_forest" else {}
+        fitted = check_folds(make_dataset(x, y), variant, 4, False, 8, **hyper)
+        assert any(np.any(t.threshold[t.feature == 1] == b)
+                   for model in fitted for t in trees_of(model))
+
+    def test_folds_over_the_budget_grow_in_several_groups(self, monkeypatch):
+        dataset = coarse_dataset(np.random.default_rng(4))
+        groups = []
+        real = models._grow_trees
+
+        def grow(x, y, cat_sizes, weights, *args):
+            groups.append(weights.shape[0])
+            return real(x, y, cat_sizes, weights, *args)
+
+        monkeypatch.setattr(models, "_grow_trees", grow)
+        # a fold of 5 trees over 150 rows of 3 features, each tree on at most
+        # 125 distinct rows: two folds fit in this budget, three do not
+        monkeypatch.setattr(models, "_GROWTH_ELEMENTS", 2 * 5 * (3 * 125 + 150))
+        check_folds(dataset, "random_forest", 6, False, 2, n_trees=5)
+        assert groups == [10, 10, 10] + [5] * 6  # then the oracle's fits
+        groups.clear()
+        # a fold over the budget grows alone
+        monkeypatch.setattr(models, "_GROWTH_ELEMENTS", 1)
+        check_folds(dataset, "decision_tree", 3, True, 2)
+        assert groups == [1] * 6
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_random_small_tables(self, data):
+        k = data.draw(st.integers(2, 4), label="k")
+        sizes = [data.draw(st.integers(0, 10), label=f"class {c}") for c in range(3)]
+        sizes = [0 if s < k else s for s in sizes]
+        if sum(1 for s in sizes if s) < 2:
+            sizes[:2] = [k, k + 1]
+        n_rows = sum(sizes)
+        n_features = data.draw(st.integers(1, 3), label="features")
+        coded = [j for j in range(n_features) if data.draw(st.booleans(), label=f"{j} coded")]
+        columns = [
+            data.draw(st.lists(st.integers(0, 2) if j in coded else
+                               st.sampled_from([-1.0, 0.0, 0.5, 2.0]),
+                               min_size=n_rows, max_size=n_rows), label=f"column {j}")
+            for j in range(n_features)
+        ]
+        x = np.array(columns, dtype=np.float64).T
+        y = np.random.default_rng(n_rows).permutation(np.repeat([0, 1, 2], sizes))
+        dataset = make_dataset(x, y, {f"f{j}": ("a", "b", "c") for j in coded})
+        forest = data.draw(st.booleans(), label="forest")
+        hyper = ({"n_trees": data.draw(st.integers(1, 3), label="trees"),
+                  "max_features": data.draw(st.integers(1, n_features), label="max_features")}
+                 if forest else {})
+        check_folds(dataset, "random_forest" if forest else "decision_tree", k,
+                    data.draw(st.booleans(), label="balanced"),
+                    data.draw(st.integers(0, 2 ** 32 - 1), label="seed"), **hyper)
+
+
+class TestFoldRefusals:
+    def refusal(self, run):
+        with pytest.raises(ValueError) as caught:
+            run()
+        return str(caught.value)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("variant", ["decision_tree", "random_forest"])
+    @pytest.mark.parametrize("balanced", [False, True])
+    def test_non_finite_training_value(self, variant, bad, balanced):
+        dataset = coarse_dataset(np.random.default_rng(5))
+        # one EASY row, which undersampling keeps in some folds only
+        dataset.x[np.flatnonzero(dataset.y == 2)[3], 2] = bad
+        hyper = {"n_trees": 3} if variant == "random_forest" else {}
+        message = self.refusal(lambda: cross_validate(dataset, variant, k=4, balanced=balanced,
+                                                      seed=1, **hyper))
+        assert message == self.refusal(lambda: oracle_cross_validate(dataset, variant, 4,
+                                                                     balanced, 1, **hyper))
+        assert message.startswith("dataset contains " + ("NaN" if bad != bad else "infinite"))
+
+    @pytest.mark.parametrize("variant, hyper", [("decision_tree", {"n_trees": 3}),
+                                                ("random_forest", {"depth": 3}),
+                                                ("random_forest", {"n_trees": 0})])
+    def test_bad_hyperparameters(self, variant, hyper):
+        dataset = coarse_dataset(np.random.default_rng(6))
+        message = self.refusal(lambda: cross_validate(dataset, variant, k=3, **hyper))
+        assert message == self.refusal(lambda: oracle_cross_validate(dataset, variant, 3, False,
+                                                                     0, **hyper))
+        assert message.count("n_trees" if "n_trees" in hyper else "depth") == 1
+
+    def test_fold_rows_must_be_sorted(self):
+        dataset = coarse_dataset(np.random.default_rng(7))
+        rows = np.arange(100)[::-1]
+        with pytest.raises(ValueError, match="sorted"):
+            list(models.train_folds(dataset, "decision_tree", [rows], [0]))

@@ -4,11 +4,11 @@
 
 Usage (from the root of a checkout):
 
-    python3 tools/scale_probe.py --pr N [--shape route|embed] [--docs 70,280,1120]
+    python3 tools/scale_probe.py --pr N [--shape route|embed|learn] [--docs 70,280,1120]
                                  [--src DIR] [--name NAME]
 
 For each size it builds inputs at seed 7 with ``bench.workloads.write_inputs``
-over a wide vocabulary of seeded pseudo-words, in one of two shapes:
+over a wide vocabulary of seeded pseudo-words, in one of three shapes:
 
 - ``route`` (the default; 70, 280 and 1120 docs): documents of 19 sentences
   of 13 words over 3 topics of 600 words. It runs ``label --policy overlap``,
@@ -18,6 +18,10 @@ over a wide vocabulary of seeded pseudo-words, in one of two shapes:
   over 3 topics of 4,800 words. It runs ``label`` and
   ``features --train-embeddings`` (dimension 50, one epoch, min-count 1)
   with every feature column, so ``t_df`` and stability are computed too.
+- ``learn`` (70 and 280 docs; 1120 takes minutes): the route inputs. It runs
+  ``label --policy overlap``, ``features --schema simulation`` and the
+  cross-validated grid ``eval --variants decision_tree,random_forest
+  --balancing both --folds 10 --trees 25``.
 
 The commands run one after another, each in its own child process pinned to
 one CPU, importing eldiff from ``--src`` (this checkout's ``src`` by
@@ -46,6 +50,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 7
 TREES = 25
+FOLDS = 10
 BUDGETS = "0.05,0.10,0.15"
 
 
@@ -72,6 +77,7 @@ SHAPES = {
     "route": ("70,280,1120", dict(sentences=(19, 19), words=(13, 13))),
     "embed": ("90,360,1440", dict(sentences=(5, 5), words=(10, 10), topic_words=4800,
                                   embed_dim=50)),
+    "learn": ("70,280", dict(sentences=(19, 19), words=(13, 13))),
 }
 
 
@@ -93,7 +99,7 @@ def commands(shape: str, inputs: dict[str, Path], out: Path,
                           "--seed", SEED],
              out / "features.csv"),
         ]
-    return [
+    routed = [
         ("label", ["label", "--annotations", *ann, "--policy", "overlap",
                    "--corpus", inputs["corpus"], "--out", out, "--seed", SEED],
          out / "labels.tsv"),
@@ -101,6 +107,15 @@ def commands(shape: str, inputs: dict[str, Path], out: Path,
                       "--candidates", inputs["candidates"], "--annotations", *ann,
                       "--schema", "simulation", "--out", out, "--seed", SEED],
          out / "features.csv"),
+    ]
+    if shape == "learn":
+        return routed + [
+            ("eval", ["eval", "--features", out / "features.csv",
+                      "--variants", "decision_tree,random_forest", "--balancing", "both",
+                      "--folds", FOLDS, "--trees", TREES, "--out", out, "--seed", SEED],
+             out / "eval_report.json"),
+        ]
+    return routed + [
         ("train", ["train", "--features", out / "features.csv", "--variant", "random_forest",
                    "--trees", TREES, "--out", out, "--seed", SEED],
          out / "model.json"),
