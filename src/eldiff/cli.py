@@ -207,8 +207,9 @@ def _load_slice_models(directory: str) -> list[embeddings.EmbeddingModel]:
 
 
 def cmd_features(args) -> int:
-    _check_at_least(args, "window_months")
-    _check_at_least(args, "top_k")
+    for name in ("window_months", "top_k", "embed_dim", "embed_window", "embed_epochs",
+                 "embed_negatives", "embed_min_count", "slice_years"):
+        _check_at_least(args, name)
     out = _out_dir(args)
     corpus = load_corpus(_require(args, "corpus"))
     mentions = consensus.read_labels(_require(args, "mentions"))

@@ -9,6 +9,7 @@ sets between consecutive slices.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -47,8 +48,8 @@ class EmbeddingModel:
     """Immutable trained embedding space for one time slice.
 
     The float32 vectors are taken over, not copied, and marked read-only, so
-    the row norms and the lexicographic word ranks that neighbour queries
-    use can be computed once here and never go stale.
+    the row norms, their minimum and the lexicographic word ranks that
+    neighbour queries use can be computed once here and never go stale.
     """
 
     def __init__(self, vocab: Mapping[str, int], vectors: np.ndarray, slice_label: str):
@@ -62,6 +63,7 @@ class EmbeddingModel:
         for word, idx in self.vocab.items():
             self.words[idx] = word
         self.norms = np.linalg.norm(self.vectors.astype(np.float64), axis=1)
+        self.min_norm = self.norms.min(initial=np.inf)
         order = sorted(range(len(self.words)), key=self.words.__getitem__)
         self.ranks = np.empty(len(order), dtype=np.intp)
         self.ranks[order] = np.arange(len(order))
@@ -76,26 +78,42 @@ class EmbeddingModel:
         return self.vectors[self.vocab[word]]
 
 
+@functools.cache
+def _zero_one(dtype):
+    """Read-only 0-d zero and one of ``dtype``: a ufunc takes them without
+    the promotion step that a Python or numpy scalar costs."""
+    zero, one = np.zeros((), dtype), np.ones((), dtype)
+    zero.flags.writeable = one.flags.writeable = False
+    return zero, one
+
+
 def _sigmoid(x):
-    # exp of -|x| never overflows; a scalar skips the array selects
-    if not isinstance(x, np.ndarray):
-        if x >= 0:
-            return 1.0 / (1.0 + np.exp(-x))
-        exp = np.exp(x)
-        return exp / (1.0 + exp)
-    # np.minimum keeps a NaN's sign bit, which np.abs would clear
+    zero, one = _zero_one(x.dtype)
+    # exp of -|x| never overflows; np.minimum keeps a NaN's sign bit, which
+    # np.abs would clear
     exp = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0, exp) / (1.0 + exp)
+    return np.where(x >= zero, one, exp) / (one + exp)
 
 
-def _sgns_gradients(center_vec, context_vec, negative_vecs):
-    """(grad_center, grad_context, grad_negatives) of the SGNS loss for one
-    pair, without the loss itself; shared by the trainer and
-    sgns_pair_gradients."""
-    pos_grad = _sigmoid(context_vec @ center_vec) - 1.0
-    neg_grads = _sigmoid(negative_vecs @ center_vec)
-    grad_center = pos_grad * context_vec + neg_grads @ negative_vecs
-    return grad_center, pos_grad * center_vec, neg_grads[:, None] * center_vec
+def _sgns_gradients(center_vec, rows):
+    """(grad_center, grad_rows) of the SGNS loss for one pair, without the
+    loss itself; ``rows`` stacks the context's row over its negatives' rows,
+    and grad_rows stacks their gradients the same way. Shared by the trainer
+    and sgns_pair_gradients.
+
+    The context's score is its own dot product and the negatives' one
+    matrix-vector product, written into one vector for one sigmoid: a
+    product over all the stacked rows would round both differently.
+    """
+    context_vec, negative_vecs = rows[0], rows[1:]
+    scores = np.empty(len(rows), dtype=rows.dtype)
+    scores[0] = context_vec.dot(center_vec)
+    negative_vecs.dot(center_vec, out=scores[1:])
+    sig = _sigmoid(scores)
+    sig[0] -= 1
+    # the + stays without negatives: it turns a -0.0 into 0.0
+    grad_center = sig[0] * context_vec + sig[1:].dot(negative_vecs)
+    return grad_center, sig[:, None] * center_vec
 
 
 def sgns_pair_gradients(center_vec, context_vec, negative_vecs):
@@ -105,9 +123,15 @@ def sgns_pair_gradients(center_vec, context_vec, negative_vecs):
     (loss, grad_center, grad_context, grad_negatives); dtype follows the
     inputs, so the same code drives float32 training and float64 checks.
     """
+    # the kernel's scores take the stacked rows' dtype, so all three share one
+    dtype = np.result_type(center_vec, context_vec, negative_vecs)
+    center_vec, context_vec, negative_vecs = (
+        np.asarray(v, dtype=dtype) for v in (center_vec, context_vec, negative_vecs))
     loss = (np.logaddexp(0.0, -(context_vec @ center_vec))
             + np.sum(np.logaddexp(0.0, negative_vecs @ center_vec)))
-    return (loss, *_sgns_gradients(center_vec, context_vec, negative_vecs))
+    grad_center, grad_rows = _sgns_gradients(
+        center_vec, np.concatenate((context_vec[None], negative_vecs)))
+    return loss, grad_center, grad_rows[0], grad_rows[1:]
 
 
 def _tokenize(doc: Document) -> list[list[str]]:
@@ -132,6 +156,12 @@ def train_skipgram(docs: Iterable[Document], params: EmbeddingParams,
     once, in pair order, from the same generator stream that one draw per
     pair would read, so the vectors do not depend on the batching. A draw
     equal to the pair's context is dropped from that pair's negatives.
+
+    A pair's rows, its context's over its negatives', are gathered once,
+    scored into one vector, passed through one sigmoid and stored back once
+    (with np.subtract.at where draws repeat). Every float32 operation on a
+    vector is the one-pair-at-a-time trainer's, in the same order, so the
+    vectors are bit-identical to it.
     """
     docs = list(docs)
     if not docs:
@@ -176,37 +206,40 @@ def train_skipgram(docs: Iterable[Document], params: EmbeddingParams,
                         for j in range(lo, hi) if j != i]
             draws = np.searchsorted(noise_cdf, rng.random(len(contexts) * n_neg)
                                     ).reshape(len(contexts), n_neg)
-            # a pair's negatives are its draws minus those equal to its context
-            hit = draws == np.array(contexts, dtype=draws.dtype)[:, None]
-            negatives_of = list(draws)
-            for pair in np.flatnonzero(hit.any(axis=1)).tolist():
-                negatives_of[pair] = negatives_of[pair][~hit[pair]]
+            # a pair's rows are its context's, then its draws minus those
+            # equal to its context
+            stacked = np.concatenate((np.array(contexts, dtype=draws.dtype)[:, None], draws),
+                                     axis=1)
+            drop = stacked == stacked[:, :1]
+            drop[:, 0] = False
+            rows_of = list(stacked)
+            for pair in np.flatnonzero(drop.any(axis=1)).tolist():
+                rows_of[pair] = rows_of[pair][~drop[pair]]
             # draws that repeat in a row (context draws too, which is only
             # cautious) send the pair to np.subtract.at
             ordered = np.sort(draws, axis=1)
             repeated = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1).tolist()
-            pairs = zip(contexts, negatives_of, repeated)
+            pairs = zip(rows_of, repeated)
             for center, (lo, hi) in zip(sent, bounds):
-                # float32 multiplies exactly as the Python float would
-                lr = np.float32(max(lr_floor, lr0 * (1.0 - step / total_steps)))
+                # a 0-d float32 multiplies exactly as the Python float would
+                lr = np.array(max(lr_floor, lr0 * (1.0 - step / total_steps)),
+                              dtype=np.float32)
                 step += 1
                 center_vec = center_vecs[center]
-                for context, negatives, has_repeats in islice(pairs, hi - lo - 1):
-                    context_vec = context_vecs[context]
-                    negative_vecs = context_vecs.take(negatives, axis=0)
-                    g_center, g_context, g_neg = _sgns_gradients(
-                        center_vec, context_vec, negative_vecs
-                    )
-                    center_vec -= lr * g_center
-                    context_vec -= lr * g_context
+                for pair_rows, has_repeats in islice(pairs, hi - lo - 1):
+                    vecs = context_vecs.take(pair_rows, axis=0)
+                    g_center, g_rows = _sgns_gradients(center_vec, vecs)
+                    g_center *= lr
+                    center_vec -= g_center
+                    g_rows *= lr
                     if has_repeats:
-                        np.subtract.at(context_vecs, negatives, lr * g_neg)
+                        np.subtract.at(context_vecs, pair_rows, g_rows)
                     else:
-                        # distinct rows other than the context's, in the other
-                        # matrix from the centre: unchanged since the gather,
-                        # so a plain store equals np.subtract.at
-                        negative_vecs -= lr * g_neg
-                        context_vecs[negatives] = negative_vecs
+                        # distinct rows, in the other matrix from the centre:
+                        # unchanged since the gather, so a plain store equals
+                        # np.subtract.at
+                        vecs -= g_rows
+                        context_vecs[pair_rows] = vecs
 
     if not np.all(np.isfinite(center_vecs)):
         raise DivergedTrainingError("training produced non-finite vectors; lower the learning rate")
@@ -253,7 +286,13 @@ def top_k_similar(model: EmbeddingModel, word: str, k: int,
     ``model.vectors`` already cast to float64, for callers that ask one model
     many queries, and is cast here when not given. The row norms and word
     ranks come from the model, and only the words tied at the k-th
-    similarity are sorted.
+    similarity are sorted. When the model's smallest row norm times the
+    query's is positive, every product of norms is (rounding is monotonic),
+    and the negated similarities take two passes over the vocabulary: the
+    product and one division by the negated norms. Otherwise the guarded
+    form gives similarity 0 where the product is not positive; of float32
+    rows only a zero row gets there, since their float64 norm products are
+    at least 2**-298.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -262,20 +301,25 @@ def top_k_similar(model: EmbeddingModel, word: str, k: int,
     idx = model.vocab[word]
     if k >= len(model.words) - 1:
         return {w for i, w in enumerate(model.words) if i != idx}, True
-    query = model.vectors[idx].astype(np.float64)
     if matrix is None:
         matrix = model.vectors.astype(np.float64)
-    qnorm = np.linalg.norm(query)
-    denom = model.norms * qnorm
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sims = np.where(denom > 0, matrix @ query / np.where(denom > 0, denom, 1.0), 0.0)
+    query = matrix[idx]
+    # np.linalg.norm's own arithmetic, without its dispatch
+    qnorm = math.sqrt(query.dot(query))
+    if model.min_norm * qnorm > 0:
+        # x / -b is -(x / b) bit for bit, so this is the guarded form's -sims
+        neg = matrix.dot(query)
+        neg /= model.norms * -qnorm
+    else:
+        denom = model.norms * qnorm
+        with np.errstate(invalid="ignore", divide="ignore"):
+            neg = -np.where(denom > 0, matrix.dot(query) / np.where(denom > 0, denom, 1.0), 0.0)
     # rank by (-similarity, word); the query sorts last and k < |vocab| - 1
-    neg = -sims
     neg[idx] = np.inf
     cutoff = np.partition(neg, k - 1)[k - 1]
     candidates = np.flatnonzero(neg <= cutoff)
     chosen = candidates[np.lexsort((model.ranks[candidates], neg[candidates]))[:k]]
-    return {model.words[i] for i in chosen}, True
+    return {model.words[i] for i in chosen.tolist()}, True
 
 
 def jaccard(a: set[str], b: set[str]) -> float:
@@ -372,6 +416,9 @@ def save_model(model: EmbeddingModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> EmbeddingModel:
+    """Read what save_model writes; CorruptModelError for a header without a
+    positive word count and dimension, a row short of or past the declared
+    rows, a bad value, or a duplicate word."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         parts = header.split(" ", 2)
@@ -381,6 +428,10 @@ def load_model(path: str | Path) -> EmbeddingModel:
             n_vocab, dim = int(parts[0]), int(parts[1])
         except ValueError:
             raise CorruptModelError(f"bad embedding header {header!r}") from None
+        if n_vocab < 1 or dim < 1:
+            raise CorruptModelError(
+                f"bad embedding header {header!r}: a model has at least one word "
+                "and one dimension")
         slice_label = parts[2] if len(parts) > 2 else ""
         vocab: dict[str, int] = {}
         vectors = np.empty((n_vocab, dim), dtype=np.float32)
@@ -394,6 +445,9 @@ def load_model(path: str | Path) -> EmbeddingModel:
                 vectors[i] = [float(x) for x in fields[1:]]
             except ValueError:
                 raise CorruptModelError(f"embedding row {i + 1} has a non-numeric value") from None
+        if fh.readline():
+            raise CorruptModelError(
+                f"embedding row {n_vocab + 1} is past the {n_vocab} rows the header declares")
         if len(vocab) != n_vocab:
             raise CorruptModelError("duplicate words in embedding file")
         non_finite = np.flatnonzero(~np.isfinite(vectors).all(axis=1))

@@ -528,6 +528,13 @@ class TestFlagChecks:
         ("features", ["--window-months", 0], "--window-months must be at least 1, not 0"),
         ("features", ["--window-months", -2], "--window-months must be at least 1, not -2"),
         ("features", ["--top-k", 0], "--top-k must be at least 1, not 0"),
+        ("features", ["--embed-dim", 0], "--embed-dim must be at least 1, not 0"),
+        ("features", ["--embed-window", 0], "--embed-window must be at least 1, not 0"),
+        ("features", ["--embed-epochs", 0], "--embed-epochs must be at least 1, not 0"),
+        ("features", ["--embed-negatives", 0], "--embed-negatives must be at least 1, not 0"),
+        ("features", ["--embed-negatives", -1], "--embed-negatives must be at least 1, not -1"),
+        ("features", ["--embed-min-count", 0], "--embed-min-count must be at least 1, not 0"),
+        ("features", ["--slice-years", 0], "--slice-years must be at least 1, not 0"),
         ("simulate", ["--repetitions", 0], "--repetitions must be at least 1, not 0"),
         ("simulate", ["--budgets", "abc"], "--budgets takes non-negative numbers "
                                            "(values < 1 are fractions), not 'abc'"),

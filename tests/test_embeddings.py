@@ -6,6 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from eldiff import embeddings
 from eldiff.corpus import Corpus, Document, GeneratorConfig, generate_synthetic_corpus
@@ -311,6 +313,78 @@ class TestGradients:
             assert ours.tobytes() == reference.tobytes()
 
 
+class TestTrimmedPairStep:
+    """The pair step's stacked rows, one sigmoid and one store against the
+    one-pair-at-a-time reference, on the cases its bookkeeping splits."""
+
+    @pytest.mark.parametrize("negatives", [1, 4])
+    def test_pairs_without_negatives(self, negatives):
+        # one word: every draw is the context, so every pair's rows are the
+        # context's alone (negatives > 1 also sends each pair to np.subtract.at)
+        docs = [Document("d", dt.date(2000, 1, 1), "", "a a a a. a a a")]
+        params = EmbeddingParams(dim=5, window=2, negatives=negatives, epochs=2,
+                                 min_count=1, seed=4)
+        vocab, vectors, _, context_draws = _reference_train(docs, params)
+        assert context_draws == 2 * (10 + 6)  # every pair: 10 and 6 a sentence, two epochs
+        assert train_skipgram(docs, params).vectors.tobytes() == vectors.tobytes()
+
+    def test_some_pairs_without_negatives(self):
+        # two words, one draw: half the draws are the context
+        docs = [Document("d", dt.date(2000, 1, 1), "", "a b a b a b. b a a b. a b b a")]
+        params = EmbeddingParams(dim=6, window=3, negatives=1, epochs=2, min_count=1, seed=9)
+        _, vectors, _, context_draws = _reference_train(docs, params)
+        assert context_draws > 0
+        assert train_skipgram(docs, params).vectors.tobytes() == vectors.tobytes()
+
+    @pytest.mark.parametrize("negatives", [3, 8])
+    def test_every_pair_takes_subtract_at(self, negatives):
+        # more draws than words: every pair's draws repeat
+        docs = [Document("d", dt.date(2000, 1, 1), "", "a b b a b a a. b a b b a")]
+        params = EmbeddingParams(dim=4, window=4, negatives=negatives, epochs=3,
+                                 min_count=1, seed=2)
+        _, vectors, _, _ = _reference_train(docs, params)
+        assert train_skipgram(docs, params).vectors.tobytes() == vectors.tobytes()
+
+    def test_dim_300(self):
+        docs = list(_cluster_corpus(n_docs=6, seed=8))
+        params = EmbeddingParams(dim=300, window=5, negatives=5, epochs=1, min_count=1, seed=13)
+        vocab, vectors, _, _ = _reference_train(docs, params)
+        model = train_skipgram(docs, params)
+        assert model.vocab == vocab
+        assert model.vectors.tobytes() == vectors.tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_learning_rate_still_refused(self):
+        docs = list(_cluster_corpus(n_docs=6, seed=8))
+        params = EmbeddingParams(dim=8, window=5, negatives=5, epochs=2, min_count=1,
+                                 initial_learning_rate=1e6, seed=13)
+        _, vectors, _, _ = _reference_train(docs, params)
+        assert not np.isfinite(vectors).all()
+        with pytest.raises(DivergedTrainingError):
+            train_skipgram(docs, params)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pair_gradients_equal_reference_at_scale(self, dtype):
+        rng = np.random.default_rng(31)
+        for dim, k in ((300, 5), (300, 15), (50, 0), (1, 3)):
+            center, context = rng.normal(size=(2, dim)).astype(dtype)
+            negatives = rng.normal(size=(k, dim)).astype(dtype)
+            ours = sgns_pair_gradients(center, context, negatives)
+            reference = _reference_pair_gradients(center, context, negatives)
+            for a, b in zip(ours, reference):
+                assert np.asarray(a).dtype == np.asarray(b).dtype == dtype
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    def test_pair_gradients_of_mixed_dtypes_equal_reference(self):
+        rng = np.random.default_rng(32)
+        center = rng.normal(size=7)
+        context, *negatives = rng.normal(size=(4, 7)).astype(np.float32)
+        ours = sgns_pair_gradients(center, context, np.array(negatives))
+        reference = _reference_pair_gradients(center, context, np.array(negatives))
+        for a, b in zip(ours, reference):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
 class TestTopKSimilar:
     def _model(self):
         vocab = {"q": 0, "x": 1, "y": 2}
@@ -370,6 +444,90 @@ class TestTopKSimilar:
         for word in list(vocab)[:40]:
             for k in (1, 10, 398, 399):
                 assert top_k_similar(model, word, k)[0] == _reference_top_k(model, word, k)
+
+
+class TestTrimmedQuery:
+    """The two-pass ranking against the full sort, and the guarded form kept
+    for a zero row."""
+
+    @staticmethod
+    def _guarded_queries(model, monkeypatch):
+        """How many of the model's queries compute np.where."""
+        calls = []
+        where = np.where
+        guarded = 0
+        with monkeypatch.context() as patch:
+            patch.setattr(embeddings.np, "where", lambda *a: calls.append(1) or where(*a))
+            for word in model.vocab:
+                before = len(calls)
+                top_k_similar(model, word, 1)
+                guarded += len(calls) > before
+        return guarded
+
+    @staticmethod
+    def _all_queries_equal_reference(model):
+        matrix = model.vectors.astype(np.float64)
+        for word in model.vocab:
+            for k in range(1, len(model) + 2):
+                expected = _reference_top_k(model, word, k)
+                assert top_k_similar(model, word, k) == (expected, True), (word, k)
+                assert top_k_similar(model, word, k, matrix) == (expected, True), (word, k)
+
+    def test_zero_row_takes_guarded_form(self, monkeypatch):
+        vectors = np.array([[1, 0], [0, 0], [1, 1], [-1, 2], [0, 0], [3, 1]], dtype=np.float32)
+        model = EmbeddingModel({w: i for i, w in enumerate("qzxyow")}, vectors, "t")
+        assert model.min_norm == 0.0
+        self._all_queries_equal_reference(model)
+        assert self._guarded_queries(model, monkeypatch) == len(model)
+
+    def test_subnormal_rows_take_two_passes(self, monkeypatch):
+        # float32 norms are at least 2**-149, so their float64 products (at
+        # least 2**-298) never underflow: no row is guarded
+        tiny = np.finfo(np.float32).smallest_subnormal
+        vectors = np.array([[tiny, 0], [0, tiny], [tiny, tiny], [-tiny, 3 * tiny],
+                            [1e-38, -1e-39], [1.0, 2.0]], dtype=np.float32)
+        model = EmbeddingModel({w: i for i, w in enumerate("abcdef")}, vectors, "t")
+        assert model.min_norm * model.min_norm > 0
+        self._all_queries_equal_reference(model)
+        assert self._guarded_queries(model, monkeypatch) == 0
+
+    def test_ties_at_the_kth_similarity(self):
+        # five words share the second similarity to q, so k = 2..5 cut inside the tie
+        vectors = np.array([[1, 0], [1, 0.25], [0, 1], [0, 2], [0, 3], [0, 1], [0, 5],
+                            [-1, 0]], dtype=np.float32)
+        model = EmbeddingModel({w: i for i, w in enumerate(["q", "p", "e", "b", "d", "a", "c",
+                                                             "z"])}, vectors, "t")
+        self._all_queries_equal_reference(model)
+        assert top_k_similar(model, "q", 3)[0] == {"p", "a", "b"}
+
+    def test_one_word_model(self):
+        model = EmbeddingModel({"only": 0}, np.ones((1, 3), dtype=np.float32), "t")
+        for k in (1, 2):
+            assert top_k_similar(model, "only", k) == (set(), True)
+            assert _reference_top_k(model, "only", k) == set()
+
+
+_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3.0, 1e-45, -1e-40, 1e30])
+
+
+@st.composite
+def small_models(draw):
+    n_vocab = draw(st.integers(1, 9))
+    dim = draw(st.integers(1, 4))
+    rows = [draw(st.one_of(st.just([0.0] * dim),
+                           st.lists(_ENTRIES, min_size=dim, max_size=dim)))
+            for _ in range(n_vocab)]
+    words = draw(st.lists(st.text(alphabet="abc", min_size=1, max_size=3),
+                          min_size=n_vocab, max_size=n_vocab, unique=True))
+    return EmbeddingModel({w: i for i, w in enumerate(words)},
+                          np.array(rows, dtype=np.float32), "t")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(model=small_models())
+def test_top_k_equals_reference_on_small_models(model):
+    TestTrimmedQuery._all_queries_equal_reference(model)
 
 
 class TestJaccard:
@@ -541,6 +699,20 @@ class TestPersistence:
         path = tmp_path / "m.vec"
         path.write_text("1 2 1990\nx 1e39 2\n", encoding="utf-8")
         with pytest.raises(CorruptModelError, match="row 1 has a non-finite value"):
+            load_model(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("2 2 2000\nx 1 2\ny 3 4\nz 5 6\n", "embedding row 3 is past the 2 rows the header"),
+        ("1 2 2000\nx 1 2\n\n", "embedding row 2 is past the 1 rows the header"),
+        ("-1 2 2000\nx 1 2\n", "bad embedding header '-1 2 2000'"),
+        ("2 -3 2000\nx\ny\n", "bad embedding header '2 -3 2000'"),
+        ("2 0 2000\nx\ny\n", "bad embedding header '2 0 2000'"),
+        ("0 3 2000\n", "bad embedding header '0 3 2000'"),
+    ])
+    def test_header_and_row_count_refused(self, tmp_path, text, message):
+        path = tmp_path / "m.vec"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(CorruptModelError, match=message):
             load_model(path)
 
     def test_slice_models_ordered(self):

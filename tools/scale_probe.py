@@ -5,7 +5,7 @@
 Usage (from the root of a checkout):
 
     python3 tools/scale_probe.py --pr N [--shape route|embed|learn] [--docs 70,280,1120]
-                                 [--src DIR] [--name NAME]
+                                 [--src DIR] [--parent-src DIR] [--name NAME]
 
 For each size it builds inputs at seed 7 with ``bench.workloads.write_inputs``
 over a wide vocabulary of seeded pseudo-words, in one of three shapes:
@@ -33,6 +33,14 @@ stored as ``runs[<shape>][<name>]`` (``--name`` is ``change`` by default) in
 ``SCALE_<N>.json`` at the root of this checkout, next to any runs already
 there, so one file can hold the parent's and the change's runs of both
 shapes. Nothing here is gated; the numbers are for reading.
+
+With ``--parent-src DIR``, every command runs twice in turn, once importing
+eldiff from ``--src`` and once from ``DIR``, each side writing to its own
+output directory from the same inputs. The side that runs first alternates
+from size to size, so a drift in host speed over the run loads both sides
+alike. Each command's record then holds the ``--src`` side's numbers and,
+under ``parent``, the other side's; the ratios are the ``--src`` side's. A
+line is printed wherever the two sides' output sha256 differ.
 """
 
 from __future__ import annotations
@@ -148,22 +156,37 @@ def run_child(argv: list, src: Path) -> dict:
     return {"wall_s": round(wall, 3), "maxrss_mb": round(usage.ru_maxrss / 1024, 1)}
 
 
-def probe_size(shape: str, docs: int, work: Path, src: Path) -> dict:
+def probe_size(shape: str, docs: int, work: Path, sides: dict[str, Path],
+               parent_first: bool) -> dict:
+    """Run every command of one size, for each side in ``sides`` in turn
+    (``parent`` first when ``parent_first``); the ``change`` side's results
+    with the ``parent`` side's nested under ``parent``."""
     from workloads import Size, write_inputs
 
     size = Size(docs=docs, **SHAPES[shape][1])
     inputs = write_inputs(work / "inputs", SEED, size, wide=True)
-    out = work / "out"
+    outs = {side: work / f"out_{side}" for side in sides}
+    runs = {side: commands(shape, inputs, outs[side], size.embed_dim) for side in sides}
+    order = [side for side in (("parent", "change") if parent_first else ("change", "parent"))
+             if side in sides]
     point = {"docs": docs, "commands": {}}
-    for name, argv, written in commands(shape, inputs, out, size.embed_dim):
-        result = run_child(argv, src)
-        result["sha256"] = file_sha256(written)
-        point["commands"][name] = result
-        print(f"{docs} docs  {name:9s} {result['wall_s']:8.2f} s  {result['maxrss_mb']:7.1f} MB",
-              flush=True)
+    for step, (name, _, _) in enumerate(runs["change"]):
+        results = {}
+        for side in order:
+            _, argv, written = runs[side][step]
+            result = results[side] = run_child(argv, sides[side])
+            result["sha256"] = file_sha256(written)
+            print(f"{docs} docs  {name:9s} {side:6s} {result['wall_s']:8.2f} s  "
+                  f"{result['maxrss_mb']:7.1f} MB", flush=True)
+        entry = point["commands"][name] = results["change"]
+        if "parent" in results:
+            entry["parent"] = results["parent"]
+            if entry["parent"]["sha256"] != entry["sha256"]:
+                print(f"{docs} docs  {name}: output sha256 differs, parent "
+                      f"{entry['parent']['sha256']}, change {entry['sha256']}", flush=True)
     with open(inputs["corpus"], encoding="utf-8") as fh:
         point["tokens"] = sum(len(json.loads(line)["text"].split()) for line in fh)
-    with open(out / "features.csv", encoding="utf-8") as fh:
+    with open(outs["change"] / "features.csv", encoding="utf-8") as fh:
         point["feature_rows"] = sum(1 for _ in fh) - 1
     return point
 
@@ -176,12 +199,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--docs", help="comma-separated corpus sizes (default: the shape's)")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="the src directory whose eldiff is measured")
+    parser.add_argument("--parent-src", type=Path,
+                        help="a second src directory, run beside --src command by command")
     parser.add_argument("--name", default="change", help="key of this run in the file")
     args = parser.parse_args(argv)
     sizes = [int(d) for d in (args.docs or SHAPES[args.shape][0]).split(",") if d]
-    src = args.src.resolve()
-    if not (src / "eldiff").is_dir():
-        raise SystemExit(f"no eldiff package under {src}")
+    sides = {"change": args.src.resolve()}
+    if args.parent_src is not None:
+        sides["parent"] = args.parent_src.resolve()
+    for side in sides.values():
+        if not (side / "eldiff").is_dir():
+            raise SystemExit(f"no eldiff package under {side}")
+    src = sides["change"]
     sys.path[:0] = [str(src), str(ROOT / "bench")]
     from run import machine_facts
 
@@ -190,9 +219,9 @@ def main(argv: list[str] | None = None) -> int:
     work = ROOT / ".scale_work"
     points = []
     try:
-        for docs in sizes:
+        for index, docs in enumerate(sizes):
             shutil.rmtree(work, ignore_errors=True)
-            points.append(probe_size(args.shape, docs, work, src))
+            points.append(probe_size(args.shape, docs, work, sides, index % 2 == 0))
     finally:
         shutil.rmtree(work, ignore_errors=True)
     ratios = {
@@ -202,13 +231,15 @@ def main(argv: list[str] | None = None) -> int:
     }
     path = ROOT / f"SCALE_{args.pr}.json"
     record = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {"pr": args.pr}
-    record.setdefault("runs", {}).setdefault(args.shape, {})[args.name] = {
+    run = record.setdefault("runs", {}).setdefault(args.shape, {})[args.name] = {
         "src_sha256": src_digest(src),
         "seed": SEED,
         "machine": machine_facts(cpu),
         "sizes": points,
         "ratios": ratios,
     }
+    if "parent" in sides:
+        run["parent_src_sha256"] = src_digest(sides["parent"])
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {path}")
     return 0
