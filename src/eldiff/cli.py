@@ -223,7 +223,7 @@ def cmd_features(args) -> int:
         dumps = [consensus.read_annotations(p) for p in args.annotations]
         doc_counts = count_doc_mentions(dumps)
     else:
-        doc_counts = count_doc_mentions([[lm.mention for lm in mentions]])
+        doc_counts = count_doc_mentions([mentions])
 
     models: list[embeddings.EmbeddingModel] = []
     needs_stability = any(c in schema.columns for c in STABILITY_COLUMNS)
@@ -461,8 +461,8 @@ def cmd_simulate(args) -> int:
     if not labelled:
         raise CliError("the labels file is empty; nothing to simulate")
     gold = read_gold(_require(args, "gold"))
-    n_systems = len(labelled[0].mention.entities)
-    if any(len(lm.mention.entities) != n_systems for lm in labelled):
+    n_systems = len(labelled[0].entities)
+    if any(len(lm.entities) != n_systems for lm in labelled):
         raise CliError("labels file mixes mentions with different system counts")
     systems = (
         [s for s in args.systems.split(",") if s]
@@ -475,13 +475,13 @@ def cmd_simulate(args) -> int:
     keys = [lm.key for lm in labelled]
     labels_map = {key: lm.label for key, lm in zip(keys, labelled)}
     choices = {
-        system: {key: lm.mention.entities[i] for key, lm in zip(keys, labelled)}
+        system: {key: lm.entities[i] for key, lm in zip(keys, labelled)}
         for i, system in enumerate(systems)
     }
     cand_counts = None
     if args.candidates:
         dictionary = load_candidate_dictionary(args.candidates)
-        cand_counts = {key: dictionary.count(key[2]) for key in keys}
+        cand_counts = {key: dictionary.get(key[2], 0) for key in keys}
     predictions = _read_predictions(args.predictions) if args.predictions else None
 
     pool = sorted(k for k in labels_map if k in gold)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .corpus import Corpus
 from .errors import MalformedRecordError
@@ -77,6 +77,13 @@ class SystemAnnotation(namedtuple("SystemAnnotation", "doc_id surface offset ent
         return tuple.__new__(cls, (doc_id, surface, offset, entity_id))
 
 
+def _checked_mention(cls, fields: tuple):
+    """``cls(*fields)`` for either mention record, if its entities come from at least 2 systems."""
+    if len(fields[3]) < 2:
+        raise ValueError("an aligned mention needs entities from at least 2 systems")
+    return tuple.__new__(cls, fields)
+
+
 class AlignedMention(namedtuple("AlignedMention", "doc_id surface offset entities")):
     """A mention recognised by all systems, with one entity per system.
 
@@ -86,25 +93,24 @@ class AlignedMention(namedtuple("AlignedMention", "doc_id surface offset entitie
     __slots__ = ()
 
     def __new__(cls, doc_id: str, surface: str, offset: int, entities: tuple[str, ...]):
-        if len(entities) < 2:
-            raise ValueError("an aligned mention needs entities from at least 2 systems")
-        return tuple.__new__(cls, (doc_id, surface, offset, entities))
+        return _checked_mention(cls, (doc_id, surface, offset, entities))
 
     @property
     def key(self) -> tuple[str, int, str]:
         return self.doc_id, self.offset, self.surface
 
 
-class LabelledMention(NamedTuple):
-    """An aligned mention together with its difficulty label: an immutable
-    tuple ``(mention, label)``."""
+class LabelledMention(namedtuple("LabelledMention", "doc_id surface offset entities label")):
+    """One labels line, an aligned mention with its difficulty label: the
+    immutable tuple ``(doc_id, surface, offset, entities, label)``."""
 
-    mention: AlignedMention
-    label: Label
+    __slots__ = ()
 
-    @property
-    def key(self) -> tuple[str, int, str]:
-        return self.mention.key
+    def __new__(cls, doc_id: str, surface: str, offset: int, entities: tuple[str, ...],
+                label: Label):
+        return _checked_mention(cls, (doc_id, surface, offset, entities, label))
+
+    key = AlignedMention.key
 
 
 def normalize_entity(raw: str, redirect_map: Mapping[str, str] | None = None) -> str:
@@ -395,7 +401,7 @@ def label(mention: AlignedMention) -> Label:
 
 
 def label_all(mentions: Iterable[AlignedMention]) -> list[LabelledMention]:
-    return [LabelledMention(m, label(m)) for m in mentions]
+    return [LabelledMention(*m, label(m)) for m in mentions]
 
 
 @dataclass(frozen=True)
@@ -418,8 +424,8 @@ def class_distribution(labelled: Sequence[LabelledMention]) -> ClassDistribution
 
 def write_labels(labelled: Iterable[LabelledMention], path: str | Path) -> None:
     """Write the label file: ``doc_id offset surface label e1,...,en`` (tabs)."""
-    write_tsv(((m.doc_id, str(m.offset), m.surface, lbl.value, ",".join(m.entities))
-               for m, lbl in labelled), path)
+    write_tsv(((doc_id, str(offset), surface, lbl.value, ",".join(entities))
+               for doc_id, surface, offset, entities, lbl in labelled), path)
 
 
 def read_labels(path: str | Path) -> list[LabelledMention]:
@@ -428,8 +434,8 @@ def read_labels(path: str | Path) -> list[LabelledMention]:
         offset = parse_offset(offset_str, lineno)
         lbl = parse_label(label_str, lineno)
         try:
-            mention = AlignedMention(doc_id, surface, offset, tuple(entities_str.split(",")))
+            labelled.append(LabelledMention(doc_id, surface, offset,
+                                            tuple(entities_str.split(",")), lbl))
         except ValueError as exc:
             raise MalformedRecordError(lineno, str(exc)) from None
-        labelled.append(LabelledMention(mention, lbl))
     return labelled

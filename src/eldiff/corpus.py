@@ -323,7 +323,6 @@ class GeneratorConfig:
     )
     sentences_per_doc: tuple[int, int] = (2, 6)
     words_per_sentence: tuple[int, int] = (4, 10)
-    id_prefix: str = "doc"
 
 
 def generate_synthetic_corpus(config: GeneratorConfig, seed: int) -> Corpus:
@@ -354,7 +353,7 @@ def generate_synthetic_corpus(config: GeneratorConfig, seed: int) -> Corpus:
             sentences.append(" ".join(words) + marks[int(rng.integers(len(marks)))])
         documents.append(
             Document(
-                id=f"{config.id_prefix}{i:05d}",
+                id=f"doc{i:05d}",
                 publication_date=date,
                 topic=topic,
                 text=" ".join(sentences),

@@ -418,16 +418,16 @@ def save_model(model: EmbeddingModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> EmbeddingModel:
     """Read what save_model writes; CorruptModelError for a header without a
     positive word count and dimension, a row short of or past the declared
-    rows, a bad value, or a duplicate word."""
+    rows, a count or value save_model would not write, or a duplicate word."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         parts = header.split(" ", 2)
         if len(parts) < 2:
             raise CorruptModelError(f"bad embedding header {header!r}")
-        try:
-            n_vocab, dim = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise CorruptModelError(f"bad embedding header {header!r}") from None
+        # as save_model writes them: int() also takes "1_0", "+2", "010" and other digits
+        if not all(p.isascii() and p.isdigit() and p == str(int(p)) for p in parts[:2]):
+            raise CorruptModelError(f"bad embedding header {header!r}")
+        n_vocab, dim = int(parts[0]), int(parts[1])
         if n_vocab < 1 or dim < 1:
             raise CorruptModelError(
                 f"bad embedding header {header!r}: a model has at least one word "
@@ -441,7 +441,11 @@ def load_model(path: str | Path) -> EmbeddingModel:
             if len(fields) != dim + 1:
                 raise CorruptModelError(f"embedding row {i + 1} has {len(fields) - 1} values, expected {dim}")
             vocab[fields[0]] = i
+            values = line[len(fields[0]):]
             try:
+                # as save_model writes them: float() also takes "1_5", " +2" and other digits
+                if not values.isascii() or "_" in values or " +" in values:
+                    raise ValueError(values)
                 vectors[i] = [float(x) for x in fields[1:]]
             except ValueError:
                 raise CorruptModelError(f"embedding row {i + 1} has a non-numeric value") from None

@@ -120,30 +120,15 @@ def _row_problem(m_len, m_words, m_pos, t_j_min, t_j_max, t_j_avg) -> str | None
     return None
 
 
-class CandidateDictionary:
-    """Surface string to candidate-entity count; absent surfaces count 0."""
-
-    def __init__(self, counts: Mapping[str, int]):
-        for surface, count in counts.items():
-            if count < 1:
-                raise ValueError(f"candidate count for {surface!r} must be >= 1")
-        self._counts = dict(counts)
-
-    def __len__(self) -> int:
-        return len(self._counts)
-
-    def count(self, surface: str) -> int:
-        return self._counts.get(surface, 0)
-
-
-def load_candidate_dictionary(path: str | Path) -> CandidateDictionary:
+def load_candidate_dictionary(path: str | Path) -> dict[str, int]:
     """Read ``surface<TAB>count`` or ``surface<TAB>e1,e2,...`` lines.
 
     A payload of decimal digits (``str.isdecimal``) is a count; any other
     payload is a list of entity ids, so a single all-digit id is written
     with a trailing comma (``1984,`` reads as the set {1984}). A list is
     read for its count: the size of the union of every list given for the
-    surface. Duplicate surfaces merge by max count.
+    surface. Duplicate surfaces merge by max count. Returns the count of
+    each surface read; a surface the file lacks has no candidates.
     """
     counts: dict[str, int] = {}
     sets: dict[str, frozenset[str]] = {}
@@ -162,18 +147,22 @@ def load_candidate_dictionary(path: str | Path) -> CandidateDictionary:
             merged = sets.get(surface, frozenset()) | ids
             sets[surface] = merged
             counts[surface] = max(counts.get(surface, 0), len(merged))
-    return CandidateDictionary(counts)
+    return counts
 
 
-def write_candidate_dictionary(dictionary: CandidateDictionary, path: str | Path) -> None:
+def write_candidate_dictionary(counts: Mapping[str, int], path: str | Path) -> None:
     """Write one ``surface<TAB>count`` line per surface, in sorted order.
 
-    An empty surface reads back as a malformed line, so it raises ValueError
-    before the file is opened.
+    An empty surface, or a count that is not an ``int`` of at least 1 (``0``,
+    ``True``, ``2.0``), would not read back as written, so it raises
+    ValueError before the file is opened.
     """
-    counts = dictionary._counts
     if "" in counts:
         raise ValueError("candidate surface '' cannot be written: it is empty")
+    for surface, count in counts.items():
+        if type(count) is not int or count < 1:
+            raise ValueError(f"candidate count for {surface!r} must be an int >= 1, "
+                             f"got {count!r}")
     write_tsv(((surface, str(counts[surface])) for surface in sorted(counts)), path)
 
 
@@ -196,17 +185,8 @@ def stability_word(surface: str) -> str:
     return min(words, key=lambda w: (-len(w), w))
 
 
+#: Every form begins ``(doc_id, surface, offset)``; only a LabelledMention has a label.
 Mention = AlignedMention | LabelledMention | tuple
-
-
-def _mention_fields(mention: Mention) -> tuple[str, str, int, Label | None]:
-    if isinstance(mention, LabelledMention):
-        m = mention.mention
-        return m.doc_id, m.surface, m.offset, mention.label
-    if isinstance(mention, AlignedMention):
-        return mention.doc_id, mention.surface, mention.offset, None
-    doc_id, surface, offset = mention
-    return doc_id, surface, int(offset), None
 
 
 class FeatureExtractor:
@@ -221,13 +201,13 @@ class FeatureExtractor:
     def __init__(
         self,
         corpus: Corpus,
-        candidates: CandidateDictionary | None = None,
+        candidates: Mapping[str, int] | None = None,
         models: Sequence[EmbeddingModel] | None = None,
         config: FeatureConfig | None = None,
         doc_mention_counts: Mapping[str, int] | None = None,
     ):
         self.corpus = corpus
-        self.candidates = candidates if candidates is not None else CandidateDictionary({})
+        self.candidates = candidates if candidates is not None else {}
         self.models = list(models) if models else []
         self.config = config if config is not None else FeatureConfig()
         self.doc_mention_counts = dict(doc_mention_counts) if doc_mention_counts else {}
@@ -248,7 +228,7 @@ class FeatureExtractor:
 
     def _row(self, mention: Mention) -> tuple:
         """One mention's values in ``FEATURE_COLUMNS`` order, label last."""
-        doc_id, surface, offset, mention_label = _mention_fields(mention)
+        doc_id, surface, offset = mention[:3]
         doc = self.corpus.get(doc_id)
         if offset < 0 or offset + len(surface) > len(doc.text):
             raise ValueError(
@@ -263,7 +243,7 @@ class FeatureExtractor:
             len(surface.split()),
             count_occurrences(doc, surface),
             document_frequency(self.corpus, surface),
-            self.candidates.count(surface),
+            self.candidates.get(surface, 0),
             offset / len(doc.text),
             len(span) if span is not None else 0,
             d_words,
@@ -275,7 +255,7 @@ class FeatureExtractor:
             stability.minimum,
             stability.maximum,
             stability.average,
-            mention_label,
+            mention.label if isinstance(mention, LabelledMention) else None,
         )
 
     def extract(self, mention: Mention) -> "FeatureTable":
@@ -288,7 +268,7 @@ class FeatureExtractor:
         slice (``stability_all``)."""
         mentions = list(mentions)
         if len(self.models) >= 2:
-            words = dict.fromkeys(stability_word(_mention_fields(m)[1]) for m in mentions)
+            words = dict.fromkeys(stability_word(m[1]) for m in mentions)
             new = [word for word in words if word not in self._stability_cache]
             if new:
                 self._stability_cache.update(stability_all(self.models, new, self.config.top_k))

@@ -18,10 +18,16 @@ import numpy as np
 
 from .consensus import SystemAnnotation, write_annotations
 from .corpus import Corpus, GeneratorConfig, generate_synthetic_corpus, write_corpus
-from .features import CandidateDictionary, write_candidate_dictionary
+from .features import write_candidate_dictionary
 from .rand import derive_seed
 
 _WORD = re.compile(r"[A-Za-z]+")
+#: The share of word occurrences annotated, the chance that a system misses
+#: a site and the share of sites with a gold entity.
+_SITE_RATE, _MISS_RATE, _GOLD_RATE = 0.4, 0.08, 0.9
+#: The chances of a site where all systems agree and where all but one do;
+#: at the rest (0.1) they all disagree.
+_EASY_P, _MEDIUM_P = 0.7, 0.2
 
 
 def _gold_entity(word: str) -> str:
@@ -40,24 +46,20 @@ class AnnotationSuite:
 
     dumps: dict[str, list[SystemAnnotation]]
     gold: dict[tuple[str, int, str], str]
-    candidates: CandidateDictionary
+    candidates: dict[str, int]
 
 
 def generate_annotations(
     corpus: Corpus,
     seed: int,
     systems: Sequence[str] = ("alpha", "beta", "gamma"),
-    site_rate: float = 0.4,
-    miss_rate: float = 0.08,
-    gold_rate: float = 0.9,
-    difficulty_mix: tuple[float, float, float] = (0.7, 0.2, 0.1),
 ) -> AnnotationSuite:
     """Annotate word occurrences with a controlled agreement pattern.
 
-    ``difficulty_mix`` gives the (all-agree, two-agree, all-disagree) site
-    probabilities; sites whose word lacks enough decoy candidates degrade to
-    the nearest feasible pattern. Each system independently misses a site
-    with ``miss_rate``, so some mentions are not commonly recognised.
+    A site has all systems agree, all but one agree, or all disagree, at
+    fixed odds; sites whose word lacks enough decoy candidates degrade to the
+    nearest feasible pattern. Each system independently misses a site, so
+    some mentions are not commonly recognised.
     """
     if len(systems) < 2:
         raise ValueError("need at least 2 systems")
@@ -66,24 +68,23 @@ def generate_annotations(
     dumps: dict[str, list[SystemAnnotation]] = {s: [] for s in systems}
     gold: dict[tuple[str, int, str], str] = {}
     vocabulary: set[str] = set()
-    easy_p, medium_p, _ = difficulty_mix
     for doc in corpus:
         for match in _WORD.finditer(doc.text):
             word = match.group()
             vocabulary.add(word)
-            if rng.random() > site_rate:
+            if rng.random() > _SITE_RATE:
                 continue
             offset = match.start()
             correct = _gold_entity(word)
             decoys = _alternates(word)
             draw = rng.random()
-            if draw < easy_p or not decoys:
+            if draw < _EASY_P or not decoys:
                 # all systems agree; occasionally on the same wrong entity
                 agreed = correct
                 if decoys and rng.random() < 0.1:
                     agreed = decoys[0]
                 entities = [agreed] * n_systems
-            elif draw < easy_p + medium_p or len(decoys) < n_systems - 1:
+            elif draw < _EASY_P + _MEDIUM_P or len(decoys) < n_systems - 1:
                 entities = [correct] * n_systems
                 entities[int(rng.integers(n_systems))] = decoys[int(rng.integers(len(decoys)))]
             else:
@@ -91,13 +92,13 @@ def generate_annotations(
                 order = rng.permutation(n_systems)
                 entities = [pool[i] for i in order]
             for system, entity in zip(systems, entities):
-                if rng.random() < miss_rate:
+                if rng.random() < _MISS_RATE:
                     continue
                 dumps[system].append(SystemAnnotation(doc.id, word, offset, entity))
-            if rng.random() < gold_rate:
+            if rng.random() < _GOLD_RATE:
                 gold[(doc.id, offset, word)] = correct
     counts = {word: 1 + len(_alternates(word)) for word in sorted(vocabulary)}
-    return AnnotationSuite(dumps=dumps, gold=gold, candidates=CandidateDictionary(counts))
+    return AnnotationSuite(dumps=dumps, gold=gold, candidates=counts)
 
 
 @dataclass

@@ -203,7 +203,7 @@ class TestLabel:
 class TestClassDistribution:
     def test_counts_and_fractions(self):
         labelled = [
-            LabelledMention(AlignedMention("d", "m", i, ("a", "a")), lbl)
+            LabelledMention("d", "m", i, ("a", "a"), lbl)
             for i, lbl in enumerate([Label.EASY, Label.EASY, Label.HARD, Label.MEDIUM])
         ]
         dist = class_distribution(labelled)

@@ -708,12 +708,29 @@ class TestPersistence:
         ("2 -3 2000\nx\ny\n", "bad embedding header '2 -3 2000'"),
         ("2 0 2000\nx\ny\n", "bad embedding header '2 0 2000'"),
         ("0 3 2000\n", "bad embedding header '0 3 2000'"),
+        ("1_0 2 s\n" + "".join(f"w{i} 1 2\n" for i in range(10)), "bad embedding header '1_0 2 s'"),
+        ("+1 2 s\nx 1 2\n", "bad embedding header '\\+1 2 s'"),
+        ("01 2 s\nx 1 2\n", "bad embedding header '01 2 s'"),
+        ("1 02 s\nx 1 2\n", "bad embedding header '1 02 s'"),
+        ("\u0661 2 s\nx 1 2\n", "bad embedding header '\u0661 2 s'"),
+        ("1 2 s\nw0 1_5 2\n", "embedding row 1 has a non-numeric value"),
+        ("1 2 s\nw0 15 +2\n", "embedding row 1 has a non-numeric value"),
+        ("2 2 s\nw0 1 2\nw1 +1.5e+3 2\n", "embedding row 2 has a non-numeric value"),
+        ("1 2 s\nw0 \u0663 2\n", "embedding row 1 has a non-numeric value"),
+        ("1 2 s\nw0 1 2\u2007\n", "embedding row 1 has a non-numeric value"),
     ])
     def test_header_and_row_count_refused(self, tmp_path, text, message):
         path = tmp_path / "m.vec"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(CorruptModelError, match=message):
             load_model(path)
+
+    def test_plain_values_and_a_non_ascii_word_load(self, tmp_path):
+        path = tmp_path / "m.vec"
+        path.write_text("1 3 s\ncaf\u00e9 -1.5e+38 3.5e-07 -0\n", encoding="utf-8")
+        model = load_model(path)
+        assert model.vocab == {"caf\u00e9": 0}
+        assert model.vectors[0].tolist() == [np.float32(v).item() for v in (-1.5e38, 3.5e-7, -0.0)]
 
     def test_slice_models_ordered(self):
         corpus = _cluster_corpus(n_docs=24)

@@ -16,7 +16,6 @@ from eldiff.errors import AllMissingError, MalformedRecordError
 from eldiff.features import (
     FEATURE_COLUMNS,
     STABILITY_COLUMNS,
-    CandidateDictionary,
     FeatureConfig,
     FeatureExtractor,
     FeatureSchema,
@@ -101,26 +100,26 @@ class TestCandidateDictionary:
         path = tmp_path / "cand.tsv"
         path.write_text("Paris\t26\nBonn\t3\n", encoding="utf-8")
         d = load_candidate_dictionary(path)
-        assert d.count("Paris") == 26
-        assert d.count("absent") == 0
+        assert d.get("Paris", 0) == 26
+        assert d.get("absent", 0) == 0
 
     def test_id_list_lines(self, tmp_path):
         path = tmp_path / "cand.tsv"
         path.write_text("Paris\tE1,E2,E3\nBonn\tE1,,E2,E1\n", encoding="utf-8")
         d = load_candidate_dictionary(path)
-        assert d.count("Paris") == 3
+        assert d.get("Paris", 0) == 3
         # a repeated id counts once and an empty one not at all
-        assert d.count("Bonn") == 2
+        assert d.get("Bonn", 0) == 2
 
     def test_duplicate_merged_by_max(self, tmp_path):
         path = tmp_path / "cand.tsv"
         path.write_text("X\t3\nX\t5\n", encoding="utf-8")
-        assert load_candidate_dictionary(path).count("X") == 5
+        assert load_candidate_dictionary(path).get("X", 0) == 5
 
     def test_duplicate_sets_merged_by_union(self, tmp_path):
         path = tmp_path / "cand.tsv"
         path.write_text("X\tE1,E2\nX\tE2,E3\n", encoding="utf-8")
-        assert load_candidate_dictionary(path).count("X") == 3
+        assert load_candidate_dictionary(path).get("X", 0) == 3
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "cand.tsv"
@@ -128,26 +127,41 @@ class TestCandidateDictionary:
         with pytest.raises(MalformedRecordError, match="line 1"):
             load_candidate_dictionary(path)
 
+    def test_zero_count_refused(self, tmp_path):
+        path = tmp_path / "cand.tsv"
+        path.write_text("X\t0\n", encoding="utf-8")
+        with pytest.raises(MalformedRecordError, match="must be >= 1") as caught:
+            load_candidate_dictionary(path)
+        assert caught.value.line_number == 1
+
     def test_only_decimal_digits_make_a_count(self, tmp_path):
         # "²" passes str.isdigit() but not str.isdecimal(); it failed in int()
         path = tmp_path / "cand.tsv"
         path.write_text("X\t²\nY\t١٢\nZ\t12\n", encoding="utf-8")
         d = load_candidate_dictionary(path)
-        assert d.count("X") == 1 and d.count("Y") == 12 and d.count("Z") == 12
+        assert d.get("X", 0) == 1 and d.get("Y", 0) == 12 and d.get("Z", 0) == 12
 
     def test_single_all_digit_id_takes_a_trailing_comma(self, tmp_path):
         path = tmp_path / "cand.tsv"
         path.write_text("Orwell\t1984,\nYear\t1984\n", encoding="utf-8")
         d = load_candidate_dictionary(path)
-        assert d.count("Orwell") == 1
-        assert d.count("Year") == 1984
+        assert d.get("Orwell", 0) == 1
+        assert d.get("Year", 0) == 1984
 
 
     @pytest.mark.parametrize("surface", ["", "a\tb", "a\nb", "a\rb", "Paris\r"])
     def test_writer_refuses_what_it_cannot_read_back(self, tmp_path, surface):
         path = tmp_path / "cand.tsv"
         with pytest.raises(ValueError, match=re.escape(repr(surface))):
-            write_candidate_dictionary(CandidateDictionary({"Bonn": 2, surface: 1}), path)
+            write_candidate_dictionary({"Bonn": 2, surface: 1}, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("count", [0, -1, True, 2.0])
+    def test_writer_refuses_counts_that_read_back_otherwise(self, tmp_path, count):
+        # "True", "2.0" and "-1" would read back as one-id lists, "0" not at all
+        path = tmp_path / "cand.tsv"
+        with pytest.raises(ValueError, match=f"'Paris' must be an int >= 1, got {count!r}"):
+            write_candidate_dictionary({"Bonn": 2, "Paris": count}, path)
         assert not path.exists()
 
 
@@ -165,10 +179,8 @@ surfaces = st.lists(st.one_of(
 @given(counts=st.dictionaries(surfaces, st.integers(1, 10 ** 12), max_size=8))
 def test_candidate_dictionary_roundtrip(tmp_path, counts):
     path = tmp_path / "cand.tsv"
-    write_candidate_dictionary(CandidateDictionary(counts), path)
-    loaded = load_candidate_dictionary(path)
-    assert len(loaded) == len(counts)
-    assert {s: loaded.count(s) for s in counts} == counts
+    write_candidate_dictionary(counts, path)
+    assert load_candidate_dictionary(path) == counts
 
 
 class TestStabilityWord:
@@ -193,7 +205,7 @@ class TestExtract:
 
     @pytest.fixture
     def extractor(self, corpus):
-        candidates = CandidateDictionary({"Paris": 26, "John McCain": 2})
+        candidates = {"Paris": 26, "John McCain": 2}
         counts = {"doc1": 4, "doc2": 2}
         return FeatureExtractor(corpus, candidates, [], FeatureConfig(), counts)
 
@@ -281,8 +293,16 @@ class TestExtract:
             extractor.extract(("doc3", "here", 1000))
 
     def test_label_carried_from_labelled_mention(self, extractor):
-        lm = LabelledMention(AlignedMention("doc1", "Paris", 250, ("a", "b")), Label.MEDIUM)
+        lm = LabelledMention("doc1", "Paris", 250, ("a", "b"), Label.MEDIUM)
         assert extractor.extract(lm).labels() == [Label.MEDIUM]
+
+    def test_every_mention_form_gives_one_row(self, extractor):
+        forms = [("doc2", "Paris", 23), AlignedMention("doc2", "Paris", 23, ("a", "b")),
+                 LabelledMention("doc2", "Paris", 23, ("a", "b"), Label.HARD)]
+        table = extractor.extract_all(forms)
+        rows = [_row(table, index) for index in range(3)]
+        assert [row.pop("label") for row in rows] == [None, None, Label.HARD]
+        assert rows[0] == rows[1] == rows[2]
 
     def test_batch_equals_one_by_one(self, extractor):
         mentions = [("doc2", "Paris", 0), ("doc1", "Paris", 250), ("doc2", "Paris", 23)]

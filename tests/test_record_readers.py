@@ -100,7 +100,7 @@ def oracle_read_labels(path):
                 mention = AlignedMention(doc_id, surface, offset, entities)
             except ValueError as exc:
                 raise MalformedRecordError(lineno, str(exc)) from None
-            labelled.append(LabelledMention(mention, lbl))
+            labelled.append(LabelledMention(*mention, lbl))
     return labelled
 
 
@@ -127,8 +127,7 @@ def outcome(reader, *args, **kwargs):
         return type(exc), str(exc), getattr(exc, "line_number", None)
     if isinstance(records, dict):
         return records
-    return records, [type(r) for r in records], [type(r[0]) for r in records
-                                                 if isinstance(r, LabelledMention)]
+    return records, [type(r) for r in records]
 
 
 def write_lines(path, lines):
@@ -327,13 +326,16 @@ class TestRecords:
             SystemAnnotation("d", "x", 0, "")
         with pytest.raises(ValueError, match="at least 2 systems"):
             AlignedMention("d", "x", 0, ("E",))
+        with pytest.raises(ValueError, match="at least 2 systems"):
+            LabelledMention("d", "x", 0, ("E",), Label.EASY)
 
     def test_records_are_tuples(self):
         annotation = SystemAnnotation("d", "xy", 3, "E")
         assert annotation == ("d", "xy", 3, "E")
         mention = AlignedMention("d", "xy", 3, ("E", "F"))
-        labelled = LabelledMention(mention, Label.HARD)
-        assert labelled == (("d", "xy", 3, ("E", "F")), Label.HARD)
+        labelled = LabelledMention("d", "xy", 3, ("E", "F"), Label.HARD)
+        assert labelled == ("d", "xy", 3, ("E", "F"), Label.HARD)
+        assert LabelledMention._fields == ("doc_id", "surface", "offset", "entities", "label")
         assert labelled.key == mention.key == ("d", 3, "xy")
         with pytest.raises(AttributeError):
             annotation.offset = 4
@@ -386,8 +388,8 @@ def annotations(draw):
 def labelled_mentions(draw):
     ids = st.lists(pieces, max_size=4).map("".join).map(lambda s: s.replace(",", ""))
     entities = tuple(draw(st.lists(ids, min_size=2, max_size=4)))
-    mention = AlignedMention(draw(field_text), draw(field_text), draw(offsets), entities)
-    return LabelledMention(mention, draw(st.sampled_from(list(Label))))
+    return LabelledMention(draw(field_text), draw(field_text), draw(offsets), entities,
+                           draw(st.sampled_from(list(Label))))
 
 
 def expected_gold_or_error(entries):
@@ -427,14 +429,12 @@ def test_annotation_dump_roundtrip(tmp_path, records):
 def test_label_file_roundtrip(tmp_path, records):
     path = tmp_path / "labels.tsv"
     if refused(write_labels, records, path,
-               [f for lm in records for f in (lm.mention.doc_id, lm.mention.surface,
-                                              ",".join(lm.mention.entities))]):
+               [f for lm in records for f in (lm.doc_id, lm.surface, ",".join(lm.entities))]):
         return
     write_labels(records, path)
     again = read_labels(path)
     assert again == records
-    assert all(type(lm) is LabelledMention and type(lm.mention) is AlignedMention
-               for lm in again)
+    assert all(type(lm) is LabelledMention for lm in again)
 
 
 def write_predictions(records, path):
