@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import consensus, embeddings, simulate, synth
-from .consensus import AlignPolicy, Label, align, class_distribution, label_all
+from .consensus import AlignPolicy, Label, align, class_distribution
 from .corpus import GeneratorConfig, load_corpus
 from .errors import AllMissingError, EldiffError
 from .features import (
@@ -181,8 +181,7 @@ def cmd_label(args) -> int:
         corpus = load_corpus(args.corpus)
         for dump in dumps:
             consensus.validate_annotations(dump, corpus)
-    aligned = align(dumps, AlignPolicy(args.policy))
-    labelled = label_all(aligned)
+    labelled = align(dumps, AlignPolicy(args.policy))
     labels_path = out / "labels.tsv"
     consensus.write_labels(labelled, labels_path)
     dist = class_distribution(labelled)
@@ -336,6 +335,11 @@ def cmd_predict(args) -> int:
             raise CliError(
                 f"mentions file has {len(labelled)} rows but the feature table has {len(table)}"
             )
+        # files from one run carry the same label row for row
+        for row, (lbl, lm) in enumerate(zip(table.labels(), labelled), start=1):
+            if lbl is not None and lbl is not lm.label:
+                raise CliError(f"feature row {row} is labelled {lbl} but mentions row {row} is "
+                               f"{lm.label}: the files do not come from one run")
         keys = [lm.key for lm in labelled]
     labels, probs = model.predict_table(table)
     if keys is None:

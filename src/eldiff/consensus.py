@@ -1,10 +1,10 @@
 """Difficulty labels from the agreement pattern of multiple entity linkers.
 
-Mentions recognised by every system are aligned into tuples carrying one
-entity per system; the size of the largest agreement group then decides the
-label: all systems disagree -> HARD, all agree -> EASY, anything in
-between -> MEDIUM. For three systems this is exactly the
-all-distinct / all-equal / two-of-three split.
+``align`` makes one ``LabelledMention`` per mention recognised by every
+system: one entity per system, and the label that the size of the largest
+agreement group among them decides: all systems disagree -> HARD, all agree
+-> EASY, anything in between -> MEDIUM. For three systems this is exactly
+the all-distinct / all-equal / two-of-three split.
 """
 
 from __future__ import annotations
@@ -77,40 +77,22 @@ class SystemAnnotation(namedtuple("SystemAnnotation", "doc_id surface offset ent
         return tuple.__new__(cls, (doc_id, surface, offset, entity_id))
 
 
-def _checked_mention(cls, fields: tuple):
-    """``cls(*fields)`` for either mention record, if its entities come from at least 2 systems."""
-    if len(fields[3]) < 2:
-        raise ValueError("an aligned mention needs entities from at least 2 systems")
-    return tuple.__new__(cls, fields)
-
-
-class AlignedMention(namedtuple("AlignedMention", "doc_id surface offset entities")):
-    """A mention recognised by all systems, with one entity per system.
-
-    An immutable tuple ``(doc_id, surface, offset, entities)``.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, doc_id: str, surface: str, offset: int, entities: tuple[str, ...]):
-        return _checked_mention(cls, (doc_id, surface, offset, entities))
-
-    @property
-    def key(self) -> tuple[str, int, str]:
-        return self.doc_id, self.offset, self.surface
-
-
 class LabelledMention(namedtuple("LabelledMention", "doc_id surface offset entities label")):
-    """One labels line, an aligned mention with its difficulty label: the
-    immutable tuple ``(doc_id, surface, offset, entities, label)``."""
+    """A mention recognised by all systems, with one entity per system and
+    its difficulty label: one labels line, the immutable tuple
+    ``(doc_id, surface, offset, entities, label)``."""
 
     __slots__ = ()
 
     def __new__(cls, doc_id: str, surface: str, offset: int, entities: tuple[str, ...],
                 label: Label):
-        return _checked_mention(cls, (doc_id, surface, offset, entities, label))
+        if len(entities) < 2:
+            raise ValueError("an aligned mention needs entities from at least 2 systems")
+        return tuple.__new__(cls, (doc_id, surface, offset, entities, label))
 
-    key = AlignedMention.key
+    @property
+    def key(self) -> tuple[str, int, str]:
+        return self.doc_id, self.offset, self.surface
 
 
 def normalize_entity(raw: str, redirect_map: Mapping[str, str] | None = None) -> str:
@@ -160,11 +142,16 @@ def read_tsv(path: str | Path, n_fields: int, at_least: bool = False):
             yield lineno, fields
 
 
+def plain_digits(text: str) -> bool:
+    """Whether ``text`` is ASCII digits with no leading zero, the one rule for
+    the counts and offsets the readers take: ``int()`` also takes "007",
+    "1_000", " +7 " and other scripts' digits, which would write back as
+    other text."""
+    return text.isascii() and text.isdigit() and (text[0] != "0" or text == "0")
+
+
 def parse_offset(text: str, lineno: int) -> int:
-    # ASCII digits with no leading zero: int() also takes "007", "1_000",
-    # " +7 " and other scripts' digits, which a writer would write back as
-    # other text
-    if not (text.isascii() and text.isdigit()) or (text[0] == "0" and text != "0"):
+    if not plain_digits(text):
         raise MalformedRecordError(lineno, f"bad offset {text!r}")
     return int(text)
 
@@ -278,7 +265,7 @@ def _warn_conflicts(annotation_sets: Sequence[Sequence[SystemAnnotation]],
                     "the same system; %s", conflicts, _CONFLICT_RESOLUTION[policy])
 
 
-def _align_exact(annotation_sets: Sequence[Sequence[SystemAnnotation]]) -> list[AlignedMention]:
+def _align_exact(annotation_sets: Sequence[Sequence[SystemAnnotation]]) -> list[LabelledMention]:
     n = len(annotation_sets)
     slots: dict[tuple[str, int, str], list[str | None]] = {}
     for sys_idx, annotations in enumerate(annotation_sets):
@@ -289,7 +276,8 @@ def _align_exact(annotation_sets: Sequence[Sequence[SystemAnnotation]]) -> list[
     aligned = []
     for (doc_id, offset, surface), entry in slots.items():
         if all(e is not None for e in entry):
-            aligned.append(AlignedMention(doc_id, surface, offset, tuple(entry)))
+            entities = tuple(entry)
+            aligned.append(LabelledMention(doc_id, surface, offset, entities, label(entities)))
     aligned.sort(key=lambda m: (m.doc_id, m.offset, m.surface))
     return aligned
 
@@ -298,7 +286,7 @@ def _overlap_order(a: SystemAnnotation) -> tuple[int, int, str]:
     return a.offset, len(a.surface), a.surface
 
 
-def _align_overlap(annotation_sets: Sequence[Sequence[SystemAnnotation]]) -> list[AlignedMention]:
+def _align_overlap(annotation_sets: Sequence[Sequence[SystemAnnotation]]) -> list[LabelledMention]:
     # Greedy left-to-right in the first system's order; each annotation joins
     # at most one group. An exact (offset, surface) twin is preferred over the
     # first merely-overlapping candidate so that every EXACT group survives
@@ -358,7 +346,8 @@ def _align_overlap(annotation_sets: Sequence[Sequence[SystemAnnotation]]) -> lis
                 spans.append((starts[candidate], ends[candidate]))
                 entities.append(annos[candidate].entity_id)
             else:
-                aligned.append(AlignedMention(doc_id, surface, lo, tuple(entities)))
+                entities = tuple(entities)
+                aligned.append(LabelledMention(doc_id, surface, lo, entities, label(entities)))
     aligned.sort(key=lambda m: (m.doc_id, m.offset, m.surface))
     return aligned
 
@@ -366,8 +355,9 @@ def _align_overlap(annotation_sets: Sequence[Sequence[SystemAnnotation]]) -> lis
 def align(
     annotation_sets: Sequence[Sequence[SystemAnnotation]],
     policy: AlignPolicy = AlignPolicy.EXACT,
-) -> list[AlignedMention]:
-    """Group the mentions recognised by all systems into AlignedMentions.
+) -> list[LabelledMention]:
+    """Group the mentions recognised by all systems into LabelledMentions,
+    each labelled by its entities, in (doc, offset, surface) order.
 
     EXACT groups annotations whose (doc, offset, surface) coincide across
     every system. OVERLAP groups annotations whose spans pairwise overlap in
@@ -384,24 +374,19 @@ def align(
     return _align_overlap(annotation_sets)
 
 
-def label(mention: AlignedMention) -> Label:
+def label(entities: Sequence[str]) -> Label:
     """Difficulty from the largest agreement group among the systems' entities:
     size 1 -> HARD, size n -> EASY, otherwise MEDIUM.
 
     The largest group has size n exactly when there is one distinct entity,
     and size 1 exactly when all n are distinct, so the distinct count decides.
     """
-    entities = mention.entities
     distinct = len(set(entities))
     if distinct == 1:
         return Label.EASY
     if distinct == len(entities):
         return Label.HARD
     return Label.MEDIUM
-
-
-def label_all(mentions: Iterable[AlignedMention]) -> list[LabelledMention]:
-    return [LabelledMention(*m, label(m)) for m in mentions]
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .consensus import plain_digits
 from .corpus import Corpus, Document, segment_sentences
 from .errors import CorruptModelError, DivergedTrainingError, EmptyVocabularyError
 from .rand import derive_seed
@@ -424,8 +425,8 @@ def load_model(path: str | Path) -> EmbeddingModel:
         parts = header.split(" ", 2)
         if len(parts) < 2:
             raise CorruptModelError(f"bad embedding header {header!r}")
-        # as save_model writes them: int() also takes "1_0", "+2", "010" and other digits
-        if not all(p.isascii() and p.isdigit() and p == str(int(p)) for p in parts[:2]):
+        # as save_model writes them, which int() alone does not check
+        if not all(plain_digits(p) for p in parts[:2]):
             raise CorruptModelError(f"bad embedding header {header!r}")
         n_vocab, dim = int(parts[0]), int(parts[1])
         if n_vocab < 1 or dim < 1:

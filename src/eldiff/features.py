@@ -15,8 +15,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .consensus import LABEL_OF_VALUE, AlignedMention, Label, LabelledMention, SystemAnnotation
-from .consensus import read_tsv, write_tsv
+from .consensus import LABEL_OF_VALUE, Label, LabelledMention, SystemAnnotation
+from .consensus import plain_digits, read_tsv, write_tsv
 from .corpus import (
     Corpus,
     Document,
@@ -123,11 +123,12 @@ def _row_problem(m_len, m_words, m_pos, t_j_min, t_j_max, t_j_avg) -> str | None
 def load_candidate_dictionary(path: str | Path) -> dict[str, int]:
     """Read ``surface<TAB>count`` or ``surface<TAB>e1,e2,...`` lines.
 
-    A payload of decimal digits (``str.isdecimal``) is a count; any other
-    payload is a list of entity ids, so a single all-digit id is written
-    with a trailing comma (``1984,`` reads as the set {1984}). A list is
-    read for its count: the size of the union of every list given for the
-    surface. Duplicate surfaces merge by max count. Returns the count of
+    A payload of decimal digits (``str.isdecimal``) is a count, which must
+    be ASCII digits with no leading zero (``plain_digits``) and at least 1;
+    any other payload is a list of entity ids, so a single all-digit id is
+    written with a trailing comma (``1984,`` reads as the set {1984}). A
+    list is read for its count: the size of the union of every list given
+    for the surface. Duplicate surfaces merge by max count. Returns the count of
     each surface read; a surface the file lacks has no candidates.
     """
     counts: dict[str, int] = {}
@@ -136,6 +137,8 @@ def load_candidate_dictionary(path: str | Path) -> dict[str, int]:
         if not surface:
             raise MalformedRecordError(lineno, "empty surface")
         if payload.isdecimal():
+            if not plain_digits(payload):
+                raise MalformedRecordError(lineno, f"bad candidate count {payload!r}")
             count = int(payload)
             if count < 1:
                 raise MalformedRecordError(lineno, f"candidate count must be >= 1, got {count}")
@@ -186,7 +189,7 @@ def stability_word(surface: str) -> str:
 
 
 #: Every form begins ``(doc_id, surface, offset)``; only a LabelledMention has a label.
-Mention = AlignedMention | LabelledMention | tuple
+Mention = LabelledMention | tuple
 
 
 class FeatureExtractor:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from eldiff.cli import main
-from eldiff.consensus import AlignedMention, Label, label
+from eldiff.consensus import Label, label
 from eldiff.corpus import GeneratorConfig, generate_synthetic_corpus
 from eldiff.embeddings import EmbeddingParams, sgns_pair_gradients, train_skipgram
 from eldiff.learn.dataset import Dataset
@@ -55,7 +55,7 @@ class TestC01LabellingPartition:
         rng = np.random.default_rng(42)
         triples = [tuple(f"E{v}" for v in rng.integers(0, 5, size=3)) for _ in range(10_000)]
         start = time.perf_counter()
-        labels = [label(AlignedMention("d", "m", i, t)) for i, t in enumerate(triples)]
+        labels = [label(t) for t in triples]
         elapsed = time.perf_counter() - start
         sets = {lbl: set() for lbl in Label}
         for i, (t, lbl) in enumerate(zip(triples, labels)):
@@ -89,7 +89,7 @@ class TestC02LabellingDistribution:
         draws = rng.integers(0, v, size=(n, 3))
         counts = {lbl: 0 for lbl in Label}
         for row in draws:
-            counts[label(AlignedMention("d", "m", 0, tuple(map(str, row))))] += 1
+            counts[label(tuple(map(str, row)))] += 1
         for lbl in Label:
             p = expected[lbl]
             sigma = math.sqrt(p * (1 - p) / n)

@@ -12,7 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eldiff.consensus import AlignedMention, SystemAnnotation, _align_overlap, read_annotations
+from eldiff.consensus import (
+    LabelledMention,
+    SystemAnnotation,
+    _align_overlap,
+    label,
+    read_annotations,
+)
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
@@ -60,10 +66,9 @@ def greedy_align_overlap(annotation_sets):
                 used[sys_idx].add(candidate)
             if chosen is None:
                 continue
-            aligned.append(
-                AlignedMention(doc_id, anchor.surface, anchor.offset,
-                               tuple(a.entity_id for a in chosen))
-            )
+            entities = tuple(a.entity_id for a in chosen)
+            aligned.append(LabelledMention(doc_id, anchor.surface, anchor.offset, entities,
+                                           label(entities)))
     aligned.sort(key=lambda m: (m.doc_id, m.offset, m.surface))
     return aligned
 
@@ -132,6 +137,6 @@ def test_used_candidate_stays_used_after_a_later_system_fails():
 def test_exact_twin_wins_over_earlier_overlap():
     a = [SystemAnnotation("d", "abc", 2, "E1")]
     b = [SystemAnnotation("d", "abcdef", 0, "E2"), SystemAnnotation("d", "abc", 2, "E3")]
-    expected = [AlignedMention("d", "abc", 2, ("E1", "E3"))]
+    expected = [LabelledMention("d", "abc", 2, ("E1", "E3"), label(("E1", "E3")))]
     assert greedy_align_overlap([a, b]) == expected
     assert _align_overlap([a, b]) == expected

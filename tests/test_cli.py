@@ -223,6 +223,38 @@ class TestTrainPredict:
         assert run("train", "--features", features, "--variant", "decision_tree",
                    "--trees", trees, "--impute", "constant", "--out", tmp_path / "out") == EXIT_OK
 
+    def test_mentions_from_another_run_refused(self, features_dir, labelled_dir, tmp_path,
+                                               caplog):
+        features = features_dir / "features.csv"
+        assert run("train", "--features", features, "--variant", "decision_tree",
+                   "--out", tmp_path / "model") == EXIT_OK
+        predict = ["predict", "--model", tmp_path / "model" / "model.json"]
+        lines = (labelled_dir / "labels.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+        shuffled = [lines[i] for i in np.random.default_rng(0).permutation(len(lines))]
+        labels = tmp_path / "shuffled.tsv"
+        labels.write_text("".join(shuffled), encoding="utf-8")
+        # the same count of rows, but other mentions' keys and labels
+        row = next(i for i, (a, b) in enumerate(zip(lines, shuffled), start=1)
+                   if a.split("\t")[3] != b.split("\t")[3])
+        with caplog.at_level(logging.ERROR, logger="eldiff"):
+            assert run(*predict, "--features", features, "--mentions", labels,
+                       "--out", tmp_path / "refused") == EXIT_ERROR
+        assert f"feature row {row} is labelled" in caplog.text
+        assert "do not come from one run" in caplog.text
+        assert not (tmp_path / "refused" / "predictions.tsv").exists()
+
+        # rows without a label are not compared
+        unlabelled = tmp_path / "unlabelled.csv"
+        unlabelled.write_text("".join(
+            line[:line.rindex(",") + 1] + "\n" if i else line
+            for i, line in enumerate(features.read_text(encoding="utf-8").splitlines(
+                keepends=True))), encoding="utf-8")
+        assert run(*predict, "--features", unlabelled, "--mentions", labels,
+                   "--out", tmp_path / "unlabelled") == EXIT_OK
+        assert run(*predict, "--features", features, "--mentions", labelled_dir / "labels.tsv",
+                   "--out", tmp_path / "matched") == EXIT_OK
+        assert (tmp_path / "unlabelled" / "predictions.tsv").exists()
+
     def test_missing_model_file_is_error(self, tmp_path):
         table = separable_table()
         features = tmp_path / "features.csv"

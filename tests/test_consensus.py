@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from eldiff.consensus import (
-    AlignedMention,
     AlignPolicy,
     Label,
     LabelledMention,
@@ -16,7 +15,6 @@ from eldiff.consensus import (
     align,
     class_distribution,
     label,
-    label_all,
     normalize_entity,
     read_annotations,
     read_labels,
@@ -140,21 +138,38 @@ class TestAlign:
             overlap_keys = {m.key for m in align(sets, AlignPolicy.OVERLAP)}
             assert exact_keys <= overlap_keys
 
+    @pytest.mark.parametrize("policy", list(AlignPolicy))
+    def test_every_record_is_labelled_by_its_entities(self, policy):
+        rng = np.random.default_rng(6)
+        labels = Counter()
+        for _ in range(200):
+            sets = []
+            for _ in range(int(rng.integers(2, 5))):
+                sets.append([_ann(f"d{int(rng.integers(2))}", int(rng.integers(0, 12)),
+                                  "m" * int(rng.integers(1, 4)), f"E{int(rng.integers(3))}")
+                             for _ in range(int(rng.integers(1, 8)))])
+            for record in align(sets, policy):
+                assert type(record) is LabelledMention
+                assert record.label is label(record.entities)
+                assert len(record.entities) == len(sets)
+                labels[record.label] += 1
+        assert set(labels) == set(Label)
+
 
 class TestLabel:
     def test_all_equal_is_easy(self):
-        assert label(AlignedMention("d", "m", 0, ("Q1", "Q1", "Q1"))) is Label.EASY
+        assert label(("Q1", "Q1", "Q1")) is Label.EASY
 
     def test_all_distinct_is_hard(self):
-        assert label(AlignedMention("d", "m", 0, ("Q1", "Q2", "Q3"))) is Label.HARD
+        assert label(("Q1", "Q2", "Q3")) is Label.HARD
 
     def test_two_of_three_is_medium(self):
-        assert label(AlignedMention("d", "m", 0, ("Q1", "Q1", "Q2"))) is Label.MEDIUM
+        assert label(("Q1", "Q1", "Q2")) is Label.MEDIUM
 
     def test_generalizes_beyond_three(self):
-        assert label(AlignedMention("d", "m", 0, ("a", "b", "c", "d"))) is Label.HARD
-        assert label(AlignedMention("d", "m", 0, ("a", "a", "b", "c"))) is Label.MEDIUM
-        assert label(AlignedMention("d", "m", 0, ("a", "a", "a", "a"))) is Label.EASY
+        assert label(("a", "b", "c", "d")) is Label.HARD
+        assert label(("a", "a", "b", "c")) is Label.MEDIUM
+        assert label(("a", "a", "a", "a")) is Label.EASY
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(0)
@@ -162,18 +177,16 @@ class TestLabel:
         for _ in range(50):
             n = int(rng.integers(2, 6))
             chosen = [entities[int(rng.integers(len(entities)))] for _ in range(n)]
-            reference = label(AlignedMention("d", "m", 0, tuple(chosen)))
+            reference = label(tuple(chosen))
             for perm in itertools.permutations(chosen):
-                assert label(AlignedMention("d", "m", 0, perm)) is reference
+                assert label(perm) is reference
 
     def test_entity_renaming_invariance(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             triple = tuple(f"E{int(rng.integers(4))}" for _ in range(3))
             renamed = tuple(t.replace("E", "Entity_") for t in triple)
-            assert label(AlignedMention("d", "m", 0, triple)) is label(
-                AlignedMention("d", "m", 0, renamed)
-            )
+            assert label(triple) is label(renamed)
 
     def test_distinct_count_matches_the_largest_group_rule(self):
         def by_largest_group(entities):
@@ -184,19 +197,15 @@ class TestLabel:
 
         for n in range(2, 6):
             for entities in itertools.product("abcde"[:n], repeat=n):
-                mention = AlignedMention("d", "m", 0, entities)
-                assert label(mention) is by_largest_group(entities)
+                assert label(entities) is by_largest_group(entities)
 
     def test_partition_property(self):
         # every mention gets exactly one label; the three sets partition the input
         rng = np.random.default_rng(2)
-        mentions = [
-            AlignedMention("d", "m", i, tuple(f"E{int(rng.integers(3))}" for _ in range(3)))
-            for i in range(2000)
-        ]
-        labelled = label_all(mentions)
-        assert len(labelled) == len(mentions)
-        by_class = {lbl: [lm for lm in labelled if lm.label is lbl] for lbl in Label}
+        mentions = [tuple(f"E{int(rng.integers(3))}" for _ in range(3)) for _ in range(2000)]
+        labels = [label(entities) for entities in mentions]
+        assert len(labels) == len(mentions)
+        by_class = {lbl: [m for m, got in zip(mentions, labels) if got is lbl] for lbl in Label}
         assert sum(len(v) for v in by_class.values()) == len(mentions)
 
 
@@ -239,10 +248,10 @@ class TestAnnotationIO:
             read_annotations(path)
 
     def test_labels_roundtrip(self, tmp_path):
-        labelled = label_all([
-            AlignedMention("d1", "Paris", 10, ("E1", "E1", "E2")),
-            AlignedMention("d2", "Bonn", 4, ("E1", "E2", "E3")),
-        ])
+        labelled = [
+            LabelledMention("d1", "Paris", 10, ("E1", "E1", "E2"), Label.MEDIUM),
+            LabelledMention("d2", "Bonn", 4, ("E1", "E2", "E3"), Label.HARD),
+        ]
         path = tmp_path / "labels.tsv"
         write_labels(labelled, path)
         again = read_labels(path)

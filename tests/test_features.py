@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from eldiff.consensus import AlignedMention, Label, LabelledMention, SystemAnnotation
+from eldiff.consensus import Label, LabelledMention, SystemAnnotation
 from eldiff.corpus import Corpus, Document
 from eldiff.embeddings import EmbeddingModel
 from eldiff.errors import AllMissingError, MalformedRecordError
@@ -137,9 +137,20 @@ class TestCandidateDictionary:
     def test_only_decimal_digits_make_a_count(self, tmp_path):
         # "²" passes str.isdigit() but not str.isdecimal(); it failed in int()
         path = tmp_path / "cand.tsv"
-        path.write_text("X\t²\nY\t١٢\nZ\t12\n", encoding="utf-8")
+        path.write_text("X\t²\nZ\t12\n", encoding="utf-8")
         d = load_candidate_dictionary(path)
-        assert d.get("X", 0) == 1 and d.get("Y", 0) == 12 and d.get("Z", 0) == 12
+        assert d.get("X", 0) == 1 and d.get("Z", 0) == 12
+
+    @pytest.mark.parametrize("count", ["٣", "١٢", "007", "00", "０", "1٢"])
+    def test_count_follows_the_offsets_rule(self, tmp_path, count):
+        # str.isdecimal() takes every script's digits and int() a leading
+        # zero: "٣" read as 3 and "007" as 7, which the writer writes back
+        # as other text
+        path = tmp_path / "cand.tsv"
+        path.write_text(f"Z\t12\nX\t{count}\n", encoding="utf-8")
+        with pytest.raises(MalformedRecordError, match=f"bad candidate count '{count}'") as caught:
+            load_candidate_dictionary(path)
+        assert caught.value.line_number == 2
 
     def test_single_all_digit_id_takes_a_trailing_comma(self, tmp_path):
         path = tmp_path / "cand.tsv"
@@ -297,12 +308,12 @@ class TestExtract:
         assert extractor.extract(lm).labels() == [Label.MEDIUM]
 
     def test_every_mention_form_gives_one_row(self, extractor):
-        forms = [("doc2", "Paris", 23), AlignedMention("doc2", "Paris", 23, ("a", "b")),
+        forms = [("doc2", "Paris", 23),
                  LabelledMention("doc2", "Paris", 23, ("a", "b"), Label.HARD)]
         table = extractor.extract_all(forms)
-        rows = [_row(table, index) for index in range(3)]
-        assert [row.pop("label") for row in rows] == [None, None, Label.HARD]
-        assert rows[0] == rows[1] == rows[2]
+        rows = [_row(table, index) for index in range(2)]
+        assert [row.pop("label") for row in rows] == [None, Label.HARD]
+        assert rows[0] == rows[1]
 
     def test_batch_equals_one_by_one(self, extractor):
         mentions = [("doc2", "Paris", 0), ("doc1", "Paris", 250), ("doc2", "Paris", 23)]

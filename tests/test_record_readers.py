@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from eldiff.cli import CliError, _read_predictions
 from eldiff.consensus import (
-    AlignedMention,
     Label,
     LabelledMention,
     SystemAnnotation,
@@ -97,10 +96,9 @@ def oracle_read_labels(path):
                 raise MalformedRecordError(lineno, f"bad label {label_str!r}") from None
             entities = tuple(entities_str.split(","))
             try:
-                mention = AlignedMention(doc_id, surface, offset, entities)
+                labelled.append(LabelledMention(doc_id, surface, offset, entities, lbl))
             except ValueError as exc:
                 raise MalformedRecordError(lineno, str(exc)) from None
-            labelled.append(LabelledMention(*mention, lbl))
     return labelled
 
 
@@ -325,18 +323,15 @@ class TestRecords:
         with pytest.raises(ValueError, match="empty entity id at 'd':0"):
             SystemAnnotation("d", "x", 0, "")
         with pytest.raises(ValueError, match="at least 2 systems"):
-            AlignedMention("d", "x", 0, ("E",))
-        with pytest.raises(ValueError, match="at least 2 systems"):
             LabelledMention("d", "x", 0, ("E",), Label.EASY)
 
     def test_records_are_tuples(self):
         annotation = SystemAnnotation("d", "xy", 3, "E")
         assert annotation == ("d", "xy", 3, "E")
-        mention = AlignedMention("d", "xy", 3, ("E", "F"))
         labelled = LabelledMention("d", "xy", 3, ("E", "F"), Label.HARD)
         assert labelled == ("d", "xy", 3, ("E", "F"), Label.HARD)
         assert LabelledMention._fields == ("doc_id", "surface", "offset", "entities", "label")
-        assert labelled.key == mention.key == ("d", 3, "xy")
+        assert labelled.key == ("d", 3, "xy")
         with pytest.raises(AttributeError):
             annotation.offset = 4
 
