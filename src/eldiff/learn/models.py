@@ -10,11 +10,16 @@ All trees of a fit grow in lockstep, one batched split search per step
 over the next node of every tree: each forest tree still pops its nodes in
 its own depth-first order and makes its draws from its own stream, and a
 decision tree grows its whole frontier per step and is renumbered into
-pre-order afterwards, so every tree is the one grown alone. The fold models
-of a cross-validation (``train_folds``) grow the same way, all folds in one
-lockstep within a memory budget: each tree weighs the rows of the whole
-table, 0 outside its fold's training rows, so each fold's trees are the ones
-fitting that fold alone grows.
+pre-order afterwards, so every tree is the one grown alone. The trees of
+the folds of a cross-validation (``train_folds``) grow the same way, all
+folds in one lockstep within a memory budget: each tree weighs the rows of
+the whole table, 0 outside its fold's training rows, so each fold's trees
+are the ones fitting that fold alone grows. Logistic regression fits by
+gradient descent with a halving rate, and the folds of a cross-validation
+descend in one lockstep within a row budget: each step runs the softmax
+once over the rows of all folds, but every sum over one fold's rows alone,
+in the shape fitting that fold alone gives it, so each fold's weights are
+bit for bit its own. Naive Bayes fits fold by fold.
 """
 
 from __future__ import annotations
@@ -81,6 +86,14 @@ class _Model:
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    @staticmethod
+    def _fit_folds(dataset: Dataset, fits: Iterable[tuple]) -> Iterator:
+        """Fit each (model, training rows) of ``fits`` on those rows of
+        ``dataset`` and yield it; one at a time, unless a model class fits
+        several together."""
+        for model, rows in fits:
+            yield model.fit(dataset.subset(rows))
 
     def predict_codes(self, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(x), axis=1)
@@ -193,25 +206,163 @@ class GaussianNBModel(_Model):
 # Multinomial logistic regression
 
 
+class _Stack:
+    """The design matrices, one-hot labels and L2 weights of several
+    logistic regression fits. The labels are stacked into one (rows x 3)
+    array, each fit's rows in one slice, so that the elementwise part of a
+    step runs once over the rows of all fits."""
+
+    def __init__(self, problems: Sequence[tuple[np.ndarray, np.ndarray]], l2: Sequence[float]):
+        self.designs = [design for design, _ in problems]
+        self.sizes = np.array([design.shape[0] for design in self.designs])
+        ends = np.cumsum(self.sizes).tolist()
+        self.bounds = list(zip([0] + ends[:-1], ends))
+        self.y_onehot = np.concatenate([y_onehot for _, y_onehot in problems])
+        # per row: its fit, and that fit's row count in every column; numpy
+        # adds and divides arrays of one shape faster than it broadcasts
+        self.owner = np.repeat(np.arange(len(problems)), self.sizes)
+        self.n = np.repeat(self.sizes.astype(np.float64),
+                           N_CLASSES * self.sizes).reshape(-1, N_CLASSES)
+        self.l2 = np.array(l2, dtype=np.float64)
+
+
+def _softmax_steps(weights: np.ndarray, bias: np.ndarray, stack: _Stack):
+    """Mean softmax cross-entropy with an L2 penalty on the weights only, and
+    its gradients, of every fit of ``stack`` at its (3 x d) weights and its
+    bias in the stacked ``weights`` and ``bias``: (losses, grad_weights,
+    grad_bias), one entry per fit. The softmax runs once over the rows of
+    all fits; every product and sum runs over one fit's rows alone, in the
+    shape fitting it alone gives them, so each fit's numbers are the ones of
+    its own step."""
+    logits = np.empty_like(stack.y_onehot)
+    for design, (lo, hi), w in zip(stack.designs, stack.bounds, weights):
+        np.matmul(design, w.T, out=logits[lo:hi])
+    logits += bias.take(stack.owner, axis=0)
+    log_p = _subtract_row_max(logits)
+    log_p -= np.log(_row_sum(np.exp(log_p)))[:, None]
+    picked = stack.y_onehot * log_p
+    residual = np.exp(log_p, out=log_p)
+    residual -= stack.y_onehot
+    residual /= stack.n
+    losses = np.empty(len(weights))
+    grad_w = np.empty_like(weights)
+    grad_b = np.empty_like(bias)
+    for f, (design, (lo, hi)) in enumerate(zip(stack.designs, stack.bounds)):
+        losses[f] = -picked[lo:hi].sum()
+        np.matmul(residual[lo:hi].T, design, out=grad_w[f])
+        # r.sum(axis=0) adds the rows one after another; so does accumulate, faster
+        grad_b[f] = np.add.accumulate(residual[lo:hi].T, axis=1)[:, -1]
+    losses /= stack.sizes
+    # each fit's (w ** 2).sum(), bit for bit
+    losses += 0.5 * stack.l2 * (weights ** 2).reshape(len(weights), -1).sum(axis=1)
+    grad_w += stack.l2[:, None, None] * weights
+    return losses, grad_w, grad_b
+
+
 def softmax_loss_and_grads(weights, bias, x, y_onehot, l2):
     """Mean softmax cross-entropy with an L2 penalty on the weights only.
 
-    Returns (loss, grad_weights, grad_bias); kept as a pure function so the
+    Returns (loss, grad_weights, grad_bias): the step of one fit, so that the
     finite-difference check exercises exactly the training gradient.
     """
-    logits = x @ weights.T
-    logits += bias
-    log_p = _subtract_row_max(logits)
-    log_p -= np.log(_row_sum(np.exp(log_p)))[:, None]
-    n = x.shape[0]
-    loss = -(y_onehot * log_p).sum() / n + 0.5 * l2 * (weights ** 2).sum()
-    residual = np.exp(log_p, out=log_p)
-    residual -= y_onehot
-    residual /= n
-    grad_w = residual.T @ x + l2 * weights
-    # residual.sum(axis=0) adds the rows one after another; so does accumulate, faster
-    grad_b = np.add.accumulate(residual.T, axis=1)[:, -1]
-    return loss, grad_w, grad_b
+    losses, grad_w, grad_b = _softmax_steps(np.asarray(weights)[None], np.asarray(bias)[None],
+                                            _Stack([(x, y_onehot)], [l2]))
+    return losses[0], grad_w[0], grad_b[0]
+
+
+def _norms(grad_w: np.ndarray, grad_b: np.ndarray) -> np.ndarray:
+    """Each fit's gradient norm, ``math.sqrt((gw ** 2).sum() + (gb ** 2).sum())``
+    bit for bit: each row sum below equals the fit's own flat sum, and both
+    square roots are correctly rounded."""
+    return np.sqrt((grad_w ** 2).reshape(len(grad_w), -1).sum(axis=1)
+                   + (grad_b ** 2).sum(axis=1))
+
+
+def _descend(models: Sequence["LogisticRegressionModel"],
+             problems: Sequence[tuple[np.ndarray, np.ndarray]]) -> None:
+    """Fit each logistic regression of ``models`` on its (design matrix,
+    one-hot labels) in ``problems`` by gradient descent from zero weights: a
+    step that would raise the loss is not taken, and the rate halves instead.
+    The fits descend in lockstep, one stacked step per iteration over those
+    still running, but each keeps its own rate, iteration count and stop (its
+    gradient norm under ``tol``, its rate under 1e-15 or ``max_iter``
+    iterations), so its weights are the ones of fitting it alone. A fit
+    stopped short of ``tol`` is logged, in the order of ``models``."""
+    m = len(models)
+    l2 = [model.l2 for model in models]
+    max_iter = np.array([model.max_iter for model in models])
+    tol = np.array([model.tol for model in models], dtype=np.float64)
+    rate = np.array([model.learning_rate for model in models], dtype=np.float64)
+    iterations = np.zeros(m, dtype=np.int64)
+    running = np.arange(m)
+    stops: list[tuple] = [()] * m
+    stack = _Stack(problems, l2)
+    weights = np.zeros((m, N_CLASSES, problems[0][0].shape[1]))
+    bias = np.zeros((m, N_CLASSES))
+    loss, grad_w, grad_b = _softmax_steps(weights, bias, stack)
+    norm = _norms(grad_w, grad_b)
+    while True:
+        go = (iterations < max_iter) & ~((norm < tol) | (rate < 1e-15))
+        if not go.all():
+            for f, w, b, *stop in zip(running[~go].tolist(), weights[~go], bias[~go],
+                                      iterations[~go].tolist(), rate[~go].tolist(),
+                                      norm[~go].tolist()):
+                models[f].weights, models[f].bias = w, b
+                stops[f] = stop
+            running = running[go]
+            if not running.size:
+                break
+            weights, bias, loss, grad_w, grad_b, norm, rate, iterations, max_iter, tol = (
+                a[go] for a in (weights, bias, loss, grad_w, grad_b, norm, rate, iterations,
+                                max_iter, tol))
+            stack = _Stack([problems[f] for f in running], [l2[f] for f in running])
+        iterations += 1
+        new_w = weights - rate[:, None, None] * grad_w
+        new_b = bias - rate[:, None] * grad_b
+        new_loss, new_gw, new_gb = _softmax_steps(new_w, new_b, stack)
+        new = (new_w, new_b, new_loss, new_gw, new_gb, _norms(new_gw, new_gb))
+        taken = ~(new_loss > loss)
+        rate[~taken] *= 0.5
+        if taken.all():
+            weights, bias, loss, grad_w, grad_b, norm = new
+        else:
+            for old, value in zip((weights, bias, loss, grad_w, grad_b, norm), new):
+                old[taken] = value[taken]
+    for model, (steps, lr, grad_norm) in zip(models, stops):
+        if not grad_norm < model.tol:
+            log.warning("logistic regression stopped at %s after %d iterations without reaching "
+                        "tol %g (gradient norm %.3g)",
+                        "step-size underflow" if lr < 1e-15 else "max_iter", steps,
+                        model.tol, grad_norm)
+
+
+# Cross-validation fits the logistic regressions of several folds in one
+# descent while their training rows add up to at most this many; a larger
+# fold descends alone. A stacked step pays while its arrays (the designs and
+# a few rows x 3 buffers) stay in the CPU's cache. On a 2-CPU Xeon with 2 MiB
+# of L2 per core and a 17-column design, one step for five folds of 400 rows
+# ran 32 % faster than five steps for one fold each, for five of 1,600 rows
+# (8,000 in all) 11 % faster, and for five of 2,000 (10,000) 16 % slower;
+# two folds of 36,000 rows each ran 7 % slower together than apart.
+_DESCENT_ROWS = 1 << 13
+
+
+def _descents(dataset: Dataset, fits: Iterable[tuple]) -> Iterator:
+    """Fit each (logistic regression, training rows) of ``fits`` on those
+    rows of ``dataset`` and yield it. The fits descend together (see
+    ``_descend``) in groups of at most ``_DESCENT_ROWS`` rows."""
+    models, problems, size = [], [], 0
+    for model, rows in fits:
+        if models and size + rows.size > _DESCENT_ROWS:
+            _descend(models, problems)
+            yield from models
+            models, problems, size = [], [], 0
+        models.append(model)
+        problems.append(model._problem(dataset.subset(rows)))
+        size += rows.size
+    if models:
+        _descend(models, problems)
+        yield from models
 
 
 class LogisticRegressionModel(_Model):
@@ -239,7 +390,9 @@ class LogisticRegressionModel(_Model):
             blocks.append(onehot)
         return np.hstack(blocks) if blocks else np.zeros((x.shape[0], 0))
 
-    def fit(self, dataset: Dataset) -> "LogisticRegressionModel":
+    def _problem(self, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+        """Take the design's layout and scaling from ``dataset``; its design
+        matrix and one-hot labels."""
         x, y = dataset.x, dataset.y
         cat_sizes = dataset.cat_sizes()
         self.cont_idx = [j for j in range(x.shape[1]) if j not in cat_sizes]
@@ -248,34 +401,15 @@ class LogisticRegressionModel(_Model):
         self.mu = cont.mean(axis=0) if self.cont_idx else np.zeros(0)
         sigma = cont.std(axis=0) if self.cont_idx else np.zeros(0)
         self.sigma = np.where(sigma > 0, sigma, 1.0)
-        design = self._design(x)
         y_onehot = np.zeros((len(y), N_CLASSES))
         y_onehot[np.arange(len(y)), y] = 1.0
-        self.weights = np.zeros((N_CLASSES, design.shape[1]))
-        self.bias = np.zeros(N_CLASSES)
-        lr = self.learning_rate
-        loss, grad_w, grad_b = softmax_loss_and_grads(self.weights, self.bias, design, y_onehot, self.l2)
-        iterations = 0
-        while iterations < self.max_iter:
-            grad_norm = math.sqrt((grad_w ** 2).sum() + (grad_b ** 2).sum())
-            if grad_norm < self.tol or lr < 1e-15:
-                break
-            iterations += 1
-            new_w = self.weights - lr * grad_w
-            new_b = self.bias - lr * grad_b
-            new_loss, new_gw, new_gb = softmax_loss_and_grads(new_w, new_b, design, y_onehot, self.l2)
-            if new_loss > loss:
-                lr *= 0.5
-                continue
-            self.weights, self.bias = new_w, new_b
-            loss, grad_w, grad_b = new_loss, new_gw, new_gb
-        grad_norm = math.sqrt((grad_w ** 2).sum() + (grad_b ** 2).sum())
-        if not grad_norm < self.tol:
-            log.warning("logistic regression stopped at %s after %d iterations without reaching "
-                        "tol %g (gradient norm %.3g)",
-                        "step-size underflow" if lr < 1e-15 else "max_iter", iterations,
-                        self.tol, grad_norm)
+        return self._design(x), y_onehot
+
+    def fit(self, dataset: Dataset) -> "LogisticRegressionModel":
+        _descend([self], [self._problem(dataset)])
         return self
+
+    _fit_folds = staticmethod(_descents)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         x = self._check(x)
@@ -725,6 +859,8 @@ class DecisionTreeModel(_Model):
     def _take(self, trees: list[_Tree]) -> None:
         self.tree, = trees
 
+    _fit_folds = staticmethod(_grown)
+
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         x = self._check(x)
         probs = np.zeros((x.shape[0], N_CLASSES))
@@ -784,6 +920,8 @@ class RandomForestModel(_Model):
     def _take(self, trees: list[_Tree]) -> None:
         self.trees = trees
 
+    _fit_folds = staticmethod(_grown)
+
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         if not self.trees:
             raise ValueError("the forest has no trees; fit it first")
@@ -800,9 +938,6 @@ class RandomForestModel(_Model):
 
 _MODELS = {cls.variant: cls for cls in
            (GaussianNBModel, LogisticRegressionModel, DecisionTreeModel, RandomForestModel)}
-
-
-TREE_VARIANTS = ("decision_tree", "random_forest")
 
 
 def _model_class(variant: str, hyperparams: Mapping) -> type[_Model]:
@@ -843,12 +978,12 @@ def train(dataset: Dataset, variant: str, seed: int = 0, **hyperparams) -> _Mode
 
 def train_folds(dataset: Dataset, variant: str, samples: Sequence[np.ndarray],
                 seeds: Sequence[int], **hyperparams) -> Iterator[_Model]:
-    """One decision tree or forest per training fold, yielded in fold order:
-    for the sorted distinct row indices ``rows`` and seed ``seed`` of each
-    fold, the model and refusals of ``train(dataset.subset(rows), variant,
-    seed, ...)``. The trees of the folds grow together (see ``_grown``)."""
-    if variant not in TREE_VARIANTS:
-        raise ValueError(f"only {' and '.join(TREE_VARIANTS)} fit folds together, not {variant!r}")
+    """One model per training fold, yielded in fold order: for the sorted
+    distinct row indices ``rows`` and seed ``seed`` of each fold, the model
+    and refusals of ``train(dataset.subset(rows), variant, seed, ...)``. The
+    trees of decision trees and forests of several folds grow together (see
+    ``_grown``), logistic regressions of several folds descend together (see
+    ``_descents``), and naive Bayes fits fold by fold."""
     model_cls = _model_class(variant, hyperparams)
     nan, inf = np.isnan(dataset.x).any(axis=1), np.isinf(dataset.x).any(axis=1)
 
@@ -859,7 +994,7 @@ def train_folds(dataset: Dataset, variant: str, samples: Sequence[np.ndarray],
             _check_training(nan[rows], inf[rows], dataset.y[rows])
             yield _unfitted(model_cls, dataset, seed, hyperparams), rows
 
-    return _grown(dataset, fits())
+    return model_cls._fit_folds(dataset, fits())
 
 
 _TREE_FIELDS = ("feature", "threshold", "category", "left", "right", "counts", "gain")

@@ -1,5 +1,7 @@
 """Stratified folds, undersampling, stratified sampling, cross-validation."""
 
+import logging
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from eldiff.learn import models, validation
 from eldiff.learn.dataset import Dataset
 from eldiff.learn.metrics import evaluate
-from eldiff.learn.models import train
+from eldiff.learn.models import GaussianNBModel, LogisticRegressionModel, train
 from eldiff.learn.validation import (
     cross_validate,
     stratified_kfold,
@@ -18,6 +20,7 @@ from eldiff.learn.validation import (
     undersample,
 )
 from eldiff.rand import derive_seed
+from test_models import oracle_lr_fit
 
 
 def labels_with_counts(hard, medium, easy, seed=0):
@@ -174,8 +177,9 @@ class TestCrossValidate:
 
 
 # --- fold growth ------------------------------------------------------------------
-# Cross-validation grows the trees of all folds together. The oracle is the
-# loop it replaced: one ``train`` per fold on that fold's training subset.
+# Cross-validation grows the trees of all folds together and fits their
+# logistic regressions in one descent. The oracle is the loop it replaced: one
+# ``train`` per fold on that fold's training subset.
 
 
 def oracle_cross_validate(dataset, variant, k, balanced, seed, **hyper):
@@ -227,9 +231,22 @@ def tree_bytes(tree):
     return [getattr(tree, f.name).tobytes() for f in fields(tree)]
 
 
+def fitted_bytes(model):
+    """The bytes of every array a model fitted."""
+    if isinstance(model, LogisticRegressionModel):
+        arrays = [model.weights, model.bias, model.mu, model.sigma]
+    elif isinstance(model, GaussianNBModel):
+        arrays = [model.priors, model.means, model.variances,
+                  *model.cat_probs.values(), *model.cat_unseen.values()]
+    else:
+        return [tree_bytes(t) for t in trees_of(model)]
+    return [a.tobytes() for a in arrays]
+
+
 def check_folds(dataset, variant, k, balanced, seed, **hyper):
-    """cross_validate equals the oracle fold by fold: every tree array, every
-    generator's final state and every report. Returns the fold models."""
+    """cross_validate equals the oracle fold by fold: every fitted array,
+    every generator's final state and every report. Returns the fold
+    models."""
     result, fitted, states = recorded(lambda: cross_validate(
         dataset, variant, k=k, balanced=balanced, seed=seed, **hyper))
     (oracle, oracle_reports), _, oracle_states = recorded(lambda: oracle_cross_validate(
@@ -237,8 +254,7 @@ def check_folds(dataset, variant, k, balanced, seed, **hyper):
     assert len(fitted) == len(oracle) == k
     for model, expected in zip(fitted, oracle):
         assert type(model) is type(expected)
-        assert ([tree_bytes(t) for t in trees_of(model)]
-                == [tree_bytes(t) for t in trees_of(expected)])
+        assert fitted_bytes(model) == fitted_bytes(expected)
     assert states == oracle_states
     assert ([report_fields(r) for r in result.fold_reports]
             == [report_fields(r) for r in oracle_reports])
@@ -263,7 +279,11 @@ class TestFoldGrowth:
                                                 ("random_forest", {"n_trees": 4,
                                                                    "max_features": 2}),
                                                 ("random_forest", {"n_trees": 3,
-                                                                   "bootstrap": False})])
+                                                                   "bootstrap": False}),
+                                                ("gaussian_nb", {}),
+                                                ("logistic_regression", {}),
+                                                ("logistic_regression", {"learning_rate": 50.0,
+                                                                         "max_iter": 60})])
     def test_folds_equal_fitting_each_alone(self, variant, hyper, balanced):
         dataset = coarse_dataset(np.random.default_rng(3))
         check_folds(dataset, variant, 5, balanced, 11, **hyper)
@@ -323,13 +343,115 @@ class TestFoldGrowth:
         x = np.array(columns, dtype=np.float64).T
         y = np.random.default_rng(n_rows).permutation(np.repeat([0, 1, 2], sizes))
         dataset = make_dataset(x, y, {f"f{j}": ("a", "b", "c") for j in coded})
-        forest = data.draw(st.booleans(), label="forest")
-        hyper = ({"n_trees": data.draw(st.integers(1, 3), label="trees"),
-                  "max_features": data.draw(st.integers(1, n_features), label="max_features")}
-                 if forest else {})
-        check_folds(dataset, "random_forest" if forest else "decision_tree", k,
-                    data.draw(st.booleans(), label="balanced"),
+        variant = data.draw(st.sampled_from(["gaussian_nb", "logistic_regression",
+                                             "decision_tree", "random_forest"]), label="variant")
+        hyper = {}
+        if variant == "random_forest":
+            hyper = {"n_trees": data.draw(st.integers(1, 3), label="trees"),
+                     "max_features": data.draw(st.integers(1, n_features), label="max_features")}
+        elif variant == "logistic_regression":
+            hyper = {"max_iter": data.draw(st.integers(0, 40), label="max_iter"),
+                     "learning_rate": data.draw(st.sampled_from([0.5, 50.0]), label="rate")}
+        check_folds(dataset, variant, k, data.draw(st.booleans(), label="balanced"),
                     data.draw(st.integers(0, 2 ** 32 - 1), label="seed"), **hyper)
+
+
+def descents(monkeypatch):
+    """The number of fits in each descent made from now on."""
+    groups = []
+    real = models._descend
+
+    def descend(fits, problems):
+        groups.append(len(fits))
+        return real(fits, problems)
+
+    monkeypatch.setattr(models, "_descend", descend)
+    return groups
+
+
+class TestFoldDescent:
+    def test_fits_that_stop_differently_descend_together(self, monkeypatch):
+        dataset = coarse_dataset(np.random.default_rng(9))
+        rng = np.random.default_rng(10)
+        settings = [{"tol": 10.0},            # stops before its first step
+                    {"learning_rate": 50.0},  # rejected steps halve the rate
+                    {"max_iter": 5},          # hits the cap
+                    {"learning_rate": 1e-16},  # the rate is under 1e-15 from the start
+                    {"max_iter": 300},
+                    {"l2": 0.5, "max_iter": 40}]
+        fits = [(LogisticRegressionModel(dataset.columns, dataset.categories, **hyper),
+                 np.sort(rng.choice(len(dataset), size=90 + 10 * i, replace=False)))
+                for i, hyper in enumerate(settings)]
+        groups = descents(monkeypatch)
+        fitted = list(models._descents(dataset, fits))
+        assert groups == [len(settings)]
+        stops = []
+        for model, (_, rows), hyper in zip(fitted, fits, settings):
+            oracle, iterations, rate = oracle_lr_fit(
+                LogisticRegressionModel(dataset.columns, dataset.categories, **hyper),
+                dataset.subset(rows))
+            assert fitted_bytes(model) == fitted_bytes(oracle)
+            stops.append((iterations, rate))
+        assert stops[0] == (0, 0.5)
+        assert stops[1][1] < 50.0
+        assert stops[2][0] == 5
+        assert stops[3] == (0, 1e-16)
+        assert 5 < stops[4][0] <= 300 and stops[4][0] != stops[1][0]
+
+    def test_folds_over_the_budget_descend_in_several_groups(self, monkeypatch):
+        dataset = coarse_dataset(np.random.default_rng(4))
+        sizes = [train_idx.size for train_idx, _ in
+                 stratified_kfold(dataset.y, 6, derive_seed(2, "folds"))]
+        assert 3 * min(sizes) > 2 * max(sizes)
+        groups = descents(monkeypatch)
+        # any two folds fit in this budget, and no three
+        monkeypatch.setattr(models, "_DESCENT_ROWS", 2 * max(sizes))
+        check_folds(dataset, "logistic_regression", 6, False, 2, max_iter=50)
+        assert groups == [2, 2, 2] + [1] * 6  # then the oracle's fits
+        groups.clear()
+        # a fold over the budget descends alone
+        monkeypatch.setattr(models, "_DESCENT_ROWS", 1)
+        check_folds(dataset, "logistic_regression", 3, True, 2, max_iter=50)
+        assert groups == [1] * 6
+
+
+class TestFoldWarnings:
+    def messages(self, caplog, run):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="eldiff"):
+            run()
+        return [r.getMessage() for r in caplog.records]
+
+    def both(self, caplog, k, **hyper):
+        """The warnings of cross_validate and of the oracle's fold-by-fold fits."""
+        dataset = coarse_dataset(np.random.default_rng(12))
+        return (self.messages(caplog, lambda: cross_validate(
+                    dataset, "logistic_regression", k=k, seed=3, **hyper)),
+                self.messages(caplog, lambda: oracle_cross_validate(
+                    dataset, "logistic_regression", k, False, 3, **hyper)))
+
+    @pytest.mark.parametrize("hyper, stop", [
+        ({"max_iter": 5}, "max_iter after 5 iterations"),
+        ({"learning_rate": 1e-16}, "step-size underflow after 0 iterations"),
+    ])
+    def test_every_capped_fold_warns_in_fold_order(self, caplog, hyper, stop):
+        messages, expected = self.both(caplog, 4, **hyper)
+        assert messages == expected
+        assert len(messages) == 4
+        for message in messages:
+            assert message.startswith(f"logistic regression stopped at {stop} without reaching "
+                                      "tol 1e-06 (gradient norm ")
+        # one norm per fold, so the order shows
+        assert len(set(messages)) == 4
+
+    def test_only_capped_folds_warn(self, caplog):
+        _, capped = self.both(caplog, 5, max_iter=30)
+        norms = sorted(float(re.search(r"gradient norm (\S+)\)", m).group(1)) for m in capped)
+        assert norms[0] < norms[-1]
+        # a tol between the folds' gradient norms after 30 iterations
+        messages, expected = self.both(caplog, 5, max_iter=30, tol=(norms[0] * norms[-1]) ** 0.5)
+        assert messages == expected
+        assert 0 < len(messages) < 5
 
 
 class TestFoldRefusals:
@@ -339,7 +461,8 @@ class TestFoldRefusals:
         return str(caught.value)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("variant", ["decision_tree", "random_forest"])
+    @pytest.mark.parametrize("variant", ["gaussian_nb", "logistic_regression", "decision_tree",
+                                         "random_forest"])
     @pytest.mark.parametrize("balanced", [False, True])
     def test_non_finite_training_value(self, variant, bad, balanced):
         dataset = coarse_dataset(np.random.default_rng(5))
@@ -354,13 +477,15 @@ class TestFoldRefusals:
 
     @pytest.mark.parametrize("variant, hyper", [("decision_tree", {"n_trees": 3}),
                                                 ("random_forest", {"depth": 3}),
-                                                ("random_forest", {"n_trees": 0})])
+                                                ("random_forest", {"n_trees": 0}),
+                                                ("gaussian_nb", {"max_iter": 3}),
+                                                ("logistic_regression", {"n_trees": 3})])
     def test_bad_hyperparameters(self, variant, hyper):
         dataset = coarse_dataset(np.random.default_rng(6))
         message = self.refusal(lambda: cross_validate(dataset, variant, k=3, **hyper))
         assert message == self.refusal(lambda: oracle_cross_validate(dataset, variant, 3, False,
                                                                      0, **hyper))
-        assert message.count("n_trees" if "n_trees" in hyper else "depth") == 1
+        assert message.count(next(iter(hyper))) == 1
 
     def test_fold_rows_must_be_sorted(self):
         dataset = coarse_dataset(np.random.default_rng(7))

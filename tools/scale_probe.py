@@ -20,8 +20,10 @@ over a wide vocabulary of seeded pseudo-words, in one of three shapes:
   with every feature column, so ``t_df`` and stability are computed too.
 - ``learn`` (70 and 280 docs; 1120 takes minutes): the route inputs. It runs
   ``label --policy overlap``, ``features --schema simulation`` and the
-  cross-validated grid ``eval --variants decision_tree,random_forest
-  --balancing both --folds 10 --trees 25``.
+  paper's cross-validated grid, all four classifiers under both balancings:
+  ``eval --variants gaussian_nb,logistic_regression,decision_tree,random_forest
+  --balancing both --folds 10 --trees 25``. Learn runs recorded before
+  ``SCALE_22.json`` ran the two tree variants only.
 
 The commands run one after another, each in its own child process pinned to
 one CPU, importing eldiff from ``--src`` (this checkout's ``src`` by
@@ -37,10 +39,11 @@ shapes. Nothing here is gated; the numbers are for reading.
 With ``--parent-src DIR``, every command runs twice in turn, once importing
 eldiff from ``--src`` and once from ``DIR``, each side writing to its own
 output directory from the same inputs. The side that runs first alternates
-from size to size, so a drift in host speed over the run loads both sides
-alike. Each command's record then holds the ``--src`` side's numbers and,
-under ``parent``, the other side's; the ratios are the ``--src`` side's. A
-line is printed wherever the two sides' output sha256 differ.
+from command to command and from size to size, so a drift in host speed
+over the run loads both sides alike, also at a single size. Each command's
+record then holds the ``--src`` side's numbers and, under ``parent``, the
+other side's; the ratios are the ``--src`` side's. A line is printed
+wherever the two sides' output sha256 differ.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 7
 TREES = 25
 FOLDS = 10
+VARIANTS = "gaussian_nb,logistic_regression,decision_tree,random_forest"
 BUDGETS = "0.05,0.10,0.15"
 
 
@@ -119,7 +123,7 @@ def commands(shape: str, inputs: dict[str, Path], out: Path,
     if shape == "learn":
         return routed + [
             ("eval", ["eval", "--features", out / "features.csv",
-                      "--variants", "decision_tree,random_forest", "--balancing", "both",
+                      "--variants", VARIANTS, "--balancing", "both",
                       "--folds", FOLDS, "--trees", TREES, "--out", out, "--seed", SEED],
              out / "eval_report.json"),
         ]
@@ -158,21 +162,21 @@ def run_child(argv: list, src: Path) -> dict:
 
 def probe_size(shape: str, docs: int, work: Path, sides: dict[str, Path],
                parent_first: bool) -> dict:
-    """Run every command of one size, for each side in ``sides`` in turn
-    (``parent`` first when ``parent_first``); the ``change`` side's results
-    with the ``parent`` side's nested under ``parent``."""
+    """Run every command of one size, for each side in ``sides`` in turn,
+    ``parent`` first at the first command when ``parent_first`` and the
+    first side alternating from command to command; the ``change`` side's
+    results with the ``parent`` side's nested under ``parent``."""
     from workloads import Size, write_inputs
 
     size = Size(docs=docs, **SHAPES[shape][1])
     inputs = write_inputs(work / "inputs", SEED, size, wide=True)
     outs = {side: work / f"out_{side}" for side in sides}
     runs = {side: commands(shape, inputs, outs[side], size.embed_dim) for side in sides}
-    order = [side for side in (("parent", "change") if parent_first else ("change", "parent"))
-             if side in sides]
     point = {"docs": docs, "commands": {}}
     for step, (name, _, _) in enumerate(runs["change"]):
+        order = ("parent", "change") if parent_first == (step % 2 == 0) else ("change", "parent")
         results = {}
-        for side in order:
+        for side in (side for side in order if side in sides):
             _, argv, written = runs[side][step]
             result = results[side] = run_child(argv, sides[side])
             result["sha256"] = file_sha256(written)
