@@ -31,7 +31,6 @@ from .errors import AllMissingError, EldiffError
 from .features import (
     FEATURE_COLUMNS,
     STABILITY_COLUMNS,
-    TEMPORAL_COLUMNS,
     FeatureConfig,
     FeatureExtractor,
     FeatureSchema,
@@ -82,7 +81,6 @@ _DEFAULTS: dict[str, object] = {
     "docs": 120,
     "start_date": "1990-01-01",
     "end_date": "1999-12-31",
-    "systems": None,
     "embed_dim": 300,
     "embed_window": 5,
     "embed_epochs": 5,
@@ -92,8 +90,6 @@ _DEFAULTS: dict[str, object] = {
     "kb_year": 2016,
     "window_months": 6,
     "top_k": 50,
-    "schema": None,
-    "no_temporal": False,
     "train_embeddings": False,
     "variant": "random_forest",
     "balanced": False,
@@ -215,12 +211,8 @@ def cmd_features(args) -> int:
     candidates = load_candidate_dictionary(_require(args, "candidates"))
 
     schema = _parse_schema(args.schema, FeatureSchema.all())
-    if args.no_temporal:
-        schema = FeatureSchema(tuple(c for c in schema.columns if c not in TEMPORAL_COLUMNS))
-
     if args.annotations:
-        dumps = [consensus.read_annotations(p) for p in args.annotations]
-        doc_counts = count_doc_mentions(dumps)
+        doc_counts = count_doc_mentions(consensus.read_annotations(p) for p in args.annotations)
     else:
         doc_counts = count_doc_mentions([mentions])
 
@@ -582,8 +574,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window-months", dest="window_months", type=int)
     p.add_argument("--top-k", dest="top_k", type=int)
     p.add_argument("--schema", help="named schema or comma-separated column list")
-    p.add_argument("--no-temporal", dest="no_temporal", action="store_const", const=True,
-                   help="drop the temporal feature columns")
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("train", parents=[common], help="fit one classifier")

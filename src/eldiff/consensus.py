@@ -188,31 +188,26 @@ def write_tsv(rows: Iterable[Sequence[str]], path: str | Path) -> None:
         fh.writelines(texts)
 
 
-def read_annotations(
-    path: str | Path,
-    redirect_map: Mapping[str, str] | None = None,
-    normalize: bool = True,
-) -> list[SystemAnnotation]:
+def read_annotations(path: str | Path,
+                     redirect_map: Mapping[str, str] | None = None) -> list[SystemAnnotation]:
     """Read one system's annotation dump, or a gold standard in its layout.
 
     Format: tab-separated ``doc_id  offset  surface  entity_id``, one
-    annotation per line. Entity ids are normalized unless disabled; each
-    distinct raw id is normalized once. The first bad line raises
-    MalformedRecordError with its line number.
+    annotation per line. Entity ids are normalized; each distinct raw id is
+    normalized once. The first bad line raises MalformedRecordError with its
+    line number.
     """
     annotations = []
     canonical: dict[str, str] = {}
     new = tuple.__new__
-    for lineno, (doc_id, offset_str, surface, entity) in read_tsv(path, 4):
+    for lineno, (doc_id, offset_str, surface, raw) in read_tsv(path, 4):
         offset = parse_offset(offset_str, lineno)
-        if normalize:
-            raw = entity
-            entity = canonical.get(raw)
-            if entity is None:
-                try:
-                    entity = canonical[raw] = normalize_entity(raw, redirect_map)
-                except ValueError:
-                    raise MalformedRecordError(lineno, "empty entity id") from None
+        entity = canonical.get(raw)
+        if entity is None:
+            try:
+                entity = canonical[raw] = normalize_entity(raw, redirect_map)
+            except ValueError:
+                raise MalformedRecordError(lineno, "empty entity id") from None
         problem = _annotation_problem(doc_id, offset, entity)
         if problem:
             raise MalformedRecordError(lineno, problem)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -121,35 +122,19 @@ def _row_problem(m_len, m_words, m_pos, t_j_min, t_j_max, t_j_avg) -> str | None
 
 
 def load_candidate_dictionary(path: str | Path) -> dict[str, int]:
-    """Read ``surface<TAB>count`` or ``surface<TAB>e1,e2,...`` lines.
-
-    A payload of decimal digits (``str.isdecimal``) is a count, which must
-    be ASCII digits with no leading zero (``plain_digits``) and at least 1;
-    any other payload is a list of entity ids, so a single all-digit id is
-    written with a trailing comma (``1984,`` reads as the set {1984}). A
-    list is read for its count: the size of the union of every list given
-    for the surface. Duplicate surfaces merge by max count. Returns the count of
-    each surface read; a surface the file lacks has no candidates.
-    """
+    """Read ``surface<TAB>count`` lines: each surface's number of candidate
+    entities, ASCII digits with no leading zero (``plain_digits``), at least
+    1. A repeated surface keeps its largest count; an absent one has none."""
     counts: dict[str, int] = {}
-    sets: dict[str, frozenset[str]] = {}
     for lineno, (surface, payload) in read_tsv(path, 2):
         if not surface:
             raise MalformedRecordError(lineno, "empty surface")
-        if payload.isdecimal():
-            if not plain_digits(payload):
-                raise MalformedRecordError(lineno, f"bad candidate count {payload!r}")
-            count = int(payload)
-            if count < 1:
-                raise MalformedRecordError(lineno, f"candidate count must be >= 1, got {count}")
-            counts[surface] = max(counts.get(surface, 0), count)
-        else:
-            ids = frozenset(e for e in payload.split(",") if e)
-            if not ids:
-                raise MalformedRecordError(lineno, "empty candidate list")
-            merged = sets.get(surface, frozenset()) | ids
-            sets[surface] = merged
-            counts[surface] = max(counts.get(surface, 0), len(merged))
+        if not plain_digits(payload):
+            raise MalformedRecordError(lineno, f"bad candidate count {payload!r}")
+        count = int(payload)
+        if count < 1:
+            raise MalformedRecordError(lineno, f"candidate count must be >= 1, got {count}")
+        counts[surface] = max(counts.get(surface, 0), count)
     return counts
 
 
@@ -171,11 +156,11 @@ def write_candidate_dictionary(counts: Mapping[str, int], path: str | Path) -> N
 
 def count_doc_mentions(annotation_sets: Iterable[Iterable[SystemAnnotation]]) -> dict[str, int]:
     """Distinct (offset, surface) mention spans per document over the union
-    of every system's annotations; feeds the d_ents feature."""
+    of every system's annotations, for d_ents. Each set is released before
+    the next is drawn, so a generator of sets holds one at a time."""
     spans: dict[str, set[tuple[int, str]]] = {}
-    for annotations in annotation_sets:
-        for a in annotations:
-            spans.setdefault(a.doc_id, set()).add((a.offset, a.surface))
+    for a in chain.from_iterable(annotation_sets):
+        spans.setdefault(a.doc_id, set()).add((a.offset, a.surface))
     return {doc_id: len(s) for doc_id, s in spans.items()}
 
 

@@ -38,11 +38,7 @@ class Dataset:
 
     def cat_sizes(self) -> dict[int, int]:
         """Column index -> number of training-time categories."""
-        return {
-            i: len(self.categories[name])
-            for i, name in enumerate(self.columns)
-            if name in self.categories
-        }
+        return layout(self.columns, self.categories)[1]
 
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.y, minlength=N_CLASSES)
@@ -50,6 +46,13 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         indices = np.asarray(indices)
         return Dataset(self.columns, self.x[indices], self.y[indices], self.categories)
+
+
+def layout(columns: Sequence[str], categories: Mapping) -> tuple[list[int], dict[int, int]]:
+    """The indices of the continuous columns, and the number of training-time
+    categories of each categorical column by its index."""
+    sizes = {i: len(categories[name]) for i, name in enumerate(columns) if name in categories}
+    return [i for i in range(len(columns)) if i not in sizes], sizes
 
 
 def build_categories(table: FeatureTable, columns: Sequence[str]) -> dict[str, tuple[str, ...]]:

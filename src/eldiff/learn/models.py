@@ -39,7 +39,7 @@ from ..consensus import CLASS_ORDER, Label
 from ..errors import CorruptModelError, UnsupportedVersionError
 from ..features import FeatureTable
 from ..rand import derive_seed
-from .dataset import Dataset, N_CLASSES, encode_table
+from .dataset import Dataset, N_CLASSES, encode_table, layout
 
 VARIANTS = ("gaussian_nb", "logistic_regression", "decision_tree", "random_forest")
 
@@ -151,8 +151,7 @@ class GaussianNBModel(_Model):
         counts = dataset.class_counts().astype(np.float64)
         self.class_counts = counts
         self.priors = counts / n
-        cat_sizes = dataset.cat_sizes()
-        self.cont_idx = [j for j in range(x.shape[1]) if j not in cat_sizes]
+        self.cont_idx, cat_sizes = layout(dataset.columns, dataset.categories)
         self.means = np.zeros((N_CLASSES, len(self.cont_idx)))
         self.variances = np.ones((N_CLASSES, len(self.cont_idx)))
         self.cat_probs: dict[int, np.ndarray] = {}
@@ -394,8 +393,7 @@ class LogisticRegressionModel(_Model):
         """Take the design's layout and scaling from ``dataset``; its design
         matrix and one-hot labels."""
         x, y = dataset.x, dataset.y
-        cat_sizes = dataset.cat_sizes()
-        self.cont_idx = [j for j in range(x.shape[1]) if j not in cat_sizes]
+        self.cont_idx, cat_sizes = layout(dataset.columns, dataset.categories)
         self.cat_layout = sorted(cat_sizes.items())
         cont = x[:, self.cont_idx]
         self.mu = cont.mean(axis=0) if self.cont_idx else np.zeros(0)
@@ -1036,6 +1034,27 @@ def _tree_from_json(payload: dict, n_columns: int) -> _Tree:
     return tree
 
 
+def _array(body: dict, name: str, shape: tuple, low=-math.inf, high=math.inf) -> np.ndarray:
+    """``body[name]`` as a float array, refusing one not of ``shape`` or
+    holding a number that is not finite or lies outside [``low``, ``high``]."""
+    try:
+        a = np.array(body[name], dtype=np.float64)
+    except (TypeError, ValueError):
+        raise CorruptModelError(f"model field {name!r} is not an array of numbers") from None
+    if a.shape != shape or not (np.isfinite(a).all() and np.all((low <= a) & (a <= high))):
+        raise CorruptModelError(f"model field {name!r} is not a {shape} array of finite numbers "
+                                f"in [{low}, {high}]")
+    return a
+
+
+def _expect(name: str, found, expected):
+    """``expected``, if ``found`` equals it."""
+    if found != expected:
+        raise CorruptModelError(f"model field {name!r} is {found!r}, but the model's columns "
+                                f"and categories give {expected!r}")
+    return expected
+
+
 def save_model(model: _Model, path: str | Path) -> None:
     """Versioned, self-describing JSON persistence for every variant."""
     trees: list[_Tree] = []
@@ -1110,26 +1129,34 @@ def load_model(path: str | Path) -> _Model:
         variant = payload["variant"]
         columns = payload["columns"]
         categories = {k: tuple(v) for k, v in payload["categories"].items()}
+        # a naive Bayes or logistic regression body must fit the columns' layout
+        cont_idx, sizes = layout(columns, categories)
+        n_cont = len(cont_idx)
         if variant == "gaussian_nb":
             body = payload["gaussian_nb"]
             model = GaussianNBModel(columns, categories)
-            model.priors = np.array(body["priors"])
-            model.class_counts = np.array(body["class_counts"])
-            model.cont_idx = list(body["cont_idx"])
-            model.means = np.array(body["means"])
-            model.variances = np.array(body["variances"])
-            model.cat_probs = {int(j): np.array(p) for j, p in body["cat_probs"].items()}
-            model.cat_unseen = {int(j): np.array(p) for j, p in body["cat_unseen"].items()}
+            model.cont_idx = _expect("cont_idx", body["cont_idx"], cont_idx)
+            model.priors = _array(body, "priors", (N_CLASSES,), 0.0, 1.0)
+            model.class_counts = _array(body, "class_counts", (N_CLASSES,), 0.0)
+            model.means = _array(body, "means", (N_CLASSES, n_cont))
+            model.variances = _array(body, "variances", (N_CLASSES, n_cont), _VARIANCE_FLOOR)
+            cats = {f"{name}[{j}]": p for name in ("cat_probs", "cat_unseen")
+                    for j, p in body[name].items()}
+            model.cat_probs = {j: _array(cats, f"cat_probs[{j}]", (N_CLASSES, k), 0.0, 1.0)
+                               for j, k in sizes.items()}
+            model.cat_unseen = {j: _array(cats, f"cat_unseen[{j}]", (N_CLASSES,), 0.0, 1.0)
+                                for j in sizes}
             return model
         if variant == "logistic_regression":
             body = payload["logistic_regression"]
             model = LogisticRegressionModel(columns, categories, l2=body["l2"])
-            model.cont_idx = list(body["cont_idx"])
-            model.cat_layout = [tuple(pair) for pair in body["cat_layout"]]
-            model.mu = np.array(body["mu"])
-            model.sigma = np.array(body["sigma"])
-            model.weights = np.array(body["weights"])
-            model.bias = np.array(body["bias"])
+            model.cont_idx = _expect("cont_idx", body["cont_idx"], cont_idx)
+            model.cat_layout = _expect("cat_layout", [tuple(pair) for pair in body["cat_layout"]],
+                                       sorted(sizes.items()))
+            model.mu = _array(body, "mu", (n_cont,))
+            model.sigma = _array(body, "sigma", (n_cont,), 5e-324)  # positive: it divides
+            model.weights = _array(body, "weights", (N_CLASSES, n_cont + sum(sizes.values())))
+            model.bias = _array(body, "bias", (N_CLASSES,))
             return model
         if variant == "decision_tree":
             body = payload["decision_tree"]
@@ -1152,6 +1179,6 @@ def load_model(path: str | Path) -> _Model:
                                         f"are not a list of that many")
             model.trees = [_tree_from_json(t, len(columns)) for t in trees]
             return model
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise CorruptModelError(f"model file is missing fields: {exc}") from None
     raise CorruptModelError(f"unknown variant {variant!r} in model file")

@@ -33,15 +33,14 @@ class Strategy(Enum):
     CANDIDATES = "candidates"
 
 
-def read_gold(path: str | Path, redirect_map: Mapping[str, str] | None = None,
-              normalize: bool = True) -> dict[MentionKey, str]:
+def read_gold(path: str | Path,
+              redirect_map: Mapping[str, str] | None = None) -> dict[MentionKey, str]:
     """Read a gold standard: the annotation-dump layout, one correct entity
     per mention key. A key given again with another entity raises
     MalformedRecordError naming that line; a bad line anywhere in the file
     is reported first."""
     gold: dict[MentionKey, str] = {}
-    for i, (doc_id, surface, offset, entity) in enumerate(
-            read_annotations(path, redirect_map, normalize)):
+    for i, (doc_id, surface, offset, entity) in enumerate(read_annotations(path, redirect_map)):
         key = (doc_id, offset, surface)
         if gold.setdefault(key, entity) != entity:
             # read_annotations gives one record per non-blank line, in order

@@ -10,7 +10,7 @@ import pytest
 from eldiff import embeddings
 from eldiff.cli import EXIT_DEGENERATE, EXIT_ERROR, EXIT_OK, _apply_config, _build_parser, main
 from eldiff.consensus import Label, read_labels
-from eldiff.features import FeatureTable
+from eldiff.features import FEATURE_COLUMNS, FeatureTable
 from eldiff.simulate import read_gold
 
 
@@ -165,11 +165,19 @@ class TestFeatures:
             "--corpus", fixture_dir / "corpus.jsonl",
             "--mentions", labelled_dir / "labels.tsv",
             "--candidates", fixture_dir / "candidates.tsv",
-            "--no-temporal", "--out", tmp_path,
+            "--schema", "no_temporal", "--out", tmp_path,
         )
         assert status == EXIT_OK
         header = (tmp_path / "features.csv").read_text(encoding="utf-8").splitlines()[0]
-        assert not any(c.startswith("t_") for c in header.split(","))
+        assert header.split(",") == [*(c for c in FEATURE_COLUMNS if c[:2] != "t_"), "label"]
+
+    def test_no_temporal_flag_refused(self, tmp_path, capsys):
+        # --schema no_temporal selects the same columns
+        with pytest.raises(SystemExit) as caught:
+            run("features", "--no-temporal", "--out", tmp_path / "out")
+        assert caught.value.code == EXIT_ERROR
+        assert "unrecognized arguments: --no-temporal" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_candidates_is_error(self, fixture_dir, labelled_dir, tmp_path):
         status = run(
@@ -653,6 +661,15 @@ class TestConfig:
             assert run(command, "--config", path, "--out", tmp_path / "out") == EXIT_ERROR
         assert [r.getMessage() for r in caplog.records] == [
             f"config key {key!r} is not a flag of any command"]
+        assert not (tmp_path / "out").exists()
+
+    def test_no_temporal_key_rejected(self, tmp_path, caplog):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps({"no_temporal": True}), encoding="utf-8")
+        with caplog.at_level(logging.ERROR, logger="eldiff"):
+            assert run("features", "--config", path, "--out", tmp_path / "out") == EXIT_ERROR
+        assert [r.getMessage() for r in caplog.records] == [
+            "config key 'no_temporal' is not a flag of any command"]
         assert not (tmp_path / "out").exists()
 
     def test_bad_config_rejected(self, tmp_path):

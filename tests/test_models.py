@@ -11,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from eldiff.cli import main
 from eldiff.consensus import CLASS_ORDER, Label
 from eldiff.errors import CorruptModelError, UnsupportedVersionError
-from eldiff.learn.dataset import N_CLASSES, Dataset
+from eldiff.features import FeatureSchema, FeatureTable
+from eldiff.learn.dataset import N_CLASSES, Dataset, dataset_from_table
 from eldiff.learn.models import (
     LogisticRegressionModel,
     RandomForestModel,
@@ -440,6 +442,87 @@ class TestForestFile:
         path.write_text(json.dumps(payload), encoding="utf-8")
         model = load_model(path)
         assert (model.n_trees, len(model.trees), model.max_features) == (2, 2, max_features)
+
+
+@pytest.fixture(scope="module")
+def linear_files(tmp_path_factory):
+    """A feature table on disk, and a naive Bayes and a logistic regression
+    model trained on it without the temporal columns, so that ``d_topic``
+    (two topics) is column 8: the paths of the table and of each model."""
+    rng = np.random.default_rng(5)
+    n = 60
+    labels = [CLASS_ORDER[c] for c in rng.integers(0, 3, size=n)]
+    m_len = rng.integers(3, 20, size=n).tolist()
+    table = FeatureTable({
+        "m_len": m_len, "m_words": [1] * n, "m_freq": rng.integers(1, 9, size=n).tolist(),
+        "m_df": [2] * n, "m_cand": rng.integers(1, 5, size=n).tolist(),
+        "m_pos": rng.uniform(0.0, 0.9, size=n).tolist(), "m_sent": m_len, "d_words": [40] * n,
+        "d_topic": [("POLITICS", "SPORTS")[i % 2] for i in range(n)], "d_ents": [3] * n,
+        "t_age": [1] * n, "t_df": [1] * n, "t_j_min": [None] * n, "t_j_max": [None] * n,
+        "t_j_avg": [None] * n,
+    }, labels)
+    out = tmp_path_factory.mktemp("linear")
+    table.write_csv(out / "features.csv")
+    dataset = dataset_from_table(table, FeatureSchema.without_temporal())
+    assert dataset.cat_sizes() == {8: 2}
+    files = {"features": out / "features.csv"}
+    for variant in ("gaussian_nb", "logistic_regression"):
+        files[variant] = out / f"{variant}.json"
+        save_model(train(dataset, variant), files[variant])
+    return files
+
+
+def _cat_probs(edit):
+    return lambda body: body["cat_probs"].update(edit(body["cat_probs"].pop("8")))
+
+
+LINEAR_EDITS = {
+    "nb_rows_cut_to_one_entry": ("gaussian_nb", _cat_probs(lambda p: {"8": [r[:1] for r in p]})),
+    "nb_rows_cut_to_no_entry": ("gaussian_nb", _cat_probs(lambda p: {"8": [[] for _ in p]})),
+    "nb_keyed_by_column_99": ("gaussian_nb", _cat_probs(lambda p: {"99": p})),
+    "lr_cat_layout_8_1": ("logistic_regression", lambda b: b.update(cat_layout=[[8, 1]])),
+    "nb_nan_mean": ("gaussian_nb", lambda b: b["means"][0].__setitem__(0, math.nan)),
+    "nb_zero_variance": ("gaussian_nb", lambda b: b["variances"][1].__setitem__(2, 0.0)),
+    "nb_negative_probability": ("gaussian_nb", lambda b: b["cat_unseen"]["8"].__setitem__(0, -1)),
+    "nb_cont_idx": ("gaussian_nb", lambda b: b["cont_idx"].pop()),
+    "nb_cat_probs_a_list": ("gaussian_nb", lambda b: b.update(cat_probs=[])),
+    "lr_weights_one_short": ("logistic_regression", lambda b: b["weights"][2].pop()),
+    "lr_infinite_bias": ("logistic_regression", lambda b: b["bias"].__setitem__(1, math.inf)),
+    "lr_zero_sigma": ("logistic_regression", lambda b: b["sigma"].__setitem__(0, 0.0)),
+}
+
+
+class TestLinearModelFiles:
+    """The naive Bayes and logistic regression bodies must fit the layout
+    that the file's own columns and categories give."""
+
+    def corrupt(self, linear_files, tmp_path, edit):
+        variant, change = LINEAR_EDITS[edit]
+        payload = json.loads(linear_files[variant].read_text(encoding="utf-8"))
+        change(payload[variant])
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("variant", ["gaussian_nb", "logistic_regression"])
+    def test_saved_files_predict(self, linear_files, tmp_path, variant):
+        assert main(["predict", "--model", str(linear_files[variant]), "--features",
+                     str(linear_files["features"]), "--out", str(tmp_path)]) == 0
+        assert len((tmp_path / "predictions.tsv").read_text(encoding="utf-8").splitlines()) == 60
+
+    @pytest.mark.parametrize("edit", sorted(LINEAR_EDITS))
+    def test_corrupt_body_refused(self, linear_files, tmp_path, edit):
+        with pytest.raises(CorruptModelError):
+            load_model(self.corrupt(linear_files, tmp_path, edit))
+
+    @pytest.mark.parametrize("edit", sorted(LINEAR_EDITS))
+    def test_cli_predict_on_corrupt_body_exits_error(self, linear_files, tmp_path, caplog, edit):
+        path = self.corrupt(linear_files, tmp_path, edit)
+        with caplog.at_level(logging.ERROR, logger="eldiff"):
+            assert main(["predict", "--model", str(path), "--features",
+                         str(linear_files["features"]), "--out", str(tmp_path / "out")]) == 2
+        assert len(caplog.records) == 1 and "model" in caplog.records[0].getMessage()
+        assert not (tmp_path / "out" / "predictions.tsv").exists()
 
 
 # --- shared contracts --------------------------------------------------------

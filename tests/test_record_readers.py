@@ -38,7 +38,7 @@ def oracle_offset(text, lineno):
     return int(text)
 
 
-def oracle_read_annotations(path, redirect_map=None, normalize=True):
+def oracle_read_annotations(path, redirect_map=None):
     annotations = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -50,11 +50,10 @@ def oracle_read_annotations(path, redirect_map=None, normalize=True):
                 raise MalformedRecordError(lineno, f"expected 4 tab-separated fields, got {len(fields)}")
             doc_id, offset_str, surface, entity = fields
             offset = oracle_offset(offset_str, lineno)
-            if normalize:
-                try:
-                    entity = normalize_entity(entity, redirect_map)
-                except ValueError:
-                    raise MalformedRecordError(lineno, "empty entity id") from None
+            try:
+                entity = normalize_entity(entity, redirect_map)
+            except ValueError:
+                raise MalformedRecordError(lineno, "empty entity id") from None
             try:
                 annotations.append(SystemAnnotation(doc_id, surface, offset, entity))
             except ValueError as exc:
@@ -62,11 +61,11 @@ def oracle_read_annotations(path, redirect_map=None, normalize=True):
     return annotations
 
 
-def oracle_read_gold(path, redirect_map=None, normalize=True):
+def oracle_read_gold(path, redirect_map=None):
     """The gold reader as it was: every line read into a ``SystemAnnotation``
     first, then copied into the mapping. A conflicting duplicate names the
     line it is on."""
-    annotations = oracle_read_annotations(path, redirect_map=redirect_map, normalize=normalize)
+    annotations = oracle_read_annotations(path, redirect_map=redirect_map)
     with open(path, encoding="utf-8") as fh:
         linenos = [lineno for lineno, line in enumerate(fh, start=1) if line.rstrip("\n")]
     entries = {}
@@ -155,15 +154,12 @@ REDIRECTS = {"Gone": ""}
 
 
 class TestAnnotationOracle:
-    @pytest.mark.parametrize("normalize", [True, False])
     @pytest.mark.parametrize("kind", sorted(BAD_ANNOTATIONS))
-    def test_records_or_error_match(self, tmp_path, kind, normalize):
+    def test_records_or_error_match(self, tmp_path, kind):
         path = write_lines(tmp_path / "sys.tsv",
                            [GOOD_ANNOTATION, "", GOOD_ANNOTATION, BAD_ANNOTATIONS[kind]])
-        expected = outcome(oracle_read_annotations, path, redirect_map=REDIRECTS,
-                           normalize=normalize)
-        assert outcome(read_annotations, path, redirect_map=REDIRECTS,
-                       normalize=normalize) == expected
+        expected = outcome(oracle_read_annotations, path, redirect_map=REDIRECTS)
+        assert outcome(read_annotations, path, redirect_map=REDIRECTS) == expected
 
     @pytest.mark.parametrize("first, second",
                              list(itertools.product(sorted(BAD_ANNOTATIONS), repeat=2)))
@@ -179,7 +175,7 @@ class TestAnnotationOracle:
                  for i in range(300)]
         path = write_lines(tmp_path / "alpha.tsv", lines)
         redirects = {"E3": "E4", "E_5": "Other"}
-        for kwargs in ({}, {"redirect_map": redirects}, {"normalize": False}):
+        for kwargs in ({}, {"redirect_map": redirects}):
             assert outcome(read_annotations, path, **kwargs) == \
                 outcome(oracle_read_annotations, path, **kwargs)
 
@@ -196,13 +192,12 @@ class TestAnnotationOracle:
 
 
 class TestGoldOracle:
-    @pytest.mark.parametrize("normalize", [True, False])
     @pytest.mark.parametrize("kind", sorted(BAD_ANNOTATIONS))
-    def test_entries_or_error_match(self, tmp_path, kind, normalize):
+    def test_entries_or_error_match(self, tmp_path, kind):
         path = write_lines(tmp_path / "gold.tsv",
                            [GOOD_ANNOTATION, "", GOOD_ANNOTATION, BAD_ANNOTATIONS[kind]])
-        expected = outcome(oracle_read_gold, path, redirect_map=REDIRECTS, normalize=normalize)
-        assert outcome(read_gold, path, redirect_map=REDIRECTS, normalize=normalize) == expected
+        expected = outcome(oracle_read_gold, path, redirect_map=REDIRECTS)
+        assert outcome(read_gold, path, redirect_map=REDIRECTS) == expected
 
     @pytest.mark.parametrize("last, line_number", [("d2\t1\tBonn\tBonn", 2),
                                                    (BAD_ANNOTATIONS["bad offset"], 3)])
@@ -218,7 +213,7 @@ class TestGoldOracle:
         lines = [f"doc{i % 7}\t{i * 3}\tw{i % 5} x\t{' e ' if i % 4 else 'E'}{i % 11}"
                  for i in range(300)]
         path = write_lines(tmp_path / "gold.tsv", lines + lines[:50])
-        for kwargs in ({}, {"redirect_map": {"E3": "E4"}}, {"normalize": False}):
+        for kwargs in ({}, {"redirect_map": {"E3": "E4"}}):
             expected = outcome(oracle_read_gold, path, **kwargs)
             assert len(expected) == 300
             assert outcome(read_gold, path, **kwargs) == expected
@@ -407,7 +402,6 @@ def test_annotation_dump_roundtrip(tmp_path, records):
                [f for a in records for f in (a.doc_id, a.surface, a.entity_id)]):
         return
     write_annotations(records, path)
-    assert read_annotations(path, normalize=False) == records
     expected = []
     for lineno, a in enumerate(records, start=1):
         try:
@@ -469,7 +463,6 @@ def test_gold_file_roundtrip(tmp_path, entries):
                 for f in (doc_id, surface, entity)]):
         return
     write_gold(entries, path)
-    assert read_gold(path, normalize=False) == entries
     assert outcome(read_gold, path) == expected_gold_or_error(entries)
 
 

@@ -349,4 +349,4 @@ class TestReadGold:
         monkeypatch.setattr(simulate, "read_annotations",
                             lambda *args: calls.append(args) or original(*args))
         assert read_gold(path) == {("d1", 10, "Paris"): "Paris"}
-        assert calls == [(path, None, True)]
+        assert calls == [(path, None)]
