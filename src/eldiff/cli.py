@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import consensus, embeddings, simulate, synth
-from .consensus import AlignPolicy, Label, align, class_distribution
+from . import consensus, embeddings, synth
+from .consensus import AlignPolicy, align, class_distribution
 from .corpus import GeneratorConfig, load_corpus
 from .errors import AllMissingError, EldiffError
 from .features import (
@@ -35,6 +35,7 @@ from .features import (
     FeatureExtractor,
     FeatureSchema,
     count_doc_mentions,
+    count_dump_mentions,
     load_candidate_dictionary,
     read_table,
 )
@@ -61,7 +62,16 @@ from .reports import (
     write_mdi_report,
     write_pearson_matrix,
 )
-from .simulate import budget_from_fraction, read_gold, run_simulation, write_simulation_report
+from .simulate import (
+    MentionCodes,
+    SimulationPool,
+    budget_from_fraction,
+    read_gold,
+    read_labelled,
+    read_predictions,
+    run_simulation,
+    write_simulation_report,
+)
 
 log = logging.getLogger("eldiff")
 
@@ -169,7 +179,6 @@ def cmd_label(args) -> int:
     paths = getattr(args, "annotations", None)
     if not paths or len(paths) < 2:
         raise CliError("labelling needs at least 2 annotation dumps (--annotations)")
-    out = _out_dir(args)
     redirects = (consensus.read_redirects(args.redirects) if args.redirects is not None
                  else None)
     dumps = [consensus.read_annotations(p, redirect_map=redirects) for p in paths]
@@ -178,6 +187,7 @@ def cmd_label(args) -> int:
         for dump in dumps:
             consensus.validate_annotations(dump, corpus)
     labelled = align(dumps, AlignPolicy(args.policy))
+    out = _out_dir(args)
     labels_path = out / "labels.tsv"
     consensus.write_labels(labelled, labels_path)
     dist = class_distribution(labelled)
@@ -205,14 +215,13 @@ def cmd_features(args) -> int:
     for name in ("window_months", "top_k", "embed_dim", "embed_window", "embed_epochs",
                  "embed_negatives", "embed_min_count", "slice_years"):
         _check_at_least(args, name)
-    out = _out_dir(args)
     corpus = load_corpus(_require(args, "corpus"))
     mentions = consensus.read_labels(_require(args, "mentions"))
     candidates = load_candidate_dictionary(_require(args, "candidates"))
 
     schema = _parse_schema(args.schema, FeatureSchema.all())
     if args.annotations:
-        doc_counts = count_doc_mentions(consensus.read_annotations(p) for p in args.annotations)
+        doc_counts = count_dump_mentions(args.annotations)
     else:
         doc_counts = count_doc_mentions([mentions])
 
@@ -233,7 +242,7 @@ def cmd_features(args) -> int:
                 seed=embed_seed,
             )
             models = embeddings.train_slice_models(corpus, params, years=args.slice_years)
-            model_dir = out / "embeddings"
+            model_dir = _out_dir(args) / "embeddings"
             model_dir.mkdir(exist_ok=True)
             for i, model in enumerate(models):
                 embeddings.save_model(model, model_dir / f"{i:03d}_{model.slice_label}.vec")
@@ -247,7 +256,7 @@ def cmd_features(args) -> int:
     )
     extractor = FeatureExtractor(corpus, candidates, models, config, doc_counts)
     table = extractor.extract_all(mentions)
-    features_path = out / "features.csv"
+    features_path = _out_dir(args) / "features.csv"
     columns = None if schema.columns == FEATURE_COLUMNS else schema.columns
     table.write_csv(features_path, columns=columns)
     log.info("wrote %d feature rows to %s", len(table), features_path)
@@ -282,7 +291,6 @@ def _numbers(args, name: str, ok, expected: str) -> list[float]:
 def cmd_train(args) -> int:
     if args.variant == "random_forest":
         _check_at_least(args, "trees")
-    out = _out_dir(args)
     file_schema, table = read_table(_require(args, "features"))
     schema = _parse_schema(args.schema, file_schema)
     missing = [c for c in schema.columns if c not in file_schema.columns]
@@ -305,14 +313,13 @@ def cmd_train(args) -> int:
     train_seed = derive_seed(args.seed, "train")
     log.info("training %s on %d rows (derived seed %d)", args.variant, len(dataset), train_seed)
     model = train(dataset, args.variant, seed=train_seed, **hyper)
-    model_path = out / "model.json"
+    model_path = _out_dir(args) / "model.json"
     save_model(model, model_path)
     log.info("model written to %s", model_path)
     return EXIT_OK
 
 
 def cmd_predict(args) -> int:
-    out = _out_dir(args)
     model = load_model(_require(args, "model"))
     file_schema, table = read_table(_require(args, "features"))
     missing = [c for c in model.columns if c not in file_schema.columns]
@@ -336,7 +343,7 @@ def cmd_predict(args) -> int:
     labels, probs = model.predict_table(table)
     if keys is None:
         keys = [("-", i, "-") for i in range(len(labels))]
-    predictions_path = out / "predictions.tsv"
+    predictions_path = _out_dir(args) / "predictions.tsv"
     consensus.write_tsv(
         ((doc_id, str(offset), surface, label.value, f"{p0:.9g}", f"{p1:.9g}", f"{p2:.9g}")
          for (doc_id, offset, surface), label, (p0, p1, p2) in zip(keys, labels, probs.tolist())),
@@ -354,7 +361,6 @@ def cmd_eval(args) -> int:
         _check_at_least(args, "trees")
     _check_at_least(args, "folds", 2)
     samples = _numbers(args, "samples", lambda v: 0.0 < v <= 1.0, "fractions in (0, 1]")
-    out = _out_dir(args)
     file_schema, table = read_table(_require(args, "features"))
     balancing = {"unbalanced": [False], "balanced": [True], "both": [False, True]}[args.balancing]
     schema_names = [s for s in (args.schemas or "file").split(",") if s]
@@ -402,6 +408,7 @@ def cmd_eval(args) -> int:
                             ))
         significance = render_significance(rows)
 
+    out = _out_dir(args)
     write_eval_reports(cells, out / "eval_report.txt", out / "eval_report.json", significance)
     sys.stdout.write(render_eval_table(cells))
     log.info("evaluation reports written to %s", out)
@@ -409,17 +416,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_importance(args) -> int:
-    out = _out_dir(args)
     model = load_model(_require(args, "model"))
     if not isinstance(model, RandomForestModel):
         raise CliError("importance requires a random forest model")
+    out = _out_dir(args)
     write_mdi_report(mdi(model), out / "mdi.tsv")
     log.info("importance ranking written to %s", out / "mdi.tsv")
     return EXIT_OK
 
 
 def cmd_correlate(args) -> int:
-    out = _out_dir(args)
     file_schema, table = read_table(_require(args, "features"))
     stability_present = all(c in file_schema.columns for c in STABILITY_COLUMNS)
     columns = None
@@ -434,31 +440,25 @@ def cmd_correlate(args) -> int:
         log.warning("stability features are missing everywhere; excluded from correlation")
     dataset = dataset_from_table(imputed, file_schema, require_labels=False)
     result = pearson_matrix(dataset, columns)
+    out = _out_dir(args)
     write_pearson_matrix(result, out / "pearson.tsv")
     log.info("correlation matrix written to %s", out / "pearson.tsv")
     return EXIT_OK
-
-
-def _read_predictions(path: str) -> dict[simulate.MentionKey, Label]:
-    predictions = {}
-    records = consensus.read_tsv(path, 4, at_least=True)
-    for lineno, (doc_id, offset_str, surface, label_str, *_) in records:
-        key = (doc_id, consensus.parse_offset(offset_str, lineno), surface)
-        predictions[key] = consensus.parse_label(label_str, lineno)
-    return predictions
 
 
 def cmd_simulate(args) -> int:
     _check_at_least(args, "repetitions")
     fractions = _numbers(args, "budgets", lambda v: 0.0 <= v < math.inf,
                          "non-negative numbers (values < 1 are fractions)")
-    out = _out_dir(args)
-    labelled = consensus.read_labels(_require(args, "labels"))
-    if not labelled:
+    codes = MentionCodes()
+    labelled = read_labelled(_require(args, "labels"), codes)
+    if not len(labelled.keys):
         raise CliError("the labels file is empty; nothing to simulate")
-    gold = read_gold(_require(args, "gold"))
-    n_systems = len(labelled[0].entities)
-    if any(len(lm.entities) != n_systems for lm in labelled):
+    redirects = (consensus.read_redirects(args.redirects) if args.redirects is not None
+                 else None)
+    gold = read_gold(_require(args, "gold"), codes, redirects)
+    n_systems = len(labelled.entities[labelled.tuples[0]])
+    if any(len(entities) != n_systems for entities in labelled.entities):
         raise CliError("labels file mixes mentions with different system counts")
     systems = (
         [s for s in args.systems.split(",") if s]
@@ -468,25 +468,15 @@ def cmd_simulate(args) -> int:
     if len(systems) != n_systems:
         raise CliError(f"{n_systems} systems in the labels file but {len(systems)} names given")
 
-    keys = [lm.key for lm in labelled]
-    labels_map = {key: lm.label for key, lm in zip(keys, labelled)}
-    choices = {
-        system: {key: lm.entities[i] for key, lm in zip(keys, labelled)}
-        for i, system in enumerate(systems)
-    }
-    cand_counts = None
-    if args.candidates:
-        dictionary = load_candidate_dictionary(args.candidates)
-        cand_counts = {key: dictionary.get(key[2], 0) for key in keys}
-    predictions = _read_predictions(args.predictions) if args.predictions else None
-
-    pool = sorted(k for k in labels_map if k in gold)
-    if not pool:
+    cand_counts = load_candidate_dictionary(args.candidates) if args.candidates else None
+    predictions = read_predictions(args.predictions, codes) if args.predictions else None
+    pool = SimulationPool.from_columns(codes, systems, labelled, gold, predictions, cand_counts)
+    if not len(pool):
         raise CliError("no labelled mention exists in the gold standard")
     log.info("simulation pool: %d mentions; %d labelled mentions are outside the gold standard",
-             len(pool), len(labels_map) - len(pool))
+             len(pool), len(np.unique(labelled.keys)) - len(pool))
     if predictions is not None:
-        unpredicted = sum(1 for k in pool if k not in predictions)
+        unpredicted = int((pool.predicted < 0).sum())
         if unpredicted == len(pool):
             raise CliError(
                 f"no prediction in {args.predictions} matches a pool mention; "
@@ -501,11 +491,8 @@ def cmd_simulate(args) -> int:
     sim_seed = derive_seed(args.seed, "simulate")
     log.info("simulating %d strategies over %d mentions (derived seed %d)",
              2 + (predictions is not None) + (cand_counts is not None), len(pool), sim_seed)
-    result = run_simulation(
-        choices, gold, labels_map, budgets,
-        predictions=predictions, cand_counts=cand_counts,
-        repetitions=args.repetitions, seed=sim_seed,
-    )
+    result = run_simulation(pool, budgets, repetitions=args.repetitions, seed=sim_seed)
+    out = _out_dir(args)
     write_simulation_report(result, out / "simulation.tsv")
     panels = []
     for budget in result.budgets:
@@ -623,6 +610,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold", help="gold standard annotations")
     p.add_argument("--candidates", help="candidate dictionary (enables the CANDIDATES strategy)")
     p.add_argument("--predictions", help="predictions file (enables PRED_DIFFICULT)")
+    p.add_argument("--redirects",
+                   help="entity redirect map applied to the gold standard, as given to label")
     p.add_argument("--systems", help="comma-separated system names")
     p.add_argument("--budgets", help="comma-separated budgets; values < 1 are fractions")
     p.add_argument("--repetitions", type=int)

@@ -10,12 +10,14 @@ the all-distinct / all-equal / two-of-three split.
 from __future__ import annotations
 
 import logging
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .corpus import Corpus
 from .errors import MalformedRecordError
@@ -53,7 +55,7 @@ def _annotation_problem(doc_id: str, offset: int, entity_id: str) -> str | None:
     """The first annotation rule the values break, or None if they keep all.
 
     The one statement of the rules: ``SystemAnnotation`` checks them here,
-    and so does ``read_annotations`` for every line it reads.
+    and so does ``read_annotation_fields`` for the lines it reads.
     """
     if offset < 0:
         return f"negative offset {offset} in {doc_id!r}"
@@ -188,32 +190,99 @@ def write_tsv(rows: Iterable[Sequence[str]], path: str | Path) -> None:
         fh.writelines(texts)
 
 
-def read_annotations(path: str | Path,
-                     redirect_map: Mapping[str, str] | None = None) -> list[SystemAnnotation]:
-    """Read one system's annotation dump, or a gold standard in its layout.
+def read_annotation_fields(path: str | Path, redirect_map: Mapping[str, str] | None = None
+                           ) -> Iterator[tuple[int, str, str, str, str]]:
+    """Yield ``(line number, doc_id, offset text, surface, entity id)`` for
+    each line of an annotation dump, or of a gold standard in its layout.
 
     Format: tab-separated ``doc_id  offset  surface  entity_id``, one
-    annotation per line. Entity ids are normalized; each distinct raw id is
-    normalized once. The first bad line raises MalformedRecordError with its
-    line number.
+    annotation per line. The offset text passes ``parse_offset``, so it is
+    canonical: distinct texts are distinct offsets. Entity ids are
+    normalized, each distinct raw id once. The first bad line raises
+    MalformedRecordError with its line number.
     """
-    annotations = []
     canonical: dict[str, str] = {}
-    new = tuple.__new__
-    for lineno, (doc_id, offset_str, surface, raw) in read_tsv(path, 4):
-        offset = parse_offset(offset_str, lineno)
+    offsets: set[str] = set()
+    for lineno, (doc_id, offset, surface, raw) in read_tsv(path, 4):
+        if offset not in offsets:
+            parse_offset(offset, lineno)
+            offsets.add(offset)
         entity = canonical.get(raw)
         if entity is None:
             try:
-                entity = canonical[raw] = normalize_entity(raw, redirect_map)
+                entity = normalize_entity(raw, redirect_map)
             except ValueError:
                 raise MalformedRecordError(lineno, "empty entity id") from None
-        problem = _annotation_problem(doc_id, offset, entity)
-        if problem:
-            raise MalformedRecordError(lineno, problem)
-        # checked as the constructor checks: build the tuple without it
-        annotations.append(new(SystemAnnotation, (doc_id, surface, offset, entity)))
-    return annotations
+            # the offset passed parse_offset, so only the entity id can break a
+            # rule, and it does so on every line of its raw id or on none
+            problem = _annotation_problem(doc_id, int(offset), entity)
+            if problem:
+                raise MalformedRecordError(lineno, problem)
+            canonical[raw] = entity
+        yield lineno, doc_id, offset, surface, entity
+
+
+def read_annotations(path: str | Path,
+                     redirect_map: Mapping[str, str] | None = None) -> list[SystemAnnotation]:
+    """Read one system's annotation dump, or a gold standard in its layout,
+    as records: ``read_annotation_fields``, one ``SystemAnnotation`` a line."""
+    new = tuple.__new__
+    # checked as the constructor checks: build the tuple without it
+    return [new(SystemAnnotation, (doc_id, surface, int(offset), entity))
+            for _, doc_id, offset, surface, entity in read_annotation_fields(path, redirect_map)]
+
+
+class MentionCodes:
+    """Int codes for the mention keys and entity ids of the files that one
+    reader or join sees, each given in first-seen order.
+
+    A key ``(doc_id, offset, surface)`` is interned by its fields joined with
+    tabs, which no field of a tab-separated line holds, so a key has one
+    code in every file. Its offset text is checked (``parse_offset``) when
+    the key is first seen; a text that passes is canonical, so distinct
+    texts are distinct offsets. ``entities`` maps each entity id to its
+    code.
+    """
+
+    def __init__(self):
+        self.keys: dict[str, int] = {}
+        self.entities: dict[str, int] = {}
+
+    def key(self, doc_id: str, offset: str, surface: str, lineno: int) -> int:
+        text = f"{doc_id}\t{offset}\t{surface}"
+        code = self.keys.get(text)
+        if code is None:
+            parse_offset(offset, lineno)
+            code = self.keys[text] = len(self.keys)
+        return code
+
+    def mention(self, code: int) -> tuple[str, int, str]:
+        doc_id, offset, surface = next(islice(self.keys, code, None)).split("\t")
+        return doc_id, int(offset), surface
+
+    def order(self) -> np.ndarray:
+        """Every key code in (doc_id, offset, surface) order: ``np.lexsort``
+        over each field's rank in sorted order, offsets by value. Python
+        compares ``str`` by code point, so this is ``sorted`` over the key
+        tuples."""
+        ranks = []
+        columns = zip(*(text.split("\t") for text in self.keys))
+        for column, sort_key in zip(columns, (None, int, None)):
+            rank = {field: i for i, field in enumerate(sorted(set(column), key=sort_key))}
+            ranks.append(np.array([rank[field] for field in column], dtype=np.intp))
+        if not ranks:
+            return np.empty(0, dtype=np.intp)
+        doc, offset, surface = ranks
+        return np.lexsort((surface, offset, doc))
+
+    def doc_counts(self) -> dict[str, int]:
+        """Each doc id's number of keys, doc ids in first-seen order."""
+        return dict(Counter(text.partition("\t")[0] for text in self.keys))
+
+    def surface_counts(self, counts: Mapping[str, int]) -> np.ndarray:
+        """Each key's count of its surface in ``counts``, 0 if absent."""
+        return np.array([counts.get(text.rpartition("\t")[2], 0) for text in self.keys],
+                        dtype=np.int64)
 
 
 def write_annotations(annotations: Iterable[SystemAnnotation], path: str | Path) -> None:

@@ -16,8 +16,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .consensus import LABEL_OF_VALUE, Label, LabelledMention, SystemAnnotation
-from .consensus import plain_digits, read_tsv, write_tsv
+from .consensus import LABEL_OF_VALUE, Label, LabelledMention, MentionCodes, SystemAnnotation
+from .consensus import plain_digits, read_annotation_fields, read_tsv, write_tsv
 from .corpus import (
     Corpus,
     Document,
@@ -156,12 +156,23 @@ def write_candidate_dictionary(counts: Mapping[str, int], path: str | Path) -> N
 
 def count_doc_mentions(annotation_sets: Iterable[Iterable[SystemAnnotation]]) -> dict[str, int]:
     """Distinct (offset, surface) mention spans per document over the union
-    of every system's annotations, for d_ents. Each set is released before
-    the next is drawn, so a generator of sets holds one at a time."""
+    of every system's annotations, for d_ents."""
     spans: dict[str, set[tuple[int, str]]] = {}
     for a in chain.from_iterable(annotation_sets):
         spans.setdefault(a.doc_id, set()).add((a.offset, a.surface))
     return {doc_id: len(s) for doc_id, s in spans.items()}
+
+
+def count_dump_mentions(paths: Iterable[str | Path]) -> dict[str, int]:
+    """``count_doc_mentions`` over the ``read_annotations`` records of the
+    dumps at ``paths``, counted from their checked fields
+    (``read_annotation_fields``) without building a record: each distinct
+    (doc_id, offset, surface) key gets one code in a ``MentionCodes``."""
+    codes = MentionCodes()
+    for path in paths:
+        for lineno, doc_id, offset, surface, _ in read_annotation_fields(path):
+            codes.key(doc_id, offset, surface, lineno)
+    return codes.doc_counts()
 
 
 def stability_word(surface: str) -> str:

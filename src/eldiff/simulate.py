@@ -5,6 +5,15 @@ exist in the gold standard, then replaces the links of a selected mention
 budget with the gold answer and measures again. Selection strategies:
 consensus-HARD (topped up with MEDIUM), classifier-predicted HARD, uniform
 random, and most-candidates-first.
+
+``run_simulation`` works on a ``SimulationPool``: one wrong-link vector per
+system, the label and predicted class codes and the candidate counts, one
+entry per evaluated mention in (doc_id, offset, surface) order. The files
+are read into int code columns against one ``consensus.MentionCodes``:
+``read_labelled``, ``read_gold`` and ``read_predictions`` build no record
+per line, and ``SimulationPool.from_columns`` joins them by key code.
+``select_mentions``, ``apply_feedback`` and ``accuracy`` state one
+selection and its feedback over dicts keyed by ``(doc_id, offset, surface)``.
 """
 
 from __future__ import annotations
@@ -12,18 +21,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .consensus import Label, read_annotations, read_tsv, write_tsv
+from .consensus import CLASS_INDEX, Label, MentionCodes, parse_label
+from .consensus import read_annotation_fields, read_tsv, write_tsv
+from .consensus import read_annotations  # noqa: F401  a tracer target of bench/spans.py
 from .errors import MalformedRecordError
 from .rand import derive_seed
 
 #: (doc_id, offset, surface) identifies an evaluated mention.
 MentionKey = tuple[str, int, str]
+
+#: Class index (``CLASS_ORDER``) by label text; -1 codes "no label".
+_CLASS_OF_VALUE = {label.value: CLASS_INDEX[label] for label in Label}
+_HARD, _MEDIUM = CLASS_INDEX[Label.HARD], CLASS_INDEX[Label.MEDIUM]
 
 
 class Strategy(Enum):
@@ -33,20 +47,90 @@ class Strategy(Enum):
     CANDIDATES = "candidates"
 
 
-def read_gold(path: str | Path,
-              redirect_map: Mapping[str, str] | None = None) -> dict[MentionKey, str]:
-    """Read a gold standard: the annotation-dump layout, one correct entity
-    per mention key. A key given again with another entity raises
-    MalformedRecordError naming that line; a bad line anywhere in the file
-    is reported first."""
-    gold: dict[MentionKey, str] = {}
-    for i, (doc_id, surface, offset, entity) in enumerate(read_annotations(path, redirect_map)):
-        key = (doc_id, offset, surface)
-        if gold.setdefault(key, entity) != entity:
-            # read_annotations gives one record per non-blank line, in order
-            lineno, _ = next(islice(read_tsv(path, 4), i, None))
-            raise MalformedRecordError(lineno, f"conflicting gold entries for mention {key}")
-    return gold
+@dataclass(frozen=True, eq=False)
+class KeyedRows:
+    """Lines of one file as int columns: each line's key code
+    (``MentionCodes.key``) and value code, in line order."""
+
+    keys: np.ndarray
+    values: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class LabelledRows:
+    """A labels file as int columns in line order: each line's key code,
+    class index (``CLASS_ORDER``) and entity-tuple code. ``entities[t]``
+    holds tuple ``t``'s entity codes, one per system."""
+
+    keys: np.ndarray
+    labels: np.ndarray
+    tuples: np.ndarray
+    entities: list[tuple[int, ...]]
+
+
+def _class_code(text: str, lineno: int) -> int:
+    code = _CLASS_OF_VALUE.get(text)
+    if code is None:
+        parse_label(text, lineno)
+    return code
+
+
+def read_labelled(path: str | Path, codes: MentionCodes) -> LabelledRows:
+    """Read a labels file into code columns, with ``consensus.read_labels``'
+    checks: the first bad line raises MalformedRecordError with its number.
+    Each distinct entity list is split and checked once."""
+    keys, labels, tuples = [], [], []
+    tuple_codes: dict[str, int] = {}
+    entities: list[tuple[int, ...]] = []
+    entity_codes = codes.entities
+    for lineno, (doc_id, offset, surface, label, ids) in read_tsv(path, 5):
+        keys.append(codes.key(doc_id, offset, surface, lineno))
+        labels.append(_class_code(label, lineno))
+        code = tuple_codes.get(ids)
+        if code is None:
+            split = ids.split(",")
+            if len(split) < 2:
+                raise MalformedRecordError(
+                    lineno, "an aligned mention needs entities from at least 2 systems")
+            code = tuple_codes[ids] = len(entities)
+            entities.append(tuple(entity_codes.setdefault(e, len(entity_codes)) for e in split))
+        tuples.append(code)
+    return LabelledRows(np.array(keys, dtype=np.intp), np.array(labels, dtype=np.int8),
+                        np.array(tuples, dtype=np.intp), entities)
+
+
+def read_gold(path: str | Path, codes: MentionCodes,
+              redirect_map: Mapping[str, str] | None = None) -> KeyedRows:
+    """Read a gold standard (``consensus.read_annotation_fields``) as one
+    row per mention key: its key code and its entity's code in
+    ``codes.entities``, in the order of each key's first line. A key given
+    again with another entity raises MalformedRecordError naming that line;
+    a bad line anywhere in the file is reported first."""
+    gold: dict[int, int] = {}
+    clash = None
+    entity_codes = codes.entities
+    for lineno, doc_id, offset, surface, entity in read_annotation_fields(path, redirect_map):
+        key = codes.key(doc_id, offset, surface, lineno)
+        code = entity_codes.setdefault(entity, len(entity_codes))
+        if gold.setdefault(key, code) != code and clash is None:
+            clash = lineno, key
+    if clash is not None:
+        lineno, key = clash
+        raise MalformedRecordError(lineno,
+                                   f"conflicting gold entries for mention {codes.mention(key)}")
+    return KeyedRows(np.fromiter(gold, dtype=np.intp, count=len(gold)),
+                     np.fromiter(gold.values(), dtype=np.intp, count=len(gold)))
+
+
+def read_predictions(path: str | Path, codes: MentionCodes) -> KeyedRows:
+    """Read a predictions file (``doc_id offset surface label``, then any
+    fields) as each line's key code and predicted class index, in line
+    order. The first bad line raises MalformedRecordError with its number."""
+    keys, labels = [], []
+    for lineno, (doc_id, offset, surface, label, *_) in read_tsv(path, 4, at_least=True):
+        keys.append(codes.key(doc_id, offset, surface, lineno))
+        labels.append(_class_code(label, lineno))
+    return KeyedRows(np.array(keys, dtype=np.intp), np.array(labels, dtype=np.int8))
 
 
 def accuracy(choices: Mapping[MentionKey, str], gold: Mapping[MentionKey, str]) -> float:
@@ -69,12 +153,13 @@ def _draw(rng: np.random.Generator, items: np.ndarray, size: int) -> np.ndarray:
 
 def _selector(
     strategy: Strategy,
-    pool: Sequence[MentionKey],
-    labels: Mapping[MentionKey, Label] | None,
-    cand_counts: Mapping[MentionKey, int] | None,
+    size: int,
+    labels: np.ndarray | None,
+    cand_counts: np.ndarray | None,
 ) -> Callable[[int, int], np.ndarray]:
-    """The selection rule of ``strategy`` over ``pool``, with the pool indexed
-    once: returns ``select(n, seed)``, the picked pool indices.
+    """The selection rule of ``strategy`` over a pool of ``size`` mentions,
+    indexed once from its class codes or candidate counts: returns
+    ``select(n, seed)``, the picked pool indices.
 
     Each call makes its own generator from ``seed`` and draws from it exactly
     as the rule in ``select_mentions`` describes, so one selector serves any
@@ -83,10 +168,8 @@ def _selector(
     if strategy in (Strategy.DIFFICULT, Strategy.PRED_DIFFICULT):
         if labels is None:
             raise ValueError(f"{strategy.value} selection needs labels")
-        hard = np.array([i for i, k in enumerate(pool) if labels.get(k) is Label.HARD],
-                        dtype=np.intp)
-        medium = np.array([i for i, k in enumerate(pool) if labels.get(k) is Label.MEDIUM],
-                          dtype=np.intp)
+        hard = np.flatnonzero(labels == _HARD)
+        medium = np.flatnonzero(labels == _MEDIUM)
 
         def pick(n: int, rng: np.random.Generator) -> np.ndarray:
             selected = _draw(rng, hard, min(n, len(hard)))
@@ -95,18 +178,28 @@ def _selector(
                 selected = np.concatenate((selected, topup))
             return selected
     elif strategy is Strategy.RANDOM:
-        everything = np.arange(len(pool), dtype=np.intp)
+        everything = np.arange(size, dtype=np.intp)
 
         def pick(n: int, rng: np.random.Generator) -> np.ndarray:
-            return _draw(rng, everything, min(n, len(pool)))
+            return _draw(rng, everything, min(n, size))
     elif strategy is Strategy.CANDIDATES:
         if cand_counts is None:
             raise ValueError("candidates selection needs candidate counts")
-        negated_counts = -np.array([cand_counts.get(k, 0) for k in pool])
+        # Highest count first, ties in the order of a seeded permutation: the
+        # lexsort key (-count, tie) as the one int rank * size + tie, whose n
+        # smallest argpartition finds without sorting. Ranks (0 for the
+        # largest count) keep the int small whatever the counts are.
+        _, rank = np.unique(-cand_counts, return_inverse=True)
+        base = rank.astype(np.int64) * size
+        everything = np.arange(size, dtype=np.intp)
 
         def pick(n: int, rng: np.random.Generator) -> np.ndarray:
-            tie = rng.permutation(len(pool))
-            return np.lexsort((tie, negated_counts))[:n]
+            tie = rng.permutation(size)
+            if n >= size:
+                return everything
+            if n == 0:
+                return everything[:0]
+            return np.argpartition(base + tie, n - 1)[:n]
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     return lambda n, seed: pick(n, np.random.default_rng(seed))
@@ -131,7 +224,12 @@ def select_mentions(
     if n < 0:
         raise ValueError("selection budget must be >= 0")
     pool = list(pool)
-    return {pool[i] for i in _selector(strategy, pool, labels, cand_counts)(n, seed)}
+    classes = None if labels is None else np.array(
+        [CLASS_INDEX.get(labels.get(k), -1) for k in pool], dtype=np.int8)
+    counts = None if cand_counts is None else np.array([cand_counts.get(k, 0) for k in pool],
+                                                       dtype=np.int64)
+    select = _selector(strategy, len(pool), classes, counts)
+    return {pool[i] for i in select(n, seed)}
 
 
 def apply_feedback(
@@ -178,73 +276,124 @@ class SimulationResult:
         return self.after[(system, strategy.value, budget)]
 
 
+@dataclass(frozen=True, eq=False)
+class SimulationPool:
+    """The evaluated mentions as arrays, one entry per mention in
+    (doc_id, offset, surface) order.
+
+    ``wrong[s]`` marks the wrong links of ``systems[s]``. ``labels`` and
+    ``predicted`` hold class indices (``CLASS_ORDER``), -1 for a mention
+    without one. ``predicted`` and ``cand_counts`` are None when not given,
+    and the strategies that need them do not run.
+    """
+
+    systems: tuple[str, ...]
+    wrong: np.ndarray
+    labels: np.ndarray | None
+    predicted: np.ndarray | None = None
+    cand_counts: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return self.wrong.shape[1]
+
+    @classmethod
+    def from_columns(
+        cls,
+        codes: MentionCodes,
+        systems: Sequence[str],
+        labelled: LabelledRows,
+        gold: KeyedRows,
+        predictions: KeyedRows | None = None,
+        cand_counts: Mapping[str, int] | None = None,
+    ) -> SimulationPool:
+        """The pool of the labelled mentions that the gold standard holds,
+        joined by key code; it may be empty. A key's last labels line and
+        last predictions line win. An entity tuple without one entity per
+        system raises ValueError. A mention without a prediction gets -1,
+        and a surface missing from ``cand_counts`` counts 0."""
+        if any(len(entities) != len(systems) for entities in labelled.entities):
+            raise ValueError(f"every entity tuple needs one entity per system ({len(systems)})")
+        n_keys = len(codes.keys)
+        label_rows = _last_rows(labelled.keys, n_keys)
+        gold_rows = _last_rows(gold.keys, n_keys)
+        order = codes.order()
+        pool = order[(label_rows[order] >= 0) & (gold_rows[order] >= 0)]
+        rows = label_rows[pool]
+        entities = np.array(labelled.entities, dtype=np.intp).reshape(-1, len(systems))
+        chosen = entities[labelled.tuples[rows]]
+        wrong = np.ascontiguousarray((chosen != gold.values[gold_rows[pool], None]).T)
+        predicted = None
+        if predictions is not None:
+            prediction_rows = _last_rows(predictions.keys, n_keys)[pool]
+            predicted = np.full(len(pool), -1, dtype=np.int8)
+            found = prediction_rows >= 0
+            predicted[found] = predictions.values[prediction_rows[found]]
+        counts = None if cand_counts is None else codes.surface_counts(cand_counts)[pool]
+        return cls(tuple(systems), wrong, labelled.labels[rows], predicted, counts)
+
+
+def _last_rows(keys: np.ndarray, n_keys: int) -> np.ndarray:
+    """For each of ``n_keys`` key codes, the index of its last row in
+    ``keys``, or -1 if it has none."""
+    rows = np.full(n_keys, -1, dtype=np.intp)
+    distinct, index = np.unique(keys[::-1], return_index=True)
+    rows[distinct] = len(keys) - 1 - index
+    return rows
+
+
 def run_simulation(
-    system_choices: Mapping[str, Mapping[MentionKey, str]],
-    gold: Mapping[MentionKey, str],
-    labels: Mapping[MentionKey, Label] | None,
+    pool: SimulationPool,
     budgets: Sequence[int],
-    predictions: Mapping[MentionKey, Label] | None = None,
-    cand_counts: Mapping[MentionKey, int] | None = None,
     repetitions: int = 10,
     seed: int = 0,
 ) -> SimulationResult:
     """Before/after accuracy per system, strategy and budget.
 
-    The strategies are DIFFICULT, PRED_DIFFICULT if ``predictions`` are
-    given, RANDOM, and CANDIDATES if ``cand_counts`` are given, in that
-    order. The evaluated set is the intersection of every system's mentions
-    with the gold standard. Each (strategy, budget, repetition) selection
-    uses an independent seed derived from the master seed, the strategy
-    name, the budget index and the repetition index, so repetitions can run
-    in any order (or in parallel) with identical results.
+    The strategies are DIFFICULT, PRED_DIFFICULT if the pool has predicted
+    classes, RANDOM, and CANDIDATES if it has candidate counts, in that
+    order. Each (strategy, budget, repetition) selection uses an independent
+    seed derived from the master seed, the strategy name, the budget index
+    and the repetition index, so repetitions can run in any order (or in
+    parallel) with identical results.
 
-    The evaluated set is indexed once: each system becomes one boolean
-    vector marking its wrong links, and each strategy indexes its HARD and
-    MEDIUM pools or candidate counts once. Oracle feedback corrects exactly
-    the wrong links it selects, so a repetition's accuracy is
-    ``(n - wrong.sum() + wrong[selected].sum()) / n``, the same integer
-    ratio that ``accuracy(apply_feedback(...))`` gives, and a repetition
-    costs one seeded draw plus a sum over the selected mentions.
+    Each strategy indexes its HARD and MEDIUM pools or candidate counts
+    once. Oracle feedback corrects exactly the wrong links it selects, so a
+    repetition's accuracy is ``(n - wrong.sum() + wrong[selected].sum()) / n``,
+    the same integer ratio that ``accuracy(apply_feedback(...))`` gives, and
+    a repetition costs one seeded draw plus one sum over the selected
+    mentions for all systems.
     """
     if repetitions < 1:
         raise ValueError("need at least one repetition")
     if any(budget < 0 for budget in budgets):
         raise ValueError("selection budget must be >= 0")
-    systems = tuple(system_choices)
-    if not systems:
-        raise ValueError("no systems to simulate")
-    common = set.intersection(*(set(choices) for choices in system_choices.values()))
-    pool = sorted(k for k in common if k in gold)
-    if not pool:
-        raise ValueError("no commonly recognised mention exists in the gold standard")
+    n = len(pool)
+    if not n:
+        raise ValueError("the simulation pool is empty")
     strategies = [Strategy.DIFFICULT, Strategy.RANDOM]
-    if predictions is not None:
+    if pool.predicted is not None:
         strategies.insert(1, Strategy.PRED_DIFFICULT)
-    if cand_counts is not None:
+    if pool.cand_counts is not None:
         strategies.append(Strategy.CANDIDATES)
     strategies = tuple(strategies)
 
-    n = len(pool)
-    wrong = {
-        system: np.array([system_choices[system][k] != gold[k] for k in pool], dtype=bool)
-        for system in systems
-    }
-    n_wrong = {system: int(wrong[system].sum()) for system in systems}
-    before = {system: (n - n_wrong[system]) / n for system in systems}
+    systems = pool.systems
+    n_wrong = pool.wrong.sum(axis=1).tolist()
+    before = {system: (n - w) / n for system, w in zip(systems, n_wrong)}
 
     after: dict[tuple[str, str, int], StrategyOutcome] = {}
     for strategy in strategies:
-        strategy_labels = predictions if strategy is Strategy.PRED_DIFFICULT else labels
-        select = _selector(strategy, pool, strategy_labels, cand_counts)
+        labels = pool.predicted if strategy is Strategy.PRED_DIFFICULT else pool.labels
+        select = _selector(strategy, n, labels, pool.cand_counts)
         for budget_index, budget in enumerate(budgets):
-            per_system: dict[str, list[float]] = {system: [] for system in systems}
+            per_system: list[list[float]] = [[] for _ in systems]
             for rep in range(repetitions):
                 selected = select(budget, derive_seed(seed, strategy.value, budget_index, rep))
-                for system in systems:
-                    fixed = int(wrong[system][selected].sum())
-                    per_system[system].append((n - n_wrong[system] + fixed) / n)
-            for system in systems:
-                values = np.array(per_system[system])
+                fixed = pool.wrong[:, selected].sum(axis=1).tolist()
+                for values, w, f in zip(per_system, n_wrong, fixed):
+                    values.append((n - w + f) / n)
+            for system, values in zip(systems, per_system):
+                values = np.array(values)
                 after[(system, strategy.value, budget)] = StrategyOutcome(
                     mean_after=float(values.mean()),
                     std_after=float(values.std()),
@@ -254,7 +403,7 @@ def run_simulation(
         systems=systems,
         strategies=strategies,
         budgets=tuple(budgets),
-        n_evaluated=len(pool),
+        n_evaluated=n,
         before=before,
         after=after,
         repetitions=repetitions,

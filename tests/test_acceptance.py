@@ -27,6 +27,7 @@ from eldiff.simulate import (
     run_simulation,
     select_mentions,
 )
+from simulate_oracle import pool_from_mappings
 
 
 def _passed(criterion: str, detail: str = ""):
@@ -360,7 +361,7 @@ class TestC11SimulationArithmetic:
             choices = {k: ("W" if i in wrong else "G") for i, k in enumerate(keys)}
             labels = {k: (Label.HARD if i in wrong else Label.EASY)
                       for i, k in enumerate(keys)}
-            result = run_simulation({"sys": choices}, gold, labels,
+            result = run_simulation(pool_from_mappings({"sys": choices}, gold, labels),
                                     budgets=[5, 10, 20], repetitions=10, seed=seed)
             for budget in result.budgets:
                 difficult = result.outcome("sys", Strategy.DIFFICULT, budget).mean_after

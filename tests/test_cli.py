@@ -11,7 +11,7 @@ from eldiff import embeddings
 from eldiff.cli import EXIT_DEGENERATE, EXIT_ERROR, EXIT_OK, _apply_config, _build_parser, main
 from eldiff.consensus import Label, read_labels
 from eldiff.features import FEATURE_COLUMNS, FeatureTable
-from eldiff.simulate import read_gold
+from simulate_oracle import gold_entries
 
 
 def run(*argv):
@@ -367,7 +367,7 @@ class TestSimulate:
     def test_pool_counts_logged_and_missing_predictions_warned(
             self, fixture_dir, labelled_dir, tmp_path, caplog):
         labels_path = labelled_dir / "labels.tsv"
-        gold = read_gold(fixture_dir / "gold.tsv")
+        gold = gold_entries(fixture_dir / "gold.tsv")
         keys = sorted({lm.key for lm in read_labels(labels_path)})
         pool = [k for k in keys if k in gold]
         predicted = pool[::3]
@@ -436,6 +436,65 @@ class TestPredictionsFile:
         assert status == EXIT_ERROR
         assert [r.getMessage() for r in caplog.records if r.levelno == logging.ERROR] == [message]
         assert not (tmp_path / "out" / "simulation.tsv").exists()
+
+
+class TestSimulateRedirects:
+    def test_redirected_labels_score_like_unredirected_ones(self, tmp_path):
+        fixture = tmp_path / "fixture"
+        assert run("gen-synthetic", "--out", fixture, "--seed", 3, "--docs", 60) == EXIT_OK
+        assert "\tEnt_minister\n" in (fixture / "gold.tsv").read_text(encoding="utf-8")
+        redirects = tmp_path / "redirects.tsv"
+        redirects.write_text("Ent_minister\tRenamed_Ent_minister\n", encoding="utf-8")
+        dumps = [fixture / f"{name}.tsv" for name in ("alpha", "beta", "gamma")]
+
+        def simulate(name, *redirect):
+            out = tmp_path / name
+            assert run("label", "--annotations", *dumps, *redirect, "--out", out) == EXIT_OK
+            assert run("simulate", "--labels", out / "labels.tsv", "--gold", fixture / "gold.tsv",
+                       "--candidates", fixture / "candidates.tsv", "--systems",
+                       "alpha,beta,gamma", *redirect, "--out", out, "--seed", 3) == EXIT_OK
+            return (out / "simulation.tsv").read_bytes()
+
+        plain = simulate("plain")
+        assert simulate("redirected", "--redirects", redirects) == plain
+        # the map reaches the labels: scored against the raw gold, they differ
+        relabelled = tmp_path / "redirected" / "labels.tsv"
+        assert run("simulate", "--labels", relabelled, "--gold", fixture / "gold.tsv",
+                   "--candidates", fixture / "candidates.tsv", "--systems", "alpha,beta,gamma",
+                   "--out", tmp_path / "mixed", "--seed", 3) == EXIT_OK
+        assert (tmp_path / "mixed" / "simulation.tsv").read_bytes() != plain
+
+
+class TestOutputDirectoryAfterInputs:
+    """A command that refuses its inputs leaves no output directory behind."""
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("predict", ["--model", "{model}", "--features", "{features}"], "unreadable model file"),
+        ("importance", ["--model", "{model}"], "unreadable model file"),
+        ("train", ["--features", "{features}"], "header must end with the label column"),
+        ("eval", ["--features", "{features}"], "header must end with the label column"),
+        ("correlate", ["--features", "{features}"], "header must end with the label column"),
+    ])
+    def test_refused_input_makes_no_out(self, tmp_path, caplog, command, flags, message):
+        model = tmp_path / "model.json"
+        model.write_text("not json\n", encoding="utf-8")
+        features = tmp_path / "features.csv"
+        features.write_text("x,y\n1,2\n", encoding="utf-8")
+        argv = [f.format(model=model, features=features) for f in flags]
+        out = tmp_path / "out"
+        with caplog.at_level(logging.ERROR, logger="eldiff"):
+            assert run(command, *argv, "--out", out) == EXIT_ERROR
+        assert message in caplog.text
+        assert not out.exists()
+
+    def test_refused_gold_makes_no_out(self, labelled_dir, tmp_path, caplog):
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("d1\tzz\tParis\tE\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("simulate", "--labels", labelled_dir / "labels.tsv", "--gold", gold,
+                   "--out", out) == EXIT_ERROR
+        assert "line 1: bad offset 'zz'" in caplog.text
+        assert not out.exists()
 
 
 class TestFileSystemErrors:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from eldiff.consensus import Label, LabelledMention, SystemAnnotation
+from eldiff.consensus import Label, LabelledMention, SystemAnnotation, read_annotations
 from eldiff.corpus import Corpus, Document
 from eldiff.embeddings import EmbeddingModel
 from eldiff.errors import AllMissingError, MalformedRecordError
@@ -21,6 +21,7 @@ from eldiff.features import (
     FeatureSchema,
     FeatureTable,
     count_doc_mentions,
+    count_dump_mentions,
     load_candidate_dictionary,
     read_table,
     stability_word,
@@ -328,6 +329,69 @@ class TestCountDocMentions:
         b = [SystemAnnotation("d1", "X", 0, "E"), SystemAnnotation("d2", "Z", 1, "E")]
         counts = count_doc_mentions([a, b])
         assert counts == {"d1": 2, "d2": 1}
+
+
+def dump_outcome(count, paths):
+    """The counts, or the error's type, message and line."""
+    try:
+        return count(paths)
+    except MalformedRecordError as exc:
+        return type(exc), str(exc), exc.line_number
+
+
+def count_records(paths):
+    return count_doc_mentions(read_annotations(p) for p in paths)
+
+
+SPAN_DOCS = ["d1", "D1", "1984", "\U0001F600"]
+SPAN_SURFACES = ["Paris", "paris", "a b", "", "\U00010348"]
+dump_lines = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(SPAN_DOCS), st.integers(0, 12).map(str),
+                  st.sampled_from(SPAN_SURFACES), st.sampled_from(["E", "e f", "Ent"]))
+        .map("\t".join),
+        st.just(""),
+    ),
+    max_size=12,
+)
+BAD_DUMP_LINES = ["d1\t007\tParis\tE", "d1\t-1\tParis\tE", "d1\t3\tParis\t",
+                  "d1\t3\tParis\t \x0b", "d1\t3\tParis", "d1\t3\tParis\tE\tx"]
+
+
+class TestCountDumpMentions:
+    """The span count from dump fields against count_doc_mentions over the
+    read_annotations records: the same counts, or the same first error."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(dumps=st.lists(dump_lines, min_size=1, max_size=3),
+           bad=st.none() | st.tuples(st.integers(0, 2), st.integers(0, 12),
+                                     st.sampled_from(BAD_DUMP_LINES)))
+    def test_matches_counts_over_records(self, tmp_path, dumps, bad):
+        if bad is not None:
+            which, where, line = bad
+            if which < len(dumps):
+                dumps[which] = dumps[which][:where] + [line] + dumps[which][where:]
+        paths = []
+        for i, lines in enumerate(dumps):
+            path = tmp_path / f"sys{i}.tsv"
+            path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            paths.append(path)
+        expected = dump_outcome(count_records, paths)
+        assert dump_outcome(count_dump_mentions, paths) == expected
+
+    @pytest.mark.parametrize("line, message", [
+        ("d1\t03\tParis\tE", "line 2: bad offset '03'"),
+        ("d1\t3\tParis\t  ", "line 2: empty entity id"),
+        ("d1\t3\tParis", "line 2: expected 4 tab-separated fields, got 3"),
+    ])
+    def test_error_names_its_line_after_a_valid_twin(self, tmp_path, line, message):
+        # the first line's span and entity were checked; the second's are not theirs
+        path = tmp_path / "sys.tsv"
+        path.write_text(f"d1\t3\tParis\tE\n{line}\n", encoding="utf-8")
+        expected = (MalformedRecordError, message, 2)
+        assert dump_outcome(count_records, [path]) == expected
+        assert dump_outcome(count_dump_mentions, [path]) == expected
 
 
 class TestImpute:

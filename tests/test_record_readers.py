@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from eldiff.cli import CliError, _read_predictions
+from eldiff.cli import CliError
 from eldiff.consensus import (
     Label,
     LabelledMention,
@@ -24,7 +24,7 @@ from eldiff.consensus import (
 )
 from eldiff.errors import MalformedRecordError
 from eldiff.features import load_candidate_dictionary
-from eldiff.simulate import read_gold
+from simulate_oracle import gold_entries, labelled_records, prediction_entries
 
 # --- oracles: the readers as they were before the records became tuples ----------
 # Each builds its records through the checking constructors and turns the
@@ -197,7 +197,7 @@ class TestGoldOracle:
         path = write_lines(tmp_path / "gold.tsv",
                            [GOOD_ANNOTATION, "", GOOD_ANNOTATION, BAD_ANNOTATIONS[kind]])
         expected = outcome(oracle_read_gold, path, redirect_map=REDIRECTS)
-        assert outcome(read_gold, path, redirect_map=REDIRECTS) == expected
+        assert outcome(gold_entries, path, redirect_map=REDIRECTS) == expected
 
     @pytest.mark.parametrize("last, line_number", [("d2\t1\tBonn\tBonn", 2),
                                                    (BAD_ANNOTATIONS["bad offset"], 3)])
@@ -207,7 +207,7 @@ class TestGoldOracle:
                            [GOOD_ANNOTATION, "d1\t10\tParis\tLyon", last])
         expected = outcome(oracle_read_gold, path)
         assert expected[0] is MalformedRecordError and expected[2] == line_number
-        assert outcome(read_gold, path) == expected
+        assert outcome(gold_entries, path) == expected
 
     def test_generated_gold_matches(self, tmp_path):
         lines = [f"doc{i % 7}\t{i * 3}\tw{i % 5} x\t{' e ' if i % 4 else 'E'}{i % 11}"
@@ -216,7 +216,7 @@ class TestGoldOracle:
         for kwargs in ({}, {"redirect_map": {"E3": "E4"}}):
             expected = outcome(oracle_read_gold, path, **kwargs)
             assert len(expected) == 300
-            assert outcome(read_gold, path, **kwargs) == expected
+            assert outcome(gold_entries, path, **kwargs) == expected
 
 
 # --- label files ----------------------------------------------------------------------
@@ -242,6 +242,7 @@ class TestLabelOracle:
         expected = outcome(oracle_read_labels, path)
         assert expected[0] is MalformedRecordError and expected[2] == 4
         assert outcome(read_labels, path) == expected
+        assert outcome(labelled_records, path) == expected
 
     @pytest.mark.parametrize("first, second",
                              list(itertools.product(sorted(BAD_LABELS), repeat=2)))
@@ -251,6 +252,7 @@ class TestLabelOracle:
         expected = outcome(oracle_read_labels, path)
         assert expected[2] == 2
         assert outcome(read_labels, path) == expected
+        assert outcome(labelled_records, path) == expected
 
     def test_zero_padded_offset_is_refused(self, tmp_path):
         # read as 7, it would be written back as "7": the file would not
@@ -268,6 +270,7 @@ class TestLabelOracle:
         path = write_lines(tmp_path / "labels.tsv", lines)
         records = read_labels(path)
         assert outcome(read_labels, path) == outcome(oracle_read_labels, path)
+        assert outcome(labelled_records, path) == outcome(oracle_read_labels, path)
         assert records[0].key == ("doc0", 0, "w0")
 
 
@@ -281,12 +284,12 @@ class TestPredictionsOracle:
         lines = [f"doc{i % 7}\t{i}\tw{i % 5}\t{('HARD', 'MEDIUM', 'EASY')[i % 3]}\t0.1\t0.2\t0.7"
                  for i in range(50)]
         path = write_lines(tmp_path / "predictions.tsv", [*lines, "", "d\t1\tx\tEASY"])
-        assert outcome(_read_predictions, path) == outcome(oracle_read_predictions, path)
+        assert outcome(prediction_entries, path) == outcome(oracle_read_predictions, path)
 
     def test_field_count_error_names_its_line(self, tmp_path):
         path = write_lines(tmp_path / "predictions.tsv", [GOOD_PREDICTION, "d1\t10\tParis"])
         # the old reader said "predictions line 2: ..." in a CliError
-        assert outcome(_read_predictions, path) == (
+        assert outcome(prediction_entries, path) == (
             MalformedRecordError, "line 2: expected at least 4 tab-separated fields, got 3", 2)
 
     @pytest.mark.parametrize("line, message", [
@@ -297,14 +300,14 @@ class TestPredictionsOracle:
         path = write_lines(tmp_path / "predictions.tsv", [GOOD_PREDICTION, line, "d1\tyy\tx\tEASY"])
         # the old reader raised a bare ValueError that named no line
         assert outcome(oracle_read_predictions, path)[0] is ValueError
-        assert outcome(_read_predictions, path) == (MalformedRecordError, message, 2)
+        assert outcome(prediction_entries, path) == (MalformedRecordError, message, 2)
 
     def test_zero_padded_offset_is_refused(self, tmp_path):
         path = write_lines(tmp_path / "predictions.tsv",
                            ["d1\t0\tParis\tHARD", "d1\t007\tParis\tHARD"])
         # the old reader read it as offset 7
         assert ("d1", 7, "Paris") in oracle_read_predictions(path)
-        assert outcome(_read_predictions, path) == (
+        assert outcome(prediction_entries, path) == (
             MalformedRecordError, "line 2: bad offset '007'", 2)
 
 
@@ -423,6 +426,7 @@ def test_label_file_roundtrip(tmp_path, records):
     write_labels(records, path)
     again = read_labels(path)
     assert again == records
+    assert labelled_records(path) == records
     assert all(type(lm) is LabelledMention for lm in again)
 
 
@@ -444,7 +448,7 @@ def test_predictions_file_roundtrip(tmp_path, records):
         return
     write_predictions(records, path)
     # a later prediction for the same key wins
-    assert _read_predictions(path) == {key: label for key, label, _ in records}
+    assert prediction_entries(path) == {key: label for key, label, _ in records}
 
 
 def write_gold(entries, path):
@@ -463,16 +467,17 @@ def test_gold_file_roundtrip(tmp_path, entries):
                 for f in (doc_id, surface, entity)]):
         return
     write_gold(entries, path)
-    assert outcome(read_gold, path) == expected_gold_or_error(entries)
+    assert outcome(gold_entries, path) == expected_gold_or_error(entries)
 
 
 # --- one line format ----------------------------------------------------------------------------
 
 SHORT_LINES = {
     "annotations": (read_annotations, GOOD_ANNOTATION, "4"),
-    "gold": (read_gold, GOOD_ANNOTATION, "4"),
+    "gold": (gold_entries, GOOD_ANNOTATION, "4"),
     "labels": (read_labels, GOOD_LABEL, "5"),
-    "predictions": (_read_predictions, GOOD_PREDICTION, "at least 4"),
+    "labelled columns": (labelled_records, GOOD_LABEL, "5"),
+    "predictions": (prediction_entries, GOOD_PREDICTION, "at least 4"),
     "candidates": (load_candidate_dictionary, "Paris\t3", "2"),
     "redirects": (read_redirects, "Obama\tBarack Obama", "2"),
 }
@@ -490,9 +495,10 @@ def test_short_line_names_its_line_in_every_format(tmp_path, kind):
 
 OFFSET_LINES = {
     "annotations": (read_annotations, "d1\t{}\tParis\tE"),
-    "gold": (read_gold, "d1\t{}\tParis\tE"),
+    "gold": (gold_entries, "d1\t{}\tParis\tE"),
     "labels": (read_labels, "d1\t{}\tParis\tEASY\tE1,E1"),
-    "predictions": (_read_predictions, "d1\t{}\tParis\tHARD\t1\t0\t0"),
+    "labelled columns": (labelled_records, "d1\t{}\tParis\tEASY\tE1,E1"),
+    "predictions": (prediction_entries, "d1\t{}\tParis\tHARD\t1\t0\t0"),
 }
 
 

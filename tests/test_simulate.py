@@ -1,21 +1,29 @@
-"""Oracle-feedback simulation: selection, correction and accuracy arithmetic."""
+"""Oracle-feedback simulation: selection, correction and accuracy arithmetic,
+and the code-column join against the dict path it replaced."""
+
+import logging
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eldiff import simulate
 from eldiff.consensus import Label
 from eldiff.errors import MalformedRecordError
+from eldiff.cli import main
 from eldiff.simulate import (
     Strategy,
     accuracy,
     apply_feedback,
     budget_from_fraction,
-    read_gold,
     run_simulation,
     select_mentions,
 )
 from eldiff.rand import derive_seed
+from simulate_oracle import gold_entries, lexsort_pick, oracle_simulate, pool_from_mappings
 
 
 def key(i):
@@ -145,7 +153,8 @@ class TestRunSimulation:
 
     def test_oracle_monotonicity(self):
         systems, gold, labels = self._setup()
-        result = run_simulation(systems, gold, labels, budgets=[5, 10, 20], repetitions=5, seed=1)
+        result = run_simulation(pool_from_mappings(systems, gold, labels),
+                                budgets=[5, 10, 20], repetitions=5, seed=1)
         for system in result.systems:
             for strategy in result.strategies:
                 for budget in result.budgets:
@@ -155,13 +164,15 @@ class TestRunSimulation:
 
     def test_determinism(self):
         systems, gold, labels = self._setup()
-        a = run_simulation(systems, gold, labels, budgets=[5, 10], repetitions=4, seed=7)
-        b = run_simulation(systems, gold, labels, budgets=[5, 10], repetitions=4, seed=7)
+        pool = pool_from_mappings(systems, gold, labels)
+        a = run_simulation(pool, budgets=[5, 10], repetitions=4, seed=7)
+        b = run_simulation(pool, budgets=[5, 10], repetitions=4, seed=7)
         assert a == b
 
     def test_difficult_beats_random_when_hard_marks_errors(self):
         systems, gold, labels = self._setup()
-        result = run_simulation(systems, gold, labels, budgets=[4, 8], repetitions=10, seed=3)
+        result = run_simulation(pool_from_mappings(systems, gold, labels),
+                                budgets=[4, 8], repetitions=10, seed=3)
         for budget in result.budgets:
             difficult = result.outcome("sysA", Strategy.DIFFICULT, budget).mean_after
             random = result.outcome("sysA", Strategy.RANDOM, budget).mean_after
@@ -173,7 +184,8 @@ class TestRunSimulation:
         choices[extra] = "X"
         labels[extra] = Label.HARD
         systems = {"sysA": choices}
-        result = run_simulation(systems, gold, labels, budgets=[2], repetitions=2, seed=0)
+        result = run_simulation(pool_from_mappings(systems, gold, labels),
+                                budgets=[2], repetitions=2, seed=0)
         assert result.n_evaluated == 10
 
     def test_pred_difficult_uses_predictions(self):
@@ -181,16 +193,17 @@ class TestRunSimulation:
         predictions = {k: Label.MEDIUM for k in keys}
         systems = {"sysA": choices}
         result = run_simulation(
-            systems, gold, labels, budgets=[6], predictions=predictions,
-            repetitions=3, seed=2,
+            pool_from_mappings(systems, gold, labels, predictions=predictions),
+            budgets=[6], repetitions=3, seed=2,
         )
         assert Strategy.PRED_DIFFICULT in result.strategies
 
     def test_no_common_gold_mentions_rejected(self):
         gold = {("other", 0, "x"): "G"}
-        with pytest.raises(ValueError):
-            run_simulation({"s": {key(0): "G"}}, gold, {key(0): Label.EASY},
-                           budgets=[1], repetitions=1, seed=0)
+        pool = pool_from_mappings({"s": {key(0): "G"}}, gold, {key(0): Label.EASY})
+        assert len(pool) == 0
+        with pytest.raises(ValueError, match="the simulation pool is empty"):
+            run_simulation(pool, budgets=[1])
 
 
 class TestBudgetMonotonicity:
@@ -303,8 +316,8 @@ class TestIndexedSimulationEquivalence:
     def test_run_simulation_matches_reference_loop(self, world_seed):
         systems, gold, labels, predictions, cand_counts = _equivalence_world(world_seed)
         budgets = [0, 2, 7, 15, 30, 60, 100]
-        result = run_simulation(systems, gold, labels, budgets, predictions=predictions,
-                                cand_counts=cand_counts, repetitions=6, seed=world_seed)
+        pool = pool_from_mappings(systems, gold, labels, predictions, cand_counts)
+        result = run_simulation(pool, budgets, repetitions=6, seed=world_seed)
         n, before, after = _reference_run(systems, gold, labels, budgets, predictions,
                                           cand_counts, self.STRATEGIES, 6, world_seed)
         assert result.n_evaluated == n == 60
@@ -314,8 +327,8 @@ class TestIndexedSimulationEquivalence:
 
     def test_default_strategies_match_reference_loop(self):
         systems, gold, labels, predictions, cand_counts = _equivalence_world(5)
-        result = run_simulation(systems, gold, labels, [4, 12], predictions=predictions,
-                                cand_counts=cand_counts, repetitions=3, seed=11)
+        pool = pool_from_mappings(systems, gold, labels, predictions, cand_counts)
+        result = run_simulation(pool, [4, 12], repetitions=3, seed=11)
         assert result.strategies == self.STRATEGIES
         _, before, after = _reference_run(systems, gold, labels, [4, 12], predictions,
                                           cand_counts, self.STRATEGIES, 3, 11)
@@ -328,25 +341,151 @@ class TestReadGold:
     def test_read(self, tmp_path):
         path = tmp_path / "gold.tsv"
         path.write_text("d1\t10\tParis\tparis\nd1\t20\tBonn\tBonn\n", encoding="utf-8")
-        assert read_gold(path) == {("d1", 10, "Paris"): "Paris", ("d1", 20, "Bonn"): "Bonn"}
+        assert gold_entries(path) == {("d1", 10, "Paris"): "Paris", ("d1", 20, "Bonn"): "Bonn"}
 
     def test_conflicting_duplicate_names_its_line(self, tmp_path):
         path = tmp_path / "gold.tsv"
         path.write_text("\nd1\t10\tParis\tA\n\nd1\t10\tParis\ta\nd1\t10\tParis\tB\n",
                         encoding="utf-8")
         with pytest.raises(MalformedRecordError) as exc:
-            read_gold(path)
+            gold_entries(path)
         assert exc.value.line_number == 5
         assert str(exc.value) == \
             "line 5: conflicting gold entries for mention ('d1', 10, 'Paris')"
 
-    def test_reads_through_the_module_global(self, tmp_path, monkeypatch):
-        # bench/spans.py times the gold read by wrapping this name
-        path = tmp_path / "gold.tsv"
-        path.write_text("d1\t10\tParis\tParis\n", encoding="utf-8")
-        calls = []
-        original = simulate.read_annotations
-        monkeypatch.setattr(simulate, "read_annotations",
-                            lambda *args: calls.append(args) or original(*args))
-        assert read_gold(path) == {("d1", 10, "Paris"): "Paris"}
-        assert calls == [(path, None)]
+
+# --- the CANDIDATES pick ----------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(counts=st.lists(st.sampled_from([0, 1, 2, 3, 10 ** 15]), min_size=1, max_size=30),
+       seed=st.integers(0, 2 ** 32))
+def test_argpartition_pick_selects_the_lexsort_set(counts, seed):
+    counts = np.array(counts, dtype=np.int64)
+    size = len(counts)
+    select = simulate._selector(Strategy.CANDIDATES, size, None, counts)
+    for n in (0, 1, size - 1, size, size + 1):
+        expected = lexsort_pick(-counts, n, np.random.default_rng(seed))
+        picked = select(n, seed)
+        assert len(picked) == min(n, size)
+        assert sorted(picked.tolist()) == sorted(expected.tolist())
+
+
+# --- the code-column join against the dict path -------------------------------------
+# Small field pools make duplicate keys, agreeing and conflicting gold lines,
+# keys outside gold and missing predictions common. Doc ids and surfaces
+# differ only in case, are all digits or hold astral code points.
+
+JOIN_DOCS = ["d1", "D1", "1984", "0", "\U0001F600"]
+JOIN_OFFSETS = ["0", "7", "12", "100000000000000000000"]
+JOIN_SURFACES = ["Paris", "paris", "12", "\U00010348 x", ""]
+JOIN_ENTITIES = ["E1", "e1", "E2", "Gone", "Ent minister"]
+JOIN_LABELS = ["HARD", "MEDIUM", "EASY"]
+join_keys = st.tuples(st.sampled_from(JOIN_DOCS), st.sampled_from(JOIN_OFFSETS),
+                      st.sampled_from(JOIN_SURFACES)).map("\t".join)
+#: Lines each reader refuses, drawn rarely: bad offsets, labels, entity
+#: counts and ids, and short lines.
+ODD_LABELS = ["d1\t07\tParis\tHARD\tE1,E2,E1", "d1\t7\tParis\thard\tE1,E2,E1",
+              "d1\t7\tParis\tHARD\tE1,E2", "d1\t7\tParis\tHARD\tE1", "d1\t7\tParis"]
+ODD_GOLD = ["d1\t07\tParis\tE1", "d1\t7\tParis\t ", "d1\t7\tParis"]
+ODD_PREDICTIONS = ["d1\t7 \tParis\tHARD", "d1\t7\tParis\tHard\t1", "d1\t7"]
+
+
+def rarely(draw, lines, odd):
+    """The lines with, now and then, one odd line put among them."""
+    if draw(st.integers(0, 9)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(odd)))
+    return lines
+
+
+def file_text(draw, lines):
+    """The lines as a file, with blank lines drawn in between."""
+    return "".join("\n" * draw(st.integers(0, 1)) + line + "\n" for line in lines)
+
+
+@st.composite
+def simulate_inputs(draw):
+    keys = draw(st.lists(join_keys, min_size=1, max_size=12))
+    keys += draw(st.lists(st.sampled_from(keys), max_size=4))  # repeated keys
+    labels = [f"{key}\t{draw(st.sampled_from(JOIN_LABELS))}\t"
+              + ",".join(draw(st.lists(st.sampled_from(JOIN_ENTITIES), min_size=3, max_size=3)))
+              for key in keys]
+    gold_keys = [key for key in keys if draw(st.integers(0, 4))]
+    gold_keys += draw(st.lists(join_keys, max_size=4))
+    entity = {key: draw(st.sampled_from(JOIN_ENTITIES)) for key in gold_keys}
+    gold = [f"{key}\t{entity[key]}" for key in gold_keys]
+    if gold_keys and draw(st.integers(0, 4)) == 0:  # a conflicting duplicate
+        key = draw(st.sampled_from(gold_keys))
+        other = draw(st.sampled_from(JOIN_ENTITIES))
+        gold.insert(draw(st.integers(0, len(gold))), f"{key}\t{other}")
+    files = {"labels": file_text(draw, rarely(draw, labels, ODD_LABELS)),
+             "gold": file_text(draw, rarely(draw, gold, ODD_GOLD))}
+    options = {}
+    if draw(st.booleans()):
+        predicted = [k for k in keys if draw(st.integers(0, 3))]
+        predicted += draw(st.lists(join_keys, max_size=3))
+        files["predictions"] = file_text(draw, rarely(draw, [
+            f"{k}\t{draw(st.sampled_from(JOIN_LABELS))}" + "\t0.5" * draw(st.integers(0, 3))
+            for k in predicted], ODD_PREDICTIONS))
+    if draw(st.booleans()):
+        counts = draw(st.dictionaries(st.sampled_from(JOIN_SURFACES[:4]), st.integers(1, 3)))
+        files["candidates"] = file_text(draw, [f"{s}\t{c}" for s, c in counts.items()])
+    if draw(st.booleans()):
+        files["redirects"] = draw(st.sampled_from(["Gone\tE2\n", "E1\tRenamed\nGone\te1\n"]))
+    if draw(st.integers(0, 3)) == 0:
+        options["systems"] = draw(st.sampled_from(["a,b,c", "a,b"]))
+    options["fractions"] = draw(st.sampled_from([[0.5, 1, 0], [0.1], [3, 0.9]]))
+    options["seed"] = draw(st.integers(0, 1000))
+    return files, options
+
+
+class _Errors(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.ERROR)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(inputs=simulate_inputs())
+def test_column_join_matches_the_dict_path(inputs):
+    files, options = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        paths = {}
+        for name, text in files.items():
+            paths[name] = tmp / f"{name}.tsv"
+            paths[name].write_text(text, encoding="utf-8")
+        argv = ["simulate", "--labels", paths["labels"], "--gold", paths["gold"],
+                "--budgets", ",".join(map(str, options["fractions"])), "--repetitions", 2,
+                "--seed", options["seed"], "--out", tmp / "columns"]
+        for name in ("predictions", "candidates", "redirects"):
+            if name in paths:
+                argv += [f"--{name}", paths[name]]
+        if "systems" in options:
+            argv += ["--systems", options["systems"]]
+        try:
+            oracle_simulate(tmp / "dicts", paths["labels"], paths["gold"], options["fractions"],
+                            candidates=paths.get("candidates"),
+                            predictions=paths.get("predictions"),
+                            systems=options.get("systems"), redirects=paths.get("redirects"),
+                            repetitions=2, seed=options["seed"])
+            refusal = None
+        except Exception as exc:
+            refusal = str(exc)
+        errors = _Errors()
+        logger = logging.getLogger("eldiff")
+        logger.addHandler(errors)
+        try:
+            status = main([str(a) for a in argv])
+        finally:
+            logger.removeHandler(errors)
+        if refusal is not None:
+            assert (status, errors.messages) == (2, [refusal])
+            assert not (tmp / "columns").exists()
+            return
+        assert (status, errors.messages) == (0, [])
+        for name in ("simulation.tsv", "simulation_panels.tsv"):
+            assert (tmp / "columns" / name).read_bytes() == (tmp / "dicts" / name).read_bytes()
