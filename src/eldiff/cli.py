@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import consensus, embeddings, synth
-from .consensus import AlignPolicy, align, class_distribution
+from .consensus import CLASS_INDEX, CLASS_ORDER, AlignPolicy, MentionCodes, align
+from .consensus import class_distribution
 from .corpus import GeneratorConfig, load_corpus
 from .errors import AllMissingError, EldiffError
 from .features import (
@@ -34,11 +35,11 @@ from .features import (
     FeatureConfig,
     FeatureExtractor,
     FeatureSchema,
-    count_doc_mentions,
     count_dump_mentions,
     load_candidate_dictionary,
     read_table,
 )
+from .features import count_doc_mentions  # noqa: F401  a tracer target of bench/spans.py
 from .learn import (
     VARIANTS,
     RandomForestModel,
@@ -63,11 +64,9 @@ from .reports import (
     write_pearson_matrix,
 )
 from .simulate import (
-    MentionCodes,
     SimulationPool,
     budget_from_fraction,
     read_gold,
-    read_labelled,
     read_predictions,
     run_simulation,
     write_simulation_report,
@@ -159,14 +158,31 @@ def _imputed(table, schema: FeatureSchema, args) -> object:
 # Subcommands
 
 
+def _system_names(args) -> list[str] | None:
+    """The names that ``--systems`` gives, or None without it. An empty or
+    repeated name is refused, before any input is read."""
+    if not args.systems:
+        return None
+    names = args.systems.split(",")
+    if "" in names or len(set(names)) < len(names):
+        raise CliError(f"--systems takes distinct non-empty names, not {args.systems!r}")
+    return names
+
+
+def _line_keys(codes: MentionCodes, rows: consensus.LabelledRows) -> list[tuple[str, int, str]]:
+    """Each labels line's mention key ``(doc_id, offset, surface)``, in line order."""
+    mentions = codes.mentions()
+    return [mentions[key] for key in rows.keys.tolist()]
+
+
 def cmd_gen_synthetic(args) -> int:
+    systems = tuple(_system_names(args) or ("alpha", "beta", "gamma"))
     out = _out_dir(args)
     config = GeneratorConfig(
         n_docs=args.docs,
         start_date=dt.date.fromisoformat(args.start_date),
         end_date=dt.date.fromisoformat(args.end_date),
     )
-    systems = tuple(args.systems.split(",")) if args.systems else ("alpha", "beta", "gamma")
     log.info("derived seeds: corpus %d, annotations %d",
              derive_seed(args.seed, "corpus"), derive_seed(args.seed, "annotations"))
     paths = synth.write_fixture(out, args.seed, corpus_config=config, systems=systems)
@@ -216,14 +232,15 @@ def cmd_features(args) -> int:
                  "embed_negatives", "embed_min_count", "slice_years"):
         _check_at_least(args, name)
     corpus = load_corpus(_require(args, "corpus"))
-    mentions = consensus.read_labels(_require(args, "mentions"))
+    codes = MentionCodes()
+    labelled = consensus.read_labels(_require(args, "mentions"), codes)
     candidates = load_candidate_dictionary(_require(args, "candidates"))
 
     schema = _parse_schema(args.schema, FeatureSchema.all())
     if args.annotations:
         doc_counts = count_dump_mentions(args.annotations)
     else:
-        doc_counts = count_doc_mentions([mentions])
+        doc_counts = codes.doc_counts()
 
     models: list[embeddings.EmbeddingModel] = []
     needs_stability = any(c in schema.columns for c in STABILITY_COLUMNS)
@@ -255,7 +272,10 @@ def cmd_features(args) -> int:
         top_k=args.top_k,
     )
     extractor = FeatureExtractor(corpus, candidates, models, config, doc_counts)
-    table = extractor.extract_all(mentions)
+    table = extractor.extract_all(
+        (doc_id, surface, offset, CLASS_ORDER[label])
+        for (doc_id, offset, surface), label in zip(_line_keys(codes, labelled),
+                                                    labelled.labels.tolist()))
     features_path = _out_dir(args) / "features.csv"
     columns = None if schema.columns == FEATURE_COLUMNS else schema.columns
     table.write_csv(features_path, columns=columns)
@@ -329,17 +349,17 @@ def cmd_predict(args) -> int:
     table = _imputed(table, schema, args)
     keys = None
     if args.mentions:
-        labelled = consensus.read_labels(args.mentions)
-        if len(labelled) != len(table):
-            raise CliError(
-                f"mentions file has {len(labelled)} rows but the feature table has {len(table)}"
-            )
+        codes = MentionCodes()
+        labelled = consensus.read_labels(args.mentions, codes)
+        if len(labelled.keys) != len(table):
+            raise CliError(f"mentions file has {len(labelled.keys)} rows but the feature table "
+                           f"has {len(table)}")
         # files from one run carry the same label row for row
-        for row, (lbl, lm) in enumerate(zip(table.labels(), labelled), start=1):
-            if lbl is not None and lbl is not lm.label:
+        for row, (lbl, code) in enumerate(zip(table.labels(), labelled.labels.tolist()), start=1):
+            if lbl is not None and CLASS_INDEX[lbl] != code:
                 raise CliError(f"feature row {row} is labelled {lbl} but mentions row {row} is "
-                               f"{lm.label}: the files do not come from one run")
-        keys = [lm.key for lm in labelled]
+                               f"{CLASS_ORDER[code]}: the files do not come from one run")
+        keys = _line_keys(codes, labelled)
     labels, probs = model.predict_table(table)
     if keys is None:
         keys = [("-", i, "-") for i in range(len(labels))]
@@ -448,10 +468,11 @@ def cmd_correlate(args) -> int:
 
 def cmd_simulate(args) -> int:
     _check_at_least(args, "repetitions")
-    fractions = _numbers(args, "budgets", lambda v: 0.0 <= v < math.inf,
+    fractions = _numbers(args, "budgets", lambda v: 0.0 <= v and (v < 1.0 or v.is_integer()),
                          "non-negative numbers (values < 1 are fractions)")
+    names = _system_names(args)
     codes = MentionCodes()
-    labelled = read_labelled(_require(args, "labels"), codes)
+    labelled = consensus.read_labels(_require(args, "labels"), codes)
     if not len(labelled.keys):
         raise CliError("the labels file is empty; nothing to simulate")
     redirects = (consensus.read_redirects(args.redirects) if args.redirects is not None
@@ -460,11 +481,7 @@ def cmd_simulate(args) -> int:
     n_systems = len(labelled.entities[labelled.tuples[0]])
     if any(len(entities) != n_systems for entities in labelled.entities):
         raise CliError("labels file mixes mentions with different system counts")
-    systems = (
-        [s for s in args.systems.split(",") if s]
-        if args.systems
-        else [f"system{i + 1}" for i in range(n_systems)]
-    )
+    systems = names or [f"system{i + 1}" for i in range(n_systems)]
     if len(systems) != n_systems:
         raise CliError(f"{n_systems} systems in the labels file but {len(systems)} names given")
 

@@ -4,7 +4,9 @@
 system: one entity per system, and the label that the size of the largest
 agreement group among them decides: all systems disagree -> HARD, all agree
 -> EASY, anything in between -> MEDIUM. For three systems this is exactly
-the all-distinct / all-equal / two-of-three split.
+the all-distinct / all-equal / two-of-three split. ``write_labels`` writes
+them as a labels file, and ``read_labels``, its one reader, reads it back as
+int code columns (``LabelledRows``) against a ``MentionCodes``.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ class Label(Enum):
 #: and argmax tie-breaking.
 CLASS_ORDER: tuple[Label, Label, Label] = (Label.HARD, Label.MEDIUM, Label.EASY)
 CLASS_INDEX: Mapping[Label, int] = {label: i for i, label in enumerate(CLASS_ORDER)}
-#: Label by its text, the lookup every reader uses instead of ``Label(text)``.
+#: Label and class index by label text, the lookups readers use instead of ``Label(text)``.
 LABEL_OF_VALUE: Mapping[str, Label] = {label.value: label for label in Label}
+_CLASS_OF_VALUE = {label.value: CLASS_INDEX[label] for label in Label}
 
 
 class AlignPolicy(Enum):
@@ -91,10 +94,6 @@ class LabelledMention(namedtuple("LabelledMention", "doc_id surface offset entit
         if len(entities) < 2:
             raise ValueError("an aligned mention needs entities from at least 2 systems")
         return tuple.__new__(cls, (doc_id, surface, offset, entities, label))
-
-    @property
-    def key(self) -> tuple[str, int, str]:
-        return self.doc_id, self.offset, self.surface
 
 
 def normalize_entity(raw: str, redirect_map: Mapping[str, str] | None = None) -> str:
@@ -158,11 +157,12 @@ def parse_offset(text: str, lineno: int) -> int:
     return int(text)
 
 
-def parse_label(text: str, lineno: int) -> Label:
-    lbl = LABEL_OF_VALUE.get(text)
-    if lbl is None:
+def parse_class(text: str, lineno: int) -> int:
+    """The class index (``CLASS_ORDER``) of a label text."""
+    code = _CLASS_OF_VALUE.get(text)
+    if code is None:
         raise MalformedRecordError(lineno, f"bad label {text!r}")
-    return lbl
+    return code
 
 
 def write_tsv(rows: Iterable[Sequence[str]], path: str | Path) -> None:
@@ -256,19 +256,18 @@ class MentionCodes:
             code = self.keys[text] = len(self.keys)
         return code
 
-    def mention(self, code: int) -> tuple[str, int, str]:
-        doc_id, offset, surface = next(islice(self.keys, code, None)).split("\t")
-        return doc_id, int(offset), surface
+    def mentions(self) -> list[tuple[str, int, str]]:
+        """Every key as ``(doc_id, offset, surface)``, in code order."""
+        return [(doc_id, int(offset), surface)
+                for doc_id, offset, surface in (text.split("\t") for text in self.keys)]
 
     def order(self) -> np.ndarray:
         """Every key code in (doc_id, offset, surface) order: ``np.lexsort``
-        over each field's rank in sorted order, offsets by value. Python
-        compares ``str`` by code point, so this is ``sorted`` over the key
-        tuples."""
+        over each field's rank in sorted order. Python compares ``str`` by
+        code point, so this is ``sorted`` over the key tuples."""
         ranks = []
-        columns = zip(*(text.split("\t") for text in self.keys))
-        for column, sort_key in zip(columns, (None, int, None)):
-            rank = {field: i for i, field in enumerate(sorted(set(column), key=sort_key))}
+        for column in zip(*self.mentions()):
+            rank = {field: i for i, field in enumerate(sorted(set(column)))}
             ranks.append(np.array([rank[field] for field in column], dtype=np.intp))
         if not ranks:
             return np.empty(0, dtype=np.intp)
@@ -277,11 +276,11 @@ class MentionCodes:
 
     def doc_counts(self) -> dict[str, int]:
         """Each doc id's number of keys, doc ids in first-seen order."""
-        return dict(Counter(text.partition("\t")[0] for text in self.keys))
+        return dict(Counter(doc_id for doc_id, _, _ in self.mentions()))
 
     def surface_counts(self, counts: Mapping[str, int]) -> np.ndarray:
         """Each key's count of its surface in ``counts``, 0 if absent."""
-        return np.array([counts.get(text.rpartition("\t")[2], 0) for text in self.keys],
+        return np.array([counts.get(surface, 0) for _, _, surface in self.mentions()],
                         dtype=np.int64)
 
 
@@ -477,14 +476,38 @@ def write_labels(labelled: Iterable[LabelledMention], path: str | Path) -> None:
                for doc_id, surface, offset, entities, lbl in labelled), path)
 
 
-def read_labels(path: str | Path) -> list[LabelledMention]:
-    labelled = []
-    for lineno, (doc_id, offset_str, surface, label_str, entities_str) in read_tsv(path, 5):
-        offset = parse_offset(offset_str, lineno)
-        lbl = parse_label(label_str, lineno)
-        try:
-            labelled.append(LabelledMention(doc_id, surface, offset,
-                                            tuple(entities_str.split(",")), lbl))
-        except ValueError as exc:
-            raise MalformedRecordError(lineno, str(exc)) from None
-    return labelled
+@dataclass(frozen=True, eq=False)
+class LabelledRows:
+    """A labels file as int columns in line order: each line's key code
+    (``MentionCodes.key``), class index (``CLASS_ORDER``) and entity-tuple
+    code. ``entities[t]`` holds tuple ``t``'s entity codes, one per system."""
+
+    keys: np.ndarray
+    labels: np.ndarray
+    tuples: np.ndarray
+    entities: list[tuple[int, ...]]
+
+
+def read_labels(path: str | Path, codes: MentionCodes) -> LabelledRows:
+    """Read a labels file into code columns against ``codes``. The first bad
+    line raises MalformedRecordError with its number: a bad offset, then a
+    bad label, then fewer than 2 entities. Each distinct entity list is split
+    and checked once."""
+    keys, labels, tuples = [], [], []
+    tuple_codes: dict[str, int] = {}
+    entities: list[tuple[int, ...]] = []
+    entity_codes = codes.entities
+    for lineno, (doc_id, offset, surface, label, ids) in read_tsv(path, 5):
+        keys.append(codes.key(doc_id, offset, surface, lineno))
+        labels.append(parse_class(label, lineno))
+        code = tuple_codes.get(ids)
+        if code is None:
+            split = ids.split(",")
+            if len(split) < 2:
+                raise MalformedRecordError(
+                    lineno, "an aligned mention needs entities from at least 2 systems")
+            code = tuple_codes[ids] = len(entities)
+            entities.append(tuple(entity_codes.setdefault(e, len(entity_codes)) for e in split))
+        tuples.append(code)
+    return LabelledRows(np.array(keys, dtype=np.intp), np.array(labels, dtype=np.int8),
+                        np.array(tuples, dtype=np.intp), entities)

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .consensus import LABEL_OF_VALUE, Label, LabelledMention, MentionCodes, SystemAnnotation
+from .consensus import LABEL_OF_VALUE, Label, MentionCodes, SystemAnnotation
 from .consensus import plain_digits, read_annotation_fields, read_tsv, write_tsv
 from .corpus import (
     Corpus,
@@ -184,12 +184,10 @@ def stability_word(surface: str) -> str:
     return min(words, key=lambda w: (-len(w), w))
 
 
-#: Every form begins ``(doc_id, surface, offset)``; only a LabelledMention has a label.
-Mention = LabelledMention | tuple
-
-
 class FeatureExtractor:
-    """Computes feature tables against shared immutable inputs.
+    """Computes feature tables against shared immutable inputs. A mention is
+    given as ``(doc_id, surface, offset, label)``, its label None if it has
+    none.
 
     m_df and t_df are answered by the corpus's token index, which memoizes
     them; each mention word's stability is computed once. Each document is
@@ -225,9 +223,9 @@ class FeatureExtractor:
             return StabilityResult.missing()
         return self._stability_cache[stability_word(surface)]
 
-    def _row(self, mention: Mention) -> tuple:
+    def _row(self, mention: tuple[str, str, int, Label | None]) -> tuple:
         """One mention's values in ``FEATURE_COLUMNS`` order, label last."""
-        doc_id, surface, offset = mention[:3]
+        doc_id, surface, offset, label = mention
         doc = self.corpus.get(doc_id)
         if offset < 0 or offset + len(surface) > len(doc.text):
             raise ValueError(
@@ -254,14 +252,14 @@ class FeatureExtractor:
             stability.minimum,
             stability.maximum,
             stability.average,
-            mention.label if isinstance(mention, LabelledMention) else None,
+            label,
         )
 
-    def extract(self, mention: Mention) -> "FeatureTable":
+    def extract(self, mention: tuple) -> "FeatureTable":
         """The one-row feature table of ``mention``."""
         return self.extract_all([mention])
 
-    def extract_all(self, mentions: Iterable[Mention]) -> "FeatureTable":
+    def extract_all(self, mentions: Iterable[tuple]) -> "FeatureTable":
         """The feature table of ``mentions``, one row each, in order. The
         stability of every new mention word is computed first, slice by
         slice (``stability_all``)."""

@@ -10,8 +10,8 @@ random, and most-candidates-first.
 system, the label and predicted class codes and the candidate counts, one
 entry per evaluated mention in (doc_id, offset, surface) order. The files
 are read into int code columns against one ``consensus.MentionCodes``:
-``read_labelled``, ``read_gold`` and ``read_predictions`` build no record
-per line, and ``SimulationPool.from_columns`` joins them by key code.
+``consensus.read_labels``, ``read_gold`` and ``read_predictions`` build no
+record per line, and ``SimulationPool.from_columns`` joins them by key code.
 ``select_mentions``, ``apply_feedback`` and ``accuracy`` state one
 selection and its feedback over dicts keyed by ``(doc_id, offset, surface)``.
 """
@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .consensus import CLASS_INDEX, Label, MentionCodes, parse_label
+from .consensus import CLASS_INDEX, Label, LabelledRows, MentionCodes, parse_class
 from .consensus import read_annotation_fields, read_tsv, write_tsv
 from .consensus import read_annotations  # noqa: F401  a tracer target of bench/spans.py
 from .errors import MalformedRecordError
@@ -35,8 +35,6 @@ from .rand import derive_seed
 #: (doc_id, offset, surface) identifies an evaluated mention.
 MentionKey = tuple[str, int, str]
 
-#: Class index (``CLASS_ORDER``) by label text; -1 codes "no label".
-_CLASS_OF_VALUE = {label.value: CLASS_INDEX[label] for label in Label}
 _HARD, _MEDIUM = CLASS_INDEX[Label.HARD], CLASS_INDEX[Label.MEDIUM]
 
 
@@ -56,49 +54,6 @@ class KeyedRows:
     values: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class LabelledRows:
-    """A labels file as int columns in line order: each line's key code,
-    class index (``CLASS_ORDER``) and entity-tuple code. ``entities[t]``
-    holds tuple ``t``'s entity codes, one per system."""
-
-    keys: np.ndarray
-    labels: np.ndarray
-    tuples: np.ndarray
-    entities: list[tuple[int, ...]]
-
-
-def _class_code(text: str, lineno: int) -> int:
-    code = _CLASS_OF_VALUE.get(text)
-    if code is None:
-        parse_label(text, lineno)
-    return code
-
-
-def read_labelled(path: str | Path, codes: MentionCodes) -> LabelledRows:
-    """Read a labels file into code columns, with ``consensus.read_labels``'
-    checks: the first bad line raises MalformedRecordError with its number.
-    Each distinct entity list is split and checked once."""
-    keys, labels, tuples = [], [], []
-    tuple_codes: dict[str, int] = {}
-    entities: list[tuple[int, ...]] = []
-    entity_codes = codes.entities
-    for lineno, (doc_id, offset, surface, label, ids) in read_tsv(path, 5):
-        keys.append(codes.key(doc_id, offset, surface, lineno))
-        labels.append(_class_code(label, lineno))
-        code = tuple_codes.get(ids)
-        if code is None:
-            split = ids.split(",")
-            if len(split) < 2:
-                raise MalformedRecordError(
-                    lineno, "an aligned mention needs entities from at least 2 systems")
-            code = tuple_codes[ids] = len(entities)
-            entities.append(tuple(entity_codes.setdefault(e, len(entity_codes)) for e in split))
-        tuples.append(code)
-    return LabelledRows(np.array(keys, dtype=np.intp), np.array(labels, dtype=np.int8),
-                        np.array(tuples, dtype=np.intp), entities)
-
-
 def read_gold(path: str | Path, codes: MentionCodes,
               redirect_map: Mapping[str, str] | None = None) -> KeyedRows:
     """Read a gold standard (``consensus.read_annotation_fields``) as one
@@ -116,8 +71,8 @@ def read_gold(path: str | Path, codes: MentionCodes,
             clash = lineno, key
     if clash is not None:
         lineno, key = clash
-        raise MalformedRecordError(lineno,
-                                   f"conflicting gold entries for mention {codes.mention(key)}")
+        mention = codes.mentions()[key]
+        raise MalformedRecordError(lineno, f"conflicting gold entries for mention {mention}")
     return KeyedRows(np.fromiter(gold, dtype=np.intp, count=len(gold)),
                      np.fromiter(gold.values(), dtype=np.intp, count=len(gold)))
 
@@ -129,7 +84,7 @@ def read_predictions(path: str | Path, codes: MentionCodes) -> KeyedRows:
     keys, labels = [], []
     for lineno, (doc_id, offset, surface, label, *_) in read_tsv(path, 4, at_least=True):
         keys.append(codes.key(doc_id, offset, surface, lineno))
-        labels.append(_class_code(label, lineno))
+        labels.append(parse_class(label, lineno))
     return KeyedRows(np.array(keys, dtype=np.intp), np.array(labels, dtype=np.int8))
 
 
@@ -308,9 +263,12 @@ class SimulationPool:
     ) -> SimulationPool:
         """The pool of the labelled mentions that the gold standard holds,
         joined by key code; it may be empty. A key's last labels line and
-        last predictions line win. An entity tuple without one entity per
-        system raises ValueError. A mention without a prediction gets -1,
-        and a surface missing from ``cand_counts`` counts 0."""
+        last predictions line win. A system name given twice, or an entity
+        tuple without one entity per system, raises ValueError. A mention
+        without a prediction gets -1, and a surface missing from
+        ``cand_counts`` counts 0."""
+        if len(set(systems)) != len(systems):
+            raise ValueError(f"system names must be distinct, got {list(systems)}")
         if any(len(entities) != len(systems) for entities in labelled.entities):
             raise ValueError(f"every entity tuple needs one entity per system ({len(systems)})")
         n_keys = len(codes.keys)

@@ -1,26 +1,39 @@
-"""The simulation's dict path, kept as an oracle for the code columns.
+"""The record paths of ``features``, ``predict`` and ``simulate``, kept as
+oracles for the code columns.
 
-``oracle_simulate`` is ``cmd_simulate`` as it was before the files were read
-into code columns: one record per line, the gold standard and predictions as
-dicts keyed by ``(doc_id, offset, surface)`` tuples, pool order by
-``sorted`` over those tuples, and CANDIDATES picks by ``np.lexsort``. The
-adapters turn the column readers' rows back into the records and dicts they
-stand for, and ``pool_from_mappings`` turns such dicts into the columns
-that ``SimulationPool.from_columns`` joins.
+``oracle_read_labels`` reads a labels file as the record reader did, one
+``LabelledMention`` per line. ``oracle_features`` and ``oracle_predict`` are
+``cmd_features`` and ``cmd_predict`` on those records. ``oracle_simulate``
+is ``cmd_simulate`` as it was before the files were read into code columns:
+one record per line, the gold standard and predictions as dicts keyed by
+``(doc_id, offset, surface)`` tuples, pool order by ``sorted`` over those
+tuples, and CANDIDATES picks by ``np.lexsort``. The adapters turn the
+column readers' rows back into the records and dicts they stand for, and
+``pool_from_mappings`` turns such dicts into the columns that
+``SimulationPool.from_columns`` joins.
 """
 
+import re
 from itertools import islice
 
 import numpy as np
 
 from eldiff import consensus
-from eldiff.consensus import CLASS_INDEX, CLASS_ORDER, Label, LabelledMention
+from eldiff.consensus import CLASS_INDEX, CLASS_ORDER, Label, LabelledMention, LabelledRows
+from eldiff.corpus import load_corpus
 from eldiff.errors import MalformedRecordError
-from eldiff.features import load_candidate_dictionary
+from eldiff.features import (
+    STABILITY_COLUMNS,
+    FeatureExtractor,
+    FeatureSchema,
+    count_doc_mentions,
+    load_candidate_dictionary,
+    read_table,
+)
+from eldiff.learn import load_model
 from eldiff.rand import derive_seed
 from eldiff.simulate import (
     KeyedRows,
-    LabelledRows,
     MentionCodes,
     SimulationPool,
     SimulationResult,
@@ -28,7 +41,6 @@ from eldiff.simulate import (
     StrategyOutcome,
     budget_from_fraction,
     read_gold,
-    read_labelled,
     read_predictions,
     write_simulation_report,
 )
@@ -44,24 +56,25 @@ class OracleError(Exception):
 def gold_entries(path, redirect_map=None):
     codes = MentionCodes()
     rows = read_gold(path, codes, redirect_map)
-    names = list(codes.entities)
-    return {codes.mention(k): names[e] for k, e in zip(rows.keys.tolist(), rows.values.tolist())}
+    mentions, names = codes.mentions(), list(codes.entities)
+    return {mentions[k]: names[e] for k, e in zip(rows.keys.tolist(), rows.values.tolist())}
 
 
 def prediction_entries(path):
     codes = MentionCodes()
     rows = read_predictions(path, codes)
-    return {codes.mention(k): CLASS_ORDER[c]
-            for k, c in zip(rows.keys.tolist(), rows.values.tolist())}
+    mentions = codes.mentions()
+    return {mentions[k]: CLASS_ORDER[c] for k, c in zip(rows.keys.tolist(), rows.values.tolist())}
 
 
 def labelled_records(path):
+    """``consensus.read_labels``' columns as one ``LabelledMention`` a line."""
     codes = MentionCodes()
-    rows = read_labelled(path, codes)
-    names = list(codes.entities)
+    rows = consensus.read_labels(path, codes)
+    mentions, names = codes.mentions(), list(codes.entities)
     records = []
     for k, c, t in zip(rows.keys.tolist(), rows.labels.tolist(), rows.tuples.tolist()):
-        doc_id, offset, surface = codes.mention(k)
+        doc_id, offset, surface = mentions[k]
         entities = tuple(names[e] for e in rows.entities[t])
         records.append(LabelledMention(doc_id, surface, offset, entities, CLASS_ORDER[c]))
     return records
@@ -102,6 +115,86 @@ def pool_from_mappings(system_choices, gold, labels, predictions=None, cand_coun
                                        surface_counts)
 
 
+# --- the record path ----------------------------------------------------------------------
+# An offset is ASCII digits with no leading zero.
+
+
+def oracle_offset(text, lineno):
+    if not re.fullmatch("0|[1-9][0-9]*", text):
+        raise MalformedRecordError(lineno, f"bad offset {text!r}")
+    return int(text)
+
+
+def oracle_read_labels(path):
+    """A labels file as one ``LabelledMention`` a line, built through its
+    checking constructor, whose ValueError names the line."""
+    labelled = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != 5:
+                raise MalformedRecordError(
+                    lineno, f"expected 5 tab-separated fields, got {len(fields)}")
+            doc_id, offset_str, surface, label_str, entities_str = fields
+            offset = oracle_offset(offset_str, lineno)
+            try:
+                lbl = Label(label_str)
+            except ValueError:
+                raise MalformedRecordError(lineno, f"bad label {label_str!r}") from None
+            entities = tuple(entities_str.split(","))
+            try:
+                labelled.append(LabelledMention(doc_id, surface, offset, entities, lbl))
+            except ValueError as exc:
+                raise MalformedRecordError(lineno, str(exc)) from None
+    return labelled
+
+
+def oracle_features(out, corpus, mentions, candidates):
+    """Write ``features.csv`` into ``out`` as ``features`` did from records,
+    with the default schema and no embeddings or dumps: ``d_ents`` counts
+    the records' distinct spans per document."""
+    corpus = load_corpus(corpus)
+    labelled = oracle_read_labels(mentions)
+    candidates = load_candidate_dictionary(candidates)
+    extractor = FeatureExtractor(corpus, candidates, doc_mention_counts=count_doc_mentions(
+        [labelled]))
+    table = extractor.extract_all([(lm.doc_id, lm.surface, lm.offset, lm.label)
+                                   for lm in labelled])
+    out.mkdir(parents=True, exist_ok=True)
+    table.write_csv(out / "features.csv")
+
+
+def oracle_predict(out, model, features, mentions):
+    """Write ``predictions.tsv`` into ``out`` as ``predict --mentions`` did
+    from records, with mean imputation, or raise the error it refused the
+    input with."""
+    model = load_model(model)
+    file_schema, table = read_table(features)
+    missing = [c for c in model.columns if c not in file_schema.columns]
+    if missing:
+        raise OracleError(f"model needs columns absent from the feature file: {missing}")
+    schema = FeatureSchema(tuple(model.columns))
+    table = table.impute(stability=all(c in schema.columns for c in STABILITY_COLUMNS))
+    labelled = oracle_read_labels(mentions)
+    if len(labelled) != len(table):
+        raise OracleError(
+            f"mentions file has {len(labelled)} rows but the feature table has {len(table)}")
+    for row, (lbl, lm) in enumerate(zip(table.labels(), labelled), start=1):
+        if lbl is not None and lbl is not lm.label:
+            raise OracleError(f"feature row {row} is labelled {lbl} but mentions row {row} is "
+                              f"{lm.label}: the files do not come from one run")
+    keys = [(lm.doc_id, lm.offset, lm.surface) for lm in labelled]
+    labels, probs = model.predict_table(table)
+    out.mkdir(parents=True, exist_ok=True)
+    consensus.write_tsv(
+        ((doc_id, str(offset), surface, label.value, f"{p0:.9g}", f"{p1:.9g}", f"{p2:.9g}")
+         for (doc_id, offset, surface), label, (p0, p1, p2) in zip(keys, labels, probs.tolist())),
+        out / "predictions.tsv")
+
+
 # --- the dict path ----------------------------------------------------------------------
 
 
@@ -121,7 +214,7 @@ def oracle_read_predictions(path):
     for lineno, (doc_id, offset_str, surface, label_str, *_) in consensus.read_tsv(
             path, 4, at_least=True):
         key = (doc_id, consensus.parse_offset(offset_str, lineno), surface)
-        predictions[key] = consensus.parse_label(label_str, lineno)
+        predictions[key] = CLASS_ORDER[consensus.parse_class(label_str, lineno)]
     return predictions
 
 
@@ -199,7 +292,7 @@ def oracle_simulate(out, labels, gold, fractions, *, candidates=None, prediction
                     systems=None, redirects=None, repetitions=10, seed=0):
     """Write ``simulation.tsv`` and ``simulation_panels.tsv`` into ``out`` as
     the dict path did, or raise the error it refused the input with."""
-    labelled = consensus.read_labels(labels)
+    labelled = oracle_read_labels(labels)
     if not labelled:
         raise OracleError("the labels file is empty; nothing to simulate")
     redirect_map = consensus.read_redirects(redirects) if redirects is not None else None
@@ -211,7 +304,7 @@ def oracle_simulate(out, labels, gold, fractions, *, candidates=None, prediction
                else [f"system{i + 1}" for i in range(n_systems)])
     if len(systems) != n_systems:
         raise OracleError(f"{n_systems} systems in the labels file but {len(systems)} names given")
-    keys = [lm.key for lm in labelled]
+    keys = [(lm.doc_id, lm.offset, lm.surface) for lm in labelled]
     labels_map = {key: lm.label for key, lm in zip(keys, labelled)}
     choices = {system: {key: lm.entities[i] for key, lm in zip(keys, labelled)}
                for i, system in enumerate(systems)}

@@ -9,7 +9,7 @@ import pytest
 
 from eldiff import embeddings
 from eldiff.cli import EXIT_DEGENERATE, EXIT_ERROR, EXIT_OK, _apply_config, _build_parser, main
-from eldiff.consensus import Label, read_labels
+from eldiff.consensus import Label, MentionCodes, read_labels
 from eldiff.features import FEATURE_COLUMNS, FeatureTable
 from simulate_oracle import gold_entries
 
@@ -368,7 +368,9 @@ class TestSimulate:
             self, fixture_dir, labelled_dir, tmp_path, caplog):
         labels_path = labelled_dir / "labels.tsv"
         gold = gold_entries(fixture_dir / "gold.tsv")
-        keys = sorted({lm.key for lm in read_labels(labels_path)})
+        codes = MentionCodes()
+        read_labels(labels_path, codes)
+        keys = sorted(codes.mentions())
         pool = [k for k in keys if k in gold]
         predicted = pool[::3]
         predictions = tmp_path / "predictions.tsv"
@@ -417,6 +419,25 @@ class TestSimulate:
                    "--out", tmp_path / "keyed") == EXIT_OK
         assert run(*simulate, "--predictions", tmp_path / "keyed" / "predictions.tsv",
                    "--out", tmp_path / "accepted") == EXIT_OK
+
+
+class TestSystemNames:
+    """A repeated or empty ``--systems`` name ends the command before it
+    reads an input or makes its output directory."""
+
+    @pytest.mark.parametrize("names", ["a,a,b", "a,b,c,b", "a,,b", "a,b,c,"])
+    @pytest.mark.parametrize("command", ["simulate", "gen-synthetic"])
+    def test_refused_before_any_work(self, tmp_path, caplog, command, names):
+        # the inputs do not exist: reading one would be another error
+        inputs = {"simulate": ["--labels", tmp_path / "labels.tsv",
+                               "--gold", tmp_path / "gold.tsv"],
+                  "gen-synthetic": ["--docs", 5]}[command]
+        out = tmp_path / "out"
+        with caplog.at_level(logging.ERROR, logger="eldiff"):
+            assert run(command, *inputs, "--systems", names, "--out", out) == EXIT_ERROR
+        assert [r.getMessage() for r in caplog.records] == [
+            f"--systems takes distinct non-empty names, not {names!r}"]
+        assert not out.exists()
 
 
 class TestPredictionsFile:
@@ -643,6 +664,8 @@ class TestFlagChecks:
                                            "(values < 1 are fractions), not 'inf'"),
         ("simulate", ["--budgets", "nan"], "--budgets takes non-negative numbers "
                                            "(values < 1 are fractions), not 'nan'"),
+        ("simulate", ["--budgets", "0.1,2.5"], "--budgets takes non-negative numbers "
+                                               "(values < 1 are fractions), not '2.5'"),
         ("eval", ["--folds", 1], "--folds must be at least 2, not 1"),
         ("eval", ["--samples", "0.5,0"], "--samples takes fractions in (0, 1], not '0'"),
         ("eval", ["--samples", "1.5"], "--samples takes fractions in (0, 1], not '1.5'"),

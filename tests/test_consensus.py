@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from eldiff.consensus import (
+    CLASS_ORDER,
     AlignPolicy,
     Label,
     LabelledMention,
+    MentionCodes,
     SystemAnnotation,
     align,
     class_distribution,
@@ -25,6 +27,10 @@ from eldiff.errors import MalformedRecordError
 
 def _ann(doc, offset, surface, entity):
     return SystemAnnotation(doc, surface, offset, entity)
+
+
+def _key(mention):
+    return mention.doc_id, mention.offset, mention.surface
 
 
 class TestNormalizeEntity:
@@ -55,7 +61,7 @@ class TestAlign:
         aligned = align(sets, AlignPolicy.EXACT)
         assert len(aligned) == 1
         assert aligned[0].entities == ("E0", "E1", "E2")
-        assert aligned[0].key == ("d1", 10, "Paris")
+        assert _key(aligned[0]) == ("d1", 10, "Paris")
 
     def test_policy_contrast_on_boundary_disagreement(self):
         a = [_ann("d1", 10, "Paris", "E1")]
@@ -64,7 +70,7 @@ class TestAlign:
         overlap = align([a, b], AlignPolicy.OVERLAP)
         assert len(overlap) == 1
         # representative span comes from the first system
-        assert overlap[0].key == ("d1", 10, "Paris")
+        assert _key(overlap[0]) == ("d1", 10, "Paris")
 
     def test_mention_missing_from_one_system_excluded(self):
         a = [_ann("d1", 10, "Paris", "E1"), _ann("d1", 40, "Bonn", "E9")]
@@ -134,8 +140,8 @@ class TestAlign:
                     surface = "m" * int(rng.integers(2, 6))
                     annotations.append(_ann("d1", offset, surface, "E"))
                 sets.append(annotations)
-            exact_keys = {m.key for m in align(sets, AlignPolicy.EXACT)}
-            overlap_keys = {m.key for m in align(sets, AlignPolicy.OVERLAP)}
+            exact_keys = {_key(m) for m in align(sets, AlignPolicy.EXACT)}
+            overlap_keys = {_key(m) for m in align(sets, AlignPolicy.OVERLAP)}
             assert exact_keys <= overlap_keys
 
     @pytest.mark.parametrize("policy", list(AlignPolicy))
@@ -254,5 +260,11 @@ class TestAnnotationIO:
         ]
         path = tmp_path / "labels.tsv"
         write_labels(labelled, path)
-        again = read_labels(path)
-        assert again == labelled
+        codes = MentionCodes()
+        rows = read_labels(path, codes)
+        assert codes.mentions() == [("d1", 10, "Paris"), ("d2", 4, "Bonn")]
+        assert rows.keys.tolist() == [0, 1]
+        assert [CLASS_ORDER[c] for c in rows.labels.tolist()] == [Label.MEDIUM, Label.HARD]
+        names = list(codes.entities)
+        assert [tuple(names[e] for e in rows.entities[t]) for t in rows.tuples.tolist()] == [
+            ("E1", "E1", "E2"), ("E1", "E2", "E3")]

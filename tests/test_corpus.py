@@ -379,7 +379,7 @@ class TestWindowMemo:
 
     @pytest.fixture
     def mentions(self, corpus):
-        return [(doc.id, doc.text[:k], 0) for doc in corpus for k in (1, 4, 5, 9)]
+        return [(doc.id, doc.text[:k], 0, None) for doc in corpus for k in (1, 4, 5, 9)]
 
     def test_extractors_with_different_windows_share_one_corpus(self, corpus, mentions):
         extractors = {window: FeatureExtractor(corpus, config=FeatureConfig(window_months=window))
@@ -388,7 +388,7 @@ class TestWindowMemo:
         for _ in range(2):
             for window, extractor in extractors.items():
                 table = extractor.extract_all(mentions)
-                for row, (doc_id, surface, _) in enumerate(mentions):
+                for row, (doc_id, surface, _, _) in enumerate(mentions):
                     anchor = corpus.get(doc_id).publication_date
                     assert table.column("m_df")[row] == scan_document_frequency(corpus, surface)
                     assert table.column("t_df")[row] == scan_temporal_document_frequency(

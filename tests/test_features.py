@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from eldiff.consensus import Label, LabelledMention, SystemAnnotation, read_annotations
+from eldiff.consensus import Label, SystemAnnotation, read_annotations
 from eldiff.corpus import Corpus, Document
 from eldiff.embeddings import EmbeddingModel
 from eldiff.errors import AllMissingError, MalformedRecordError
@@ -203,24 +203,24 @@ class TestExtract:
         return FeatureExtractor(corpus, candidates, [], FeatureConfig(), counts)
 
     def test_normalised_position(self, extractor):
-        row = _row(extractor.extract(("doc1", "Paris", 250)))
+        row = _row(extractor.extract(("doc1", "Paris", 250, None)))
         assert row["m_pos"] == 0.25
 
     def test_position_at_document_start_is_exactly_zero(self, extractor):
-        assert _row(extractor.extract(("doc2", "Paris", 0)))["m_pos"] == 0.0
+        assert _row(extractor.extract(("doc2", "Paris", 0, None)))["m_pos"] == 0.0
 
     def test_age_against_reference_kb(self, extractor):
         # kb year 2016, publication year 2000 -> age 16
-        row = _row(extractor.extract(("doc1", "Paris", 250)))
+        row = _row(extractor.extract(("doc1", "Paris", 250, None)))
         assert row["t_age"] == 16
 
     def test_word_and_char_counts(self, extractor):
-        row = _row(extractor.extract(("doc2", "John McCain", 10)))
+        row = _row(extractor.extract(("doc2", "John McCain", 10, None)))
         assert row["m_words"] == 2
         assert row["m_len"] == 11
 
     def test_frequency_features(self, extractor):
-        row = _row(extractor.extract(("doc2", "Paris", 0)))
+        row = _row(extractor.extract(("doc2", "Paris", 0, None)))
         assert row["m_freq"] == 2
         assert row["m_df"] == 2
         assert row["m_cand"] == 26
@@ -228,11 +228,11 @@ class TestExtract:
 
     def test_sentence_length(self, extractor):
         # first sentence of doc2 is "Paris met John McCain" (21 chars)
-        row = _row(extractor.extract(("doc2", "Paris", 0)))
+        row = _row(extractor.extract(("doc2", "Paris", 0, None)))
         assert row["m_sent"] == 21
 
     def test_document_features(self, extractor):
-        row = _row(extractor.extract(("doc2", "Paris", 0)))
+        row = _row(extractor.extract(("doc2", "Paris", 0, None)))
         assert row["d_words"] == 6
         assert row["d_topic"] == ""
         assert row["d_ents"] == 2
@@ -261,12 +261,12 @@ class TestExtract:
         for offset in range(longest):
             for doc in docs:
                 if offset < len(doc.text):
-                    row = _row(extractor.extract((doc.id, doc.text[offset], offset)))
+                    row = _row(extractor.extract((doc.id, doc.text[offset], offset, None)))
                     assert row["m_sent"] == sentence_length(doc.text, offset), (doc.id, offset)
                     assert row["d_words"] == len(doc.text.split())
 
     def test_stability_missing_without_models(self, extractor):
-        row = _row(extractor.extract(("doc1", "Paris", 250)))
+        row = _row(extractor.extract(("doc1", "Paris", 250, None)))
         assert row["t_j_min"] is row["t_j_max"] is row["t_j_avg"] is None
 
     def test_stability_with_models(self, corpus):
@@ -274,31 +274,31 @@ class TestExtract:
         vectors = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0]], dtype=np.float32)
         models = [EmbeddingModel(vocab, vectors, str(y)) for y in (1999, 2000)]
         extractor = FeatureExtractor(corpus, None, models, FeatureConfig(top_k=2))
-        row = _row(extractor.extract(("doc1", "Paris", 250)))
+        row = _row(extractor.extract(("doc1", "Paris", 250, None)))
         assert (row["t_j_min"], row["t_j_max"], row["t_j_avg"]) == (1.0, 1.0, 1.0)
 
     def test_unknown_doc_rejected(self, extractor):
         with pytest.raises(KeyError):
-            extractor.extract(("nope", "Paris", 0))
+            extractor.extract(("nope", "Paris", 0, None))
 
     def test_offset_beyond_text_rejected(self, extractor):
         with pytest.raises(ValueError):
-            extractor.extract(("doc3", "here", 1000))
+            extractor.extract(("doc3", "here", 1000, None))
 
     def test_label_carried_from_labelled_mention(self, extractor):
-        lm = LabelledMention("doc1", "Paris", 250, ("a", "b"), Label.MEDIUM)
-        assert extractor.extract(lm).labels() == [Label.MEDIUM]
+        mention = ("doc1", "Paris", 250, Label.MEDIUM)
+        assert extractor.extract(mention).labels() == [Label.MEDIUM]
 
     def test_every_mention_form_gives_one_row(self, extractor):
-        forms = [("doc2", "Paris", 23),
-                 LabelledMention("doc2", "Paris", 23, ("a", "b"), Label.HARD)]
+        forms = [("doc2", "Paris", 23, None), ("doc2", "Paris", 23, Label.HARD)]
         table = extractor.extract_all(forms)
         rows = [_row(table, index) for index in range(2)]
         assert [row.pop("label") for row in rows] == [None, Label.HARD]
         assert rows[0] == rows[1]
 
     def test_batch_equals_one_by_one(self, extractor):
-        mentions = [("doc2", "Paris", 0), ("doc1", "Paris", 250), ("doc2", "Paris", 23)]
+        mentions = [("doc2", "Paris", 0, None), ("doc1", "Paris", 250, None),
+                    ("doc2", "Paris", 23, None)]
         table = extractor.extract_all(mentions)
         assert len(table) == 3
         for index, mention in enumerate(mentions):
@@ -313,7 +313,7 @@ class TestExtract:
             doc = docs[int(rng.integers(len(docs)))]
             offset = int(rng.integers(0, len(doc.text) - 1))
             length = int(rng.integers(1, min(6, len(doc.text) - offset) + 1))
-            mentions.append((doc.id, doc.text[offset:offset + length], offset))
+            mentions.append((doc.id, doc.text[offset:offset + length], offset, None))
         table = extractor.extract_all(mentions)
         assert len(table) == 2000
         m_pos = table.column("m_pos")

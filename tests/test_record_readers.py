@@ -16,7 +16,6 @@ from eldiff.consensus import (
     SystemAnnotation,
     normalize_entity,
     read_annotations,
-    read_labels,
     read_redirects,
     write_annotations,
     write_labels,
@@ -24,18 +23,18 @@ from eldiff.consensus import (
 )
 from eldiff.errors import MalformedRecordError
 from eldiff.features import load_candidate_dictionary
-from simulate_oracle import gold_entries, labelled_records, prediction_entries
+from simulate_oracle import (
+    gold_entries,
+    labelled_records,
+    oracle_offset,
+    oracle_read_labels,
+    prediction_entries,
+)
 
 # --- oracles: the readers as they were before the records became tuples ----------
 # Each builds its records through the checking constructors and turns the
-# first ValueError into the error it reports. An offset is ASCII digits with
-# no leading zero.
-
-
-def oracle_offset(text, lineno):
-    if not re.fullmatch("0|[1-9][0-9]*", text):
-        raise MalformedRecordError(lineno, f"bad offset {text!r}")
-    return int(text)
+# first ValueError into the error it reports. The labels oracle,
+# ``oracle_read_labels``, is kept with the simulation's record path.
 
 
 def oracle_read_annotations(path, redirect_map=None):
@@ -75,30 +74,6 @@ def oracle_read_gold(path, redirect_map=None):
             raise MalformedRecordError(lineno, f"conflicting gold entries for mention {key}")
         entries[key] = a.entity_id
     return entries
-
-
-def oracle_read_labels(path):
-    labelled = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 5:
-                raise MalformedRecordError(lineno, f"expected 5 tab-separated fields, got {len(fields)}")
-            doc_id, offset_str, surface, label_str, entities_str = fields
-            offset = oracle_offset(offset_str, lineno)
-            try:
-                lbl = Label(label_str)
-            except ValueError:
-                raise MalformedRecordError(lineno, f"bad label {label_str!r}") from None
-            entities = tuple(entities_str.split(","))
-            try:
-                labelled.append(LabelledMention(doc_id, surface, offset, entities, lbl))
-            except ValueError as exc:
-                raise MalformedRecordError(lineno, str(exc)) from None
-    return labelled
 
 
 def oracle_read_predictions(path):
@@ -241,7 +216,6 @@ class TestLabelOracle:
                            [GOOD_LABEL, "", GOOD_LABEL, BAD_LABELS[kind]])
         expected = outcome(oracle_read_labels, path)
         assert expected[0] is MalformedRecordError and expected[2] == 4
-        assert outcome(read_labels, path) == expected
         assert outcome(labelled_records, path) == expected
 
     @pytest.mark.parametrize("first, second",
@@ -251,7 +225,6 @@ class TestLabelOracle:
                            [GOOD_LABEL, BAD_LABELS[first], GOOD_LABEL, BAD_LABELS[second]])
         expected = outcome(oracle_read_labels, path)
         assert expected[2] == 2
-        assert outcome(read_labels, path) == expected
         assert outcome(labelled_records, path) == expected
 
     def test_zero_padded_offset_is_refused(self, tmp_path):
@@ -259,19 +232,19 @@ class TestLabelOracle:
         # round-trip byte for byte
         lines = ["d1\t0\tParis\tEASY\tE1,E1", "d1\t007\tParis\tEASY\tE1,E1"]
         path = write_lines(tmp_path / "labels.tsv", lines[:1])
-        write_labels(read_labels(path), tmp_path / "again.tsv")
+        write_labels(labelled_records(path), tmp_path / "again.tsv")
         assert (tmp_path / "again.tsv").read_text(encoding="utf-8") == lines[0] + "\n"
         path = write_lines(tmp_path / "labels.tsv", lines)
-        assert outcome(read_labels, path) == (MalformedRecordError, "line 2: bad offset '007'", 2)
+        assert outcome(labelled_records, path) == (
+            MalformedRecordError, "line 2: bad offset '007'", 2)
 
     def test_generated_file_matches(self, tmp_path):
         lines = [f"doc{i % 7}\t{i * 3}\tw{i % 5}\t{('HARD', 'MEDIUM', 'EASY')[i % 3]}"
                  f"\tE{i % 4},E{i % 3},E{i % 2}" for i in range(300)]
         path = write_lines(tmp_path / "labels.tsv", lines)
-        records = read_labels(path)
-        assert outcome(read_labels, path) == outcome(oracle_read_labels, path)
+        records = labelled_records(path)
         assert outcome(labelled_records, path) == outcome(oracle_read_labels, path)
-        assert records[0].key == ("doc0", 0, "w0")
+        assert records[0][:3] == ("doc0", "w0", 0)
 
 
 # --- predictions files ------------------------------------------------------------------
@@ -329,7 +302,6 @@ class TestRecords:
         labelled = LabelledMention("d", "xy", 3, ("E", "F"), Label.HARD)
         assert labelled == ("d", "xy", 3, ("E", "F"), Label.HARD)
         assert LabelledMention._fields == ("doc_id", "surface", "offset", "entities", "label")
-        assert labelled.key == ("d", 3, "xy")
         with pytest.raises(AttributeError):
             annotation.offset = 4
 
@@ -424,9 +396,8 @@ def test_label_file_roundtrip(tmp_path, records):
                [f for lm in records for f in (lm.doc_id, lm.surface, ",".join(lm.entities))]):
         return
     write_labels(records, path)
-    again = read_labels(path)
+    again = labelled_records(path)
     assert again == records
-    assert labelled_records(path) == records
     assert all(type(lm) is LabelledMention for lm in again)
 
 
@@ -475,8 +446,7 @@ def test_gold_file_roundtrip(tmp_path, entries):
 SHORT_LINES = {
     "annotations": (read_annotations, GOOD_ANNOTATION, "4"),
     "gold": (gold_entries, GOOD_ANNOTATION, "4"),
-    "labels": (read_labels, GOOD_LABEL, "5"),
-    "labelled columns": (labelled_records, GOOD_LABEL, "5"),
+    "labels": (labelled_records, GOOD_LABEL, "5"),
     "predictions": (prediction_entries, GOOD_PREDICTION, "at least 4"),
     "candidates": (load_candidate_dictionary, "Paris\t3", "2"),
     "redirects": (read_redirects, "Obama\tBarack Obama", "2"),
@@ -496,8 +466,7 @@ def test_short_line_names_its_line_in_every_format(tmp_path, kind):
 OFFSET_LINES = {
     "annotations": (read_annotations, "d1\t{}\tParis\tE"),
     "gold": (gold_entries, "d1\t{}\tParis\tE"),
-    "labels": (read_labels, "d1\t{}\tParis\tEASY\tE1,E1"),
-    "labelled columns": (labelled_records, "d1\t{}\tParis\tEASY\tE1,E1"),
+    "labels": (labelled_records, "d1\t{}\tParis\tEASY\tE1,E1"),
     "predictions": (prediction_entries, "d1\t{}\tParis\tHARD\t1\t0\t0"),
 }
 

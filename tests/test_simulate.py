@@ -11,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eldiff import simulate
-from eldiff.consensus import Label
+from eldiff.consensus import Label, LabelledRows, MentionCodes
 from eldiff.errors import MalformedRecordError
 from eldiff.cli import main
 from eldiff.simulate import (
+    KeyedRows,
+    SimulationPool,
     Strategy,
     accuracy,
     apply_feedback,
@@ -204,6 +206,15 @@ class TestRunSimulation:
         assert len(pool) == 0
         with pytest.raises(ValueError, match="the simulation pool is empty"):
             run_simulation(pool, budgets=[1])
+
+    def test_repeated_system_name_refused(self):
+        # each system's wrong links would land under one name
+        empty = np.empty(0, dtype=np.intp)
+        labelled = LabelledRows(empty, np.empty(0, dtype=np.int8), empty, [])
+        message = r"^system names must be distinct, got \['a', 'b', 'a'\]$"
+        with pytest.raises(ValueError, match=message):
+            SimulationPool.from_columns(MentionCodes(), ["a", "b", "a"], labelled,
+                                        KeyedRows(empty, empty))
 
 
 class TestBudgetMonotonicity:
