@@ -171,12 +171,13 @@ def _system_names(args) -> list[str] | None:
 
 def _line_keys(codes: MentionCodes, rows: consensus.LabelledRows) -> list[tuple[str, int, str]]:
     """Each labels line's mention key ``(doc_id, offset, surface)``, in line order."""
-    mentions = codes.mentions()
-    return [mentions[key] for key in rows.keys.tolist()]
+    return codes.mentions(rows.keys.tolist())
 
 
 def cmd_gen_synthetic(args) -> int:
     systems = tuple(_system_names(args) or ("alpha", "beta", "gamma"))
+    if len(systems) < 2:
+        raise CliError(f"--systems needs at least 2 names, not {args.systems!r}")
     out = _out_dir(args)
     config = GeneratorConfig(
         n_docs=args.docs,
@@ -197,16 +198,17 @@ def cmd_label(args) -> int:
         raise CliError("labelling needs at least 2 annotation dumps (--annotations)")
     redirects = (consensus.read_redirects(args.redirects) if args.redirects is not None
                  else None)
-    dumps = [consensus.read_annotations(p, redirect_map=redirects) for p in paths]
+    codes = MentionCodes()
+    dumps = [consensus.read_annotations(p, codes, redirect_map=redirects) for p in paths]
     if args.corpus:
         corpus = load_corpus(args.corpus)
         for dump in dumps:
-            consensus.validate_annotations(dump, corpus)
-    labelled = align(dumps, AlignPolicy(args.policy))
+            consensus.validate_annotations(dump, codes, corpus)
+    labelled = align(dumps, codes, AlignPolicy(args.policy))
     out = _out_dir(args)
     labels_path = out / "labels.tsv"
-    consensus.write_labels(labelled, labels_path)
-    dist = class_distribution(labelled)
+    consensus.write_labels(labelled, codes, labels_path)
+    dist = class_distribution(labelled.labels)
     consensus.write_tsv(
         [("total", str(dist.total)),
          *((lbl.value, str(dist.counts[lbl]),

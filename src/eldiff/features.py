@@ -16,8 +16,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import consensus
 from .consensus import LABEL_OF_VALUE, Label, MentionCodes, SystemAnnotation
-from .consensus import plain_digits, read_annotation_fields, read_tsv, write_tsv
+from .consensus import plain_digits, read_tsv, write_tsv
 from .corpus import (
     Corpus,
     Document,
@@ -164,14 +165,13 @@ def count_doc_mentions(annotation_sets: Iterable[Iterable[SystemAnnotation]]) ->
 
 
 def count_dump_mentions(paths: Iterable[str | Path]) -> dict[str, int]:
-    """``count_doc_mentions`` over the ``read_annotations`` records of the
-    dumps at ``paths``, counted from their checked fields
-    (``read_annotation_fields``) without building a record: each distinct
-    (doc_id, offset, surface) key gets one code in a ``MentionCodes``."""
+    """``count_doc_mentions`` over the dumps at ``paths``, read into code
+    columns (``read_annotations``): each distinct (doc_id, offset, surface)
+    key gets one code in a ``MentionCodes``."""
     codes = MentionCodes()
     for path in paths:
-        for lineno, doc_id, offset, surface, _ in read_annotation_fields(path):
-            codes.key(doc_id, offset, surface, lineno)
+        # looked up on the module, where bench/spans.py's tracer wraps it
+        consensus.read_annotations(path, codes)
     return codes.doc_counts()
 
 

@@ -27,8 +27,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .consensus import CLASS_INDEX, Label, LabelledRows, MentionCodes, parse_class
-from .consensus import read_annotation_fields, read_tsv, write_tsv
-from .consensus import read_annotations  # noqa: F401  a tracer target of bench/spans.py
+from .consensus import read_annotations, read_tsv, write_tsv
 from .errors import MalformedRecordError
 from .rand import derive_seed
 
@@ -56,25 +55,20 @@ class KeyedRows:
 
 def read_gold(path: str | Path, codes: MentionCodes,
               redirect_map: Mapping[str, str] | None = None) -> KeyedRows:
-    """Read a gold standard (``consensus.read_annotation_fields``) as one
-    row per mention key: its key code and its entity's code in
-    ``codes.entities``, in the order of each key's first line. A key given
-    again with another entity raises MalformedRecordError naming that line;
-    a bad line anywhere in the file is reported first."""
-    gold: dict[int, int] = {}
-    clash = None
-    entity_codes = codes.entities
-    for lineno, doc_id, offset, surface, entity in read_annotation_fields(path, redirect_map):
-        key = codes.key(doc_id, offset, surface, lineno)
-        code = entity_codes.setdefault(entity, len(entity_codes))
-        if gold.setdefault(key, code) != code and clash is None:
-            clash = lineno, key
-    if clash is not None:
-        lineno, key = clash
-        mention = codes.mentions()[key]
-        raise MalformedRecordError(lineno, f"conflicting gold entries for mention {mention}")
-    return KeyedRows(np.fromiter(gold, dtype=np.intp, count=len(gold)),
-                     np.fromiter(gold.values(), dtype=np.intp, count=len(gold)))
+    """Read a gold standard (``consensus.read_annotations``) as one row per
+    mention key: its key code and its entity's code in ``codes.entities``,
+    in the order of each key's first line. A key given again with another
+    entity raises MalformedRecordError naming that line; a bad line
+    anywhere in the file is reported first."""
+    lines = read_annotations(path, codes, redirect_map)
+    _, first, inverse = np.unique(lines.keys, return_index=True, return_inverse=True)
+    clashes = np.flatnonzero(lines.entities != lines.entities[first][inverse])
+    if len(clashes):
+        row = int(clashes[0])
+        raise MalformedRecordError(lines.line_number(row), "conflicting gold entries for "
+                                   f"mention {codes.mentions([lines.keys[row]])[0]}")
+    rows = np.sort(first, kind="stable")
+    return KeyedRows(lines.keys[rows], lines.entities[rows])
 
 
 def read_predictions(path: str | Path, codes: MentionCodes) -> KeyedRows:

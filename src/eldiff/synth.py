@@ -63,6 +63,9 @@ def generate_annotations(
     """
     if len(systems) < 2:
         raise ValueError("need at least 2 systems")
+    if len(set(systems)) < len(systems):
+        # each name keys one dump: a repeated name would merge two systems
+        raise ValueError(f"system names must be distinct, got {list(systems)}")
     rng = np.random.default_rng(derive_seed(seed, "annotations"))
     n_systems = len(systems)
     dumps: dict[str, list[SystemAnnotation]] = {s: [] for s in systems}

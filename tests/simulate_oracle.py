@@ -13,13 +13,13 @@ column readers' rows back into the records and dicts they stand for, and
 ``SimulationPool.from_columns`` joins.
 """
 
-import re
 from itertools import islice
 
 import numpy as np
 
 from eldiff import consensus
-from eldiff.consensus import CLASS_INDEX, CLASS_ORDER, Label, LabelledMention, LabelledRows
+from consensus_oracle import LabelledMention, oracle_offset, oracle_read_annotations, row_records
+from eldiff.consensus import CLASS_INDEX, CLASS_ORDER, Label, LabelledRows
 from eldiff.corpus import load_corpus
 from eldiff.errors import MalformedRecordError
 from eldiff.features import (
@@ -70,14 +70,7 @@ def prediction_entries(path):
 def labelled_records(path):
     """``consensus.read_labels``' columns as one ``LabelledMention`` a line."""
     codes = MentionCodes()
-    rows = consensus.read_labels(path, codes)
-    mentions, names = codes.mentions(), list(codes.entities)
-    records = []
-    for k, c, t in zip(rows.keys.tolist(), rows.labels.tolist(), rows.tuples.tolist()):
-        doc_id, offset, surface = mentions[k]
-        entities = tuple(names[e] for e in rows.entities[t])
-        records.append(LabelledMention(doc_id, surface, offset, entities, CLASS_ORDER[c]))
-    return records
+    return row_records(consensus.read_labels(path, codes), codes)
 
 
 def pool_from_mappings(system_choices, gold, labels, predictions=None, cand_counts=None):
@@ -116,13 +109,6 @@ def pool_from_mappings(system_choices, gold, labels, predictions=None, cand_coun
 
 
 # --- the record path ----------------------------------------------------------------------
-# An offset is ASCII digits with no leading zero.
-
-
-def oracle_offset(text, lineno):
-    if not re.fullmatch("0|[1-9][0-9]*", text):
-        raise MalformedRecordError(lineno, f"bad offset {text!r}")
-    return int(text)
 
 
 def oracle_read_labels(path):
@@ -201,7 +187,7 @@ def oracle_predict(out, model, features, mentions):
 def oracle_read_gold(path, redirect_map=None):
     gold = {}
     for i, (doc_id, surface, offset, entity) in enumerate(
-            consensus.read_annotations(path, redirect_map)):
+            oracle_read_annotations(path, redirect_map)):
         key = (doc_id, offset, surface)
         if gold.setdefault(key, entity) != entity:
             lineno, _ = next(islice(consensus.read_tsv(path, 4), i, None))

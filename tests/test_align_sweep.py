@@ -1,4 +1,5 @@
-"""The sweep-line overlap alignment against the greedy rescan it replaced.
+"""The sweep-line overlap alignment, on code columns and on records,
+against the greedy rescan it replaced.
 
 ``greedy_align_overlap`` is the earlier quadratic implementation, kept
 verbatim as the oracle: every other system's sorted annotations are rescanned
@@ -12,13 +13,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eldiff.consensus import (
+from consensus_oracle import (
     LabelledMention,
-    SystemAnnotation,
-    _align_overlap,
-    label,
-    read_annotations,
+    align_records,
+    annotation_records,
+    oracle_align_overlap,
 )
+from eldiff.consensus import AlignPolicy, SystemAnnotation, label
+
+
+def _align_overlap(annotation_sets):
+    """The column alignment, checked against the record sweep it replaced."""
+    aligned = align_records(annotation_sets, AlignPolicy.OVERLAP)
+    assert aligned == oracle_align_overlap(annotation_sets)
+    return aligned
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
@@ -88,7 +96,7 @@ def _load_workloads():
 def test_route_fixture_matches_greedy(tmp_path, seed):
     workloads = _load_workloads()
     paths = workloads.write_inputs(tmp_path, seed, workloads.SIZES["route"]["full"], wide=False)
-    dumps = [read_annotations(paths[s]) for s in workloads.SYSTEMS]
+    dumps = [annotation_records(paths[s]) for s in workloads.SYSTEMS]
     expected = greedy_align_overlap(dumps)
     assert len(expected) > 1000
     assert _align_overlap(dumps) == expected

@@ -7,9 +7,10 @@ import logging
 import numpy as np
 import pytest
 
-from eldiff import embeddings
+from eldiff import embeddings, synth
 from eldiff.cli import EXIT_DEGENERATE, EXIT_ERROR, EXIT_OK, _apply_config, _build_parser, main
 from eldiff.consensus import Label, MentionCodes, read_labels
+from eldiff.corpus import GeneratorConfig, generate_synthetic_corpus
 from eldiff.features import FEATURE_COLUMNS, FeatureTable
 from simulate_oracle import gold_entries
 
@@ -439,6 +440,16 @@ class TestSystemNames:
             f"--systems takes distinct non-empty names, not {names!r}"]
         assert not out.exists()
 
+    def test_generator_refuses_repeated_names(self, tmp_path):
+        # one dump per name: "a" twice would be written as one merged a.tsv
+        corpus = generate_synthetic_corpus(GeneratorConfig(n_docs=3), seed=1)
+        with pytest.raises(ValueError, match=r"system names must be distinct, got \['a', 'a', 'b'\]"):
+            synth.generate_annotations(corpus, 5, systems=("a", "a", "b"))
+        with pytest.raises(ValueError, match="system names must be distinct"):
+            synth.write_fixture(tmp_path / "fixture", 5, systems=("a", "b", "a"))
+        suite = synth.generate_annotations(corpus, 5, systems=("a", "b"))
+        assert sorted(suite.dumps) == ["a", "b"]
+
 
 class TestPredictionsFile:
     @pytest.mark.parametrize("bad, message", [
@@ -506,6 +517,13 @@ class TestOutputDirectoryAfterInputs:
         with caplog.at_level(logging.ERROR, logger="eldiff"):
             assert run(command, *argv, "--out", out) == EXIT_ERROR
         assert message in caplog.text
+        assert not out.exists()
+
+    def test_one_system_makes_no_out(self, tmp_path, caplog):
+        out = tmp_path / "out"
+        with caplog.at_level(logging.ERROR, logger="eldiff"):
+            assert run("gen-synthetic", "--docs", 5, "--systems", "a", "--out", out) == EXIT_ERROR
+        assert "--systems needs at least 2 names, not 'a'" in caplog.text
         assert not out.exists()
 
     def test_refused_gold_makes_no_out(self, labelled_dir, tmp_path, caplog):

@@ -7,20 +7,20 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from consensus_oracle import LabelledMention, align_records, annotation_records
+from consensus_oracle import write_label_records
 from eldiff.consensus import (
+    CLASS_INDEX,
     CLASS_ORDER,
     AlignPolicy,
     Label,
-    LabelledMention,
     MentionCodes,
     SystemAnnotation,
-    align,
     class_distribution,
     label,
     normalize_entity,
     read_annotations,
     read_labels,
-    write_labels,
 )
 from eldiff.errors import MalformedRecordError
 
@@ -58,7 +58,7 @@ class TestAlign:
             [_ann("d1", 10, "Paris", f"E{i}")]
             for i, s in enumerate(["a", "b", "c"])
         ]
-        aligned = align(sets, AlignPolicy.EXACT)
+        aligned = align_records(sets, AlignPolicy.EXACT)
         assert len(aligned) == 1
         assert aligned[0].entities == ("E0", "E1", "E2")
         assert _key(aligned[0]) == ("d1", 10, "Paris")
@@ -66,8 +66,8 @@ class TestAlign:
     def test_policy_contrast_on_boundary_disagreement(self):
         a = [_ann("d1", 10, "Paris", "E1")]
         b = [_ann("d1", 11, "aris", "E2")]
-        assert align([a, b], AlignPolicy.EXACT) == []
-        overlap = align([a, b], AlignPolicy.OVERLAP)
+        assert align_records([a, b], AlignPolicy.EXACT) == []
+        overlap = align_records([a, b], AlignPolicy.OVERLAP)
         assert len(overlap) == 1
         # representative span comes from the first system
         assert _key(overlap[0]) == ("d1", 10, "Paris")
@@ -76,24 +76,24 @@ class TestAlign:
         a = [_ann("d1", 10, "Paris", "E1"), _ann("d1", 40, "Bonn", "E9")]
         b = [_ann("d1", 10, "Paris", "E1"), _ann("d1", 40, "Bonn", "E9")]
         c = [_ann("d1", 10, "Paris", "E1")]
-        aligned = align([a, b, c], AlignPolicy.EXACT)
+        aligned = align_records([a, b, c], AlignPolicy.EXACT)
         assert [m.surface for m in aligned] == ["Paris"]
 
     def test_fewer_than_two_systems_rejected(self):
         with pytest.raises(ValueError):
-            align([[_ann("d1", 0, "X", "E")]], AlignPolicy.EXACT)
+            align_records([[_ann("d1", 0, "X", "E")]], AlignPolicy.EXACT)
 
     def test_output_ordered_by_doc_and_offset(self):
         a = [_ann("d2", 5, "x", "E"), _ann("d1", 9, "y", "E"), _ann("d1", 2, "z", "E")]
         b = [_ann("d1", 2, "z", "E"), _ann("d1", 9, "y", "E"), _ann("d2", 5, "x", "E")]
-        aligned = align([a, b], AlignPolicy.EXACT)
+        aligned = align_records([a, b], AlignPolicy.EXACT)
         assert [(m.doc_id, m.offset) for m in aligned] == [("d1", 2), ("d1", 9), ("d2", 5)]
 
     def test_greedy_one_to_one_under_overlap(self):
         # two anchor mentions but only one overlapping annotation in system b
         a = [_ann("d1", 10, "Paris", "E1"), _ann("d1", 12, "ris", "E2")]
         b = [_ann("d1", 11, "aris", "E3")]
-        aligned = align([a, b], AlignPolicy.OVERLAP)
+        aligned = align_records([a, b], AlignPolicy.OVERLAP)
         assert len(aligned) == 1
         assert aligned[0].offset == 10
 
@@ -104,8 +104,8 @@ class TestAlign:
         b = [_ann("d", 0, "X", "E1"), _ann("d", 5, "Y", "E5"),
              _ann("d", 5, "Y", "E4")]
         with caplog.at_level(logging.WARNING, logger="eldiff"):
-            assert [m.entities for m in align([a, b])] == [("E1", "E1"), ("E4", "E5")]
-            assert [m.entities for m in align([a[:1] + a[3:], b[:2]])] == [
+            assert [m.entities for m in align_records([a, b])] == [("E1", "E1"), ("E4", "E5")]
+            assert [m.entities for m in align_records([a[:1] + a[3:], b[:2]])] == [
                 ("E1", "E1"), ("E4", "E5")]
         assert [r.getMessage() for r in caplog.records] == [
             "2 (document, offset, surface) keys are linked to different entities by the same "
@@ -115,7 +115,7 @@ class TestAlign:
         a = [_ann("d1", 0, "X", "E1"), _ann("d1", 0, "X", "E9")]
         b = [_ann("d1", 0, "X", "E1"), _ann("d1", 1, "X", "E2")]
         with caplog.at_level(logging.WARNING, logger="eldiff"):
-            aligned = align([a, b], AlignPolicy.OVERLAP)
+            aligned = align_records([a, b], AlignPolicy.OVERLAP)
         assert [(m.offset, m.entities) for m in aligned] == [(0, ("E1", "E1"))]
         assert [r.getMessage() for r in caplog.records] == [
             "1 (document, offset, surface) keys are linked to different entities by the same "
@@ -126,7 +126,7 @@ class TestAlign:
         # the identical twin must be preferred
         a = [_ann("d1", 10, "Paris", "E1")]
         b = [_ann("d1", 8, "in Pa", "E2"), _ann("d1", 10, "Paris", "E3")]
-        aligned = align([a, b], AlignPolicy.OVERLAP)
+        aligned = align_records([a, b], AlignPolicy.OVERLAP)
         assert aligned[0].entities == ("E1", "E3")
 
     def test_exact_subset_of_overlap_on_random_inputs(self):
@@ -140,8 +140,8 @@ class TestAlign:
                     surface = "m" * int(rng.integers(2, 6))
                     annotations.append(_ann("d1", offset, surface, "E"))
                 sets.append(annotations)
-            exact_keys = {_key(m) for m in align(sets, AlignPolicy.EXACT)}
-            overlap_keys = {_key(m) for m in align(sets, AlignPolicy.OVERLAP)}
+            exact_keys = {_key(m) for m in align_records(sets, AlignPolicy.EXACT)}
+            overlap_keys = {_key(m) for m in align_records(sets, AlignPolicy.OVERLAP)}
             assert exact_keys <= overlap_keys
 
     @pytest.mark.parametrize("policy", list(AlignPolicy))
@@ -154,7 +154,7 @@ class TestAlign:
                 sets.append([_ann(f"d{int(rng.integers(2))}", int(rng.integers(0, 12)),
                                   "m" * int(rng.integers(1, 4)), f"E{int(rng.integers(3))}")
                              for _ in range(int(rng.integers(1, 8)))])
-            for record in align(sets, policy):
+            for record in align_records(sets, policy):
                 assert type(record) is LabelledMention
                 assert record.label is label(record.entities)
                 assert len(record.entities) == len(sets)
@@ -217,17 +217,15 @@ class TestLabel:
 
 class TestClassDistribution:
     def test_counts_and_fractions(self):
-        labelled = [
-            LabelledMention("d", "m", i, ("a", "a"), lbl)
-            for i, lbl in enumerate([Label.EASY, Label.EASY, Label.HARD, Label.MEDIUM])
-        ]
-        dist = class_distribution(labelled)
+        labels = np.array([CLASS_INDEX[lbl] for lbl in
+                           [Label.EASY, Label.EASY, Label.HARD, Label.MEDIUM]], dtype=np.int8)
+        dist = class_distribution(labels)
         assert dist.counts == {Label.HARD: 1, Label.MEDIUM: 1, Label.EASY: 2}
         assert dist.fractions == {Label.HARD: 0.25, Label.MEDIUM: 0.25, Label.EASY: 0.5}
         assert abs(sum(dist.fractions.values()) - 1.0) < 1e-12
 
     def test_empty_input_flagged(self):
-        dist = class_distribution([])
+        dist = class_distribution(np.empty(0, dtype=np.int8))
         assert dist.total == 0
         assert dist.fractions is None
         assert all(c == 0 for c in dist.counts.values())
@@ -237,7 +235,7 @@ class TestAnnotationIO:
     def test_read_write_roundtrip(self, tmp_path):
         path = tmp_path / "sys.tsv"
         path.write_text("d1\t10\tParis\tparis france\nd2\t0\tBonn\tBonn\n", encoding="utf-8")
-        annotations = read_annotations(path)
+        annotations = annotation_records(path)
         assert annotations[0].entity_id == "Paris_france"
         assert annotations[1].offset == 0
 
@@ -245,13 +243,13 @@ class TestAnnotationIO:
         path = tmp_path / "sys.tsv"
         path.write_text("d1\t10\tParis\n", encoding="utf-8")
         with pytest.raises(MalformedRecordError, match="line 1"):
-            read_annotations(path)
+            read_annotations(path, MentionCodes())
 
     def test_bad_offset(self, tmp_path):
         path = tmp_path / "sys.tsv"
         path.write_text("d1\tten\tParis\tE\n", encoding="utf-8")
         with pytest.raises(MalformedRecordError, match="offset"):
-            read_annotations(path)
+            read_annotations(path, MentionCodes())
 
     def test_labels_roundtrip(self, tmp_path):
         labelled = [
@@ -259,7 +257,7 @@ class TestAnnotationIO:
             LabelledMention("d2", "Bonn", 4, ("E1", "E2", "E3"), Label.HARD),
         ]
         path = tmp_path / "labels.tsv"
-        write_labels(labelled, path)
+        write_label_records(labelled, path)
         codes = MentionCodes()
         rows = read_labels(path, codes)
         assert codes.mentions() == [("d1", 10, "Paris"), ("d2", 4, "Bonn")]

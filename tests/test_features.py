@@ -9,7 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from eldiff.consensus import Label, SystemAnnotation, read_annotations
+from consensus_oracle import oracle_read_annotations
+from eldiff.consensus import Label, SystemAnnotation
 from eldiff.corpus import Corpus, Document
 from eldiff.embeddings import EmbeddingModel
 from eldiff.errors import AllMissingError, MalformedRecordError
@@ -340,7 +341,7 @@ def dump_outcome(count, paths):
 
 
 def count_records(paths):
-    return count_doc_mentions(read_annotations(p) for p in paths)
+    return count_doc_mentions(oracle_read_annotations(p) for p in paths)
 
 
 SPAN_DOCS = ["d1", "D1", "1984", "\U0001F600"]
@@ -359,8 +360,8 @@ BAD_DUMP_LINES = ["d1\t007\tParis\tE", "d1\t-1\tParis\tE", "d1\t3\tParis\t",
 
 
 class TestCountDumpMentions:
-    """The span count from dump fields against count_doc_mentions over the
-    read_annotations records: the same counts, or the same first error."""
+    """The span count from dump columns against count_doc_mentions over the
+    record reader's records: the same counts, or the same first error."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

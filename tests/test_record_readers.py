@@ -9,16 +9,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from consensus_oracle import (
+    LabelledMention,
+    annotation_records,
+    oracle_read_annotations,
+    write_label_records,
+)
 from eldiff.cli import CliError
 from eldiff.consensus import (
     Label,
-    LabelledMention,
     SystemAnnotation,
     normalize_entity,
-    read_annotations,
     read_redirects,
     write_annotations,
-    write_labels,
     write_tsv,
 )
 from eldiff.errors import MalformedRecordError
@@ -26,38 +29,15 @@ from eldiff.features import load_candidate_dictionary
 from simulate_oracle import (
     gold_entries,
     labelled_records,
-    oracle_offset,
     oracle_read_labels,
     prediction_entries,
 )
 
 # --- oracles: the readers as they were before the records became tuples ----------
 # Each builds its records through the checking constructors and turns the
-# first ValueError into the error it reports. The labels oracle,
-# ``oracle_read_labels``, is kept with the simulation's record path.
-
-
-def oracle_read_annotations(path, redirect_map=None):
-    annotations = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise MalformedRecordError(lineno, f"expected 4 tab-separated fields, got {len(fields)}")
-            doc_id, offset_str, surface, entity = fields
-            offset = oracle_offset(offset_str, lineno)
-            try:
-                entity = normalize_entity(entity, redirect_map)
-            except ValueError:
-                raise MalformedRecordError(lineno, "empty entity id") from None
-            try:
-                annotations.append(SystemAnnotation(doc_id, surface, offset, entity))
-            except ValueError as exc:
-                raise MalformedRecordError(lineno, str(exc)) from None
-    return annotations
+# first ValueError into the error it reports. The annotation oracle,
+# ``oracle_read_annotations``, is kept with the record path of ``label``, and
+# the labels oracle, ``oracle_read_labels``, with the simulation's.
 
 
 def oracle_read_gold(path, redirect_map=None):
@@ -134,7 +114,7 @@ class TestAnnotationOracle:
         path = write_lines(tmp_path / "sys.tsv",
                            [GOOD_ANNOTATION, "", GOOD_ANNOTATION, BAD_ANNOTATIONS[kind]])
         expected = outcome(oracle_read_annotations, path, redirect_map=REDIRECTS)
-        assert outcome(read_annotations, path, redirect_map=REDIRECTS) == expected
+        assert outcome(annotation_records, path, redirect_map=REDIRECTS) == expected
 
     @pytest.mark.parametrize("first, second",
                              list(itertools.product(sorted(BAD_ANNOTATIONS), repeat=2)))
@@ -143,7 +123,7 @@ class TestAnnotationOracle:
                                                   GOOD_ANNOTATION, BAD_ANNOTATIONS[second]])
         expected = outcome(oracle_read_annotations, path, redirect_map=REDIRECTS)
         assert expected[2] == 2
-        assert outcome(read_annotations, path, redirect_map=REDIRECTS) == expected
+        assert outcome(annotation_records, path, redirect_map=REDIRECTS) == expected
 
     def test_generated_dump_matches(self, tmp_path):
         lines = [f"doc{i % 7}\t{i * 3}\tw{i % 5} x\t{' e ' if i % 4 else 'E'}{i % 11}"
@@ -151,7 +131,7 @@ class TestAnnotationOracle:
         path = write_lines(tmp_path / "alpha.tsv", lines)
         redirects = {"E3": "E4", "E_5": "Other"}
         for kwargs in ({}, {"redirect_map": redirects}):
-            assert outcome(read_annotations, path, **kwargs) == \
+            assert outcome(annotation_records, path, **kwargs) == \
                 outcome(oracle_read_annotations, path, **kwargs)
 
 
@@ -163,7 +143,7 @@ class TestAnnotationOracle:
         path = write_lines(tmp_path / "sys.tsv", [valid, valid, "d1\t10\tParis\t "])
         expected = outcome(oracle_read_annotations, path)
         assert expected[:2] == (MalformedRecordError, "line 3: empty entity id")
-        assert outcome(read_annotations, path) == expected
+        assert outcome(annotation_records, path) == expected
 
 
 class TestGoldOracle:
@@ -232,7 +212,7 @@ class TestLabelOracle:
         # round-trip byte for byte
         lines = ["d1\t0\tParis\tEASY\tE1,E1", "d1\t007\tParis\tEASY\tE1,E1"]
         path = write_lines(tmp_path / "labels.tsv", lines[:1])
-        write_labels(labelled_records(path), tmp_path / "again.tsv")
+        write_label_records(labelled_records(path), tmp_path / "again.tsv")
         assert (tmp_path / "again.tsv").read_text(encoding="utf-8") == lines[0] + "\n"
         path = write_lines(tmp_path / "labels.tsv", lines)
         assert outcome(labelled_records, path) == (
@@ -383,19 +363,19 @@ def test_annotation_dump_roundtrip(tmp_path, records):
             expected.append(a._replace(entity_id=normalize_entity(a.entity_id)))
         except ValueError:
             with pytest.raises(MalformedRecordError, match=f"^line {lineno}: empty entity id$"):
-                read_annotations(path)
+                annotation_records(path)
             return
-    assert read_annotations(path) == expected
+    assert annotation_records(path) == expected
 
 
 @HOSTILE_SETTINGS
 @given(records=st.lists(labelled_mentions(), max_size=8))
 def test_label_file_roundtrip(tmp_path, records):
     path = tmp_path / "labels.tsv"
-    if refused(write_labels, records, path,
+    if refused(write_label_records, records, path,
                [f for lm in records for f in (lm.doc_id, lm.surface, ",".join(lm.entities))]):
         return
-    write_labels(records, path)
+    write_label_records(records, path)
     again = labelled_records(path)
     assert again == records
     assert all(type(lm) is LabelledMention for lm in again)
@@ -444,7 +424,7 @@ def test_gold_file_roundtrip(tmp_path, entries):
 # --- one line format ----------------------------------------------------------------------------
 
 SHORT_LINES = {
-    "annotations": (read_annotations, GOOD_ANNOTATION, "4"),
+    "annotations": (annotation_records, GOOD_ANNOTATION, "4"),
     "gold": (gold_entries, GOOD_ANNOTATION, "4"),
     "labels": (labelled_records, GOOD_LABEL, "5"),
     "predictions": (prediction_entries, GOOD_PREDICTION, "at least 4"),
@@ -464,7 +444,7 @@ def test_short_line_names_its_line_in_every_format(tmp_path, kind):
 
 
 OFFSET_LINES = {
-    "annotations": (read_annotations, "d1\t{}\tParis\tE"),
+    "annotations": (annotation_records, "d1\t{}\tParis\tE"),
     "gold": (gold_entries, "d1\t{}\tParis\tE"),
     "labels": (labelled_records, "d1\t{}\tParis\tEASY\tE1,E1"),
     "predictions": (prediction_entries, "d1\t{}\tParis\tHARD\t1\t0\t0"),

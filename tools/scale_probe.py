@@ -8,7 +8,9 @@ Usage (from the root of a checkout):
                                  [--src DIR] [--parent-src DIR] [--name NAME]
 
 For each size it builds inputs at seed 7 with ``bench.workloads.write_inputs``
-over a wide vocabulary of seeded pseudo-words, in one of three shapes:
+over a wide vocabulary of seeded pseudo-words, in a child process of its own
+so that the probe's peak memory stays out of the children it measures, in
+one of three shapes:
 
 - ``route`` (the default; 70, 280 and 1120 docs): documents of 19 sentences
   of 13 words over 3 topics of 600 words. It runs ``label --policy overlap``,
@@ -51,11 +53,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -142,6 +146,14 @@ def commands(shape: str, inputs: dict[str, Path], out: Path,
     ]
 
 
+def write_inputs(directory: Path, size) -> dict[str, Path]:
+    """``bench.workloads.write_inputs`` at the probe's seed, over a wide
+    vocabulary."""
+    from workloads import write_inputs
+
+    return write_inputs(directory, SEED, size, wide=True)
+
+
 def run_child(argv: list, src: Path) -> dict:
     """Run one eldiff command in a child process; its wall seconds and peak
     resident memory."""
@@ -166,10 +178,14 @@ def probe_size(shape: str, docs: int, work: Path, sides: dict[str, Path],
     ``parent`` first at the first command when ``parent_first`` and the
     first side alternating from command to command; the ``change`` side's
     results with the ``parent`` side's nested under ``parent``."""
-    from workloads import Size, write_inputs
+    from workloads import Size
 
     size = Size(docs=docs, **SHAPES[shape][1])
-    inputs = write_inputs(work / "inputs", SEED, size, wide=True)
+    # Linux carries a process's peak RSS across exec into each child's
+    # ru_maxrss, so the inputs are built in a process that exits first: the
+    # probe stays at interpreter size and the children report their own peak.
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        inputs = pool.submit(write_inputs, work / "inputs", size).result()
     outs = {side: work / f"out_{side}" for side in sides}
     runs = {side: commands(shape, inputs, outs[side], size.embed_dim) for side in sides}
     point = {"docs": docs, "commands": {}}
