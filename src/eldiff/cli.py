@@ -35,11 +35,10 @@ from .features import (
     FeatureConfig,
     FeatureExtractor,
     FeatureSchema,
-    count_dump_mentions,
+    count_doc_mentions,
     load_candidate_dictionary,
     read_table,
 )
-from .features import count_doc_mentions  # noqa: F401  a tracer target of bench/spans.py
 from .learn import (
     VARIANTS,
     RandomForestModel,
@@ -169,11 +168,6 @@ def _system_names(args) -> list[str] | None:
     return names
 
 
-def _line_keys(codes: MentionCodes, rows: consensus.LabelledRows) -> list[tuple[str, int, str]]:
-    """Each labels line's mention key ``(doc_id, offset, surface)``, in line order."""
-    return codes.mentions(rows.keys.tolist())
-
-
 def cmd_gen_synthetic(args) -> int:
     systems = tuple(_system_names(args) or ("alpha", "beta", "gamma"))
     if len(systems) < 2:
@@ -240,7 +234,7 @@ def cmd_features(args) -> int:
 
     schema = _parse_schema(args.schema, FeatureSchema.all())
     if args.annotations:
-        doc_counts = count_dump_mentions(args.annotations)
+        doc_counts = count_doc_mentions(args.annotations)
     else:
         doc_counts = codes.doc_counts()
 
@@ -276,7 +270,7 @@ def cmd_features(args) -> int:
     extractor = FeatureExtractor(corpus, candidates, models, config, doc_counts)
     table = extractor.extract_all(
         (doc_id, surface, offset, CLASS_ORDER[label])
-        for (doc_id, offset, surface), label in zip(_line_keys(codes, labelled),
+        for (doc_id, offset, surface), label in zip(codes.mentions(labelled.keys.tolist()),
                                                     labelled.labels.tolist()))
     features_path = _out_dir(args) / "features.csv"
     columns = None if schema.columns == FEATURE_COLUMNS else schema.columns
@@ -361,7 +355,7 @@ def cmd_predict(args) -> int:
             if lbl is not None and CLASS_INDEX[lbl] != code:
                 raise CliError(f"feature row {row} is labelled {lbl} but mentions row {row} is "
                                f"{CLASS_ORDER[code]}: the files do not come from one run")
-        keys = _line_keys(codes, labelled)
+        keys = codes.mentions(labelled.keys.tolist())
     labels, probs = model.predict_table(table)
     if keys is None:
         keys = [("-", i, "-") for i in range(len(labels))]

@@ -2,7 +2,7 @@
 
 Every file is read into int code columns against one ``MentionCodes``, which
 codes each mention key ``(doc_id, offset, surface)`` and each entity id.
-``read_annotations`` reads one system's dump as ``Annotations``: a key code
+``read_annotations`` reads one system's dump as ``KeyedRows``: a key code
 and an entity code per line. ``align`` groups the mentions recognised by
 every system into ``LabelledRows``: one row per mention, one entity per
 system, and the label that the size of the largest agreement group among
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import logging
 from array import array
-from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
@@ -62,29 +61,15 @@ class AlignPolicy(Enum):
 def _annotation_problem(doc_id: str, offset: int, entity_id: str) -> str | None:
     """The first annotation rule the values break, or None if they keep all.
 
-    The one statement of the rules: ``SystemAnnotation`` checks them here,
-    and so does ``read_annotations`` for the lines it reads.
+    The one statement of the rules: ``write_annotations`` checks them here
+    for the rows it writes, and so does ``read_annotations`` for the lines
+    it reads.
     """
     if offset < 0:
         return f"negative offset {offset} in {doc_id!r}"
     if not entity_id:
         return f"empty entity id at {doc_id!r}:{offset}"
     return None
-
-
-class SystemAnnotation(namedtuple("SystemAnnotation", "doc_id surface offset entity_id")):
-    """One entity link emitted by one system: (document, surface, position, entity).
-
-    An immutable tuple ``(doc_id, surface, offset, entity_id)``.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, doc_id: str, surface: str, offset: int, entity_id: str):
-        problem = _annotation_problem(doc_id, offset, entity_id)
-        if problem:
-            raise ValueError(problem)
-        return tuple.__new__(cls, (doc_id, surface, offset, entity_id))
 
 
 def normalize_entity(raw: str, redirect_map: Mapping[str, str] | None = None) -> str:
@@ -313,14 +298,14 @@ def _ranks(names: Mapping[str, int]) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Annotations:
-    """One system's annotation dump as int columns in line order: each
-    line's key code (``MentionCodes``) and entity code
-    (``MentionCodes.entities``). ``blank_lines`` holds the numbers of the
-    blank lines the reader skipped."""
+class KeyedRows:
+    """Lines of one file as int columns in line order: each line's key code
+    (``MentionCodes``) and value code, such as an entity code
+    (``MentionCodes.entities``) or a class index. ``blank_lines`` holds the
+    numbers of the blank lines the reader skipped."""
 
     keys: np.ndarray
-    entities: np.ndarray
+    values: np.ndarray
     blank_lines: tuple[int, ...] = ()
 
     def __len__(self) -> int:
@@ -337,7 +322,7 @@ class Annotations:
 
 
 def read_annotations(path: str | Path, codes: MentionCodes,
-                     redirect_map: Mapping[str, str] | None = None) -> Annotations:
+                     redirect_map: Mapping[str, str] | None = None) -> KeyedRows:
     """Read one system's annotation dump, or a gold standard in its layout,
     into code columns against ``codes``.
 
@@ -369,8 +354,8 @@ def read_annotations(path: str | Path, codes: MentionCodes,
             entity_blocks.append(entities)
             start += len(block)
     empty = [np.empty(0, dtype=np.intp)]
-    return Annotations(np.concatenate(key_blocks or empty),
-                       np.concatenate(entity_blocks or empty), tuple(blank_lines))
+    return KeyedRows(np.concatenate(key_blocks or empty),
+                     np.concatenate(entity_blocks or empty), tuple(blank_lines))
 
 
 def _entity_codes(raws: Sequence[str], raw_codes: dict[str, int], entity_codes: dict[str, int],
@@ -409,11 +394,21 @@ def _raise_first_bad_line(block: list[str], start: int,
     raise AssertionError("a block that failed its bulk check holds no bad line")
 
 
-def write_annotations(annotations: Iterable[SystemAnnotation], path: str | Path) -> None:
-    write_tsv(((a.doc_id, str(a.offset), a.surface, a.entity_id) for a in annotations), path)
+def write_annotations(rows: Iterable[tuple[str, int, str, str]], path: str | Path) -> None:
+    """Write an annotation dump, one line per row ``(doc_id, offset,
+    surface, entity_id)`` in the layout ``read_annotations`` reads. The
+    first row with a negative offset or an empty entity id raises
+    ValueError, and so does a field that ``write_tsv`` refuses, before the
+    file is opened."""
+    lines = []
+    for doc_id, offset, surface, entity_id in rows:
+        if offset < 0 or not entity_id:
+            raise ValueError(_annotation_problem(doc_id, offset, entity_id))
+        lines.append((doc_id, str(offset), surface, entity_id))
+    write_tsv(lines, path)
 
 
-def validate_annotations(annotations: Annotations, codes: MentionCodes, corpus: Corpus) -> None:
+def validate_annotations(annotations: KeyedRows, codes: MentionCodes, corpus: Corpus) -> None:
     """Check that every annotation fits inside its document: the first that
     does not, in line order, raises ValueError, or KeyError if its document
     is not in the corpus."""
@@ -440,13 +435,13 @@ _CONFLICT_RESOLUTION = {
 }
 
 
-def _warn_conflicts(dumps: Sequence[Annotations], policy: AlignPolicy) -> None:
+def _warn_conflicts(dumps: Sequence[KeyedRows], policy: AlignPolicy) -> None:
     """Warn with the number of (system, key) pairs where one system links the
     same (document, offset, surface) key to different entities."""
     conflicts = 0
     for dump in dumps:
-        order = np.lexsort((dump.entities, dump.keys))
-        keys, entities = dump.keys[order], dump.entities[order]
+        order = np.lexsort((dump.values, dump.keys))
+        keys, entities = dump.keys[order], dump.values[order]
         clashed = keys[1:][(keys[1:] == keys[:-1]) & (entities[1:] != entities[:-1])]
         if len(clashed):
             conflicts += 1 + int(np.count_nonzero(clashed[1:] != clashed[:-1]))
@@ -455,19 +450,19 @@ def _warn_conflicts(dumps: Sequence[Annotations], policy: AlignPolicy) -> None:
                     "the same system; %s", conflicts, _CONFLICT_RESOLUTION[policy])
 
 
-def _align_exact(dumps: Sequence[Annotations], codes: MentionCodes
+def _align_exact(dumps: Sequence[KeyedRows], codes: MentionCodes
                  ) -> tuple[np.ndarray, np.ndarray]:
     """The keys every dump holds, each with every dump's first entity."""
     # each dump's first entity per key code, -1 where it lacks the key
     firsts = np.full((len(dumps), len(codes.keys)), -1, dtype=np.intp)
     for first, dump in zip(firsts, dumps):
         keys, rows = np.unique(dump.keys, return_index=True)
-        first[keys] = dump.entities[rows]
+        first[keys] = dump.values[rows]
     common = np.flatnonzero((firsts >= 0).all(axis=0))
     return common, firsts[:, common].T
 
 
-def _align_overlap(dumps: Sequence[Annotations], codes: MentionCodes
+def _align_overlap(dumps: Sequence[KeyedRows], codes: MentionCodes
                    ) -> tuple[np.ndarray, np.ndarray]:
     # Greedy left-to-right in the first system's order; each annotation joins
     # at most one group. An exact (offset, surface) twin is preferred over the
@@ -495,7 +490,7 @@ def _align_overlap(dumps: Sequence[Annotations], codes: MentionCodes
         order = np.argsort(key_places[dump.keys], kind="stable")
         keys = dump.keys[order]
         bounds = np.searchsorted(key_docs[keys], doc_starts).tolist()
-        lanes.append((bounds, keys, dump.entities[order]))
+        lanes.append((bounds, keys, dump.values[order]))
     anchor_bounds = lanes[0][0]
     aligned_keys, aligned_entities = array("q"), array("q")
     for doc in range(len(codes.docs)):
@@ -566,7 +561,7 @@ class LabelledRows:
         return len(self.keys)
 
 
-def align(dumps: Sequence[Annotations], codes: MentionCodes,
+def align(dumps: Sequence[KeyedRows], codes: MentionCodes,
           policy: AlignPolicy = AlignPolicy.EXACT) -> LabelledRows:
     """Group the mentions recognised by all systems into rows, each
     labelled by its entities, in (doc, offset, surface) order.

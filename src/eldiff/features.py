@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import consensus
-from .consensus import LABEL_OF_VALUE, Label, MentionCodes, SystemAnnotation
+from .consensus import LABEL_OF_VALUE, Label, MentionCodes
 from .consensus import plain_digits, read_tsv, write_tsv
 from .corpus import (
     Corpus,
@@ -155,19 +154,11 @@ def write_candidate_dictionary(counts: Mapping[str, int], path: str | Path) -> N
     write_tsv(((surface, str(counts[surface])) for surface in sorted(counts)), path)
 
 
-def count_doc_mentions(annotation_sets: Iterable[Iterable[SystemAnnotation]]) -> dict[str, int]:
+def count_doc_mentions(paths: Iterable[str | Path]) -> dict[str, int]:
     """Distinct (offset, surface) mention spans per document over the union
-    of every system's annotations, for d_ents."""
-    spans: dict[str, set[tuple[int, str]]] = {}
-    for a in chain.from_iterable(annotation_sets):
-        spans.setdefault(a.doc_id, set()).add((a.offset, a.surface))
-    return {doc_id: len(s) for doc_id, s in spans.items()}
-
-
-def count_dump_mentions(paths: Iterable[str | Path]) -> dict[str, int]:
-    """``count_doc_mentions`` over the dumps at ``paths``, read into code
-    columns (``read_annotations``): each distinct (doc_id, offset, surface)
-    key gets one code in a ``MentionCodes``."""
+    of the dumps at ``paths``, for d_ents: each dump is read into code
+    columns (``read_annotations``), and each distinct (doc_id, offset,
+    surface) key gets one code in a ``MentionCodes``."""
     codes = MentionCodes()
     for path in paths:
         # looked up on the module, where bench/spans.py's tracer wraps it

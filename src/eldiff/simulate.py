@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .consensus import CLASS_INDEX, Label, LabelledRows, MentionCodes, parse_class
+from .consensus import CLASS_INDEX, KeyedRows, Label, LabelledRows, MentionCodes, parse_class
 from .consensus import read_annotations, read_tsv, write_tsv
 from .errors import MalformedRecordError
 from .rand import derive_seed
@@ -44,15 +44,6 @@ class Strategy(Enum):
     CANDIDATES = "candidates"
 
 
-@dataclass(frozen=True, eq=False)
-class KeyedRows:
-    """Lines of one file as int columns: each line's key code
-    (``MentionCodes.key``) and value code, in line order."""
-
-    keys: np.ndarray
-    values: np.ndarray
-
-
 def read_gold(path: str | Path, codes: MentionCodes,
               redirect_map: Mapping[str, str] | None = None) -> KeyedRows:
     """Read a gold standard (``consensus.read_annotations``) as one row per
@@ -62,13 +53,13 @@ def read_gold(path: str | Path, codes: MentionCodes,
     anywhere in the file is reported first."""
     lines = read_annotations(path, codes, redirect_map)
     _, first, inverse = np.unique(lines.keys, return_index=True, return_inverse=True)
-    clashes = np.flatnonzero(lines.entities != lines.entities[first][inverse])
+    clashes = np.flatnonzero(lines.values != lines.values[first][inverse])
     if len(clashes):
         row = int(clashes[0])
         raise MalformedRecordError(lines.line_number(row), "conflicting gold entries for "
                                    f"mention {codes.mentions([lines.keys[row]])[0]}")
     rows = np.sort(first, kind="stable")
-    return KeyedRows(lines.keys[rows], lines.entities[rows])
+    return KeyedRows(lines.keys[rows], lines.values[rows])
 
 
 def read_predictions(path: str | Path, codes: MentionCodes) -> KeyedRows:

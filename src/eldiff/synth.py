@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .consensus import SystemAnnotation, write_annotations
+from .consensus import write_annotations
 from .corpus import Corpus, GeneratorConfig, generate_synthetic_corpus, write_corpus
 from .features import write_candidate_dictionary
 from .rand import derive_seed
@@ -42,9 +42,11 @@ def _alternates(word: str) -> list[str]:
 
 @dataclass
 class AnnotationSuite:
-    """Synthetic dumps for every system, gold entries and candidate counts."""
+    """Synthetic dumps for every system, gold entries and candidate counts.
+    A dump holds its rows ``(doc_id, offset, surface, entity_id)`` in file
+    order."""
 
-    dumps: dict[str, list[SystemAnnotation]]
+    dumps: dict[str, list[tuple[str, int, str, str]]]
     gold: dict[tuple[str, int, str], str]
     candidates: dict[str, int]
 
@@ -68,7 +70,7 @@ def generate_annotations(
         raise ValueError(f"system names must be distinct, got {list(systems)}")
     rng = np.random.default_rng(derive_seed(seed, "annotations"))
     n_systems = len(systems)
-    dumps: dict[str, list[SystemAnnotation]] = {s: [] for s in systems}
+    dumps: dict[str, list[tuple[str, int, str, str]]] = {s: [] for s in systems}
     gold: dict[tuple[str, int, str], str] = {}
     vocabulary: set[str] = set()
     for doc in corpus:
@@ -97,7 +99,7 @@ def generate_annotations(
             for system, entity in zip(systems, entities):
                 if rng.random() < _MISS_RATE:
                     continue
-                dumps[system].append(SystemAnnotation(doc.id, word, offset, entity))
+                dumps[system].append((doc.id, offset, word, entity))
             if rng.random() < _GOLD_RATE:
                 gold[(doc.id, offset, word)] = correct
     counts = {word: 1 + len(_alternates(word)) for word in sorted(vocabulary)}
@@ -135,9 +137,7 @@ def write_fixture(
     candidates_path = out / "candidates.tsv"
     write_candidate_dictionary(suite.candidates, candidates_path)
     gold_path = out / "gold.tsv"
-    write_annotations((SystemAnnotation(doc_id, surface, offset, entity)
-                       for (doc_id, offset, surface), entity in sorted(suite.gold.items())),
-                      gold_path)
+    write_annotations([(*key, entity) for key, entity in sorted(suite.gold.items())], gold_path)
     return FixturePaths(
         corpus=corpus_path,
         annotations=annotation_paths,

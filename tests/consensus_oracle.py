@@ -4,13 +4,16 @@
 ``SystemAnnotation`` per line. ``oracle_align`` is ``align`` as it was on
 those records: a dict of slots per key for EXACT, the sweep over
 per-document record lists for OVERLAP, each emitting one ``LabelledMention``
-per aligned mention. ``oracle_label`` is ``cmd_label`` on records. The
-adapters turn record sets into the columns that ``align`` takes, and its
-rows back into the records they stand for.
+per aligned mention. ``oracle_label`` is ``cmd_label`` on records, and
+``oracle_count_doc_mentions`` is ``count_doc_mentions`` on them. The
+adapters turn record sets into the columns that ``align`` takes and the rows
+that ``write_annotations`` writes, and ``align``'s rows back into the
+records they stand for.
 """
 
 import re
 from collections import namedtuple
+from itertools import chain
 
 import numpy as np
 
@@ -18,10 +21,9 @@ from eldiff.consensus import (
     CLASS_INDEX,
     CLASS_ORDER,
     AlignPolicy,
-    Annotations,
+    KeyedRows,
     LabelledRows,
     MentionCodes,
-    SystemAnnotation,
     align,
     label,
     normalize_entity,
@@ -32,6 +34,21 @@ from eldiff.consensus import (
 )
 from eldiff.corpus import load_corpus
 from eldiff.errors import MalformedRecordError
+
+
+class SystemAnnotation(namedtuple("SystemAnnotation", "doc_id surface offset entity_id")):
+    """One entity link emitted by one system, the immutable tuple
+    ``(doc_id, surface, offset, entity_id)``, with a non-negative offset and
+    a non-empty entity id."""
+
+    __slots__ = ()
+
+    def __new__(cls, doc_id, surface, offset, entity_id):
+        if offset < 0:
+            raise ValueError(f"negative offset {offset} in {doc_id!r}")
+        if not entity_id:
+            raise ValueError(f"empty entity id at {doc_id!r}:{offset}")
+        return tuple.__new__(cls, (doc_id, surface, offset, entity_id))
 
 
 class LabelledMention(namedtuple("LabelledMention", "doc_id surface offset entities label")):
@@ -62,14 +79,19 @@ def annotation_records(path, redirect_map=None):
     dump = read_annotations(path, codes, redirect_map)
     names = list(codes.entities)
     return [SystemAnnotation(doc_id, surface, offset, names[e]) for (doc_id, offset, surface), e
-            in zip(codes.mentions(dump.keys.tolist()), dump.entities.tolist())]
+            in zip(codes.mentions(dump.keys.tolist()), dump.values.tolist())]
+
+
+def annotation_rows(annotations):
+    """Records as the rows ``write_annotations`` writes."""
+    return [(a.doc_id, a.offset, a.surface, a.entity_id) for a in annotations]
 
 
 def dumps_of(annotation_sets):
-    """Record sets as ``Annotations`` against one new ``MentionCodes``."""
+    """Record sets as ``KeyedRows`` against one new ``MentionCodes``."""
     codes = MentionCodes()
     entities = codes.entities
-    dumps = [Annotations(np.array([codes.key(a.doc_id, str(a.offset), a.surface, 0)
+    dumps = [KeyedRows(np.array([codes.key(a.doc_id, str(a.offset), a.surface, 0)
                                    for a in annotations], dtype=np.intp),
                          np.array([entities.setdefault(a.entity_id, len(entities))
                                    for a in annotations], dtype=np.intp))
@@ -135,6 +157,15 @@ def oracle_read_annotations(path, redirect_map=None):
             except ValueError as exc:
                 raise MalformedRecordError(lineno, str(exc)) from None
     return annotations
+
+
+def oracle_count_doc_mentions(annotation_sets):
+    """Distinct (offset, surface) mention spans per document over the union
+    of every system's annotations, for d_ents."""
+    spans = {}
+    for a in chain.from_iterable(annotation_sets):
+        spans.setdefault(a.doc_id, set()).add((a.offset, a.surface))
+    return {doc_id: len(s) for doc_id, s in spans.items()}
 
 
 def oracle_conflicts(annotation_sets):

@@ -18,7 +18,8 @@ from itertools import islice
 import numpy as np
 
 from eldiff import consensus
-from consensus_oracle import LabelledMention, oracle_offset, oracle_read_annotations, row_records
+from consensus_oracle import LabelledMention, oracle_count_doc_mentions, oracle_offset
+from consensus_oracle import oracle_read_annotations, row_records
 from eldiff.consensus import CLASS_INDEX, CLASS_ORDER, Label, LabelledRows
 from eldiff.corpus import load_corpus
 from eldiff.errors import MalformedRecordError
@@ -26,7 +27,6 @@ from eldiff.features import (
     STABILITY_COLUMNS,
     FeatureExtractor,
     FeatureSchema,
-    count_doc_mentions,
     load_candidate_dictionary,
     read_table,
 )
@@ -145,8 +145,8 @@ def oracle_features(out, corpus, mentions, candidates):
     corpus = load_corpus(corpus)
     labelled = oracle_read_labels(mentions)
     candidates = load_candidate_dictionary(candidates)
-    extractor = FeatureExtractor(corpus, candidates, doc_mention_counts=count_doc_mentions(
-        [labelled]))
+    doc_counts = oracle_count_doc_mentions([labelled])
+    extractor = FeatureExtractor(corpus, candidates, doc_mention_counts=doc_counts)
     table = extractor.extract_all([(lm.doc_id, lm.surface, lm.offset, lm.label)
                                    for lm in labelled])
     out.mkdir(parents=True, exist_ok=True)

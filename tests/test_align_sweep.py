@@ -15,11 +15,12 @@ import pytest
 
 from consensus_oracle import (
     LabelledMention,
+    SystemAnnotation,
     align_records,
     annotation_records,
     oracle_align_overlap,
 )
-from eldiff.consensus import AlignPolicy, SystemAnnotation, label
+from eldiff.consensus import AlignPolicy, label
 
 
 def _align_overlap(annotation_sets):

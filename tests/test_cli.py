@@ -1,6 +1,7 @@
 """Command-line pipeline wiring, exit statuses and configuration."""
 
 import functools
+import hashlib
 import json
 import logging
 
@@ -91,6 +92,31 @@ class TestGenSynthetic:
         assert run("gen-synthetic", "--out", b, "--seed", 3, "--docs", 20) == EXIT_OK
         for name in ("corpus.jsonl", "alpha.tsv", "gold.tsv", "candidates.tsv"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    # The sha256 of every file written for --docs 12 --seed 7: the fixtures
+    # are the reference input of every run, so no byte of them may move.
+    @pytest.mark.parametrize("systems, digests", [
+        ((), {
+            "alpha.tsv": "65c764e42e22525726aa394e2b61b8a947803bcea8226cd71caf6b10b2e4e2bd",
+            "beta.tsv": "158925addaa498c9e77406b878933d59b0a1094daba98080da1148daf1decdc8",
+            "candidates.tsv": "ffe51e48cb09e661cceaadd063e5e3b33e251062de0bbda1e980277c3b4befc7",
+            "corpus.jsonl": "726969906889d6c01786636c1ef0f541ace468b74501f9ce980fcc2e2ec14973",
+            "gamma.tsv": "3a28b22326ec76845e8b7d1397bbb66b0cf7b119dd1a6c49dc2a25093d9c5fcb",
+            "gold.tsv": "8df60f9b05b27cbc112014b2ce9a8610c641b6b0251ad03c2194131b522e9665",
+        }),
+        (("--systems", "a,b"), {
+            "a.tsv": "e1163e408b14638064d3cb9777a8d49562ab2d517cc7de5f25fc926809b3ecbc",
+            "b.tsv": "bde72d66a015defee4769f859548c6b205ab4bc512fc9fca0e211f7c320098e9",
+            "candidates.tsv": "ffe51e48cb09e661cceaadd063e5e3b33e251062de0bbda1e980277c3b4befc7",
+            "corpus.jsonl": "726969906889d6c01786636c1ef0f541ace468b74501f9ce980fcc2e2ec14973",
+            "gold.tsv": "022e46b2cc746ef87da6b547626e0330fc473b5adaddba7f13cd07ca06d38bfc",
+        }),
+    ])
+    def test_pinned_bytes(self, tmp_path, systems, digests):
+        assert run("gen-synthetic", "--out", tmp_path, "--seed", 7, "--docs", 12,
+                   *systems) == EXIT_OK
+        assert {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in tmp_path.iterdir()} == digests
 
 
 class TestLabel:

@@ -7,15 +7,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from consensus_oracle import LabelledMention, align_records, annotation_records
-from consensus_oracle import write_label_records
+from consensus_oracle import LabelledMention, SystemAnnotation, align_records
+from consensus_oracle import annotation_records, write_label_records
 from eldiff.consensus import (
     CLASS_INDEX,
     CLASS_ORDER,
     AlignPolicy,
     Label,
     MentionCodes,
-    SystemAnnotation,
     class_distribution,
     label,
     normalize_entity,
@@ -238,6 +237,15 @@ class TestAnnotationIO:
         annotations = annotation_records(path)
         assert annotations[0].entity_id == "Paris_france"
         assert annotations[1].offset == 0
+
+    def test_length_is_the_row_count(self, tmp_path):
+        # the benchmark's tracer counts annotations_in with len() of each dump
+        path = tmp_path / "sys.tsv"
+        path.write_text("d1\t10\tParis\tE\n\nd1\t10\tParis\tF\nd2\t0\tBonn\tE\n",
+                        encoding="utf-8")
+        dump = read_annotations(path, MentionCodes())
+        assert len(dump) == 3
+        assert [dump.line_number(row) for row in range(len(dump))] == [1, 3, 4]
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "sys.tsv"

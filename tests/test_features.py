@@ -9,8 +9,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from consensus_oracle import SystemAnnotation, annotation_rows, oracle_count_doc_mentions
 from consensus_oracle import oracle_read_annotations
-from eldiff.consensus import Label, SystemAnnotation
+from eldiff.consensus import Label, write_annotations
 from eldiff.corpus import Corpus, Document
 from eldiff.embeddings import EmbeddingModel
 from eldiff.errors import AllMissingError, MalformedRecordError
@@ -22,7 +23,6 @@ from eldiff.features import (
     FeatureSchema,
     FeatureTable,
     count_doc_mentions,
-    count_dump_mentions,
     load_candidate_dictionary,
     read_table,
     stability_word,
@@ -325,11 +325,15 @@ class TestExtract:
 
 
 class TestCountDocMentions:
-    def test_union_of_distinct_spans(self):
+    def test_union_of_distinct_spans(self, tmp_path):
         a = [SystemAnnotation("d1", "X", 0, "E"), SystemAnnotation("d1", "Y", 5, "E")]
         b = [SystemAnnotation("d1", "X", 0, "E"), SystemAnnotation("d2", "Z", 1, "E")]
-        counts = count_doc_mentions([a, b])
+        counts = oracle_count_doc_mentions([a, b])
         assert counts == {"d1": 2, "d2": 1}
+        paths = [tmp_path / "a.tsv", tmp_path / "b.tsv"]
+        for records, path in zip((a, b), paths):
+            write_annotations(annotation_rows(records), path)
+        assert count_doc_mentions(paths) == counts
 
 
 def dump_outcome(count, paths):
@@ -341,7 +345,7 @@ def dump_outcome(count, paths):
 
 
 def count_records(paths):
-    return count_doc_mentions(oracle_read_annotations(p) for p in paths)
+    return oracle_count_doc_mentions(oracle_read_annotations(p) for p in paths)
 
 
 SPAN_DOCS = ["d1", "D1", "1984", "\U0001F600"]
@@ -360,8 +364,9 @@ BAD_DUMP_LINES = ["d1\t007\tParis\tE", "d1\t-1\tParis\tE", "d1\t3\tParis\t",
 
 
 class TestCountDumpMentions:
-    """The span count from dump columns against count_doc_mentions over the
-    record reader's records: the same counts, or the same first error."""
+    """The span count from dump columns against oracle_count_doc_mentions
+    over the record reader's records: the same counts, or the same first
+    error."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -379,7 +384,7 @@ class TestCountDumpMentions:
             path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
             paths.append(path)
         expected = dump_outcome(count_records, paths)
-        assert dump_outcome(count_dump_mentions, paths) == expected
+        assert dump_outcome(count_doc_mentions, paths) == expected
 
     @pytest.mark.parametrize("line, message", [
         ("d1\t03\tParis\tE", "line 2: bad offset '03'"),
@@ -392,7 +397,7 @@ class TestCountDumpMentions:
         path.write_text(f"d1\t3\tParis\tE\n{line}\n", encoding="utf-8")
         expected = (MalformedRecordError, message, 2)
         assert dump_outcome(count_records, [path]) == expected
-        assert dump_outcome(count_dump_mentions, [path]) == expected
+        assert dump_outcome(count_doc_mentions, [path]) == expected
 
 
 class TestImpute:

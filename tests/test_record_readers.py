@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 
 from consensus_oracle import (
     LabelledMention,
+    SystemAnnotation,
     annotation_records,
+    annotation_rows,
     oracle_read_annotations,
     write_label_records,
 )
 from eldiff.cli import CliError
 from eldiff.consensus import (
     Label,
-    SystemAnnotation,
     normalize_entity,
     read_redirects,
     write_annotations,
@@ -269,10 +270,6 @@ class TestPredictionsOracle:
 
 class TestRecords:
     def test_constructors_keep_their_checks(self):
-        with pytest.raises(ValueError, match="negative offset -1 in 'd'"):
-            SystemAnnotation("d", "x", -1, "E")
-        with pytest.raises(ValueError, match="empty entity id at 'd':0"):
-            SystemAnnotation("d", "x", 0, "")
         with pytest.raises(ValueError, match="at least 2 systems"):
             LabelledMention("d", "x", 0, ("E",), Label.EASY)
 
@@ -353,10 +350,11 @@ def expected_gold_or_error(entries):
 @given(records=st.lists(annotations(), max_size=8))
 def test_annotation_dump_roundtrip(tmp_path, records):
     path = tmp_path / "sys.tsv"
-    if refused(write_annotations, records, path,
+    rows = annotation_rows(records)
+    if refused(write_annotations, rows, path,
                [f for a in records for f in (a.doc_id, a.surface, a.entity_id)]):
         return
-    write_annotations(records, path)
+    write_annotations(rows, path)
     expected = []
     for lineno, a in enumerate(records, start=1):
         try:
@@ -366,6 +364,24 @@ def test_annotation_dump_roundtrip(tmp_path, records):
                 annotation_records(path)
             return
     assert annotation_records(path) == expected
+
+
+@pytest.mark.parametrize("row, message", [
+    (("d", -1, "x", "E"), "negative offset -1 in 'd'"),
+    (("d", 0, "x", ""), "empty entity id at 'd':0"),
+    (("d\tx", 0, "x", "E"), r"row 2: field 'd\tx' holds a tab or line break and cannot be "
+                            "written"),
+    (("d", 0, "x\ny", "E"), r"row 2: field 'x\ny' holds a tab or line break and cannot be "
+                            "written"),
+    (("d", 0, "x", "E\r"), r"row 2: field 'E\r' holds a tab or line break and cannot be "
+                           "written"),
+])
+def test_annotation_writer_refuses_a_bad_row(tmp_path, row, message):
+    # the bad row sits between good ones: the error names it and no file is left
+    path = tmp_path / "sys.tsv"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        write_annotations([("d", 0, "x", "E"), row, ("d", 5, "y", "F")], path)
+    assert not path.exists()
 
 
 @HOSTILE_SETTINGS
@@ -404,8 +420,7 @@ def test_predictions_file_roundtrip(tmp_path, records):
 
 def write_gold(entries, path):
     """The gold file as ``gen-synthetic`` writes it."""
-    write_annotations([SystemAnnotation(doc_id, surface, offset, entity)
-                       for (doc_id, offset, surface), entity in sorted(entries.items())], path)
+    write_annotations([(*key, entity) for key, entity in sorted(entries.items())], path)
 
 
 @HOSTILE_SETTINGS
