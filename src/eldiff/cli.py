@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import consensus, embeddings, synth
-from .consensus import CLASS_INDEX, CLASS_ORDER, AlignPolicy, MentionCodes, align
+from .consensus import CLASS_ORDER, AlignPolicy, MentionCodes, align
 from .consensus import class_distribution
 from .corpus import GeneratorConfig, load_corpus
 from .errors import AllMissingError, EldiffError
@@ -168,16 +168,25 @@ def _system_names(args) -> list[str] | None:
     return names
 
 
+def _date(args, name: str) -> dt.date:
+    """The ISO date of a flag, refused before any output is made."""
+    text = getattr(args, name)
+    try:
+        return dt.date.fromisoformat(text)
+    except ValueError:
+        raise CliError(f"--{name.replace('_', '-')} takes an ISO date, not {text!r}") from None
+
+
 def cmd_gen_synthetic(args) -> int:
+    _check_at_least(args, "docs")
     systems = tuple(_system_names(args) or ("alpha", "beta", "gamma"))
     if len(systems) < 2:
         raise CliError(f"--systems needs at least 2 names, not {args.systems!r}")
+    start, end = _date(args, "start_date"), _date(args, "end_date")
+    if end < start:
+        raise CliError(f"--end-date {end} is before --start-date {start}")
     out = _out_dir(args)
-    config = GeneratorConfig(
-        n_docs=args.docs,
-        start_date=dt.date.fromisoformat(args.start_date),
-        end_date=dt.date.fromisoformat(args.end_date),
-    )
+    config = GeneratorConfig(n_docs=args.docs, start_date=start, end_date=end)
     log.info("derived seeds: corpus %d, annotations %d",
              derive_seed(args.seed, "corpus"), derive_seed(args.seed, "annotations"))
     paths = synth.write_fixture(out, args.seed, corpus_config=config, systems=systems)
@@ -268,10 +277,7 @@ def cmd_features(args) -> int:
         top_k=args.top_k,
     )
     extractor = FeatureExtractor(corpus, candidates, models, config, doc_counts)
-    table = extractor.extract_all(
-        (doc_id, surface, offset, CLASS_ORDER[label])
-        for (doc_id, offset, surface), label in zip(codes.mentions(labelled.keys.tolist()),
-                                                    labelled.labels.tolist()))
+    table = extractor.extract_all(codes.mentions(labelled.keys.tolist()), labelled.labels)
     features_path = _out_dir(args) / "features.csv"
     columns = None if schema.columns == FEATURE_COLUMNS else schema.columns
     table.write_csv(features_path, columns=columns)
@@ -305,8 +311,12 @@ def _numbers(args, name: str, ok, expected: str) -> list[float]:
 
 
 def cmd_train(args) -> int:
+    if args.variant not in VARIANTS:
+        raise CliError(f"unknown variant {args.variant!r}; expected one of {VARIANTS}")
     if args.variant == "random_forest":
         _check_at_least(args, "trees")
+    if not 0.0 < args.sample <= 1.0:
+        raise CliError(f"--sample takes a fraction in (0, 1], not {str(args.sample)!r}")
     file_schema, table = read_table(_require(args, "features"))
     schema = _parse_schema(args.schema, file_schema)
     missing = [c for c in schema.columns if c not in file_schema.columns]
@@ -323,8 +333,6 @@ def cmd_train(args) -> int:
         log.info("undersampling training data (derived seed %d)", balance_seed)
         keep = undersample(np.arange(len(dataset)), dataset.y, balance_seed)
         dataset = dataset.subset(keep)
-    if args.variant not in VARIANTS:
-        raise CliError(f"unknown variant {args.variant!r}; expected one of {VARIANTS}")
     hyper = {"n_trees": args.trees} if args.variant == "random_forest" else {}
     train_seed = derive_seed(args.seed, "train")
     log.info("training %s on %d rows (derived seed %d)", args.variant, len(dataset), train_seed)
@@ -343,28 +351,31 @@ def cmd_predict(args) -> int:
         raise CliError(f"model needs columns absent from the feature file: {missing}")
     schema = FeatureSchema(tuple(model.columns))
     table = _imputed(table, schema, args)
-    keys = None
-    if args.mentions:
+    if not args.mentions:
+        keys = [("-", i, "-") for i in range(len(table))]
+    else:
         codes = MentionCodes()
         labelled = consensus.read_labels(args.mentions, codes)
         if len(labelled.keys) != len(table):
             raise CliError(f"mentions file has {len(labelled.keys)} rows but the feature table "
                            f"has {len(table)}")
         # files from one run carry the same label row for row
-        for row, (lbl, code) in enumerate(zip(table.labels(), labelled.labels.tolist()), start=1):
-            if lbl is not None and CLASS_INDEX[lbl] != code:
-                raise CliError(f"feature row {row} is labelled {lbl} but mentions row {row} is "
-                               f"{CLASS_ORDER[code]}: the files do not come from one run")
+        labels = table.labels()
+        mismatches = np.flatnonzero((labels >= 0) & (labels != labelled.labels))
+        if mismatches.size:
+            row = int(mismatches[0])
+            raise CliError(f"feature row {row + 1} is labelled {CLASS_ORDER[labels[row]]} but "
+                           f"mentions row {row + 1} is {CLASS_ORDER[labelled.labels[row]]}: "
+                           "the files do not come from one run")
         keys = codes.mentions(labelled.keys.tolist())
-    labels, probs = model.predict_table(table)
-    if keys is None:
-        keys = [("-", i, "-") for i in range(len(labels))]
+    classes, probs = model.predict_table(table)
+    names = np.array([lbl.value for lbl in CLASS_ORDER])[classes].tolist()
     predictions_path = _out_dir(args) / "predictions.tsv"
     consensus.write_tsv(
-        ((doc_id, str(offset), surface, label.value, f"{p0:.9g}", f"{p1:.9g}", f"{p2:.9g}")
-         for (doc_id, offset, surface), label, (p0, p1, p2) in zip(keys, labels, probs.tolist())),
+        ((doc_id, str(offset), surface, name, f"{p0:.9g}", f"{p1:.9g}", f"{p2:.9g}")
+         for (doc_id, offset, surface), name, (p0, p1, p2) in zip(keys, names, probs.tolist())),
         predictions_path)
-    log.info("wrote %d predictions to %s", len(labels), predictions_path)
+    log.info("wrote %d predictions to %s", len(names), predictions_path)
     return EXIT_OK
 
 

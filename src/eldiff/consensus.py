@@ -46,8 +46,7 @@ class Label(Enum):
 #: and argmax tie-breaking.
 CLASS_ORDER: tuple[Label, Label, Label] = (Label.HARD, Label.MEDIUM, Label.EASY)
 CLASS_INDEX: Mapping[Label, int] = {label: i for i, label in enumerate(CLASS_ORDER)}
-#: Label and class index by label text, the lookups readers use instead of ``Label(text)``.
-LABEL_OF_VALUE: Mapping[str, Label] = {label.value: label for label in Label}
+#: Class index by label text, the lookup readers use instead of ``Label(text)``.
 _CLASS_OF_VALUE = {label.value: CLASS_INDEX[label] for label in Label}
 
 

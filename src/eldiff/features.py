@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import consensus
-from .consensus import LABEL_OF_VALUE, Label, MentionCodes
+from .consensus import CLASS_ORDER, MentionCodes
 from .consensus import plain_digits, read_tsv, write_tsv
 from .corpus import (
     Corpus,
@@ -177,8 +177,8 @@ def stability_word(surface: str) -> str:
 
 class FeatureExtractor:
     """Computes feature tables against shared immutable inputs. A mention is
-    given as ``(doc_id, surface, offset, label)``, its label None if it has
-    none.
+    given by its key ``(doc_id, offset, surface)``, the form
+    ``MentionCodes.mentions`` returns.
 
     m_df and t_df are answered by the corpus's token index, which memoizes
     them; each mention word's stability is computed once. Each document is
@@ -214,9 +214,9 @@ class FeatureExtractor:
             return StabilityResult.missing()
         return self._stability_cache[stability_word(surface)]
 
-    def _row(self, mention: tuple[str, str, int, Label | None]) -> tuple:
-        """One mention's values in ``FEATURE_COLUMNS`` order, label last."""
-        doc_id, surface, offset, label = mention
+    def _row(self, mention: tuple[str, int, str]) -> tuple:
+        """One mention's values in ``FEATURE_COLUMNS`` order."""
+        doc_id, offset, surface = mention
         doc = self.corpus.get(doc_id)
         if offset < 0 or offset + len(surface) > len(doc.text):
             raise ValueError(
@@ -243,31 +243,31 @@ class FeatureExtractor:
             stability.minimum,
             stability.maximum,
             stability.average,
-            label,
         )
 
-    def extract(self, mention: tuple) -> "FeatureTable":
-        """The one-row feature table of ``mention``."""
-        return self.extract_all([mention])
+    def extract(self, mention: tuple[str, int, str]) -> "FeatureTable":
+        """The one-row feature table of ``mention``, with no label."""
+        return self.extract_all([mention], [-1])
 
-    def extract_all(self, mentions: Iterable[tuple]) -> "FeatureTable":
-        """The feature table of ``mentions``, one row each, in order. The
-        stability of every new mention word is computed first, slice by
-        slice (``stability_all``)."""
-        mentions = list(mentions)
+    def extract_all(self, mentions: Sequence[tuple], labels: Sequence[int]) -> "FeatureTable":
+        """The feature table of ``mentions``, one row each, in order, with
+        the class indices ``labels`` (-1 for none). The stability of every
+        new mention word is computed first, slice by slice (``stability_all``)."""
         if len(self.models) >= 2:
-            words = dict.fromkeys(stability_word(m[1]) for m in mentions)
+            words = dict.fromkeys(stability_word(m[2]) for m in mentions)
             new = [word for word in words if word not in self._stability_cache]
             if new:
                 self._stability_cache.update(stability_all(self.models, new, self.config.top_k))
         rows = [self._row(mention) for mention in mentions]
-        *columns, labels = zip(*rows) if rows else [()] * (len(FEATURE_COLUMNS) + 1)
+        columns = zip(*rows) if rows else [()] * len(FEATURE_COLUMNS)
         return FeatureTable(dict(zip(FEATURE_COLUMNS, columns)), labels)
 
 
 #: The arguments of ``_row_problem``, in order.
 _RULE_COLUMNS = ("m_len", "m_words", "m_pos", *STABILITY_COLUMNS)
-_LABELS: dict[str, Label | None] = {"": None, **LABEL_OF_VALUE}
+#: Class index by label text, "" for none (-1), and the texts by class index.
+_CLASSES = {**{lbl.value: c for c, lbl in enumerate(CLASS_ORDER)}, "": -1}
+_LABEL_TEXTS = tuple(_CLASSES)
 
 
 class FeatureTable:
@@ -275,28 +275,30 @@ class FeatureTable:
 
     Each integer column is an int64 array and each float column a float64
     array, NaN where a stability value is missing; ``d_topic`` is a list of
-    strings, "" where the topic is missing; the labels are one list. Every
-    row obeys the row rules (``_row_problem``), so NaN in a stability column
-    always means "missing".
+    strings, "" where the topic is missing; the labels are one int8 column
+    of class indices, -1 where a row has none. Every row obeys the row rules
+    (``_row_problem``), so NaN in a stability column always means "missing".
     """
 
-    def __init__(self, columns: Mapping[str, Sequence], labels: Sequence[Label | None]):
+    def __init__(self, columns: Mapping[str, Sequence], labels: Sequence[int]):
         """The table of ``columns``, which maps every feature column to its
         Python values in row order (None where a stability value is missing,
-        "" where a topic is), and of one label or None per row. Raises
-        ValueError if a column's length differs from the labels' or if a row
-        breaks a row rule."""
-        labels = list(labels)
+        "" where a topic is), and of one class index or -1 per row. Raises
+        ValueError if a column's length differs from the labels', if a label
+        is no class index or -1, or if a row breaks a row rule."""
+        labels = np.asarray(labels)
         if any(len(columns[c]) != len(labels) for c in FEATURE_COLUMNS):
             raise ValueError("every feature column needs one value per label")
+        if not np.isin(labels, range(-1, len(CLASS_ORDER))).all():
+            raise ValueError("a label is a class index or -1 for none")
         values = _arrays({c: columns[c] for c in FEATURE_COLUMNS})
         absent = {c: np.array([v is None for v in columns[c]], dtype=bool)
                   for c in STABILITY_COLUMNS}
         _check_rows(values, absent)
-        self._values, self._labels = values, labels
+        self._values, self._labels = values, labels.astype(np.int8)
 
     @classmethod
-    def _of(cls, values: dict, labels: list) -> "FeatureTable":
+    def _of(cls, values: dict, labels: np.ndarray) -> "FeatureTable":
         """A table of column arrays that already obey the row rules."""
         table = cls.__new__(cls)
         table._values, table._labels = values, labels
@@ -314,8 +316,9 @@ class FeatureTable:
             return [None if v != v else v for v in values.tolist()]
         return values.tolist()
 
-    def labels(self) -> list[Label | None]:
-        return list(self._labels)
+    def labels(self) -> np.ndarray:
+        """The class-index column, -1 where a row has none; not to be modified."""
+        return self._labels
 
     def column(self, name: str):
         """One column, not to be modified: an int64 or float64 array (NaN
@@ -367,7 +370,7 @@ class FeatureTable:
         # repr, which is why the columns go to it as Python values: the repr
         # of a numpy float64 is not that of a float.
         fields = [self._python(c) for c in columns]
-        fields.append(["" if lbl is None else lbl.value for lbl in self._labels])
+        fields.append([_LABEL_TEXTS[c] for c in self._labels.tolist()])
         # the writer quotes a field holding "\n" but not one holding a lone
         # "\r", which a reader takes for a line break
         carriage = "d_topic" in columns and any("\r" in t for t in self._values["d_topic"])
@@ -469,7 +472,7 @@ def _parse_columns(records: list[list[str]], columns: tuple[str, ...],
             values[name] = np.array([float(t) if t else np.nan for t in texts], dtype=np.float64)
         else:
             values[name] = np.array(list(map(float, texts)), dtype=np.float64)
-    labels = [_LABELS[t] for t in fields[-1]]
+    labels = np.array([_CLASSES[t] for t in fields[-1]], dtype=np.int8)
     _check_rows(values, absent)
     return FeatureTable._of(values, labels)
 
@@ -494,7 +497,7 @@ def _record_problem(record: list[str], columns: tuple[str, ...], width: int) -> 
                     raise ValueError(f"column {column} value outside the int64 range")
             else:
                 values[column] = float(text)
-        if record[-1] not in _LABELS:
+        if record[-1] not in _CLASSES:
             raise ValueError(f"bad label {record[-1]!r}")
     except ValueError as exc:
         return str(exc)

@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..consensus import CLASS_INDEX, CLASS_ORDER
+from ..consensus import CLASS_ORDER
 from ..features import CATEGORICAL_COLUMNS, FeatureSchema, FeatureTable
 
 N_CLASSES = len(CLASS_ORDER)
@@ -89,10 +89,9 @@ def dataset_from_table(
     """Project a feature table onto a schema and encode it for the learners."""
     if schema is None:
         schema = FeatureSchema.all()
-    labels = table.labels()
-    if require_labels and any(lbl is None for lbl in labels):
+    y = table.labels()
+    if require_labels and (y < 0).any():
         raise ValueError("every row needs a difficulty label for training")
-    y = np.array([-1 if lbl is None else CLASS_INDEX[lbl] for lbl in labels], dtype=np.int64)
     categories = build_categories(table, schema.columns)
     x = encode_table(table, schema.columns, categories)
     return Dataset(tuple(schema.columns), x, y, categories)

@@ -35,7 +35,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ..consensus import CLASS_ORDER, Label
 from ..errors import CorruptModelError, UnsupportedVersionError
 from ..features import FeatureTable
 from ..rand import derive_seed
@@ -98,10 +97,11 @@ class _Model:
     def predict_codes(self, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(x), axis=1)
 
-    def predict_table(self, table: FeatureTable) -> tuple[list[Label], np.ndarray]:
-        """Each row's label and the (rows x classes) probability matrix."""
+    def predict_table(self, table: FeatureTable) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's class index (``CLASS_ORDER``) and the (rows x classes)
+        probability matrix."""
         probs = self.predict_proba(self.encode(table))
-        return [CLASS_ORDER[c] for c in np.argmax(probs, axis=1).tolist()], probs
+        return np.argmax(probs, axis=1), probs
 
 
 # ---------------------------------------------------------------------------

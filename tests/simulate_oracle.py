@@ -147,8 +147,8 @@ def oracle_features(out, corpus, mentions, candidates):
     candidates = load_candidate_dictionary(candidates)
     doc_counts = oracle_count_doc_mentions([labelled])
     extractor = FeatureExtractor(corpus, candidates, doc_mention_counts=doc_counts)
-    table = extractor.extract_all([(lm.doc_id, lm.surface, lm.offset, lm.label)
-                                   for lm in labelled])
+    table = extractor.extract_all([(lm.doc_id, lm.offset, lm.surface) for lm in labelled],
+                                  [CLASS_INDEX[lm.label] for lm in labelled])
     out.mkdir(parents=True, exist_ok=True)
     table.write_csv(out / "features.csv")
 
@@ -168,12 +168,14 @@ def oracle_predict(out, model, features, mentions):
     if len(labelled) != len(table):
         raise OracleError(
             f"mentions file has {len(labelled)} rows but the feature table has {len(table)}")
-    for row, (lbl, lm) in enumerate(zip(table.labels(), labelled), start=1):
+    labels = [None if c < 0 else CLASS_ORDER[c] for c in table.labels().tolist()]
+    for row, (lbl, lm) in enumerate(zip(labels, labelled), start=1):
         if lbl is not None and lbl is not lm.label:
             raise OracleError(f"feature row {row} is labelled {lbl} but mentions row {row} is "
                               f"{lm.label}: the files do not come from one run")
     keys = [(lm.doc_id, lm.offset, lm.surface) for lm in labelled]
-    labels, probs = model.predict_table(table)
+    classes, probs = model.predict_table(table)
+    labels = [CLASS_ORDER[c] for c in classes.tolist()]
     out.mkdir(parents=True, exist_ok=True)
     consensus.write_tsv(
         ((doc_id, str(offset), surface, label.value, f"{p0:.9g}", f"{p1:.9g}", f"{p2:.9g}")

@@ -10,7 +10,7 @@ import pytest
 
 from eldiff import embeddings, synth
 from eldiff.cli import EXIT_DEGENERATE, EXIT_ERROR, EXIT_OK, _apply_config, _build_parser, main
-from eldiff.consensus import Label, MentionCodes, read_labels
+from eldiff.consensus import CLASS_INDEX, CLASS_ORDER, Label, MentionCodes, read_labels
 from eldiff.corpus import GeneratorConfig, generate_synthetic_corpus
 from eldiff.features import FEATURE_COLUMNS, FeatureTable
 from simulate_oracle import gold_entries
@@ -58,8 +58,8 @@ def features_dir(fixture_dir, labelled_dir, tmp_path_factory):
 
 
 def feature_table(labels, **columns):
-    """One row per label; each column is given as a list of its values in
-    row order, or as one value for every row."""
+    """One row per label, a class index; each column is given as a list of
+    its values in row order, or as one value for every row."""
     return FeatureTable({c: v if isinstance(v, list) else [v] * len(labels)
                          for c, v in columns.items()}, labels)
 
@@ -71,7 +71,7 @@ def separable_table():
     for label, m_len in [(Label.HARD, 2), (Label.MEDIUM, 12), (Label.EASY, 30)]:
         for _ in range(30):
             jitter = int(rng.integers(0, 3))
-            labels.append(label)
+            labels.append(CLASS_INDEX[label])
             m_lens.append(m_len + jitter)
     return feature_table(
         labels, m_len=m_lens, m_words=1, m_freq=1, m_df=1,
@@ -229,7 +229,7 @@ class TestTrainPredict:
             line.split("\t")[3]
             for line in (tmp_path / "predictions.tsv").read_text(encoding="utf-8").splitlines()
         ]
-        gold = [label.value for label in table.labels()]
+        gold = [CLASS_ORDER[c].value for c in table.labels()]
         accuracy = sum(p == g for p, g in zip(predicted, gold)) / len(gold)
         assert accuracy >= 0.99
 
@@ -301,7 +301,7 @@ class TestTrainPredict:
 
 class TestEval:
     def test_fold_size_error_is_explicit(self, tmp_path, capsys):
-        labels = [Label.HARD] * 9 + [Label.MEDIUM] * 30 + [Label.EASY] * 30
+        labels = [0] * 9 + [1] * 30 + [2] * 30  # HARD, MEDIUM, EASY in CLASS_ORDER
         features = tmp_path / "features.csv"
         feature_table(
             labels, m_len=5, m_words=1, m_freq=1, m_df=1, m_cand=1, m_pos=0.1,
@@ -552,6 +552,21 @@ class TestOutputDirectoryAfterInputs:
         assert "--systems needs at least 2 names, not 'a'" in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--docs", -3], "--docs must be at least 1, not -3"),
+        (["--docs", 0], "--docs must be at least 1, not 0"),
+        (["--start-date", "1999-01-01", "--end-date", "1990-01-01"],
+         "--end-date 1990-01-01 is before --start-date 1999-01-01"),
+        (["--start-date", "2000-13-01"], "--start-date takes an ISO date, not '2000-13-01'"),
+        (["--end-date", "soon"], "--end-date takes an ISO date, not 'soon'"),
+    ])
+    def test_refused_generator_flag_makes_no_out(self, tmp_path, caplog, flags, message):
+        out = tmp_path / "out"
+        with caplog.at_level(logging.ERROR, logger="eldiff"):
+            assert run("gen-synthetic", *flags, "--out", out) == EXIT_ERROR
+        assert [r.getMessage() for r in caplog.records] == [message]
+        assert not out.exists()
+
     def test_refused_gold_makes_no_out(self, labelled_dir, tmp_path, caplog):
         gold = tmp_path / "gold.tsv"
         gold.write_text("d1\tzz\tParis\tE\n", encoding="utf-8")
@@ -713,6 +728,13 @@ class TestFlagChecks:
         ("eval", ["--folds", 1], "--folds must be at least 2, not 1"),
         ("eval", ["--samples", "0.5,0"], "--samples takes fractions in (0, 1], not '0'"),
         ("eval", ["--samples", "1.5"], "--samples takes fractions in (0, 1], not '1.5'"),
+        ("train", ["--sample", 1.5], "--sample takes a fraction in (0, 1], not '1.5'"),
+        ("train", ["--sample", -0.5], "--sample takes a fraction in (0, 1], not '-0.5'"),
+        ("train", ["--sample", 0], "--sample takes a fraction in (0, 1], not '0.0'"),
+        ("train", ["--sample", "nan"], "--sample takes a fraction in (0, 1], not 'nan'"),
+        ("train", ["--variant", "bogus"], "unknown variant 'bogus'; expected one of "
+                                          "('gaussian_nb', 'logistic_regression', "
+                                          "'decision_tree', 'random_forest')"),
     ])
     def test_bad_value_refused_before_any_work(self, fixture_dir, labelled_dir, features_dir,
                                                tmp_path, caplog, command, flags, message):
@@ -724,6 +746,8 @@ class TestFlagChecks:
             "simulate": ["--labels", labelled_dir / "labels.tsv",
                          "--gold", fixture_dir / "gold.tsv"],
             "eval": ["--features", features_dir / "features.csv"],
+            # a file that is not there: train refuses its flags before reading it
+            "train": ["--features", tmp_path / "missing.csv"],
         }[command]
         out = tmp_path / "out"
         with caplog.at_level(logging.ERROR, logger="eldiff"):

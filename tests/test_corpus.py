@@ -379,7 +379,7 @@ class TestWindowMemo:
 
     @pytest.fixture
     def mentions(self, corpus):
-        return [(doc.id, doc.text[:k], 0, None) for doc in corpus for k in (1, 4, 5, 9)]
+        return [(doc.id, 0, doc.text[:k]) for doc in corpus for k in (1, 4, 5, 9)]
 
     def test_extractors_with_different_windows_share_one_corpus(self, corpus, mentions):
         extractors = {window: FeatureExtractor(corpus, config=FeatureConfig(window_months=window))
@@ -387,8 +387,8 @@ class TestWindowMemo:
         t_df = {}
         for _ in range(2):
             for window, extractor in extractors.items():
-                table = extractor.extract_all(mentions)
-                for row, (doc_id, surface, _, _) in enumerate(mentions):
+                table = extractor.extract_all(mentions, [-1] * len(mentions))
+                for row, (doc_id, _, surface) in enumerate(mentions):
                     anchor = corpus.get(doc_id).publication_date
                     assert table.column("m_df")[row] == scan_document_frequency(corpus, surface)
                     assert table.column("t_df")[row] == scan_temporal_document_frequency(
@@ -407,7 +407,7 @@ class TestWindowMemo:
         monkeypatch.setattr(corpus_module, "shift_months", counting)
         for window in (1, 6, 1):
             FeatureExtractor(corpus, config=FeatureConfig(window_months=window)).extract_all(
-                mentions)
+                mentions, [-1] * len(mentions))
         assert set(calls) == {(date, window) for date in self.DATES for window in (1, 6)}
         assert max(calls.values()) <= 2
 

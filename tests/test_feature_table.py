@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from eldiff.cli import EXIT_ERROR, main
-from eldiff.consensus import LABEL_OF_VALUE, Label
+from eldiff.consensus import CLASS_INDEX, Label
 from eldiff.errors import MalformedRecordError
 from eldiff.features import (
     FEATURE_COLUMNS,
@@ -57,7 +57,7 @@ def rowwise_read_errors(path):
                     else:
                         values[column] = float(text)
                 label_text = record[-1]
-                if label_text and label_text not in LABEL_OF_VALUE:
+                if label_text and label_text not in {lbl.value for lbl in Label}:
                     raise ValueError(f"bad label {label_text!r}")
                 problem = _row_problem(*(values[c] for c in ("m_len", "m_words", "m_pos",
                                                              *STABILITY_COLUMNS)))
@@ -70,7 +70,7 @@ def rowwise_read_errors(path):
 BASE = dict(
     m_len=5, m_words=1, m_freq=1, m_df=1, m_cand=2, m_pos=0.1, m_sent=20,
     d_words=50, d_topic="SPORTS", d_ents=3, t_age=16, t_df=1,
-    t_j_min=0.2, t_j_max=0.6, t_j_avg=0.4, label=Label.EASY,
+    t_j_min=0.2, t_j_max=0.6, t_j_avg=0.4, label=CLASS_INDEX[Label.EASY],
 )
 
 
@@ -89,7 +89,7 @@ def _python(table):
                for c in FEATURE_COLUMNS}
     for c in STABILITY_COLUMNS:
         columns[c] = [None if math.isnan(v) else v for v in columns[c]]
-    return {**columns, "label": table.labels()}
+    return {**columns, "label": table.labels().tolist()}
 
 
 GOOD = "5,1,1,1,2,0.1,20,50,SPORTS,3,16,1,0.2,0.6,0.4,EASY"
@@ -248,7 +248,8 @@ def feature_columns(draw):
         "d_topic": column(topics), "d_ents": column(counts),
         "t_age": column(st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1)),
         "t_df": column(counts), "t_j_min": lo, "t_j_max": hi, "t_j_avg": avg,
-        "label": column(st.one_of(st.none(), st.sampled_from(list(Label)))),
+        "label": column(st.one_of(st.none(), st.sampled_from(list(Label))).map(
+            lambda lbl: -1 if lbl is None else CLASS_INDEX[lbl])),
     }
 
 
@@ -261,7 +262,7 @@ def test_write_read_roundtrip(tmp_path, values, preset):
     FeatureTable(values, values["label"]).write_csv(path, columns=columns)
     schema, table = read_table(path)
     assert schema.columns == columns
-    assert table.labels() == values["label"]
+    assert table.labels().tolist() == values["label"]
     read = _python(table)
     for column in columns:
         # a missing value reads back as None, or "" for a topic
@@ -304,7 +305,7 @@ def test_cli_names_the_line_of_an_int_beyond_float_range(tmp_path, caplog):
 
 def test_lone_carriage_return_in_a_topic_roundtrips(tmp_path):
     # csv quotes a field holding "\n" but not one holding only "\r"
-    table = _table(2, d_topic=["a\rb", "plain"], label=[Label.EASY, None])
+    table = _table(2, d_topic=["a\rb", "plain"], label=[CLASS_INDEX[Label.EASY], -1])
     path = tmp_path / "f.csv"
     table.write_csv(path)
     assert _python(read_table(path)[1]) == _python(table)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from consensus_oracle import SystemAnnotation, annotation_rows, oracle_count_doc_mentions
 from consensus_oracle import oracle_read_annotations
-from eldiff.consensus import Label, write_annotations
+from eldiff.consensus import CLASS_INDEX, Label, write_annotations
 from eldiff.corpus import Corpus, Document
 from eldiff.embeddings import EmbeddingModel
 from eldiff.errors import AllMissingError, MalformedRecordError
@@ -33,7 +33,7 @@ from eldiff.features import (
 BASE = dict(
     m_len=5, m_words=1, m_freq=1, m_df=1, m_cand=2, m_pos=0.1, m_sent=20,
     d_words=50, d_topic="SPORTS", d_ents=3, t_age=16, t_df=1,
-    t_j_min=0.2, t_j_max=0.6, t_j_avg=0.4, label=Label.EASY,
+    t_j_min=0.2, t_j_max=0.6, t_j_avg=0.4, label=CLASS_INDEX[Label.EASY],
 )
 
 
@@ -52,7 +52,7 @@ def _python(table):
                for c in FEATURE_COLUMNS}
     for c in STABILITY_COLUMNS:
         columns[c] = [None if math.isnan(v) else v for v in columns[c]]
-    return {**columns, "label": table.labels()}
+    return {**columns, "label": table.labels().tolist()}
 
 
 def _row(table, index=0):
@@ -73,7 +73,13 @@ class TestTableConstructor:
     def test_columns_and_labels_must_agree_in_length(self):
         columns = {c: [v] * 2 for c, v in BASE.items()}
         with pytest.raises(ValueError, match="one value per label"):
-            FeatureTable(columns, [Label.EASY])
+            FeatureTable(columns, [CLASS_INDEX[Label.EASY]])
+
+    @pytest.mark.parametrize("label", [3, -2, 1.5, None, Label.EASY])
+    def test_label_must_be_a_class_index_or_none(self, label):
+        # -2 would write as EASY, the last label text but one
+        with pytest.raises(ValueError, match="a label is a class index or -1 for none"):
+            _table(label=label)
 
 
 class TestSchema:
@@ -204,24 +210,24 @@ class TestExtract:
         return FeatureExtractor(corpus, candidates, [], FeatureConfig(), counts)
 
     def test_normalised_position(self, extractor):
-        row = _row(extractor.extract(("doc1", "Paris", 250, None)))
+        row = _row(extractor.extract(("doc1", 250, "Paris")))
         assert row["m_pos"] == 0.25
 
     def test_position_at_document_start_is_exactly_zero(self, extractor):
-        assert _row(extractor.extract(("doc2", "Paris", 0, None)))["m_pos"] == 0.0
+        assert _row(extractor.extract(("doc2", 0, "Paris")))["m_pos"] == 0.0
 
     def test_age_against_reference_kb(self, extractor):
         # kb year 2016, publication year 2000 -> age 16
-        row = _row(extractor.extract(("doc1", "Paris", 250, None)))
+        row = _row(extractor.extract(("doc1", 250, "Paris")))
         assert row["t_age"] == 16
 
     def test_word_and_char_counts(self, extractor):
-        row = _row(extractor.extract(("doc2", "John McCain", 10, None)))
+        row = _row(extractor.extract(("doc2", 10, "John McCain")))
         assert row["m_words"] == 2
         assert row["m_len"] == 11
 
     def test_frequency_features(self, extractor):
-        row = _row(extractor.extract(("doc2", "Paris", 0, None)))
+        row = _row(extractor.extract(("doc2", 0, "Paris")))
         assert row["m_freq"] == 2
         assert row["m_df"] == 2
         assert row["m_cand"] == 26
@@ -229,11 +235,11 @@ class TestExtract:
 
     def test_sentence_length(self, extractor):
         # first sentence of doc2 is "Paris met John McCain" (21 chars)
-        row = _row(extractor.extract(("doc2", "Paris", 0, None)))
+        row = _row(extractor.extract(("doc2", 0, "Paris")))
         assert row["m_sent"] == 21
 
     def test_document_features(self, extractor):
-        row = _row(extractor.extract(("doc2", "Paris", 0, None)))
+        row = _row(extractor.extract(("doc2", 0, "Paris")))
         assert row["d_words"] == 6
         assert row["d_topic"] == ""
         assert row["d_ents"] == 2
@@ -262,12 +268,12 @@ class TestExtract:
         for offset in range(longest):
             for doc in docs:
                 if offset < len(doc.text):
-                    row = _row(extractor.extract((doc.id, doc.text[offset], offset, None)))
+                    row = _row(extractor.extract((doc.id, offset, doc.text[offset])))
                     assert row["m_sent"] == sentence_length(doc.text, offset), (doc.id, offset)
                     assert row["d_words"] == len(doc.text.split())
 
     def test_stability_missing_without_models(self, extractor):
-        row = _row(extractor.extract(("doc1", "Paris", 250, None)))
+        row = _row(extractor.extract(("doc1", 250, "Paris")))
         assert row["t_j_min"] is row["t_j_max"] is row["t_j_avg"] is None
 
     def test_stability_with_models(self, corpus):
@@ -275,32 +281,33 @@ class TestExtract:
         vectors = np.array([[1.0, 0.0], [0.9, 0.1], [0.0, 1.0]], dtype=np.float32)
         models = [EmbeddingModel(vocab, vectors, str(y)) for y in (1999, 2000)]
         extractor = FeatureExtractor(corpus, None, models, FeatureConfig(top_k=2))
-        row = _row(extractor.extract(("doc1", "Paris", 250, None)))
+        row = _row(extractor.extract(("doc1", 250, "Paris")))
         assert (row["t_j_min"], row["t_j_max"], row["t_j_avg"]) == (1.0, 1.0, 1.0)
 
     def test_unknown_doc_rejected(self, extractor):
         with pytest.raises(KeyError):
-            extractor.extract(("nope", "Paris", 0, None))
+            extractor.extract(("nope", 0, "Paris"))
 
     def test_offset_beyond_text_rejected(self, extractor):
         with pytest.raises(ValueError):
-            extractor.extract(("doc3", "here", 1000, None))
+            extractor.extract(("doc3", 1000, "here"))
 
     def test_label_carried_from_labelled_mention(self, extractor):
-        mention = ("doc1", "Paris", 250, Label.MEDIUM)
-        assert extractor.extract(mention).labels() == [Label.MEDIUM]
+        mention = ("doc1", 250, "Paris")
+        medium = CLASS_INDEX[Label.MEDIUM]
+        assert extractor.extract_all([mention], [medium]).labels().tolist() == [medium]
+        assert extractor.extract(mention).labels().tolist() == [-1]
 
     def test_every_mention_form_gives_one_row(self, extractor):
-        forms = [("doc2", "Paris", 23, None), ("doc2", "Paris", 23, Label.HARD)]
-        table = extractor.extract_all(forms)
+        labels = [-1, CLASS_INDEX[Label.HARD]]
+        table = extractor.extract_all([("doc2", 23, "Paris")] * 2, labels)
         rows = [_row(table, index) for index in range(2)]
-        assert [row.pop("label") for row in rows] == [None, Label.HARD]
+        assert [row.pop("label") for row in rows] == labels
         assert rows[0] == rows[1]
 
     def test_batch_equals_one_by_one(self, extractor):
-        mentions = [("doc2", "Paris", 0, None), ("doc1", "Paris", 250, None),
-                    ("doc2", "Paris", 23, None)]
-        table = extractor.extract_all(mentions)
+        mentions = [("doc2", 0, "Paris"), ("doc1", 250, "Paris"), ("doc2", 23, "Paris")]
+        table = extractor.extract_all(mentions, [-1] * 3)
         assert len(table) == 3
         for index, mention in enumerate(mentions):
             assert _row(table, index) == _row(extractor.extract(mention))
@@ -314,8 +321,8 @@ class TestExtract:
             doc = docs[int(rng.integers(len(docs)))]
             offset = int(rng.integers(0, len(doc.text) - 1))
             length = int(rng.integers(1, min(6, len(doc.text) - offset) + 1))
-            mentions.append((doc.id, doc.text[offset:offset + length], offset, None))
-        table = extractor.extract_all(mentions)
+            mentions.append((doc.id, offset, doc.text[offset:offset + length]))
+        table = extractor.extract_all(mentions, [-1] * len(mentions))
         assert len(table) == 2000
         m_pos = table.column("m_pos")
         assert ((0 <= m_pos) & (m_pos < 1)).all()
@@ -437,7 +444,8 @@ class TestTableIO:
     def test_roundtrip_with_missing_values(self, tmp_path):
         table = _table(3, t_j_min=[0.2, None, 0.2], t_j_max=[0.6, None, 0.6],
                        t_j_avg=[0.4, None, 0.4], d_topic=["SPORTS", "", "SPORTS"],
-                       label=[Label.EASY, None, Label.HARD], m_pos=[0.1, 0.1, 0.123456789])
+                       label=[CLASS_INDEX[Label.EASY], -1, CLASS_INDEX[Label.HARD]],
+                       m_pos=[0.1, 0.1, 0.123456789])
         path = tmp_path / "f.csv"
         table.write_csv(path)
         _, again = read_table(path)
@@ -449,7 +457,7 @@ class TestTableIO:
         schema, table = read_table(path)
         assert schema.columns == ("m_cand",)
         assert table.column("m_cand").tolist() == [2]
-        assert table.labels() == [Label.EASY]
+        assert table.labels().tolist() == [CLASS_INDEX[Label.EASY]]
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "f.csv"

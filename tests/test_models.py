@@ -451,7 +451,7 @@ def linear_files(tmp_path_factory):
     (two topics) is column 8: the paths of the table and of each model."""
     rng = np.random.default_rng(5)
     n = 60
-    labels = [CLASS_ORDER[c] for c in rng.integers(0, 3, size=n)]
+    labels = rng.integers(0, 3, size=n)
     m_len = rng.integers(3, 20, size=n).tolist()
     table = FeatureTable({
         "m_len": m_len, "m_words": [1] * n, "m_freq": rng.integers(1, 9, size=n).tolist(),
