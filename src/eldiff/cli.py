@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import datetime as dt
 import functools
-import gc
 import json
 import logging
 import math
@@ -150,7 +149,12 @@ def _parse_schema(text: str | None, file_schema: FeatureSchema) -> FeatureSchema
 
 def _imputed(table, schema: FeatureSchema, args) -> object:
     stability = all(c in schema.columns for c in STABILITY_COLUMNS)
-    return table.impute(strategy=args.impute, constant=args.impute_value, stability=stability)
+    try:
+        return table.impute(strategy=args.impute, constant=args.impute_value, stability=stability)
+    except AllMissingError as exc:
+        raise CliError(f"{exc}: the table has no stability values (features ran without "
+                       "embeddings); use --impute constant, or a --schema without "
+                       f"{'/'.join(STABILITY_COLUMNS)}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +281,7 @@ def cmd_features(args) -> int:
         top_k=args.top_k,
     )
     extractor = FeatureExtractor(corpus, candidates, models, config, doc_counts)
-    table = extractor.extract_all(codes.mentions(labelled.keys.tolist()), labelled.labels)
+    table = extractor.extract_all(codes, labelled.keys, labelled.labels)
     features_path = _out_dir(args) / "features.csv"
     columns = None if schema.columns == FEATURE_COLUMNS else schema.columns
     table.write_csv(features_path, columns=columns)
@@ -388,9 +392,13 @@ def cmd_eval(args) -> int:
         _check_at_least(args, "trees")
     _check_at_least(args, "folds", 2)
     samples = _numbers(args, "samples", lambda v: 0.0 < v <= 1.0, "fractions in (0, 1]")
+    schema_names = [s for s in (args.schemas or "file").split(",") if s]
+    # a repeated entry would run its cells again and test them against themselves
+    for name, entries in (("schemas", schema_names), ("samples", samples)):
+        if len(set(entries)) < len(entries):
+            raise CliError(f"--{name} takes distinct entries, not {getattr(args, name)!r}")
     file_schema, table = read_table(_require(args, "features"))
     balancing = {"unbalanced": [False], "balanced": [True], "both": [False, True]}[args.balancing]
-    schema_names = [s for s in (args.schemas or "file").split(",") if s]
 
     log.info("cross-validation uses derived seed %d", derive_seed(args.seed, "eval"))
     cells: list[EvalCell] = []
@@ -703,12 +711,6 @@ def main(argv: list[str] | None = None) -> int:
     except (CliError, EldiffError, OSError, KeyError, ValueError) as exc:
         log.error("%s", exc)
         return EXIT_ERROR
-    finally:
-        # A full collection frees the command's reference cycles and empties
-        # CPython's free lists, whose scattered blocks would otherwise keep
-        # allocator arenas alive: a process that runs several commands (the
-        # tests, a benchmark worker) starts each one on a compact heap.
-        gc.collect()
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -21,15 +21,15 @@ from .consensus import plain_digits, read_tsv, write_tsv
 from .corpus import (
     Corpus,
     Document,
-    SentenceSpan,
     count_occurrences,
     document_frequency,
     segment_sentences,
-    sentence_containing,
     temporal_document_frequency,
 )
+# tracer targets of bench/spans.py that nothing in this module calls
+from .corpus import sentence_containing  # noqa: F401
 from .embeddings import EmbeddingModel, StabilityResult, stability_all
-from .embeddings import semantic_stability  # noqa: F401  a tracer target of bench/spans.py
+from .embeddings import semantic_stability  # noqa: F401
 from .errors import AllMissingError, MalformedRecordError
 
 #: Canonical column order of the feature table (label column excluded).
@@ -176,14 +176,16 @@ def stability_word(surface: str) -> str:
 
 
 class FeatureExtractor:
-    """Computes feature tables against shared immutable inputs. A mention is
-    given by its key ``(doc_id, offset, surface)``, the form
-    ``MentionCodes.mentions`` returns.
+    """Computes feature tables against shared immutable inputs. Mentions are
+    given as key codes of a ``MentionCodes``.
 
-    m_df and t_df are answered by the corpus's token index, which memoizes
-    them; each mention word's stability is computed once. Each document is
-    segmented and split into words once, on its first mention: m_sent is
-    then a bisection over the stored sentence spans and d_words a lookup.
+    Each feature is computed once at its grain and gathered per row: per
+    surface m_len, m_words, m_cand, m_df and the stability triple; per
+    document d_words, d_topic, d_ents, t_age and the sentence spans; per
+    distinct (document, surface) pair m_freq and t_df. Only m_pos and m_sent
+    are per mention, each one operation on whole columns. m_df and t_df are
+    answered by the corpus's token index, and each mention word's stability
+    is computed once per extractor.
     """
 
     def __init__(
@@ -200,67 +202,120 @@ class FeatureExtractor:
         self.config = config if config is not None else FeatureConfig()
         self.doc_mention_counts = dict(doc_mention_counts) if doc_mention_counts else {}
         self._stability_cache: dict[str, StabilityResult] = {}
-        self._doc_cache: dict[str, tuple[list[SentenceSpan], int]] = {}
 
-    def _document(self, doc: Document) -> tuple[list[SentenceSpan], int]:
-        """The document's sentence spans and whitespace word count."""
-        if doc.id not in self._doc_cache:
-            self._doc_cache[doc.id] = (segment_sentences(doc), len(doc.text.split()))
-        return self._doc_cache[doc.id]
-
-    def _stability(self, surface: str) -> StabilityResult:
-        """The mention word's stability, which ``extract_all`` has cached."""
-        if len(self.models) < 2:
-            return StabilityResult.missing()
-        return self._stability_cache[stability_word(surface)]
-
-    def _row(self, mention: tuple[str, int, str]) -> tuple:
-        """One mention's values in ``FEATURE_COLUMNS`` order."""
+    def extract(self, mention: tuple[str, int, str]) -> "FeatureTable":
+        """The one-row feature table of ``mention``, a key ``(doc_id, offset,
+        surface)`` with a non-negative offset, with no label."""
         doc_id, offset, surface = mention
+        codes = MentionCodes()
+        key = codes.key(doc_id, str(offset), surface, 1)
+        return self.extract_all(codes, np.array([key]), [-1])
+
+    def extract_all(self, codes: MentionCodes, keys: np.ndarray,
+                    labels: Sequence[int]) -> "FeatureTable":
+        """The feature table of the mentions with key codes ``keys`` in
+        ``codes``, one row each, in order, with the class indices ``labels``
+        (-1 for none).
+
+        The stability of every new mention word is computed first, slice by
+        slice (``stability_all``). Then the first mention in row order that
+        names no document raises KeyError, and the first that lies outside
+        its document's text or has an empty surface raises ValueError.
+        """
+        doc, offset, surface = (column[keys] for column in codes.columns())
+        # the rows' documents and surfaces, each coded by its rank among them
+        doc_codes, doc = np.unique(doc, return_inverse=True)
+        surface_codes, surface = np.unique(surface, return_inverse=True)
+        doc_names, surface_names = list(codes.docs), list(codes.surfaces)
+        names = [doc_names[d] for d in doc_codes.tolist()]
+        surfaces = [surface_names[s] for s in surface_codes.tolist()]
+        stabilities = self._stabilities(surfaces)
+
+        docs = [self.corpus._by_id.get(name) for name in names]
+        text_length = np.array([len(d.text) if d else -1 for d in docs], dtype=np.int64)
+        m_len = np.array([len(s) for s in surfaces], dtype=np.int64)
+        # offsets that overflow int64 are Python ints, and always outside
+        bad = ((text_length[doc] < 0) | (m_len[surface] == 0)
+               | (offset + m_len[surface] > text_length[doc]).astype(bool))
+        if bad.any():
+            row = int(np.argmax(bad))
+            self._refuse(names[doc[row]], int(offset[row]), surfaces[surface[row]])
+        offset = offset.astype(np.int64)
+        config = self.config
+
+        pairs, pair = np.unique(doc * len(surfaces) + surface, return_inverse=True)
+        pair_docs, pair_surfaces = (part.tolist() for part in np.divmod(pairs, len(surfaces)))
+        per_pair = {
+            "m_freq": [count_occurrences(docs[d], surfaces[s])
+                       for d, s in zip(pair_docs, pair_surfaces)],
+            "t_df": [temporal_document_frequency(self.corpus, surfaces[s],
+                                                 docs[d].publication_date, config.window_months)
+                     for d, s in zip(pair_docs, pair_surfaces)],
+        }
+        per_surface = {
+            "m_len": m_len,
+            "m_words": [len(s.split()) for s in surfaces],
+            "m_df": [document_frequency(self.corpus, s) for s in surfaces],
+            "m_cand": [self.candidates.get(s, 0) for s in surfaces],
+            **{c: [getattr(r, a) for r in stabilities]
+               for c, a in zip(STABILITY_COLUMNS, ("minimum", "maximum", "average"))},
+        }
+        per_doc = {
+            "d_words": [len(d.text.split()) for d in docs],
+            "d_ents": [self.doc_mention_counts.get(name, 0) for name in names],
+            "t_age": [config.kb_year - d.publication_date.year for d in docs],
+        }
+        values = {}
+        for grain, index in ((per_pair, pair), (per_surface, surface), (per_doc, doc)):
+            for name, column in _arrays(grain).items():
+                values[name] = column[index]
+        values["d_topic"] = np.array([d.topic for d in docs], dtype=object)[doc].tolist()
+        values["m_pos"] = offset / text_length[doc]
+        values["m_sent"] = _sentence_lengths(docs, text_length, doc, offset)
+        absent = {c: np.array([v is None for v in per_surface[c]], dtype=bool)[surface]
+                  for c in STABILITY_COLUMNS}
+        _check_rows(values, absent)
+        if len(labels) != len(keys):
+            raise ValueError("every feature column needs one value per label")
+        return FeatureTable._of({c: values[c] for c in FEATURE_COLUMNS}, _class_indices(labels))
+
+    def _stabilities(self, surfaces: list[str]) -> list[StabilityResult]:
+        """Each surface's stability, computing every new mention word's."""
+        if len(self.models) < 2:
+            return [StabilityResult.missing()] * len(surfaces)
+        words = [stability_word(s) for s in surfaces]
+        new = [word for word in dict.fromkeys(words) if word not in self._stability_cache]
+        if new:
+            self._stability_cache.update(stability_all(self.models, new, self.config.top_k))
+        return [self._stability_cache[word] for word in words]
+
+    def _refuse(self, doc_id: str, offset: int, surface: str) -> NoReturn:
+        """Raise the error of a mention that names no document, lies outside
+        its document's text or has an empty surface."""
         doc = self.corpus.get(doc_id)
-        if offset < 0 or offset + len(surface) > len(doc.text):
+        if offset + len(surface) > len(doc.text):
             raise ValueError(
                 f"mention {surface!r} at {doc_id}:{offset} lies outside the document text"
             )
-        config = self.config
-        spans, d_words = self._document(doc)
-        span = sentence_containing(doc, offset, spans)
-        stability = self._stability(surface)
-        return (
-            len(surface),
-            len(surface.split()),
-            count_occurrences(doc, surface),
-            document_frequency(self.corpus, surface),
-            self.candidates.get(surface, 0),
-            offset / len(doc.text),
-            len(span) if span is not None else 0,
-            d_words,
-            doc.topic,
-            self.doc_mention_counts.get(doc_id, 0),
-            config.kb_year - doc.publication_date.year,
-            temporal_document_frequency(self.corpus, surface, doc.publication_date,
-                                        config.window_months),
-            stability.minimum,
-            stability.maximum,
-            stability.average,
-        )
+        raise ValueError("surface must be non-empty")
 
-    def extract(self, mention: tuple[str, int, str]) -> "FeatureTable":
-        """The one-row feature table of ``mention``, with no label."""
-        return self.extract_all([mention], [-1])
 
-    def extract_all(self, mentions: Sequence[tuple], labels: Sequence[int]) -> "FeatureTable":
-        """The feature table of ``mentions``, one row each, in order, with
-        the class indices ``labels`` (-1 for none). The stability of every
-        new mention word is computed first, slice by slice (``stability_all``)."""
-        if len(self.models) >= 2:
-            words = dict.fromkeys(stability_word(m[2]) for m in mentions)
-            new = [word for word in words if word not in self._stability_cache]
-            if new:
-                self._stability_cache.update(stability_all(self.models, new, self.config.top_k))
-        rows = [self._row(mention) for mention in mentions]
-        columns = zip(*rows) if rows else [()] * len(FEATURE_COLUMNS)
-        return FeatureTable(dict(zip(FEATURE_COLUMNS, columns)), labels)
+def _sentence_lengths(docs: Sequence[Document], text_length: np.ndarray,
+                      doc: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """m_sent: the length of the sentence span covering each row's offset in
+    its document, 0 on a sentence mark. The documents' spans are laid end to
+    end, so one bisection over their starts finds every row's span."""
+    base = np.cumsum(text_length) - text_length
+    # a sentinel span that holds no position keeps every bisection in range
+    starts, ends = [-1], [-1]
+    for at, d in zip(base.tolist(), docs):
+        for span in segment_sentences(d):
+            starts.append(at + span.start)
+            ends.append(at + span.end)
+    starts, ends = np.array(starts, dtype=np.int64), np.array(ends, dtype=np.int64)
+    position = base[doc] + offset
+    i = np.searchsorted(starts, position, side="right") - 1
+    return np.where(position < ends[i], ends[i] - starts[i], 0)
 
 
 #: The arguments of ``_row_problem``, in order.
@@ -289,13 +344,12 @@ class FeatureTable:
         labels = np.asarray(labels)
         if any(len(columns[c]) != len(labels) for c in FEATURE_COLUMNS):
             raise ValueError("every feature column needs one value per label")
-        if not np.isin(labels, range(-1, len(CLASS_ORDER))).all():
-            raise ValueError("a label is a class index or -1 for none")
+        labels = _class_indices(labels)
         values = _arrays({c: columns[c] for c in FEATURE_COLUMNS})
         absent = {c: np.array([v is None for v in columns[c]], dtype=bool)
                   for c in STABILITY_COLUMNS}
         _check_rows(values, absent)
-        self._values, self._labels = values, labels.astype(np.int8)
+        self._values, self._labels = values, labels
 
     @classmethod
     def _of(cls, values: dict, labels: np.ndarray) -> "FeatureTable":
@@ -379,6 +433,14 @@ class FeatureTable:
                                 quoting=csv.QUOTE_ALL if carriage else csv.QUOTE_MINIMAL)
             writer.writerow(list(columns) + ["label"])
             writer.writerows(zip(*fields))
+
+
+def _class_indices(labels: Sequence[int]) -> np.ndarray:
+    """``labels`` as an int8 column, refusing any that is no class index or -1."""
+    labels = np.asarray(labels)
+    if not np.isin(labels, range(-1, len(CLASS_ORDER))).all():
+        raise ValueError("a label is a class index or -1 for none")
+    return labels.astype(np.int8)
 
 
 def _arrays(columns: Mapping[str, Sequence]) -> dict:

@@ -3,7 +3,8 @@ oracles for the code columns.
 
 ``oracle_read_labels`` reads a labels file as the record reader did, one
 ``LabelledMention`` per line. ``oracle_features`` and ``oracle_predict`` are
-``cmd_features`` and ``cmd_predict`` on those records. ``oracle_simulate``
+``cmd_features`` and ``cmd_predict`` on those records, ``oracle_features``
+with the per-mention extraction of ``features_oracle``. ``oracle_simulate``
 is ``cmd_simulate`` as it was before the files were read into code columns:
 one record per line, the gold standard and predictions as dicts keyed by
 ``(doc_id, offset, surface)`` tuples, pool order by ``sorted`` over those
@@ -20,6 +21,7 @@ import numpy as np
 from eldiff import consensus
 from consensus_oracle import LabelledMention, oracle_count_doc_mentions, oracle_offset
 from consensus_oracle import oracle_read_annotations, row_records
+from features_oracle import oracle_extract_all
 from eldiff.consensus import CLASS_INDEX, CLASS_ORDER, Label, LabelledRows
 from eldiff.corpus import load_corpus
 from eldiff.errors import MalformedRecordError
@@ -147,8 +149,8 @@ def oracle_features(out, corpus, mentions, candidates):
     candidates = load_candidate_dictionary(candidates)
     doc_counts = oracle_count_doc_mentions([labelled])
     extractor = FeatureExtractor(corpus, candidates, doc_mention_counts=doc_counts)
-    table = extractor.extract_all([(lm.doc_id, lm.offset, lm.surface) for lm in labelled],
-                                  [CLASS_INDEX[lm.label] for lm in labelled])
+    table = oracle_extract_all(extractor, [(lm.doc_id, lm.offset, lm.surface) for lm in labelled],
+                               [CLASS_INDEX[lm.label] for lm in labelled])
     out.mkdir(parents=True, exist_ok=True)
     table.write_csv(out / "features.csv")
 

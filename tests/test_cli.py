@@ -335,6 +335,49 @@ class TestEval:
         assert "gaussian_nb" in text and "paired t-tests" in text
 
 
+class TestStabilityMissingEverywhere:
+    """A table that ``features`` wrote without embeddings has no stability
+    value to average: train, eval and predict name the two remedies."""
+
+    MESSAGE = ("column 't_j_min' has no observed values to average: the table has no stability "
+               "values (features ran without embeddings); use --impute constant, or a --schema "
+               "without t_j_min/t_j_max/t_j_avg")
+
+    @pytest.fixture(scope="class")
+    def table(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("no_stability")
+        fixture = root / "fixture"
+        assert run("gen-synthetic", "--out", fixture, "--seed", 5, "--docs", 40) == EXIT_OK
+        dumps = [fixture / f"{name}.tsv" for name in ("alpha", "beta", "gamma")]
+        assert run("label", "--annotations", *dumps, "--out", root) == EXIT_OK
+        assert run("features", "--corpus", fixture / "corpus.jsonl",
+                   "--mentions", root / "labels.tsv", "--candidates", fixture / "candidates.tsv",
+                   "--out", root) == EXIT_OK
+        return root / "features.csv"
+
+    def test_train_eval_and_predict_name_the_remedies(self, table, tmp_path, caplog):
+        model = tmp_path / "model"
+        assert run("train", "--features", table, "--variant", "decision_tree",
+                   "--impute", "constant", "--out", model) == EXIT_OK
+        commands = [
+            ["train", "--features", table, "--variant", "decision_tree"],
+            ["eval", "--features", table, "--variants", "gaussian_nb", "--folds", 2],
+            ["predict", "--model", model / "model.json", "--features", table],
+        ]
+        for command in commands:
+            caplog.clear()
+            out = tmp_path / command[0]
+            with caplog.at_level(logging.ERROR, logger="eldiff"):
+                assert run(*command, "--out", out) == EXIT_ERROR
+            assert [r.getMessage() for r in caplog.records] == [self.MESSAGE]
+            assert not out.exists()
+
+    @pytest.mark.parametrize("remedy", [["--impute", "constant"], ["--schema", "no_temporal"]])
+    def test_either_remedy_trains(self, table, tmp_path, remedy):
+        assert run("train", "--features", table, "--variant", "decision_tree", *remedy,
+                   "--out", tmp_path) == EXIT_OK
+
+
 class TestAnalysisCommands:
     def test_importance_requires_forest(self, tmp_path):
         table = separable_table()
@@ -728,6 +771,10 @@ class TestFlagChecks:
         ("eval", ["--folds", 1], "--folds must be at least 2, not 1"),
         ("eval", ["--samples", "0.5,0"], "--samples takes fractions in (0, 1], not '0'"),
         ("eval", ["--samples", "1.5"], "--samples takes fractions in (0, 1], not '1.5'"),
+        ("eval", ["--schemas", "file,file"], "--schemas takes distinct entries, not 'file,file'"),
+        ("eval", ["--schemas", "all,,no_temporal,all"],
+         "--schemas takes distinct entries, not 'all,,no_temporal,all'"),
+        ("eval", ["--samples", "0.5,1,0.50"], "--samples takes distinct entries, not '0.5,1,0.50'"),
         ("train", ["--sample", 1.5], "--sample takes a fraction in (0, 1], not '1.5'"),
         ("train", ["--sample", -0.5], "--sample takes a fraction in (0, 1], not '-0.5'"),
         ("train", ["--sample", 0], "--sample takes a fraction in (0, 1], not '0.0'"),

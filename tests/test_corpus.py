@@ -30,6 +30,7 @@ from eldiff.corpus import (
 from eldiff.corpus import _TOKEN
 from eldiff.errors import DuplicateIdError, MalformedRecordError
 from eldiff.features import FeatureConfig, FeatureExtractor
+from features_oracle import coded
 
 
 def _doc(text, doc_id="d", date=dt.date(2000, 1, 1), topic=""):
@@ -387,7 +388,7 @@ class TestWindowMemo:
         t_df = {}
         for _ in range(2):
             for window, extractor in extractors.items():
-                table = extractor.extract_all(mentions, [-1] * len(mentions))
+                table = extractor.extract_all(*coded(mentions), [-1] * len(mentions))
                 for row, (doc_id, _, surface) in enumerate(mentions):
                     anchor = corpus.get(doc_id).publication_date
                     assert table.column("m_df")[row] == scan_document_frequency(corpus, surface)
@@ -407,7 +408,7 @@ class TestWindowMemo:
         monkeypatch.setattr(corpus_module, "shift_months", counting)
         for window in (1, 6, 1):
             FeatureExtractor(corpus, config=FeatureConfig(window_months=window)).extract_all(
-                mentions, [-1] * len(mentions))
+                *coded(mentions), [-1] * len(mentions))
         assert set(calls) == {(date, window) for date in self.DATES for window in (1, 6)}
         assert max(calls.values()) <= 2
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from consensus_oracle import SystemAnnotation, annotation_rows, oracle_count_doc_mentions
 from consensus_oracle import oracle_read_annotations
+from features_oracle import coded
 from eldiff.consensus import CLASS_INDEX, Label, write_annotations
 from eldiff.corpus import Corpus, Document
 from eldiff.embeddings import EmbeddingModel
@@ -295,19 +296,19 @@ class TestExtract:
     def test_label_carried_from_labelled_mention(self, extractor):
         mention = ("doc1", 250, "Paris")
         medium = CLASS_INDEX[Label.MEDIUM]
-        assert extractor.extract_all([mention], [medium]).labels().tolist() == [medium]
+        assert extractor.extract_all(*coded([mention]), [medium]).labels().tolist() == [medium]
         assert extractor.extract(mention).labels().tolist() == [-1]
 
     def test_every_mention_form_gives_one_row(self, extractor):
         labels = [-1, CLASS_INDEX[Label.HARD]]
-        table = extractor.extract_all([("doc2", 23, "Paris")] * 2, labels)
+        table = extractor.extract_all(*coded([("doc2", 23, "Paris")] * 2), labels)
         rows = [_row(table, index) for index in range(2)]
         assert [row.pop("label") for row in rows] == labels
         assert rows[0] == rows[1]
 
     def test_batch_equals_one_by_one(self, extractor):
         mentions = [("doc2", 0, "Paris"), ("doc1", 250, "Paris"), ("doc2", 23, "Paris")]
-        table = extractor.extract_all(mentions, [-1] * 3)
+        table = extractor.extract_all(*coded(mentions), [-1] * 3)
         assert len(table) == 3
         for index, mention in enumerate(mentions):
             assert _row(table, index) == _row(extractor.extract(mention))
@@ -322,7 +323,7 @@ class TestExtract:
             offset = int(rng.integers(0, len(doc.text) - 1))
             length = int(rng.integers(1, min(6, len(doc.text) - offset) + 1))
             mentions.append((doc.id, offset, doc.text[offset:offset + length]))
-        table = extractor.extract_all(mentions, [-1] * len(mentions))
+        table = extractor.extract_all(*coded(mentions), [-1] * len(mentions))
         assert len(table) == 2000
         m_pos = table.column("m_pos")
         assert ((0 <= m_pos) & (m_pos < 1)).all()
